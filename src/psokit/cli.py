@@ -32,8 +32,8 @@ import numpy as np
 
 from . import __version__, matops, models, psocheck, triplets
 from .scalars import format_complex, parse_complex
+from .triplets import GREEN_TOL
 
-GREEN_TOL = 1e-10
 CAYLEY_IDENTITY_TOL = 1e-11
 GRAM_TOL = 1e-12
 WANDERING_TOL = 1e-10
@@ -301,8 +301,8 @@ def run_scenario_obj(obj) -> dict:
         except ScenarioError:
             raise
         except Exception as exc:
-            result = psocheck.CheckResult(cid, "error", float("nan"), float("nan"),
-                                          witness=None)
+            result = psocheck.CheckResult(cid, psocheck.VERDICT_ERROR, float("nan"),
+                                          float("nan"), witness=None)
             result.notes = f"{type(exc).__name__}: {exc}"
         elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
         record = {
@@ -345,7 +345,7 @@ def _atomic_write(path: str, data: str) -> None:
 
 def report_exit_code(report: dict) -> int:
     verdicts = [c["verdict"] for c in report["checks"]]
-    if any(v == "error" for v in verdicts):
+    if any(v == psocheck.VERDICT_ERROR for v in verdicts):
         return 2
     if all(v == psocheck.VERDICT_PASS for v in verdicts):
         return 0

@@ -8,8 +8,10 @@ a symmetric restriction (constant characteristic function):
 * vanishing of the conjugate-defect coefficient when any upper defect
   vector is decomposed against a fixed upper point.
 
-Each scan produces a pass / fail / inconclusive verdict with its witness;
-the aggregate certificate additionally demands that the three verdicts
+Each scan produces a pass / fail / inconclusive / error verdict with its
+witness.  Scans fail closed: a grid point that could not be evaluated caps
+a pass at inconclusive, and a scan that evaluated nothing reports error.
+The aggregate certificate additionally demands that the three verdicts
 agree, which guards against implementation drift between the criteria.
 """
 
@@ -31,6 +33,7 @@ FAIL_THRESHOLD = 1e-2
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_INCONCLUSIVE = "inconclusive"
+VERDICT_ERROR = "error"
 
 DEFAULT_RE = tuple(float(r) for r in range(-5, 6))
 DEFAULT_IM = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -98,6 +101,8 @@ class Certificate:
     @property
     def overall(self) -> str:
         verdicts = {c.verdict for c in self.checks}
+        if VERDICT_ERROR in verdicts:
+            return VERDICT_ERROR
         if verdicts == {VERDICT_PASS}:
             return VERDICT_PASS
         if verdicts == {VERDICT_FAIL}:
@@ -111,9 +116,17 @@ class Certificate:
         raise KeyError(check_id)
 
 
-def _verdict(max_residual: float, pass_tol: float) -> str:
+def _verdict(max_residual: float, pass_tol: float, evaluated: int,
+             failed: int) -> str:
+    """Verdict from the worst residual over the evaluated grid points.
+
+    Nothing evaluated is an error; any failed point caps a pass at
+    inconclusive, since the unevaluated points could hide a failure.
+    """
+    if not evaluated:
+        return VERDICT_ERROR
     if max_residual <= pass_tol:
-        return VERDICT_PASS
+        return VERDICT_INCONCLUSIVE if failed else VERDICT_PASS
     if max_residual >= FAIL_THRESHOLD:
         return VERDICT_FAIL
     return VERDICT_INCONCLUSIVE
@@ -126,6 +139,7 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     witness = None
     failures = []
     uppers = []
+    evaluated = 0
     for lam in grid.lambdas_upper:
         try:
             uppers.append((lam, model.defects.normalized(lam)))
@@ -137,13 +151,15 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
         except Exception as exc:
             failures.append(f"nu={format_complex(nu)}: {exc}")
             continue
+        evaluated += len(uppers)
         for lam, f in uppers:
             val = abs(inner(f, g))
             if val > worst:
                 worst = val
                 witness = f"lambda={format_complex(lam)}, nu={format_complex(nu)}"
-    return CheckResult("orthogonality", _verdict(worst, PASS_ORTHOGONALITY),
-                       worst, PASS_ORTHOGONALITY, witness, tuple(failures))
+    verdict = _verdict(worst, PASS_ORTHOGONALITY, evaluated, len(failures))
+    return CheckResult("orthogonality", verdict, worst, PASS_ORTHOGONALITY,
+                       witness, tuple(failures))
 
 
 def constancy_scan(model, triplet=None, grid: Grid | None = None) -> CheckResult:
@@ -167,41 +183,99 @@ def constancy_scan(model, triplet=None, grid: Grid | None = None) -> CheckResult
                 worst = dev
                 witness = (f"lambda={format_complex(values[i][0])}, "
                            f"mu={format_complex(values[j][0])}")
-    return CheckResult("constancy", _verdict(worst, PASS_CONSTANCY),
-                       worst, PASS_CONSTANCY, witness, tuple(failures))
+    verdict = _verdict(worst, PASS_CONSTANCY, len(values), len(failures))
+    return CheckResult("constancy", verdict, worst, PASS_CONSTANCY, witness,
+                       tuple(failures))
 
 
 def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest normalized conjugate-defect coefficient over upper pairs.
 
-    Decomposing the normalized defect vector at lambda against the point mu
-    must leave no component along the defect vector at conj(mu); the
-    coefficient is scaled by the norms so the verdict is scale free.
+    Decomposing the defect vector f at lambda against the point mu, as
+    ``triplets.decompose`` does, must leave no component b along the
+    defect vector at conj(mu); |b| is scaled by the norms so the verdict is
+    scale free.
+
+    The coefficients are linear in the boundary images (gamma_plus(f),
+    gamma_minus(f)), so each lambda is mapped to its images once, and each
+    mu builds its 2x2 system S(mu) once and solves it for all lambdas in a
+    single call.  A singular S(mu) is a failure of every pair at that mu.
+    Failures keep the precedence and text of ``decompose``: lambda-side
+    construction errors, then mu-side errors, then errors of the boundary
+    maps on f, then the singularity of S(mu).  A pair whose coefficients are
+    not finite goes through ``decompose`` itself, which rejects it when
+    reassembling the residual.
     """
     grid = grid or Grid.default()
+    gp, gm = model.triplet.gamma_plus, model.triplet.gamma_minus
+    lams = grid.lambdas_upper
+    labels = [format_complex(lam) for lam in lams]
+    # per lambda: error before the mu-side work, error of the boundary maps
+    early: dict[int, Exception] = {}
+    late: dict[int, Exception] = {}
+    gps = [0.0] * len(lams)
+    gms = [0.0] * len(lams)
+    norms = [1.0] * len(lams)
+    for j, lam in enumerate(lams):
+        try:
+            f = model.defects(lam)
+            triplets.require_maximal_domain(f)
+        except Exception as exc:
+            early[j] = exc
+            continue
+        norms[j] = model.defects.norm(lam)
+        try:
+            gps[j], gms[j] = gp(f), gm(f)
+        except Exception as exc:
+            late[j] = exc
+    # dtype inferred as for the right-hand side of decompose
+    images = np.array([gps, gms])
+
     worst = 0.0
     witness = None
     failures = []
-    for mu in grid.lambdas_upper:
+    evaluated = 0
+    for mu, mu_label in zip(lams, labels):
         try:
             n_conj = model.defects.norm(mu.conjugate())
         except Exception as exc:
-            failures.append(f"mu={format_complex(mu)}: {exc}")
+            failures.append(f"mu={mu_label}: {exc}")
             continue
-        for lam in grid.lambdas_upper:
+        mu_error = singular = None
+        try:
+            fm = model.defects(mu)
+            fmb = model.defects(mu.conjugate())
+            system = np.array([[gp(fm), gp(fmb)], [gm(fm), gm(fmb)]])
+        except Exception as exc:
+            mu_error = exc
+        else:
             try:
-                f = model.defects(lam)
-                _, b, _ = triplets.decompose(model, f, mu)
+                if matops.is_singular(system, 1e-12):
+                    singular = ValueError("decomposition system is singular for this mu")
             except Exception as exc:
-                failures.append(
-                    f"lambda={format_complex(lam)}, mu={format_complex(mu)}: {exc}")
+                singular = exc
+        if mu_error is None and singular is None:
+            coeffs = np.linalg.solve(system, images)
+            finite = np.isfinite(coeffs).all(axis=0).tolist()
+            bs = coeffs[1].tolist()
+        for j, lam in enumerate(lams):
+            exc = early.get(j) or mu_error or late.get(j) or singular
+            if exc is None and not finite[j]:
+                try:
+                    _, bs[j], _ = triplets.decompose(model, model.defects(lam), mu)
+                except Exception as err:
+                    exc = err
+            if exc is not None:
+                failures.append(f"lambda={labels[j]}, mu={mu_label}: {exc}")
                 continue
-            val = abs(b) * n_conj / model.defects.norm(lam)
+            evaluated += 1
+            val = abs(bs[j]) * n_conj / norms[j]
             if val > worst:
                 worst = val
-                witness = f"lambda={format_complex(lam)}, mu={format_complex(mu)}"
-    return CheckResult("inclusion", _verdict(worst, PASS_INCLUSION),
-                       worst, PASS_INCLUSION, witness, tuple(failures))
+                witness = f"lambda={labels[j]}, mu={mu_label}"
+    verdict = _verdict(worst, PASS_INCLUSION, evaluated, len(failures))
+    return CheckResult("inclusion", verdict, worst, PASS_INCLUSION, witness,
+                       tuple(failures))
 
 
 def pso_certificate(model, grid: Grid | None = None) -> Certificate:

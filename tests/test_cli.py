@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from psokit import cli
+from psokit import cli, models
 from psokit.scalars import format_complex, parse_complex
 
 
@@ -80,6 +80,24 @@ def test_run_failing_scenario_exit_code(tmp_path, capsys):
     report = json.loads(captured.out)
     witness = report["checks"][0]["witness"]
     assert "lambda=" in witness and "nu=" in witness
+
+
+def test_raising_defect_family_exits_2(tmp_path, capsys, monkeypatch):
+    def broken(z):
+        raise ValueError("broken defect family")
+
+    monkeypatch.setattr(models.MomentumModel, "_defect", staticmethod(broken))
+    path = write_scenario(tmp_path, {
+        "name": "broken-momentum",
+        "model": {"kind": "momentum"},
+        "checks": ["orthogonality", "constancy", "inclusion", "pso"],
+        "grid": {"re": [0], "im": [1, 2]},
+    })
+    code = cli.main(["run", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert [c["verdict"] for c in report["checks"]] == ["error"] * 4
+    assert all(c["grid_failures"] for c in report["checks"][:3])
 
 
 def test_run_haar_scenario(tmp_path):

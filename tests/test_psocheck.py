@@ -1,17 +1,23 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from psokit import matops, triplets
 from psokit.models import MomentumModel, NonlocalModel, momentum_eigen_test
 from psokit.psocheck import (
+    PASS_INCLUSION,
     Grid,
     SpectrumClass,
+    _verdict,
     classify_spectrum,
     constancy_scan,
     inclusion_scan,
     orthogonality_scan,
     pso_certificate,
 )
-from psokit.triplets import DefectFamily
+from psokit.scalars import format_complex
+from psokit.triplets import BoundaryTriplet, DefectFamily
 
 SMALL_GRID = Grid.from_axes([-2.0, 0.0, 3.0], [0.5, 1.0, 5.0])
 
@@ -167,9 +173,165 @@ def test_scan_reports_per_point_failures_and_continues():
 
     grid = Grid((1j, 2j), (-1j, -2j))
     result = orthogonality_scan(Flaky(), grid)
-    assert result.verdict == "pass"
+    assert result.verdict == "inconclusive"
     assert len(result.failures) == 1
     assert "nu=-2i" in result.failures[0]
+
+
+# -- failing closed and the batched inclusion scan ----------------------------------
+
+
+def variant(base, name, defect=None, triplet=None):
+    """``base`` with its defect family or its triplet swapped out."""
+
+    class Variant:
+        adjoint_apply = staticmethod(base.adjoint_apply)
+
+        @staticmethod
+        def describe():
+            return name
+
+    Variant.defects = DefectFamily(defect) if defect else base.defects
+    Variant.triplet = triplet or base.triplet
+    return Variant()
+
+
+def flaky_model():
+    mom = MomentumModel()
+
+    def flaky(z):
+        # one upper point on each side of a pair, one conj(mu)
+        if z in (1j, -2 + 0.5j, 3 - 5j):
+            raise RuntimeError(f"synthetic construction failure at {z}")
+        return mom.defects(z)
+
+    return variant(mom, "flaky", defect=flaky)
+
+
+def raising_model():
+    def broken(z):
+        raise ValueError("broken defect family")
+
+    return variant(MomentumModel(), "raising", defect=broken)
+
+
+def degenerate_model():
+    trip = MomentumModel().triplet
+    same = BoundaryTriplet(trip.gamma_plus, trip.gamma_plus, trip.witness)
+    return variant(MomentumModel(), "degenerate", triplet=same)
+
+
+def gamma_raising_model():
+    mom = MomentumModel()
+    bad = mom.defects(1j)
+
+    def gamma_plus(f, inner_product=None):
+        if f == bad:
+            raise ValueError("no boundary value on this vector")
+        return mom.triplet.gamma_plus(f)
+
+    trip = BoundaryTriplet(mom.triplet.gamma_minus, gamma_plus, mom.triplet.witness)
+    return variant(mom, "gamma-raising", triplet=trip)
+
+
+def nan_boundary_model():
+    base = NonlocalModel("I", 1)
+    bad = base.defects(3 + 1j)
+
+    def gamma_plus(f, inner_product=None):
+        return complex("nan") if f == bad else base.triplet.gamma_plus(f)
+
+    trip = BoundaryTriplet(base.triplet.gamma_minus, gamma_plus, base.triplet.witness)
+    return variant(base, "nan-boundary", triplet=trip)
+
+
+def pairwise_inclusion(model, grid):
+    """Reference inclusion scan: one ``decompose`` per (lambda, mu) pair."""
+    worst, witness, failures, evaluated = 0.0, None, [], 0
+    for mu in grid.lambdas_upper:
+        try:
+            n_conj = model.defects.norm(mu.conjugate())
+        except Exception as exc:
+            failures.append(f"mu={format_complex(mu)}: {exc}")
+            continue
+        for lam in grid.lambdas_upper:
+            pair = f"lambda={format_complex(lam)}, mu={format_complex(mu)}"
+            try:
+                _, b, _ = triplets.decompose(model, model.defects(lam), mu)
+            except Exception as exc:
+                failures.append(f"{pair}: {exc}")
+                continue
+            evaluated += 1
+            val = abs(b) * n_conj / model.defects.norm(lam)
+            if val > worst:
+                worst, witness = val, pair
+    verdict = _verdict(worst, PASS_INCLUSION, evaluated, len(failures))
+    return verdict, worst, witness, tuple(failures)
+
+
+EQUIVALENCE_MODELS = {
+    "momentum": MomentumModel,
+    "I(1)": lambda: NonlocalModel("I", 1),
+    "I(4i)": lambda: NonlocalModel("I", 4j),
+    "II(1)": lambda: NonlocalModel("II", 1),
+    "II(2i)": lambda: NonlocalModel("II", 2j),
+    "flaky": flaky_model,
+    "raising": raising_model,
+    "degenerate": degenerate_model,
+    "gamma-raising": gamma_raising_model,
+    "nan-boundary": nan_boundary_model,
+}
+
+
+@pytest.mark.parametrize("make", EQUIVALENCE_MODELS.values(), ids=EQUIVALENCE_MODELS)
+def test_batched_inclusion_matches_pairwise_decompose(make):
+    model = make()
+    got = inclusion_scan(model, SMALL_GRID)
+    assert (got.verdict, got.max_residual, got.witness, got.failures) == \
+        pairwise_inclusion(model, SMALL_GRID)
+
+
+def test_inclusion_scan_solves_once_per_mu(monkeypatch):
+    model = NonlocalModel("I", 1)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(triplets, "decompose", counted("decompose", triplets.decompose))
+    monkeypatch.setattr(matops, "is_singular", counted("is_singular", matops.is_singular))
+    inclusion_scan(model, Grid.default())
+    assert calls["decompose"] == 0
+    assert calls["is_singular"] == 66
+
+
+def test_degenerate_triplet_is_an_error_not_a_pass():
+    model = degenerate_model()
+    result = inclusion_scan(model, SMALL_GRID)
+    assert result.verdict == "error"
+    assert len(result.failures) == 81
+    assert all(f.endswith("decomposition system is singular for this mu")
+               for f in result.failures)
+    cert = pso_certificate(model, SMALL_GRID)
+    assert cert.entry("orthogonality").verdict == "pass"
+    assert cert.entry("constancy").verdict == "pass"
+    assert cert.overall == "error"
+
+
+def test_raising_defect_family_errors_every_check():
+    cert = pso_certificate(raising_model(), SMALL_GRID)
+    assert [c.verdict for c in cert.checks] == ["error"] * 3
+    assert [len(c.failures) for c in cert.checks] == [18, 9, 9]
+    assert cert.overall == "error"
+
+
+def test_partial_failures_cap_a_pass_at_inconclusive():
+    cert = pso_certificate(flaky_model(), SMALL_GRID)
+    assert [c.verdict for c in cert.checks] == ["inconclusive"] * 3
+    assert cert.overall == "inconclusive"
 
 
 # -- spectrum classification ----------------------------------------------------------
