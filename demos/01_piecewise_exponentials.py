@@ -8,7 +8,6 @@ A composite Gauss-Legendre quadrature provides an independent cross-check.
 
 from psokit import (
     PiecewiseExpFunction,
-    boundary_values,
     free_resolvent,
     inner,
     inner_quadrature,
@@ -31,9 +30,8 @@ print("  closed form  =", inner(osc, right), " (exact 1/(2-3i))")
 print("  quadrature   =", inner_quadrature(osc, right, 1e-10))
 
 jumpy = left - right
-bv = boundary_values(jumpy)
 print("\none-sided limits at the origin (a jump is allowed there)")
-print("  f(0-) =", bv.at0minus, "  f(0+) =", bv.at0plus)
+print("  f(0-) =", jumpy.limit(0.0, "-"), "  f(0+) =", jumpy.limit(0.0, "+"))
 
 print("\nunitary transforms preserve the inner product")
 f, g = left + right, osc

@@ -19,7 +19,6 @@ from psokit import (
     char_function,
     classify_spectrum,
     inner,
-    momentum_defect,
     momentum_eigen_test,
     pso_certificate,
     similarity_conjugation_check,
@@ -31,7 +30,7 @@ model = MomentumModel()
 
 print("defect vectors are one-sided exponentials")
 for z in (1j, -1j, 1 + 2j):
-    f = momentum_defect(model, z)
+    f = model.defects(z)
     lo, hi = f.support()
     print(f"  z = {z}: support ({lo}, {hi}), exponent {f.terms[0].exponent}")
 

@@ -11,15 +11,12 @@ command line (:mod:`psokit.cli`) drives scenario files.
 __version__ = "0.1.0"
 
 from .expfun import (
-    BoundaryValues,
     ExpTerm,
     PiecewiseExpFunction,
-    boundary_values,
     free_resolvent,
     inner,
     inner_quadrature,
     norm,
-    transform,
 )
 from .matops import (
     KreinBlockOperator,
@@ -38,9 +35,7 @@ from .models import (
     NonlocalModel,
     ShiftModel,
     haar_gram,
-    momentum_defect,
     momentum_eigen_test,
-    nonlocal_defect,
     restriction_pairing,
     shift_cayley_identity,
     shift_defect,
@@ -73,7 +68,6 @@ from .triplets import (
 __all__ = [
     "BoundaryFunctional",
     "BoundaryTriplet",
-    "BoundaryValues",
     "Certificate",
     "CheckResult",
     "DefectFamily",
@@ -88,7 +82,6 @@ __all__ = [
     "SpectrumClass",
     "SubspaceBasis",
     "WanderingReport",
-    "boundary_values",
     "cayley",
     "change_of_basis",
     "char_function",
@@ -105,9 +98,7 @@ __all__ = [
     "interspherical",
     "inverse_cayley",
     "is_singular",
-    "momentum_defect",
     "momentum_eigen_test",
-    "nonlocal_defect",
     "norm",
     "orthogonality_scan",
     "pso_certificate",
@@ -116,7 +107,6 @@ __all__ = [
     "shift_cayley_identity",
     "shift_defect",
     "similarity_conjugation_check",
-    "transform",
     "triplet_convert",
     "wandering_check",
     "weyl_relation_check",

@@ -26,9 +26,6 @@ POS_INF = float("inf")
 #: exponents closer to zero than this are integrated with the length formula
 DEGENERATE_EXPONENT_TOL = 1e-14
 
-#: coefficient tolerance for approximate function equality
-COEFF_TOL = 1e-13
-
 #: maximum allowed jump at a breakpoint for a function to count as continuous
 JUMP_TOL = 1e-13
 
@@ -223,15 +220,12 @@ class PiecewiseExpFunction:
         else the one-sided limits must agree to within JUMP_TOL, otherwise
         the symbolic piecewise derivative would not be the weak derivative.
         """
-        for b in self.breakpoints():
-            if any(b == ok for ok in jump_ok_at):
-                continue
-            jump = self.limit(b, "+") - self.limit(b, "-")
-            if abs(jump) > JUMP_TOL:
-                raise ValueError(
-                    f"function has a jump of {abs(jump):.3e} at x={b}; "
-                    "piecewise derivative rejected"
-                )
+        x, jump = self.first_jump(JUMP_TOL, jump_ok_at)
+        if x is not None:
+            raise ValueError(
+                f"function has a jump of {jump:.3e} at x={x}; "
+                "piecewise derivative rejected"
+            )
         out = []
         for t in self.terms:
             if t.power > 0:
@@ -267,6 +261,18 @@ class PiecewiseExpFunction:
             if active:
                 val += t.coeff * x0**t.power * cmath.exp(t.exponent * x0)
         return val
+
+    def first_jump(self, tol: float, skip: tuple[float, ...] = ()
+                   ) -> tuple[float | None, float]:
+        """First breakpoint outside ``skip`` where the one-sided limits differ
+        by more than tol, with the size of that jump; (None, 0.0) if none."""
+        for b in self.breakpoints():
+            if b in skip:
+                continue
+            jump = abs(self.limit(b, "+") - self.limit(b, "-"))
+            if jump > tol:
+                return b, jump
+        return None, 0.0
 
     def eval_at(self, x) -> np.ndarray:
         """Pointwise values on an array of interior points (endpoints have
@@ -334,26 +340,21 @@ class PiecewiseExpFunction:
         )
 
 
-@dataclass(frozen=True)
-class BoundaryValues:
-    """One-sided limits of a function at the origin."""
-
-    at0minus: complex
-    at0plus: complex
-
-
-def boundary_values(f: PiecewiseExpFunction) -> BoundaryValues:
-    """One-sided limits f(0-) and f(0+); a jump at 0 is allowed."""
-    return BoundaryValues(f.limit(0.0, "-"), f.limit(0.0, "+"))
-
-
 # ---------------------------------------------------------------------------
 # closed-form integration
 # ---------------------------------------------------------------------------
 
 
-def _antiderivative_coeffs(k: int, u: complex) -> list[complex]:
-    # antiderivative of x**k * exp(u*x) is exp(u*x) * sum_j c[j] * x**(k-j)
+def _antiderivative_coeffs(k: int, u: complex) -> list[complex] | None:
+    """Coefficients c_j of the antiderivative exp(u*x) * sum_j c_j * x**(k-j)
+    of x**k * exp(u*x).
+
+    None for a degenerate exponent (|u| below DEGENERATE_EXPONENT_TOL): it is
+    treated as exactly zero, which avoids catastrophic cancellation, and the
+    antiderivative is x**(k+1) / (k+1).
+    """
+    if abs(u) < DEGENERATE_EXPONENT_TOL:
+        return None
     coeffs = []
     c = 1.0 / u
     fall = 1.0
@@ -364,38 +365,39 @@ def _antiderivative_coeffs(k: int, u: complex) -> list[complex]:
     return coeffs
 
 
+def _antiderivative(k: int, u: complex, coeffs: list[complex] | None,
+                    x: float) -> complex:
+    """Value at finite x of the antiderivative of x**k * exp(u*x), with
+    ``coeffs = _antiderivative_coeffs(k, u)``."""
+    if coeffs is None:
+        return x ** (k + 1) / (k + 1)
+    p = 0j
+    for j, c in enumerate(coeffs):
+        p += c * x ** (k - j)
+    return cmath.exp(u * x) * p
+
+
 def _poly_exp_integral(k: int, u: complex, a: float, b: float) -> complex:
     """Integral of x**k * exp(u*x) over [a, b] in closed form.
 
-    A degenerate exponent (|u| below DEGENERATE_EXPONENT_TOL) is treated as
-    exactly zero, which avoids catastrophic cancellation; that case can only
-    arise on a finite interval for square-integrable terms.
+    A degenerate exponent can only arise on a finite interval for
+    square-integrable terms.
     """
-    if abs(u) < DEGENERATE_EXPONENT_TOL:
-        if a == NEG_INF or b == POS_INF:
-            raise ValueError("divergent integral: zero exponent on infinite interval")
-        return (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-
     coeffs = _antiderivative_coeffs(k, u)
-
-    def F(x: float) -> complex:
-        p = 0j
-        for j, c in enumerate(coeffs):
-            p += c * x ** (k - j)
-        return cmath.exp(u * x) * p
-
+    if coeffs is None and (a == NEG_INF or b == POS_INF):
+        raise ValueError("divergent integral: zero exponent on infinite interval")
     if b == POS_INF:
         if u.real >= 0:
             raise ValueError("divergent integral at +inf")
         vb = 0j
     else:
-        vb = F(b)
+        vb = _antiderivative(k, u, coeffs, b)
     if a == NEG_INF:
         if u.real <= 0:
             raise ValueError("divergent integral at -inf")
         va = 0j
     else:
-        va = F(a)
+        va = _antiderivative(k, u, coeffs, a)
     return vb - va
 
 
@@ -419,12 +421,6 @@ def inner(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> complex:
 
 def norm(f: PiecewiseExpFunction) -> float:
     return math.sqrt(max(inner(f, f).real, 0.0))
-
-
-def approx_equal(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
-                 tol: float = COEFF_TOL) -> bool:
-    """Term-level equality up to coefficient tolerance after merging."""
-    return coefficient_distance(f, g) <= tol
 
 
 def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> float:
@@ -513,22 +509,8 @@ def inner_quadrature(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
 
 
 # ---------------------------------------------------------------------------
-# transforms and the free resolvent
+# the free resolvent
 # ---------------------------------------------------------------------------
-
-
-def transform(f: PiecewiseExpFunction, kind: str, **params) -> PiecewiseExpFunction:
-    """Dispatching front end for the unitary transforms and the derivative.
-
-    kind is one of 'translate' (param y), 'dilate', 'modulate' (param t),
-    'derivative'; unexpected parameters are rejected.
-    """
-    try:
-        method = {"translate": f.translate, "dilate": f.dilate,
-                  "modulate": f.modulate, "derivative": f.derivative}[kind]
-    except KeyError:
-        raise ValueError(f"unknown transform kind {kind!r}") from None
-    return method(**params)
 
 
 def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunction:
@@ -553,44 +535,30 @@ def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunct
     for t in gamma.terms:
         u = 1j * z + t.exponent
         k = t.power
-        resonant = abs(u) < DEGENERATE_EXPONENT_TOL
-        # antiderivative G of tau**k * exp(u*tau); in the resonant branch
-        # the exponent is snapped to the input's so cancellations against
-        # gamma stay exact at the term level
-        if resonant:
-            def G(x):
-                return x ** (k + 1) / (k + 1)
-        else:
-            coeffs = _antiderivative_coeffs(k, u)
-
-            def G(x, coeffs=coeffs, u=u, k=k):
-                p = 0j
-                for j, c in enumerate(coeffs):
-                    p += c * x ** (k - j)
-                return cmath.exp(u * x) * p
-
+        # a resonant term (degenerate u, coeffs None) keeps the input's
+        # exponent so cancellations against gamma stay exact at the term level
+        coeffs = _antiderivative_coeffs(k, u)
         if upper:
             # Re u < 0 is guaranteed at an infinite right end
-            Gb = 0j if t.hi == POS_INF else G(t.hi)
+            Gb = 0j if t.hi == POS_INF else _antiderivative(k, u, coeffs, t.hi)
             # left of the support: a pure multiple of exp(-izx)
             if t.lo != NEG_INF:
-                c = 1j * t.coeff * (Gb - G(t.lo))
+                c = 1j * t.coeff * (Gb - _antiderivative(k, u, coeffs, t.lo))
                 if c != 0:
                     out.append(ExpTerm(c, NEG_INF, t.lo, ez))
             # on the support: a homogeneous part plus the particular part
             homogeneous = 1j * t.coeff * Gb
-            sign = -1j * t.coeff
         else:
             # Re u > 0 is guaranteed at an infinite left end
-            Ga = 0j if t.lo == NEG_INF else G(t.lo)
+            Ga = 0j if t.lo == NEG_INF else _antiderivative(k, u, coeffs, t.lo)
             if t.hi != POS_INF:
-                c = -1j * t.coeff * (G(t.hi) - Ga)
+                c = -1j * t.coeff * (_antiderivative(k, u, coeffs, t.hi) - Ga)
                 if c != 0:
                     out.append(ExpTerm(c, t.hi, POS_INF, ez))
             homogeneous = 1j * t.coeff * Ga
-            sign = -1j * t.coeff
+        sign = -1j * t.coeff
 
-        if resonant:
+        if coeffs is None:
             if homogeneous != 0:
                 out.append(ExpTerm(homogeneous, t.lo, t.hi, t.exponent))
             out.append(ExpTerm(sign / (k + 1), t.lo, t.hi, t.exponent, k + 1))

@@ -70,13 +70,10 @@ class MomentumModel:
     machine zero.
     """
 
-    m: int = 1
     triplet: BoundaryTriplet = field(init=False, repr=False)
     defects: DefectFamily = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.m != 1:
-            raise ValueError("the function-space models are scalar (m = 1)")
         trip = BoundaryTriplet(
             gamma_minus=BoundaryFunctional(right=1.0),
             gamma_plus=BoundaryFunctional(left=1.0),
@@ -95,15 +92,7 @@ class MomentumModel:
         return 1j * f.derivative(jump_ok_at=(0.0,))
 
     def describe(self) -> str:
-        return f"momentum(m={self.m})"
-
-
-def momentum_defect(model: MomentumModel, z: complex,
-                    normalized: bool = False) -> PiecewiseExpFunction:
-    """Canonical defect vector of the momentum restriction at non-real z."""
-    if normalized:
-        return model.defects.normalized(z)
-    return model.defects(complex(z))
+        return "momentum(m=1)"
 
 
 def momentum_eigen_test(t, lam: complex) -> bool:
@@ -437,15 +426,6 @@ class NonlocalModel:
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"
-
-
-def nonlocal_defect(model: NonlocalModel, z: complex,
-                    normalized: bool = False) -> PiecewiseExpFunction:
-    """Canonical defect vector at non-real z, assembled from the free
-    resolvent of the potential and a one-sided exponential."""
-    if normalized:
-        return model.defects.normalized(z)
-    return model.defects(complex(z))
 
 
 def defect_equation_residual(model: NonlocalModel, z: complex) -> float:

@@ -132,6 +132,21 @@ def _verdict(max_residual: float, pass_tol: float, evaluated: int,
     return VERDICT_INCONCLUSIVE
 
 
+def _scan_result(check_id: str, worst: float, tolerance: float,
+                 witness: str | None, evaluated: int,
+                 failures: list[str]) -> CheckResult:
+    """The result of a scan over ``evaluated`` grid points.
+
+    A scan that evaluated nothing reports a NaN residual rather than the
+    0.0 it started from, which would read as a perfect pass.
+    """
+    if not evaluated:
+        worst = float("nan")
+    verdict = _verdict(worst, tolerance, evaluated, len(failures))
+    return CheckResult(check_id, verdict, worst, tolerance, witness,
+                       tuple(failures))
+
+
 def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest normalized pairing between upper and lower defect vectors."""
     grid = grid or Grid.default()
@@ -157,9 +172,8 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
             if val > worst:
                 worst = val
                 witness = f"lambda={format_complex(lam)}, nu={format_complex(nu)}"
-    verdict = _verdict(worst, PASS_ORTHOGONALITY, evaluated, len(failures))
-    return CheckResult("orthogonality", verdict, worst, PASS_ORTHOGONALITY,
-                       witness, tuple(failures))
+    return _scan_result("orthogonality", worst, PASS_ORTHOGONALITY, witness,
+                        evaluated, failures)
 
 
 def constancy_scan(model, triplet=None, grid: Grid | None = None) -> CheckResult:
@@ -183,9 +197,8 @@ def constancy_scan(model, triplet=None, grid: Grid | None = None) -> CheckResult
                 worst = dev
                 witness = (f"lambda={format_complex(values[i][0])}, "
                            f"mu={format_complex(values[j][0])}")
-    verdict = _verdict(worst, PASS_CONSTANCY, len(values), len(failures))
-    return CheckResult("constancy", verdict, worst, PASS_CONSTANCY, witness,
-                       tuple(failures))
+    return _scan_result("constancy", worst, PASS_CONSTANCY, witness,
+                        len(values), failures)
 
 
 def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
@@ -250,7 +263,7 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
             mu_error = exc
         else:
             try:
-                if matops.is_singular(system, 1e-12):
+                if matops.is_singular(system, triplets.DECOMPOSE_SINGULAR_TOL):
                     singular = ValueError("decomposition system is singular for this mu")
             except Exception as exc:
                 singular = exc
@@ -273,9 +286,8 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
             if val > worst:
                 worst = val
                 witness = f"lambda={labels[j]}, mu={mu_label}"
-    verdict = _verdict(worst, PASS_INCLUSION, evaluated, len(failures))
-    return CheckResult("inclusion", verdict, worst, PASS_INCLUSION, witness,
-                       tuple(failures))
+    return _scan_result("inclusion", worst, PASS_INCLUSION, witness,
+                        evaluated, failures)
 
 
 def pso_certificate(model, grid: Grid | None = None) -> Certificate:

@@ -28,6 +28,10 @@ from .expfun import PiecewiseExpFunction, inner, norm
 #: |gamma| below this (relative) counts as a singular boundary image
 BOUNDARY_SINGULAR_TOL = 1e-12
 
+#: S(mu), the boundary images of the defect vectors at mu and conj(mu), is
+#: singular when its smallest singular value is below this (relative)
+DECOMPOSE_SINGULAR_TOL = 1e-12
+
 GREEN_TOL = 1e-10
 
 
@@ -128,15 +132,9 @@ def require_maximal_domain(f: PiecewiseExpFunction,
     everywhere (automatic for this algebra) and continuity at every finite
     breakpoint except the allowed jump points.
     """
-    tol = 1e-12 * (1 + f.coefficient_norm())
-    for b in f.breakpoints():
-        if any(b == ok for ok in jump_at):
-            continue
-        jump = abs(f.limit(b, "+") - f.limit(b, "-"))
-        if jump > tol:
-            raise ValueError(
-                f"not in the maximal domain: jump {jump:.3e} at x={b}"
-            )
+    x, jump = f.first_jump(1e-12 * (1 + f.coefficient_norm()), jump_at)
+    if x is not None:
+        raise ValueError(f"not in the maximal domain: jump {jump:.3e} at x={x}")
 
 
 def green_residual(triplet: BoundaryTriplet, model, f: PiecewiseExpFunction,
@@ -202,7 +200,7 @@ def decompose(model, f: PiecewiseExpFunction, mu: complex
     gp, gm = model.triplet.gamma_plus, model.triplet.gamma_minus
     system = np.array([[gp(fm), gp(fmb)], [gm(fm), gm(fmb)]])
     rhs = np.array([gp(f), gm(f)])
-    if matops.is_singular(system, 1e-12):
+    if matops.is_singular(system, DECOMPOSE_SINGULAR_TOL):
         raise ValueError("decomposition system is singular for this mu")
     a, b = np.linalg.solve(system, rhs)
     u = f - complex(a) * fm - complex(b) * fmb
@@ -301,7 +299,7 @@ def change_of_basis(t1: BoundaryTriplet, t2: BoundaryTriplet, model,
                    [t1.gamma_minus(h1), t1.gamma_minus(h2)]])
     m2 = np.array([[t2.gamma_plus(h1), t2.gamma_plus(h2)],
                    [t2.gamma_minus(h1), t2.gamma_minus(h2)]])
-    if matops.is_singular(m1, 1e-12):
+    if matops.is_singular(m1, DECOMPOSE_SINGULAR_TOL):
         raise ValueError("defect images under the first triplet are rank deficient")
     k = m2 @ np.linalg.inv(m1)
     return matops.KreinBlockOperator.from_matrix(k)

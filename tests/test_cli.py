@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -98,6 +99,8 @@ def test_raising_defect_family_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert [c["verdict"] for c in report["checks"]] == ["error"] * 4
     assert all(c["grid_failures"] for c in report["checks"][:3])
+    # nothing was evaluated, so no residual may read as a perfect 0.0
+    assert all(math.isnan(c["max_residual"]) for c in report["checks"])
 
 
 def test_run_haar_scenario(tmp_path):
@@ -144,6 +147,16 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_matrix_momentum_model_is_rejected(tmp_path, capsys):
+    path = write_scenario(tmp_path, {
+        "name": "bad",
+        "model": {"kind": "momentum", "m": 2},
+        "checks": ["constancy"],
+    })
+    assert cli.main(["run", path]) == 2
+    assert "model: the function-space models are scalar (m = 1)" in capsys.readouterr().err
 
 
 def test_bad_model_parameter_is_error(tmp_path, capsys):

@@ -20,9 +20,7 @@ from psokit.models import (
     ShiftModel,
     continuous_bump,
     haar_gram,
-    momentum_defect,
     momentum_eigen_test,
-    nonlocal_defect,
     restriction_pairing,
     shift_cayley_identity,
     shift_defect,
@@ -47,16 +45,16 @@ def right_exp(c=1.0, s=-1.0):
 
 def test_momentum_defects_are_one_sided_exponentials():
     mom = MomentumModel()
-    assert momentum_defect(mom, 1j) == left_exp(1.0, 1.0)
-    assert momentum_defect(mom, -1j) == right_exp(1.0, -1.0)
+    assert mom.defects(1j) == left_exp(1.0, 1.0)
+    assert mom.defects(-1j) == right_exp(1.0, -1.0)
     # z = 1 + 2i: exponent -iz = 2 - i, supported on the left half line
-    assert momentum_defect(mom, 1 + 2j) == PiecewiseExpFunction.single(
+    assert mom.defects(1 + 2j) == PiecewiseExpFunction.single(
         1.0, NEG_INF, 0.0, 2 - 1j)
 
 
 def test_momentum_defect_normalization():
     mom = MomentumModel()
-    f = momentum_defect(mom, 2j, normalized=True)
+    f = mom.defects.normalized(2j)
     assert norm(f) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -251,7 +249,7 @@ def test_nonlocal_defect_equation_residual_on_grid():
 
 def test_nonlocal_case_i_pso_has_vanishing_gamma_minus():
     model = NonlocalModel("I", 4j)
-    f = nonlocal_defect(model, 1j)
+    f = model.defects(1j)
     assert abs(model.triplet.gamma_minus(f)) <= 1e-13
     assert abs(model.triplet.gamma_plus(f)) > 0.1
 
@@ -295,7 +293,7 @@ def test_nonlocal_rejects_unknown_case():
 
 def test_nonlocal_defect_normalized():
     model = NonlocalModel("II", 1.0)
-    assert norm(nonlocal_defect(model, 1j, normalized=True)) == pytest.approx(1.0)
+    assert norm(model.defects.normalized(1j)) == pytest.approx(1.0)
 
 
 # -- Haar system -------------------------------------------------------------------

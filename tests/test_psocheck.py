@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -265,8 +266,10 @@ def pairwise_inclusion(model, grid):
             val = abs(b) * n_conj / model.defects.norm(lam)
             if val > worst:
                 worst, witness = val, pair
+    if not evaluated:
+        worst = float("nan")
     verdict = _verdict(worst, PASS_INCLUSION, evaluated, len(failures))
-    return verdict, worst, witness, tuple(failures)
+    return verdict, repr(worst), witness, tuple(failures)
 
 
 EQUIVALENCE_MODELS = {
@@ -287,7 +290,8 @@ EQUIVALENCE_MODELS = {
 def test_batched_inclusion_matches_pairwise_decompose(make):
     model = make()
     got = inclusion_scan(model, SMALL_GRID)
-    assert (got.verdict, got.max_residual, got.witness, got.failures) == \
+    # repr compares residuals bit for bit and NaN equal to NaN
+    assert (got.verdict, repr(got.max_residual), got.witness, got.failures) == \
         pairwise_inclusion(model, SMALL_GRID)
 
 
@@ -325,6 +329,7 @@ def test_raising_defect_family_errors_every_check():
     cert = pso_certificate(raising_model(), SMALL_GRID)
     assert [c.verdict for c in cert.checks] == ["error"] * 3
     assert [len(c.failures) for c in cert.checks] == [18, 9, 9]
+    assert all(math.isnan(c.max_residual) and c.witness is None for c in cert.checks)
     assert cert.overall == "error"
 
 

@@ -74,6 +74,24 @@ def test_require_maximal_domain_allows_origin_jump():
     require_maximal_domain(left_exp() - right_exp())
 
 
+def step_at_one(jump):
+    """1 on [0, 1], 1 + jump on [1, 2]; the jumps at 0 and 2 are skipped."""
+    return PiecewiseExpFunction([(1.0, 0.0, 1.0, 0.0), (1.0 + jump, 1.0, 2.0, 0.0)])
+
+
+def test_continuity_tolerances_of_derivative_and_maximal_domain():
+    ends = (0.0, 2.0)
+    assert step_at_one(0.0).first_jump(0.0, ends) == (None, 0.0)
+    x, jump = step_at_one(5e-13).first_jump(0.0, ends)
+    assert x == 1.0 and jump == pytest.approx(5e-13, rel=1e-3)
+    # derivative: absolute JUMP_TOL = 1e-13; maximal domain: 1e-12 (1 + |c|)
+    with pytest.raises(ValueError, match=r"at x=1\.0; piecewise derivative rejected"):
+        step_at_one(5e-13).derivative(jump_ok_at=ends)
+    require_maximal_domain(step_at_one(5e-13), jump_at=ends)
+    with pytest.raises(ValueError, match=r"not in the maximal domain: jump .* at x=1\.0"):
+        require_maximal_domain(step_at_one(5e-12), jump_at=ends)
+
+
 # -- characteristic function ---------------------------------------------------
 
 
