@@ -102,7 +102,8 @@ def build_model(spec):
     kind = _require(spec, "kind", "model")
     try:
         if kind == "momentum":
-            if int(spec.get("m", 1)) != 1:
+            m = spec.get("m", 1)
+            if type(m) is not int or m != 1:  # a bool or a float is no JSON integer
                 raise ValueError("the function-space models are scalar (m = 1)")
             return models.MomentumModel()
         if kind == "shift":
@@ -163,64 +164,70 @@ def parse_scenario(obj):
 # -- individual check runners -------------------------------------------------
 
 
+def _threshold_result(check_id, residuals, tolerance, witness, holds=True):
+    """Pass when ``holds`` and the worst residual is within ``tolerance``.
+
+    A non-finite worst residual means the check could not evaluate, so it
+    is an error; np.max propagates NaN, where max() would drop it.
+    """
+    worst = float(np.max(residuals))
+    if not np.isfinite(worst):
+        verdict = psocheck.VERDICT_ERROR
+    elif holds and worst <= tolerance:
+        verdict = psocheck.VERDICT_PASS
+    else:
+        verdict = psocheck.VERDICT_FAIL
+    return psocheck.CheckResult(check_id, verdict, worst, tolerance, witness)
+
+
 def _run_green(model, grid, params):
     rng = np.random.default_rng(20240601)
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         f = models.random_maximal_domain_function(rng)
         g = models.random_maximal_domain_function(rng)
-        worst = max(worst, triplets.green_residual(model.triplet, model, f, g))
-    return psocheck.CheckResult(
-        "green", psocheck.VERDICT_PASS if worst <= GREEN_TOL else psocheck.VERDICT_FAIL,
-        worst, GREEN_TOL, witness="20 seeded random pairs")
+        residuals.append(triplets.green_residual(model.triplet, model, f, g))
+    return _threshold_result("green", residuals, GREEN_TOL, "20 seeded random pairs")
 
 
 def _run_mobius(model, grid, params):
     mu = parse_complex(params.get("mu", "i"))
     t2 = triplets.defect_triplet(model, mu)
     k = triplets.change_of_basis(model.triplet, t2, model, mu=mu)
-    worst = k.krein_defect()
-    witness = None
+    residuals = [k.krein_defect()]
     for lam in grid.lambdas_upper:
         th1 = triplets.char_function(model.triplet, model.defects, lam)
         th2 = triplets.char_function(t2, model.defects, lam)
-        dev = abs(th2 - matops.interspherical(k, th1))
-        if dev > worst:
-            worst, witness = dev, f"lambda={format_complex(lam)}"
-    verdict = psocheck.VERDICT_PASS if worst <= MOBIUS_TOL else psocheck.VERDICT_FAIL
-    return psocheck.CheckResult("mobius", verdict, worst, MOBIUS_TOL, witness)
+        residuals.append(abs(th2 - matops.interspherical(k, th1)))
+    # the Krein defect comes first, so a worst index i > 0 names lambda i - 1
+    i = int(np.argmax(residuals))
+    witness = f"lambda={format_complex(grid.lambdas_upper[i - 1])}" if i else None
+    return _threshold_result("mobius", residuals, MOBIUS_TOL, witness)
 
 
 def _run_gram(system, grid, params):
     gram = models.haar_gram(system)
     dev = matops.opnorm(gram - np.eye(gram.shape[0]))
-    verdict = psocheck.VERDICT_PASS if dev <= GRAM_TOL else psocheck.VERDICT_FAIL
-    return psocheck.CheckResult("gram", verdict, float(dev), GRAM_TOL,
-                                witness=f"{gram.shape[0]} elements")
+    return _threshold_result("gram", [dev], GRAM_TOL, f"{gram.shape[0]} elements")
 
 
 def _run_wandering(model, grid, params):
     report = models.shift_wandering_report(model, n_max=model.d)
-    pre_period = max(report.defect_per_n[: model.d - 1], default=0.0)
     wrap = abs(report.defect_per_n[model.d - 1] - 1.0)
-    worst = max(pre_period, wrap)
-    ok = report.first_violation == model.d and worst <= WANDERING_TOL
-    verdict = psocheck.VERDICT_PASS if ok else psocheck.VERDICT_FAIL
-    return psocheck.CheckResult(
-        "wandering", verdict, worst, WANDERING_TOL,
-        witness=f"first violation at n={report.first_violation}")
+    return _threshold_result(
+        "wandering", [*report.defect_per_n[: model.d - 1], wrap], WANDERING_TOL,
+        f"first violation at n={report.first_violation}",
+        holds=report.first_violation == model.d)
 
 
 def _run_cayley_identity(model, grid, params):
     rng = np.random.default_rng(20240602)
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         x = rng.normal(size=model.d) + 1j * rng.normal(size=model.d)
-        worst = max(worst, models.shift_cayley_identity(model, x))
-    verdict = (psocheck.VERDICT_PASS if worst <= CAYLEY_IDENTITY_TOL
-               else psocheck.VERDICT_FAIL)
-    return psocheck.CheckResult("cayley_identity", verdict, worst,
-                                CAYLEY_IDENTITY_TOL, witness="10 random vectors")
+        residuals.append(models.shift_cayley_identity(model, x))
+    return _threshold_result("cayley_identity", residuals, CAYLEY_IDENTITY_TOL,
+                             "10 random vectors")
 
 
 def _run_classify(model, grid, params):

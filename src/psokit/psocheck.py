@@ -185,9 +185,14 @@ def constancy_scan(model, triplet=None, grid: Grid | None = None) -> CheckResult
     failures = []
     for lam in grid.lambdas_upper:
         try:
-            values.append((lam, triplets.char_function(trip, model.defects, lam)))
+            theta = triplets.char_function(trip, model.defects, lam)
         except Exception as exc:
             failures.append(f"lambda={format_complex(lam)}: {exc}")
+            continue
+        if np.isfinite(theta):
+            values.append((lam, theta))
+        else:
+            failures.append(f"lambda={format_complex(lam)}: theta is not finite")
     worst = 0.0
     witness = None
     for i in range(len(values)):
@@ -220,14 +225,13 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     reassembling the residual.
     """
     grid = grid or Grid.default()
-    gp, gm = model.triplet.gamma_plus, model.triplet.gamma_minus
+    trip = model.triplet
     lams = grid.lambdas_upper
     labels = [format_complex(lam) for lam in lams]
     # per lambda: error before the mu-side work, error of the boundary maps
     early: dict[int, Exception] = {}
     late: dict[int, Exception] = {}
-    gps = [0.0] * len(lams)
-    gms = [0.0] * len(lams)
+    rhs = np.zeros((2, len(lams)), dtype=complex)
     norms = [1.0] * len(lams)
     for j, lam in enumerate(lams):
         try:
@@ -238,11 +242,9 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
             continue
         norms[j] = model.defects.norm(lam)
         try:
-            gps[j], gms[j] = gp(f), gm(f)
+            rhs[:, j] = trip.images(f)[:, 0]
         except Exception as exc:
             late[j] = exc
-    # dtype inferred as for the right-hand side of decompose
-    images = np.array([gps, gms])
 
     worst = 0.0
     witness = None
@@ -256,19 +258,16 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
             continue
         mu_error = singular = None
         try:
-            fm = model.defects(mu)
-            fmb = model.defects(mu.conjugate())
-            system = np.array([[gp(fm), gp(fmb)], [gm(fm), gm(fmb)]])
+            system = trip.images(model.defects(mu), model.defects(mu.conjugate()))
         except Exception as exc:
             mu_error = exc
         else:
             try:
-                if matops.is_singular(system, triplets.DECOMPOSE_SINGULAR_TOL):
-                    singular = ValueError("decomposition system is singular for this mu")
+                triplets.require_regular_system(system)
             except Exception as exc:
                 singular = exc
         if mu_error is None and singular is None:
-            coeffs = np.linalg.solve(system, images)
+            coeffs = np.linalg.solve(system, rhs)
             finite = np.isfinite(coeffs).all(axis=0).tolist()
             bs = coeffs[1].tolist()
         for j, lam in enumerate(lams):

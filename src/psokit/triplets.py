@@ -86,15 +86,13 @@ class BoundaryTriplet:
     gamma_plus: Callable[..., complex]
     witness: tuple[PiecewiseExpFunction, PiecewiseExpFunction]
 
-    def witness_matrix(self) -> np.ndarray:
-        w1, w2 = self.witness
-        return np.array(
-            [[self.gamma_plus(w1), self.gamma_plus(w2)],
-             [self.gamma_minus(w1), self.gamma_minus(w2)]]
-        )
+    def images(self, *fs: PiecewiseExpFunction) -> np.ndarray:
+        """Boundary images, 2 x len(fs): row 0 gamma_plus, row 1 gamma_minus."""
+        return np.array([[self.gamma_plus(f) for f in fs],
+                         [self.gamma_minus(f) for f in fs]])
 
     def check_surjectivity(self) -> None:
-        if matops.is_singular(self.witness_matrix(), 1e-8):
+        if matops.is_singular(self.images(*self.witness), 1e-8):
             raise ValueError("boundary maps fail the surjectivity witness")
 
 
@@ -183,6 +181,12 @@ def char_function_lower(triplet: BoundaryTriplet, defects: DefectFamily,
     return gp / gm
 
 
+def require_regular_system(system: np.ndarray) -> None:
+    """Reject a singular S(mu), the images of the defect vectors at mu, conj(mu)."""
+    if matops.is_singular(system, DECOMPOSE_SINGULAR_TOL):
+        raise ValueError("decomposition system is singular for this mu")
+
+
 def decompose(model, f: PiecewiseExpFunction, mu: complex
               ) -> tuple[complex, complex, float]:
     """Coefficients (a, b) of f along the defect vectors at mu and conj(mu).
@@ -197,14 +201,12 @@ def decompose(model, f: PiecewiseExpFunction, mu: complex
     require_maximal_domain(f)
     fm = model.defects(mu)
     fmb = model.defects(mu.conjugate())
-    gp, gm = model.triplet.gamma_plus, model.triplet.gamma_minus
-    system = np.array([[gp(fm), gp(fmb)], [gm(fm), gm(fmb)]])
-    rhs = np.array([gp(f), gm(f)])
-    if matops.is_singular(system, DECOMPOSE_SINGULAR_TOL):
-        raise ValueError("decomposition system is singular for this mu")
+    system = model.triplet.images(fm, fmb)
+    rhs = model.triplet.images(f)[:, 0]
+    require_regular_system(system)
     a, b = np.linalg.solve(system, rhs)
     u = f - complex(a) * fm - complex(b) * fmb
-    residual = max(abs(gp(u)), abs(gm(u)))
+    residual = max(abs(g) for g in model.triplet.images(u)[:, 0].tolist())
     return complex(a), complex(b), float(residual)
 
 
@@ -226,21 +228,20 @@ def defect_triplet(model, mu: complex) -> BoundaryTriplet:
     scale = math.sqrt(2 * mu.imag)
     n_up = model.defects.norm(mu)
     n_dn = model.defects.norm(mu.conjugate())
+    witness = (model.defects(mu), model.defects(mu.conjugate()))
+    system = model.triplet.images(*witness)  # S(mu) of decompose, fixed here
+    require_regular_system(system)
 
-    def gamma_plus(f, inner_product=None):
-        if inner_product is not None:
-            raise ValueError("defect triplets evaluate in closed form only")
-        a, _, _ = decompose(model, f, mu)
-        return scale * n_up * a
+    def coordinate(row, n):
+        def gamma(f, inner_product=None):
+            if inner_product is not None:
+                raise ValueError("defect triplets evaluate in closed form only")
+            require_maximal_domain(f)
+            rhs = model.triplet.images(f)[:, 0]
+            return scale * n * complex(np.linalg.solve(system, rhs)[row])
+        return gamma
 
-    def gamma_minus(f, inner_product=None):
-        if inner_product is not None:
-            raise ValueError("defect triplets evaluate in closed form only")
-        _, b, _ = decompose(model, f, mu)
-        return scale * n_dn * b
-
-    return BoundaryTriplet(gamma_minus, gamma_plus,
-                           witness=(model.defects(mu), model.defects(mu.conjugate())))
+    return BoundaryTriplet(coordinate(1, n_dn), coordinate(0, n_up), witness=witness)
 
 
 def triplet_convert(g0: BoundaryFunctional, g1: BoundaryFunctional, model,
@@ -293,12 +294,8 @@ def change_of_basis(t1: BoundaryTriplet, t2: BoundaryTriplet, model,
     relation theta_2 = Phi_K(theta_1) then holds on the whole upper half
     plane.
     """
-    h1 = model.defects(complex(mu))
-    h2 = model.defects(complex(mu).conjugate())
-    m1 = np.array([[t1.gamma_plus(h1), t1.gamma_plus(h2)],
-                   [t1.gamma_minus(h1), t1.gamma_minus(h2)]])
-    m2 = np.array([[t2.gamma_plus(h1), t2.gamma_plus(h2)],
-                   [t2.gamma_minus(h1), t2.gamma_minus(h2)]])
+    h = (model.defects(complex(mu)), model.defects(complex(mu).conjugate()))
+    m1, m2 = t1.images(*h), t2.images(*h)
     if matops.is_singular(m1, DECOMPOSE_SINGULAR_TOL):
         raise ValueError("defect images under the first triplet are rank deficient")
     k = m2 @ np.linalg.inv(m1)

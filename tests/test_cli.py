@@ -2,10 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from psokit import cli, models
+from psokit import cli, matops, models, triplets
+from psokit.triplets import BoundaryTriplet
 from psokit.scalars import format_complex, parse_complex
 
 
@@ -58,7 +62,7 @@ def test_run_passing_scenario(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code = cli.main(["run", path, "--out", out])
     assert code == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["scenario"] == "constancy-4i"
     record = report["checks"][0]
     assert record["id"] == "constancy"
@@ -101,6 +105,70 @@ def test_raising_defect_family_exits_2(tmp_path, capsys, monkeypatch):
     assert all(c["grid_failures"] for c in report["checks"][:3])
     # nothing was evaluated, so no residual may read as a perfect 0.0
     assert all(math.isnan(c["max_residual"]) for c in report["checks"])
+
+
+def test_non_finite_residuals_are_errors(tmp_path, capsys):
+    # every theta and every Green residual of this coupling overflows to NaN
+    path = write_scenario(tmp_path, {
+        "name": "overflow",
+        "model": {"kind": "nonlocal", "case": "I", "alpha": "1e200"},
+        "checks": ["constancy", "green"],
+    })
+    code = cli.main(["run", path])
+    constancy, green = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 2
+    assert constancy["verdict"] == green["verdict"] == "error"
+    assert len(constancy["grid_failures"]) == 66
+    assert all(f.endswith(": theta is not finite") for f in constancy["grid_failures"])
+    assert math.isnan(constancy["max_residual"]) and math.isnan(green["max_residual"])
+
+
+@pytest.mark.parametrize("residuals,holds,verdict", [
+    ([0.0, 1e-12], True, "pass"),
+    ([0.0, 1e-12], False, "fail"),
+    ([1e-3, 0.0], True, "fail"),
+    ([float("nan"), 0.5], True, "error"),
+    ([0.5, float("nan")], True, "error"),
+    ([0.0, float("inf")], True, "error"),
+])
+def test_threshold_result_fails_closed(residuals, holds, verdict):
+    result = cli._threshold_result("x", residuals, 1e-10, None, holds=holds)
+    assert result.verdict == verdict
+    assert repr(result.max_residual) == repr(float(np.max(residuals)))
+
+
+def test_mobius_builds_the_defect_triplet_without_decompose(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(triplets, "decompose", counted("decompose", triplets.decompose))
+    monkeypatch.setattr(matops, "is_singular", counted("is_singular", matops.is_singular))
+    report = cli.run_scenario_obj({
+        "name": "mobius", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+        "checks": ["mobius"]})
+    assert report["checks"][0]["verdict"] == "pass"
+    # one S(mu) test in defect_triplet, one in change_of_basis
+    assert (calls["decompose"], calls["is_singular"]) == (0, 2)
+
+
+def test_mobius_with_a_singular_defect_system_is_an_error(tmp_path, capsys, monkeypatch):
+    model = models.MomentumModel()
+    trip = model.triplet
+    object.__setattr__(model, "triplet",
+                       BoundaryTriplet(trip.gamma_plus, trip.gamma_plus, trip.witness))
+    monkeypatch.setattr(cli, "build_model", lambda spec: model)
+    path = write_scenario(tmp_path, {
+        "name": "degenerate", "model": {"kind": "momentum"}, "checks": ["mobius"]})
+    code = cli.main(["run", path])
+    record = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 2
+    assert record["verdict"] == "error"
+    assert record["notes"] == "ValueError: decomposition system is singular for this mu"
 
 
 def test_run_haar_scenario(tmp_path):
@@ -150,13 +218,16 @@ def test_malformed_json_reports_position(tmp_path, capsys):
 
 
 def test_matrix_momentum_model_is_rejected(tmp_path, capsys):
-    path = write_scenario(tmp_path, {
-        "name": "bad",
-        "model": {"kind": "momentum", "m": 2},
-        "checks": ["constancy"],
-    })
-    assert cli.main(["run", path]) == 2
-    assert "model: the function-space models are scalar (m = 1)" in capsys.readouterr().err
+    # only the JSON integer 1 is accepted; nothing is coerced to it
+    for m in (2, 1.5, 1.0, "1", True):
+        path = write_scenario(tmp_path, {
+            "name": "bad",
+            "model": {"kind": "momentum", "m": m},
+            "checks": ["constancy"],
+        })
+        assert cli.main(["run", path]) == 2, m
+        assert "model: the function-space models are scalar (m = 1)" in capsys.readouterr().err
+    assert cli.build_model({"kind": "momentum", "m": 1}).describe() == "momentum(m=1)"
 
 
 def test_bad_model_parameter_is_error(tmp_path, capsys):
@@ -233,7 +304,7 @@ def test_sweep_csv(tmp_path):
     out = str(tmp_path / "grid.csv")
     spec = json.dumps({"kind": "nonlocal", "case": "I", "alpha": "1"})
     assert cli.main(["sweep", "--model", spec, "--out", out]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "re_lambda,im_lambda,re_theta,im_theta"
     assert len(lines) == 67
     rows = {tuple(float(v) for v in line.split(",")[:2]): line for line in lines[1:]}
@@ -245,7 +316,7 @@ def test_sweep_csv(tmp_path):
 def test_sweep_momentum_all_zero(tmp_path):
     out = str(tmp_path / "grid.csv")
     assert cli.main(["sweep", "--model", '{"kind": "momentum"}', "--out", out]) == 0
-    for line in open(out).read().strip().splitlines()[1:]:
+    for line in Path(out).read_text().strip().splitlines()[1:]:
         parts = [float(v) for v in line.split(",")]
         assert parts[2] == 0 and parts[3] == 0
 
@@ -254,7 +325,7 @@ def test_sweep_constant_theta_columns(tmp_path):
     out = str(tmp_path / "grid.csv")
     spec = json.dumps({"kind": "nonlocal", "case": "I", "alpha": "4i"})
     assert cli.main(["sweep", "--model", spec, "--out", out]) == 0
-    for line in open(out).read().strip().splitlines()[1:]:
+    for line in Path(out).read_text().strip().splitlines()[1:]:
         parts = [float(v) for v in line.split(",")]
         assert abs(complex(parts[2], parts[3])) <= 1e-10
 

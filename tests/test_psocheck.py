@@ -246,6 +246,12 @@ def nan_boundary_model():
     return variant(base, "nan-boundary", triplet=trip)
 
 
+def test_constancy_counts_a_non_finite_theta_as_a_failed_point():
+    result = constancy_scan(nan_boundary_model(), None, SMALL_GRID)
+    assert result.failures == ("lambda=3+1i: theta is not finite",)
+    assert math.isfinite(result.max_residual)
+
+
 def pairwise_inclusion(model, grid):
     """Reference inclusion scan: one ``decompose`` per (lambda, mu) pair."""
     worst, witness, failures, evaluated = 0.0, None, [], 0

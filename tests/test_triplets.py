@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from psokit.expfun import (
 from psokit.models import MomentumModel, NonlocalModel, random_maximal_domain_function
 from psokit.triplets import (
     BoundaryFunctional,
+    BoundaryTriplet,
     change_of_basis,
     char_function,
     char_function_lower,
@@ -280,3 +283,47 @@ def test_defect_triplet_satisfies_green_identity():
         f = random_maximal_domain_function(rng)
         g = random_maximal_domain_function(rng)
         assert green_residual(t2, model, f, g) <= 1e-10
+
+
+DEFECT_TRIPLET_MODELS = {
+    "momentum": MomentumModel,
+    "I(1)": lambda: NonlocalModel("I", 1),
+    "I(4i)": lambda: NonlocalModel("I", 4j),
+    "II(2i)": lambda: NonlocalModel("II", 2j),
+    "II(3-i)": lambda: NonlocalModel("II", 3 - 1j),
+}
+
+
+@pytest.mark.parametrize("mu", [1j, 2j, 1 + 2j])
+@pytest.mark.parametrize("make", DEFECT_TRIPLET_MODELS.values(), ids=DEFECT_TRIPLET_MODELS)
+def test_defect_triplet_maps_are_the_scaled_decompose_coefficients(make, mu):
+    model = make()
+    t2 = defect_triplet(model, mu)
+    scale = math.sqrt(2 * mu.imag)
+    rng = np.random.default_rng(53)
+    for _ in range(4):
+        f = random_maximal_domain_function(rng)
+        a, b, _ = decompose(model, f, mu)
+        # repr compares bit for bit
+        assert repr(t2.gamma_plus(f)) == repr(scale * model.defects.norm(mu) * a)
+        assert repr(t2.gamma_minus(f)) == repr(
+            scale * model.defects.norm(mu.conjugate()) * b)
+
+
+def test_defect_triplet_rejects_a_singular_system_at_construction():
+    model = MomentumModel()
+    trip = model.triplet
+    object.__setattr__(model, "triplet",
+                       BoundaryTriplet(trip.gamma_plus, trip.gamma_plus, trip.witness))
+    with pytest.raises(ValueError, match="decomposition system is singular for this mu"):
+        defect_triplet(model, 1j)
+
+
+def test_images_lists_gamma_plus_then_gamma_minus():
+    model = NonlocalModel("II", 1)
+    fs = (model.defects(1j), model.defects(2 - 1j), left_exp())
+    trip = model.triplet
+    images = trip.images(*fs)
+    assert images.shape == (2, 3)
+    assert images.tolist() == [[trip.gamma_plus(f) for f in fs],
+                               [trip.gamma_minus(f) for f in fs]]
