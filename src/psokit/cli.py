@@ -196,8 +196,11 @@ def _run_mobius(model, grid, params):
     k = triplets.change_of_basis(model.triplet, t2, model, mu=mu)
     residuals = [k.krein_defect()]
     for lam in grid.lambdas_upper:
-        th1 = triplets.char_function(model.triplet, model.defects, lam)
-        th2 = triplets.char_function(t2, model.defects, lam)
+        # one native map of f_lambda and one solve serve both triplets
+        f = model.defects(lam)
+        native = model.triplet.images(f)[:, 0]
+        th1 = triplets.char_value(lam, *native.tolist())
+        th2 = triplets.char_value(lam, *t2.from_native(f, native))
         residuals.append(abs(th2 - matops.interspherical(k, th1)))
     # the Krein defect comes first, so a worst index i > 0 names lambda i - 1
     i = int(np.argmax(residuals))

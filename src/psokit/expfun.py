@@ -8,15 +8,17 @@ differentiation, and the resolvent of the free momentum operator ``i d/dx``.
 Inner products are evaluated in closed form, and an independent composite
 Gauss-Legendre quadrature is provided as a cross-checking oracle.
 
-All values are Python complex scalars; numpy enters only for vectorized
-pointwise evaluation inside the quadrature oracle.
+All values are Python complex scalars; numpy enters for vectorized
+pointwise evaluation inside the quadrature oracle and for the batched Gram
+kernel, which packs many functions into arrays and reproduces the scalar
+inner product bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -426,6 +428,210 @@ def norm(f: PiecewiseExpFunction) -> float:
 def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> float:
     """Largest merged-coefficient magnitude of f - g (term-level distance)."""
     return (f - g).coefficient_norm()
+
+
+# ---------------------------------------------------------------------------
+# the batched Gram kernel
+# ---------------------------------------------------------------------------
+#
+# The kernel evaluates ``inner`` for many pairs at once and must agree with
+# it bit for bit, so it spells out the complex arithmetic CPython does
+# (through 3.13) in real float64 operations, which numpy rounds exactly as C
+# does: a product of complex numbers, the quotient by Smith's method, a
+# float operand widened to ``complex(x, 0.0)``, and ``abs`` as ``hypot``.
+# ``cmath.exp`` and float powers stay scalar Python calls, except where
+# their value is exact (exp(0) and powers 0 and 1, or of zero); every
+# endpoint of the models' defect vectors is 0 or infinite.
+
+
+@dataclass(frozen=True, eq=False)
+class PackedFunctions:
+    """Functions as padded (count, width) arrays of their terms.
+
+    Row i holds the terms of function i in their canonical order; ``live``
+    marks the slots that hold a term.  Complex fields are split into real
+    and imaginary parts.  Slicing selects rows.
+    """
+
+    coeff_re: np.ndarray
+    coeff_im: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    exp_re: np.ndarray
+    exp_im: np.ndarray
+    power: np.ndarray
+    live: np.ndarray
+
+    def __len__(self) -> int:
+        return self.live.shape[0]
+
+    def __getitem__(self, rows: slice) -> "PackedFunctions":
+        return PackedFunctions(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def pack(fs, scales=None) -> PackedFunctions:
+    """Pack functions for :func:`gram`.
+
+    With ``scales``, row i holds ``scales[i] * fs[i]`` with the coefficients
+    that product would have, without building it: a coefficient that is not
+    finite is rejected as :class:`ExpTerm` rejects it, and one that is
+    exactly zero drops its term.
+    """
+    rows = []
+    for i, f in enumerate(fs):
+        terms = [(t.coeff, t.lo, t.hi, t.exponent, t.power) for t in f.terms]
+        if scales is not None:
+            scale = complex(scales[i])
+            scaled = []
+            for coeff, *rest in terms:
+                coeff = scale * coeff
+                if not cmath.isfinite(coeff):
+                    raise ValueError("coefficient and exponent must be finite")
+                coeff = 0j + coeff  # the merge in PiecewiseExpFunction.__init__
+                if coeff != 0:
+                    scaled.append((coeff, *rest))
+            terms = scaled
+        rows.append(terms)
+    n = len(rows)
+    width = max(map(len, rows), default=0)
+    pad = (0j, 0.0, 0.0, 0j, 0)
+    slots = [t for row in rows for t in row + [pad] * (width - len(row))]
+
+    def column(i, dtype):
+        return np.array([t[i] for t in slots], dtype=dtype).reshape(n, width)
+
+    coeff, exponent = column(0, complex), column(3, complex)
+    live = np.arange(width) < np.array([len(row) for row in rows]).reshape(n, 1)
+    return PackedFunctions(coeff.real.copy(), coeff.imag.copy(),
+                           column(1, float), column(2, float),
+                           exponent.real.copy(), exponent.imag.copy(),
+                           column(4, np.int64), live)
+
+
+def _mul(ar, ai, br, bi):
+    """CPython's complex product (ar + i ai) * (br + i bi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi):
+    """CPython's complex quotient (ar + i ai) / (br + i bi), b nonzero."""
+    real_major = np.abs(br) >= np.abs(bi)
+    ratio = np.where(real_major, bi / br, br / bi)
+    denom = np.where(real_major, br + bi * ratio, br * ratio + bi)
+    re = np.where(real_major, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(real_major, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _pow(x, n):
+    """Python's ``x ** n`` for float x and integer n >= 0, elementwise."""
+    out = np.where(n == 0, 1.0, x)
+    zero = (n > 1) & (x == 0)
+    # 0.0 ** n is 0.0, and -0.0 keeps its sign for odd n
+    out[zero] = np.where(n[zero] % 2 == 1, x[zero], 0.0)
+    rest = np.flatnonzero((n > 1) & (x != 0))
+    if rest.size:
+        out[rest] = [v ** int(p) for v, p in zip(x[rest].tolist(), n[rest].tolist())]
+    return out
+
+
+def _exp(wr, wi):
+    """``cmath.exp`` elementwise; exp of a zero is (1.0, imaginary zero)."""
+    er, ei = np.ones_like(wr), wi.copy()
+    rest = np.flatnonzero((wr != 0) | (wi != 0))
+    if rest.size:
+        vals = [cmath.exp(complex(r, i)) for r, i in zip(wr[rest].tolist(), wi[rest].tolist())]
+        er[rest] = [v.real for v in vals]
+        ei[rest] = [v.imag for v in vals]
+    return er, ei
+
+
+def _integrals(k, ur, ui, a, b):
+    """``_poly_exp_integral(k, u, a, b)`` elementwise, as (re, im) arrays.
+
+    The degenerate integral is a float, which the caller's product widens
+    to imaginary part 0.0.
+    """
+    re, im = np.zeros_like(ur), np.zeros_like(ur)
+    degenerate = np.hypot(ur, ui) < DEGENERATE_EXPONENT_TOL
+    if (degenerate & (np.isinf(a) | np.isinf(b))).any():
+        raise ValueError("divergent integral: zero exponent on infinite interval")
+    d = np.flatnonzero(degenerate)
+    if d.size:
+        kd = k[d] + 1
+        re[d] = _pow(b[d], kd) / kd - _pow(a[d], kd) / kd
+    e = np.flatnonzero(~degenerate)
+    if e.size:
+        re[e], im[e] = _exponential_integrals(k[e], ur[e], ui[e], a[e], b[e])
+    return re, im
+
+
+def _exponential_integrals(k, ur, ui, a, b):
+    """``_poly_exp_integral`` for non-degenerate u: the antiderivative of
+    ``_antiderivative`` at both ends, 0 at an infinite one."""
+    cr, ci = _quot(1.0, 0.0, ur, ui)
+    fall = np.ones_like(ur)
+    ends = [(x, np.isfinite(x)) for x in (b, a)]
+    sums = [(np.zeros_like(ur), np.zeros_like(ur)) for _ in ends]
+    k_max = int(k.max())
+    for j in range(k_max + 1):
+        # the coefficient (-1)**j * fall * c of x**(k - j)
+        tr, ti = _mul(fall if j % 2 == 0 else -fall, 0.0, cr, ci)
+        for (x, finite), (pr, pi) in zip(ends, sums):
+            on = np.flatnonzero((j <= k) & finite)
+            mr, mi = _mul(tr[on], ti[on], _pow(x[on], k[on] - j), 0.0)
+            pr[on] += mr
+            pi[on] += mi
+        if j < k_max:
+            fall = fall * (k - j)
+            cr, ci = _quot(cr, ci, ur, ui)
+    vals = []
+    for (x, finite), (pr, pi) in zip(ends, sums):
+        vr, vi = np.zeros_like(ur), np.zeros_like(ur)
+        on = np.flatnonzero(finite)
+        wr, wi = _mul(ur[on], ui[on], x[on], 0.0)
+        vr[on], vi[on] = _mul(*_exp(wr, wi), pr[on], pi[on])
+        vals.append((vr, vi))
+    (br, bi), (ar, ai) = vals
+    return br - ar, bi - ai
+
+
+def gram(fs, gs) -> np.ndarray:
+    """The matrix ``inner(f, g)`` over f in fs (rows) and g in gs (columns).
+
+    fs and gs are sequences of functions or their :func:`pack` forms.  Every
+    entry equals the scalar ``inner`` bit for bit: for each pair of term
+    slots the closed form runs on the entries whose intervals overlap, and
+    the entries accumulate in ``inner``'s term order.
+    """
+    f = fs if isinstance(fs, PackedFunctions) else pack(fs)
+    g = gs if isinstance(gs, PackedFunctions) else pack(gs)
+    total_re = np.zeros((len(f), len(g)))
+    total_im = np.zeros((len(f), len(g)))
+    with np.errstate(all="ignore"):
+        for p in range(f.live.shape[1]):
+            for q in range(g.live.shape[1]):
+                flo, glo = f.lo[:, p, None], g.lo[None, :, q]
+                fhi, ghi = f.hi[:, p, None], g.hi[None, :, q]
+                lo = np.where(glo > flo, glo, flo)  # max(tf.lo, tg.lo)
+                hi = np.where(ghi < fhi, ghi, fhi)  # min(tf.hi, tg.hi)
+                rows, cols = np.nonzero(f.live[:, p, None] & g.live[None, :, q]
+                                        & (lo < hi))
+                if not rows.size:
+                    continue
+                ir, ii = _integrals(
+                    f.power[rows, p] + g.power[cols, q],
+                    f.exp_re[rows, p] + g.exp_re[cols, q],
+                    f.exp_im[rows, p] + -g.exp_im[cols, q],
+                    lo[rows, cols], hi[rows, cols])
+                cr, ci = _mul(f.coeff_re[rows, p], f.coeff_im[rows, p],
+                              g.coeff_re[cols, q], -g.coeff_im[cols, q])
+                cr, ci = _mul(cr, ci, ir, ii)
+                total_re[rows, cols] += cr
+                total_im[rows, cols] += ci
+    out = np.empty((len(f), len(g)), dtype=complex)
+    out.real, out.imag = total_re, total_im
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .expfun import (
     PiecewiseExpFunction,
     coefficient_distance,
     free_resolvent,
+    gram,
     inner,
     norm,
 )
@@ -479,11 +480,11 @@ class HaarSystem:
 def haar_gram(system: HaarSystem) -> np.ndarray:
     """Gram matrix of the block; equal to the identity for any ranges."""
     elements = [system.element(j, k) for j, k in system.labels()]
-    n = len(elements)
-    gram = np.zeros((n, n), dtype=complex)
-    for p in range(n):
-        for q in range(p, n):
-            val = inner(elements[p], elements[q])
-            gram[p, q] = val
-            gram[q, p] = val.conjugate()
-    return gram
+    full = gram(elements, elements)
+    # the upper triangle, mirrored: entry (q, p) is the conjugate of (p, q),
+    # which on the diagonal replaces the computed value
+    upper = np.triu_indices(len(elements))
+    out = np.zeros_like(full)
+    out[upper] = full[upper]
+    out.T[upper] = full[upper].conj()
+    return out

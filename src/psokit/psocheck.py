@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matops, triplets
-from .expfun import inner
+# inner stays bound here for bench/tracer.py, which rebinds every import of it
+from .expfun import gram, inner, pack  # noqa: F401
 from .scalars import format_complex
 
 PASS_ORTHOGONALITY = 1e-10
@@ -34,6 +35,10 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_ERROR = "error"
+
+#: lower defect vectors paired per Gram evaluation; bounds the kernel's
+#: temporaries to a few rows of the full matrix
+GRAM_BLOCK = 8
 
 DEFAULT_RE = tuple(float(r) for r in range(-5, 6))
 DEFAULT_IM = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -147,40 +152,60 @@ def _scan_result(check_id: str, worst: float, tolerance: float,
                        tuple(failures))
 
 
+def _normalized_defects(model, points, label: str, failures: list[str]):
+    """The points whose normalized defect vector exists, and those vectors
+    packed as ``model.defects.normalized`` would build them."""
+    kept, fs, scales = [], [], []
+    for z in points:
+        try:
+            scale = 1.0 / model.defects.norm(z)
+        except Exception as exc:
+            failures.append(f"{label}={format_complex(z)}: {exc}")
+            continue
+        kept.append(z)
+        fs.append(model.defects(z))
+        scales.append(scale)
+    return kept, pack(fs, scales)
+
+
 def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
-    """Largest normalized pairing between upper and lower defect vectors."""
+    """Largest normalized pairing between upper and lower defect vectors.
+
+    The pairings are Gram entries of the packed vectors, GRAM_BLOCK lower
+    vectors at a time; the witness is the first largest one in nu-major,
+    lambda-minor order.
+    """
     grid = grid or Grid.default()
+    failures = []
+    uppers, up = _normalized_defects(model, grid.lambdas_upper, "lambda", failures)
+    lowers, down = _normalized_defects(model, grid.lambdas_lower, "nu", failures)
     worst = 0.0
     witness = None
-    failures = []
-    uppers = []
-    evaluated = 0
-    for lam in grid.lambdas_upper:
-        try:
-            uppers.append((lam, model.defects.normalized(lam)))
-        except Exception as exc:
-            failures.append(f"lambda={format_complex(lam)}: {exc}")
-    for nu in grid.lambdas_lower:
-        try:
-            g = model.defects.normalized(nu)
-        except Exception as exc:
-            failures.append(f"nu={format_complex(nu)}: {exc}")
-            continue
-        evaluated += len(uppers)
-        for lam, f in uppers:
-            val = abs(inner(f, g))
-            if val > worst:
-                worst = val
-                witness = f"lambda={format_complex(lam)}, nu={format_complex(nu)}"
+    # with no upper vector there is nothing to pair (and no entry to take)
+    for start in range(0, len(lowers) if uppers else 0, GRAM_BLOCK):
+        pairings = gram(up, down[start:start + GRAM_BLOCK]).T  # rows nu
+        vals = np.hypot(pairings.real, pairings.imag)  # abs() of each entry
+        # a NaN pairing never beats the worst, as in a scalar val > worst
+        i = int(np.argmax(np.where(np.isnan(vals), -1.0, vals)))
+        if vals.flat[i] > worst:
+            worst = float(vals.flat[i])
+            nu, lam = divmod(i, len(uppers))
+            witness = (f"lambda={format_complex(uppers[lam])}, "
+                       f"nu={format_complex(lowers[start + nu])}")
     return _scan_result("orthogonality", worst, PASS_ORTHOGONALITY, witness,
-                        evaluated, failures)
+                        len(uppers) * len(lowers), failures)
 
 
 def constancy_scan(model, triplet=None, grid: Grid | None = None) -> CheckResult:
     """Largest pairwise deviation of the characteristic function over the
-    upper grid.  Pass below 1e-8, fail above 1e-2, inconclusive between."""
+    upper grid.  Pass below 1e-8, fail above 1e-2, inconclusive between.
+
+    The deviations are taken one row i at a time against every j > i; the
+    witness is the first largest one in i-major order.
+    """
     grid = grid or Grid.default()
     trip = triplet if triplet is not None else model.triplet
+    lams = []
     values = []
     failures = []
     for lam in grid.lambdas_upper:
@@ -190,18 +215,21 @@ def constancy_scan(model, triplet=None, grid: Grid | None = None) -> CheckResult
             failures.append(f"lambda={format_complex(lam)}: {exc}")
             continue
         if np.isfinite(theta):
-            values.append((lam, theta))
+            lams.append(lam)
+            values.append(theta)
         else:
             failures.append(f"lambda={format_complex(lam)}: theta is not finite")
+    re = np.array([v.real for v in values])
+    im = np.array([v.imag for v in values])
     worst = 0.0
     witness = None
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            dev = abs(values[i][1] - values[j][1])
-            if dev > worst:
-                worst = dev
-                witness = (f"lambda={format_complex(values[i][0])}, "
-                           f"mu={format_complex(values[j][0])}")
+    for i in range(len(values) - 1):
+        devs = np.hypot(re[i] - re[i + 1:], im[i] - im[i + 1:])  # abs(v_i - v_j)
+        j = int(np.argmax(devs))
+        if devs[j] > worst:
+            worst = float(devs[j])
+            witness = (f"lambda={format_complex(lams[i])}, "
+                       f"mu={format_complex(lams[i + 1 + j])}")
     return _scan_result("constancy", worst, PASS_CONSTANCY, witness,
                         len(values), failures)
 

@@ -79,12 +79,16 @@ class BoundaryTriplet:
     """The pair (gamma_minus, gamma_plus) plus a surjectivity witness.
 
     The witness is a pair of maximal-domain functions whose joint boundary
-    images span C^2; ``check_surjectivity`` verifies that.
+    images span C^2; ``check_surjectivity`` verifies that.  A triplet
+    defined through the model's native one (``defect_triplet``) also has
+    ``from_native(f, native)``, both of its values on f computed from
+    ``native``, the native images of f.
     """
 
     gamma_minus: Callable[..., complex]
     gamma_plus: Callable[..., complex]
     witness: tuple[PiecewiseExpFunction, PiecewiseExpFunction]
+    from_native: Callable[..., tuple[complex, complex]] | None = None
 
     def images(self, *fs: PiecewiseExpFunction) -> np.ndarray:
         """Boundary images, 2 x len(fs): row 0 gamma_plus, row 1 gamma_minus."""
@@ -115,7 +119,12 @@ class DefectFamily:
     def norm(self, z: complex) -> float:
         z = complex(z)
         if z not in self._norms:
-            self._norms[z] = norm(self(z))
+            n = norm(self(z))
+            # an overflowing norm would scale the vector to zero, which
+            # pairs perfectly with everything
+            if not math.isfinite(n):
+                raise ValueError("defect vector norm is not finite")
+            self._norms[z] = n
         return self._norms[z]
 
     def normalized(self, z: complex) -> PiecewiseExpFunction:
@@ -158,6 +167,12 @@ def char_function(triplet: BoundaryTriplet, defects: DefectFamily,
     f = defects(lam)
     gp = triplet.gamma_plus(f, inner_product) if inner_product else triplet.gamma_plus(f)
     gm = triplet.gamma_minus(f, inner_product) if inner_product else triplet.gamma_minus(f)
+    return char_value(lam, gp, gm)
+
+
+def char_value(lam: complex, gp: complex, gm: complex) -> complex:
+    """gamma_minus / gamma_plus, the boundary values of the defect vector at
+    lam; a vanishing gamma_plus is an error."""
     if abs(gp) <= BOUNDARY_SINGULAR_TOL * (1 + abs(gm)):
         raise ValueError(
             f"gamma_plus vanishes on the defect vector at {lam}; "
@@ -232,16 +247,22 @@ def defect_triplet(model, mu: complex) -> BoundaryTriplet:
     system = model.triplet.images(*witness)  # S(mu) of decompose, fixed here
     require_regular_system(system)
 
-    def coordinate(row, n):
+    def from_native(f, native=None):
+        require_maximal_domain(f)
+        if native is None:
+            native = model.triplet.images(f)[:, 0]
+        a, b = np.linalg.solve(system, native).tolist()
+        return scale * n_up * a, scale * n_dn * b
+
+    def coordinate(row):
         def gamma(f, inner_product=None):
             if inner_product is not None:
                 raise ValueError("defect triplets evaluate in closed form only")
-            require_maximal_domain(f)
-            rhs = model.triplet.images(f)[:, 0]
-            return scale * n * complex(np.linalg.solve(system, rhs)[row])
+            return from_native(f)[row]
         return gamma
 
-    return BoundaryTriplet(coordinate(1, n_dn), coordinate(0, n_up), witness=witness)
+    return BoundaryTriplet(coordinate(1), coordinate(0), witness=witness,
+                           from_native=from_native)
 
 
 def triplet_convert(g0: BoundaryFunctional, g1: BoundaryFunctional, model,

@@ -107,6 +107,23 @@ def test_raising_defect_family_exits_2(tmp_path, capsys, monkeypatch):
     assert all(math.isnan(c["max_residual"]) for c in report["checks"])
 
 
+def test_an_overflowing_defect_norm_is_an_error_not_a_perfect_pairing(tmp_path, capsys):
+    # the norm at -1+0.2i overflows; scaling by 1/inf used to give the zero
+    # vector, whose pairings read as a perfect 0.0
+    path = write_scenario(tmp_path, {
+        "name": "norm-overflow",
+        "model": {"kind": "nonlocal", "case": "II", "alpha": "1.2e154"},
+        "checks": ["orthogonality"],
+        "grid": {"re": [-1], "im": [0.2]},
+    })
+    code = cli.main(["run", path])
+    record = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 2
+    assert record["verdict"] == "error"
+    assert math.isnan(record["max_residual"])
+    assert record["grid_failures"] == ["lambda=-1+0.2i: defect vector norm is not finite"]
+
+
 def test_non_finite_residuals_are_errors(tmp_path, capsys):
     # every theta and every Green residual of this coupling overflows to NaN
     path = write_scenario(tmp_path, {

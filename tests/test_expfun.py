@@ -14,6 +14,7 @@ from psokit.expfun import (
     PiecewiseExpFunction,
     coefficient_distance,
     free_resolvent,
+    gram,
     inner,
     inner_quadrature,
     norm,
@@ -195,6 +196,80 @@ def test_inner_sesquilinear(f, g, a):
 def test_inner_zero_only_for_zero_function():
     f = half_line_left() - half_line_left()
     assert f.is_zero and inner(f, f) == 0
+
+
+# -- the batched Gram kernel ---------------------------------------------------
+
+
+def bits(z):
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+@st.composite
+def gram_functions_st(draw):
+    """Functions on finite and half-infinite intervals with endpoints that
+    are zero or not, powers 0-3, exponents that pair to a degenerate one on
+    finite pieces, and the zero function (no terms)."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(complex_st)
+        end = draw(st.floats(-3.0, 3.0))
+        power = draw(st.integers(0, 3))
+        re_s = draw(st.floats(0.2, 2.0))
+        im_s = draw(st.floats(-3.0, 3.0))
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            terms.append(ExpTerm(c, NEG_INF, end, complex(re_s, im_s), power))
+        elif kind == 1:
+            terms.append(ExpTerm(c, end, POS_INF, complex(-re_s, im_s), power))
+        else:
+            if kind == 2:
+                s = complex(draw(st.floats(-2.0, 2.0)), im_s)
+            else:  # near zero: pairs with another such term below 1e-14
+                tiny = st.floats(-4e-15, 4e-15)
+                s = complex(draw(tiny), draw(tiny))
+            terms.append(ExpTerm(c, end, end + draw(st.floats(0.25, 2.0)), s, power))
+    return PiecewiseExpFunction(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(gram_functions_st(), min_size=1, max_size=4),
+       st.lists(gram_functions_st(), min_size=1, max_size=4))
+def test_gram_equals_inner_bit_for_bit(fs, gs):
+    g = gram(fs, gs)
+    assert g.shape == (len(fs), len(gs))
+    for a, f in enumerate(fs):
+        for b, h in enumerate(gs):
+            assert bits(g[a, b]) == bits(inner(f, h)), (a, b)
+
+
+def test_gram_of_scaled_functions_equals_inner_of_the_products():
+    rng = np.random.default_rng(11)
+    fs = [random_function(rng) for _ in range(6)] + [PiecewiseExpFunction.zero()]
+    scales = [float(rng.uniform(0.1, 5.0)) for _ in fs]
+    g = gram(expfun.pack(fs, scales), fs)
+    for a, f in enumerate(fs):
+        for b, h in enumerate(fs):
+            assert bits(g[a, b]) == bits(inner(scales[a] * f, h))
+    with pytest.raises(ValueError, match="must be finite"):
+        expfun.pack(fs[:1], [1e308 * 1e10])
+
+
+def test_gram_rejects_a_degenerate_exponent_on_a_half_line_as_inner_does():
+    f = PiecewiseExpFunction.single(1.0, 0.0, POS_INF, complex(-1e-15, 1.0))
+    with pytest.raises(ValueError, match="zero exponent on infinite interval"):
+        inner(f, f)
+    with pytest.raises(ValueError, match="zero exponent on infinite interval"):
+        gram([f], [f])
+
+
+def test_gram_of_packed_rows_is_the_block_of_the_full_matrix():
+    rng = np.random.default_rng(12)
+    fs = [random_function(rng) for _ in range(9)]
+    packed = expfun.pack(fs)
+    full = gram(packed, packed)
+    assert len(packed[2:5]) == 3
+    np.testing.assert_array_equal(gram(packed, packed[2:5]), full[:, 2:5])
 
 
 # -- boundary values ---------------------------------------------------------

@@ -9,9 +9,11 @@ from psokit.expfun import (
     NEG_INF,
     POS_INF,
     PiecewiseExpFunction,
+    gram,
     inner,
     inner_quadrature,
     norm,
+    pack,
 )
 from psokit.models import (
     HaarSystem,
@@ -312,6 +314,43 @@ def test_haar_gram_small_block():
     # the specific classical cancellations
     assert inner(system.element(0, 0), system.element(0, 1)) == 0
     assert inner(system.element(0, 0), system.element(1, 0)) == 0
+
+
+def scalar_haar_gram(system):
+    """Reference: the upper triangle by scalar inner products, mirrored."""
+    elements = [system.element(j, k) for j, k in system.labels()]
+    n = len(elements)
+    out = np.zeros((n, n), dtype=complex)
+    for p in range(n):
+        for q in range(p, n):
+            val = inner(elements[p], elements[q])
+            out[p, q] = val
+            out[q, p] = val.conjugate()
+    return out
+
+
+@pytest.mark.parametrize("j_range, k_range", [
+    ((0, 1), (0, 1)), ((-2, 1), (-4, 2)), ((-1, -1), (-3, 5)), ((0, 2), (1, 1))])
+def test_haar_gram_is_the_mirrored_scalar_upper_triangle(j_range, k_range):
+    system = HaarSystem(j_range=j_range, k_range=k_range)
+    got, want = haar_gram(system), scalar_haar_gram(system)
+    # compare bytes: signed zeros and last bits included
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model", [MomentumModel(), NonlocalModel("I", 4j),
+                                   NonlocalModel("II", 1)], ids=str)
+def test_gram_of_normalized_defect_vectors_is_bit_identical(model):
+    # the 31 x 10 upper grid and its mirror, as a dense orthogonality scan pairs them
+    uppers = [complex(re, im) for re in range(-15, 16)
+              for im in (0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10)]
+    lowers = [z.conjugate() for z in uppers]
+    packed = [pack([model.defects(z) for z in zs],
+                   [1.0 / model.defects.norm(z) for z in zs]) for zs in (uppers, lowers)]
+    fs, gs = ([model.defects.normalized(z) for z in zs] for zs in (uppers, lowers))
+    want = np.array([[inner(f, g) for g in gs] for f in fs])
+    # compare bytes: signed zeros and last bits included
+    assert gram(*packed).tobytes() == want.tobytes()
 
 
 def test_haar_element_shape():

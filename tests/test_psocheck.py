@@ -4,10 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from psokit import matops, triplets
+from psokit import cli, expfun, matops, models, triplets
+from psokit.expfun import inner
 from psokit.models import MomentumModel, NonlocalModel, momentum_eigen_test
 from psokit.psocheck import (
+    PASS_CONSTANCY,
     PASS_INCLUSION,
+    PASS_ORTHOGONALITY,
     Grid,
     SpectrumClass,
     _verdict,
@@ -21,6 +24,7 @@ from psokit.scalars import format_complex
 from psokit.triplets import BoundaryTriplet, DefectFamily
 
 SMALL_GRID = Grid.from_axes([-2.0, 0.0, 3.0], [0.5, 1.0, 5.0])
+DENSE_GRID = Grid.from_axes(range(-15, 16), (0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10))
 
 
 # -- grid ----------------------------------------------------------------------
@@ -301,6 +305,106 @@ def test_batched_inclusion_matches_pairwise_decompose(make):
         pairwise_inclusion(model, SMALL_GRID)
 
 
+def pairwise_orthogonality(model, grid):
+    """Reference orthogonality scan: one scalar ``inner`` per (lambda, nu) pair."""
+    worst, witness, failures, evaluated, uppers = 0.0, None, [], 0, []
+    for lam in grid.lambdas_upper:
+        try:
+            uppers.append((lam, model.defects.normalized(lam)))
+        except Exception as exc:
+            failures.append(f"lambda={format_complex(lam)}: {exc}")
+    for nu in grid.lambdas_lower:
+        try:
+            g = model.defects.normalized(nu)
+        except Exception as exc:
+            failures.append(f"nu={format_complex(nu)}: {exc}")
+            continue
+        evaluated += len(uppers)
+        for lam, f in uppers:
+            val = abs(inner(f, g))
+            if val > worst:
+                worst = val
+                witness = f"lambda={format_complex(lam)}, nu={format_complex(nu)}"
+    if not evaluated:
+        worst = float("nan")
+    verdict = _verdict(worst, PASS_ORTHOGONALITY, evaluated, len(failures))
+    return verdict, repr(worst), witness, tuple(failures)
+
+
+def pairwise_constancy(model, grid):
+    """Reference constancy scan: one scalar deviation per pair i < j."""
+    values, failures = [], []
+    for lam in grid.lambdas_upper:
+        try:
+            theta = triplets.char_function(model.triplet, model.defects, lam)
+        except Exception as exc:
+            failures.append(f"lambda={format_complex(lam)}: {exc}")
+            continue
+        if np.isfinite(theta):
+            values.append((lam, theta))
+        else:
+            failures.append(f"lambda={format_complex(lam)}: theta is not finite")
+    worst, witness = 0.0, None
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            dev = abs(values[i][1] - values[j][1])
+            if dev > worst:
+                worst = dev
+                witness = (f"lambda={format_complex(values[i][0])}, "
+                           f"mu={format_complex(values[j][0])}")
+    if not values:
+        worst = float("nan")
+    verdict = _verdict(worst, PASS_CONSTANCY, len(values), len(failures))
+    return verdict, repr(worst), witness, tuple(failures)
+
+
+SCAN_CASES = [(name, make, SMALL_GRID) for name, make in EQUIVALENCE_MODELS.items()] + [
+    (name, EQUIVALENCE_MODELS[name], Grid.default()) for name in ("I(1)", "II(1)")]
+
+
+@pytest.mark.parametrize("make, grid", [case[1:] for case in SCAN_CASES],
+                         ids=[f"{case[0]}-{len(case[2].lambdas_upper)}" for case in SCAN_CASES])
+def test_gram_scans_match_the_scalar_pair_loops(make, grid):
+    model = make()
+    for scan, reference in ((orthogonality_scan, pairwise_orthogonality),
+                            (lambda m, g: constancy_scan(m, None, g), pairwise_constancy)):
+        got = scan(model, grid)
+        # repr compares residuals bit for bit and NaN equal to NaN
+        assert (got.verdict, repr(got.max_residual), got.witness, got.failures) == \
+            reference(model, grid)
+
+
+def count_inner_calls(monkeypatch):
+    """Count every scalar inner product, under each name it is imported as."""
+    calls = Counter()
+    original = expfun.inner
+
+    def counted(*args, **kwargs):
+        calls["inner"] += 1
+        return original(*args, **kwargs)
+
+    for module in (expfun, triplets, models):
+        monkeypatch.setattr(module, "inner", counted)
+    return calls
+
+
+def test_certificate_takes_scalar_inner_products_only_outside_the_gram(monkeypatch):
+    model = NonlocalModel("I", 1)
+    calls = count_inner_calls(monkeypatch)
+    pso_certificate(model, Grid.default())
+    # 132 norms, 132 boundary pairings for constancy and 132 + 264 for
+    # inclusion; the 4356 orthogonality pairings took 5016 in all as scalars
+    assert calls["inner"] == 660
+
+
+def test_dense_orthogonality_scan_takes_only_its_norms_as_scalars(monkeypatch):
+    model = NonlocalModel("I", 4j)
+    calls = count_inner_calls(monkeypatch)
+    result = orthogonality_scan(model, DENSE_GRID)
+    assert result.verdict == "pass"
+    assert calls["inner"] == 620
+
+
 def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     model = NonlocalModel("I", 1)
     calls = Counter()
@@ -316,6 +420,27 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     inclusion_scan(model, Grid.default())
     assert calls["decompose"] == 0
     assert calls["is_singular"] == 66
+
+
+@pytest.mark.parametrize("spec", [{"kind": "nonlocal", "case": "I", "alpha": "1"},
+                                  {"kind": "momentum"}], ids=["I(1)", "momentum"])
+def test_mobius_maps_each_lambda_through_the_native_triplet_once(monkeypatch, spec):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(triplets.BoundaryFunctional, "__call__",
+                        counted("maps", triplets.BoundaryFunctional.__call__))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    report = cli.run_scenario_obj({"name": "mobius", "model": spec, "checks": ["mobius"]})
+    assert report["checks"][0]["verdict"] == "pass"
+    # 66 lambdas at 2 maps and 1 solve each (6 and 2 before), plus 16 maps
+    # and 4 solves for the defect triplet and the change of basis
+    assert (calls["maps"], calls["solve"]) == (148, 70)
 
 
 def test_degenerate_triplet_is_an_error_not_a_pass():

@@ -18,6 +18,7 @@ from psokit.triplets import (
     change_of_basis,
     char_function,
     char_function_lower,
+    char_value,
     decompose,
     defect_triplet,
     green_residual,
@@ -308,6 +309,29 @@ def test_defect_triplet_maps_are_the_scaled_decompose_coefficients(make, mu):
         assert repr(t2.gamma_plus(f)) == repr(scale * model.defects.norm(mu) * a)
         assert repr(t2.gamma_minus(f)) == repr(
             scale * model.defects.norm(mu.conjugate()) * b)
+
+
+@pytest.mark.parametrize("make", DEFECT_TRIPLET_MODELS.values(), ids=DEFECT_TRIPLET_MODELS)
+def test_shared_native_images_give_both_char_functions_bit_for_bit(make):
+    model = make()
+    t2 = defect_triplet(model, 1 + 2j)
+    for lam in UPPER_GRID[::5]:
+        f = model.defects(lam)
+        native = model.triplet.images(f)[:, 0]
+        assert repr(char_value(lam, *native.tolist())) == \
+            repr(char_function(model.triplet, model.defects, lam))
+        assert repr(char_value(lam, *t2.from_native(f, native))) == \
+            repr(char_function(t2, model.defects, lam))
+
+
+def test_a_defect_vector_norm_that_overflows_is_an_error():
+    model = NonlocalModel("II", 1.2e154)
+    # normalizing by an infinite norm would give the zero vector
+    with pytest.raises(ValueError, match="defect vector norm is not finite"):
+        model.defects.norm(-1 + 0.2j)
+    with pytest.raises(ValueError, match="defect vector norm is not finite"):
+        model.defects.normalized(-1 + 0.2j)
+    assert math.isfinite(model.defects.norm(-1 - 0.2j))
 
 
 def test_defect_triplet_rejects_a_singular_system_at_construction():
