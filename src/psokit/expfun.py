@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -442,35 +442,45 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 # ``cmath.exp`` and float powers stay scalar Python calls, except where
 # their value is exact (exp(0) and powers 0 and 1, or of zero); every
 # endpoint of the models' defect vectors is 0 or infinite.
+#
+# The integral of a pair of terms depends only on their kinds, (exponent,
+# lo, hi, power), and families of functions share kinds heavily: every
+# defect vector of a nonlocal model carries the potential's term.  So
+# ``pack`` stores a table of the distinct kinds, told apart bit for bit,
+# and an index into it per term; ``gram`` evaluates the closed form once
+# per overlapping pair of kinds present and leaves each entry only a
+# gather, two complex products and the accumulation.
 
 
 @dataclass(frozen=True, eq=False)
 class PackedFunctions:
     """Functions as padded (count, width) arrays of their terms.
 
-    Row i holds the terms of function i in their canonical order; ``live``
-    marks the slots that hold a term.  Complex fields are split into real
-    and imaginary parts.  Slicing selects rows.
+    Row i holds the terms of function i in their canonical order; a slot
+    past the end of a row holds a padding term with coefficient zero on the
+    empty interval [0, 0].  Coefficients are stored per term, split into
+    real and imaginary parts.  The rest of a term is its kind: exponent,
+    lo, hi and power.  ``kinds`` is the table (lo, hi, exp_re, exp_im,
+    power) of the distinct kinds, and ``kind[i, p]`` indexes it.  Kinds are
+    told apart bit for bit, so -0.0 and 0.0 are different kinds.  Slicing
+    selects rows and shares the kind table.
     """
 
     coeff_re: np.ndarray
     coeff_im: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    exp_re: np.ndarray
-    exp_im: np.ndarray
-    power: np.ndarray
-    live: np.ndarray
+    kind: np.ndarray
+    kinds: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
-        return self.live.shape[0]
+        return self.kind.shape[0]
 
     def __getitem__(self, rows: slice) -> "PackedFunctions":
-        return PackedFunctions(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return PackedFunctions(self.coeff_re[rows], self.coeff_im[rows],
+                               self.kind[rows], self.kinds)
 
 
 def pack(fs, scales=None) -> PackedFunctions:
-    """Pack functions for :func:`gram`.
+    """Pack functions for :func:`gram`, with the table of their term kinds.
 
     With ``scales``, row i holds ``scales[i] * fs[i]`` with the coefficients
     that product would have, without building it: a coefficient that is not
@@ -498,14 +508,23 @@ def pack(fs, scales=None) -> PackedFunctions:
     slots = [t for row in rows for t in row + [pad] * (width - len(row))]
 
     def column(i, dtype):
-        return np.array([t[i] for t in slots], dtype=dtype).reshape(n, width)
+        return np.array([t[i] for t in slots], dtype=dtype)
 
     coeff, exponent = column(0, complex), column(3, complex)
-    live = np.arange(width) < np.array([len(row) for row in rows]).reshape(n, 1)
-    return PackedFunctions(coeff.real.copy(), coeff.imag.copy(),
-                           column(1, float), column(2, float),
-                           exponent.real.copy(), exponent.imag.copy(),
-                           column(4, np.int64), live)
+    parts = (column(1, float), column(2, float), exponent.real, exponent.imag,
+             column(4, np.int64))
+    # a term's key is the 40 bytes of its kind; at[i] is the first term with
+    # the key of term i, and those first terms make up the table
+    keys = np.stack([x.view(np.int64) for x in parts], axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel().tolist()
+    first = {}
+    at = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+    own = at == np.arange(at.size)
+    index = np.zeros(at.size, dtype=np.intp)
+    index[own] = np.arange(np.count_nonzero(own))
+    kind = index[at]
+    return PackedFunctions(coeff.real.reshape(n, width), coeff.imag.reshape(n, width),
+                           kind.reshape(n, width), tuple(x[own] for x in parts))
 
 
 def _mul(ar, ai, br, bi):
@@ -596,41 +615,68 @@ def _exponential_integrals(k, ur, ui, a, b):
     return br - ar, bi - ai
 
 
+def _present(x: PackedFunctions):
+    """The kinds present in the rows of x, and each term's index among them."""
+    present = np.zeros(len(x.kinds[0]), dtype=bool)
+    present[x.kind] = True
+    kinds = np.flatnonzero(present)
+    index = np.zeros(present.size, dtype=np.intp)
+    index[kinds] = np.arange(kinds.size)
+    return kinds, index[x.kind]
+
+
+def _kind_integrals(f: PackedFunctions, fk, g: PackedFunctions, gk):
+    """The closed form once per overlapping pair of the kinds ``fk`` of f
+    and ``gk`` of g.
+
+    Returns the integrals' real and imaginary parts at positions 1, 2, ...
+    (position 0 holds zeros) and the (len(fk), len(gk)) table of the
+    position of each pair, 0 for a pair whose intervals do not overlap.
+    """
+    flo, fhi, fre, fim, fpow = (x[fk, None] for x in f.kinds)
+    glo, ghi, gre, gim, gpow = (x[gk] for x in g.kinds)
+    lo = np.where(glo > flo, glo, flo)  # max(tf.lo, tg.lo)
+    hi = np.where(ghi < fhi, ghi, fhi)  # min(tf.hi, tg.hi)
+    a, b = np.nonzero(lo < hi)
+    position = np.zeros(lo.shape, dtype=np.intp)
+    position[a, b] = np.arange(1, a.size + 1)
+    ir, ii = np.zeros(a.size + 1), np.zeros(a.size + 1)
+    if a.size:
+        ir[1:], ii[1:] = _integrals(fpow[a, 0] + gpow[b], fre[a, 0] + gre[b],
+                                    fim[a, 0] + -gim[b], lo[a, b], hi[a, b])
+    return ir, ii, position
+
+
 def gram(fs, gs) -> np.ndarray:
     """The matrix ``inner(f, g)`` over f in fs (rows) and g in gs (columns).
 
     fs and gs are sequences of functions or their :func:`pack` forms.  Every
-    entry equals the scalar ``inner`` bit for bit: for each pair of term
-    slots the closed form runs on the entries whose intervals overlap, and
-    the entries accumulate in ``inner``'s term order.
+    entry equals the scalar ``inner`` bit for bit.  The closed form runs
+    once per overlapping pair of the term kinds present in fs and gs.  Then,
+    for each pair of term slots, each entry whose terms overlap gathers its
+    integral, multiplies its coefficient product by it and accumulates, in
+    ``inner``'s term order.
     """
     f = fs if isinstance(fs, PackedFunctions) else pack(fs)
     g = gs if isinstance(gs, PackedFunctions) else pack(gs)
-    total_re = np.zeros((len(f), len(g)))
-    total_im = np.zeros((len(f), len(g)))
+    (fk, fi), (gk, gi) = _present(f), _present(g)
+    out = np.zeros((len(f), len(g)), dtype=complex)
+    total_re, total_im = out.real, out.imag
     with np.errstate(all="ignore"):
-        for p in range(f.live.shape[1]):
-            for q in range(g.live.shape[1]):
-                flo, glo = f.lo[:, p, None], g.lo[None, :, q]
-                fhi, ghi = f.hi[:, p, None], g.hi[None, :, q]
-                lo = np.where(glo > flo, glo, flo)  # max(tf.lo, tg.lo)
-                hi = np.where(ghi < fhi, ghi, fhi)  # min(tf.hi, tg.hi)
-                rows, cols = np.nonzero(f.live[:, p, None] & g.live[None, :, q]
-                                        & (lo < hi))
-                if not rows.size:
+        ir, ii, position = _kind_integrals(f, fk, g, gk)
+        # entry (i, j) of slot pair (p, q) takes position.flat[fi[i, p] + gi[j, q]]
+        fi = fi * len(gk)
+        for p in range(fi.shape[1]):
+            for q in range(gi.shape[1]):
+                pos = position.take(fi[:, p, None] + gi[:, q])
+                on = pos != 0
+                if not on.any():
                     continue
-                ir, ii = _integrals(
-                    f.power[rows, p] + g.power[cols, q],
-                    f.exp_re[rows, p] + g.exp_re[cols, q],
-                    f.exp_im[rows, p] + -g.exp_im[cols, q],
-                    lo[rows, cols], hi[rows, cols])
-                cr, ci = _mul(f.coeff_re[rows, p], f.coeff_im[rows, p],
-                              g.coeff_re[cols, q], -g.coeff_im[cols, q])
-                cr, ci = _mul(cr, ci, ir, ii)
-                total_re[rows, cols] += cr
-                total_im[rows, cols] += ci
-    out = np.empty((len(f), len(g)), dtype=complex)
-    out.real, out.imag = total_re, total_im
+                cr, ci = _mul(f.coeff_re[:, p, None], f.coeff_im[:, p, None],
+                              g.coeff_re[:, q], -g.coeff_im[:, q])
+                cr, ci = _mul(cr, ci, ir.take(pos), ii.take(pos))
+                np.add(total_re, cr, out=total_re, where=on)
+                np.add(total_im, ci, out=total_im, where=on)
     return out
 
 

@@ -30,6 +30,7 @@ from .expfun import (
     gram,
     inner,
     norm,
+    pack,
 )
 from .scalars import format_complex
 from .triplets import (
@@ -479,7 +480,7 @@ class HaarSystem:
 
 def haar_gram(system: HaarSystem) -> np.ndarray:
     """Gram matrix of the block; equal to the identity for any ranges."""
-    elements = [system.element(j, k) for j, k in system.labels()]
+    elements = pack([system.element(j, k) for j, k in system.labels()])
     full = gram(elements, elements)
     # the upper triangle, mirrored: entry (q, p) is the conjugate of (p, q),
     # which on the diagonal replaces the computed value

@@ -121,9 +121,11 @@ class DefectFamily:
         if z not in self._norms:
             n = norm(self(z))
             # an overflowing norm would scale the vector to zero, which
-            # pairs perfectly with everything
+            # pairs perfectly with everything; a zero one cannot be divided by
             if not math.isfinite(n):
                 raise ValueError("defect vector norm is not finite")
+            if n == 0:
+                raise ValueError("defect vector norm is zero")
             self._norms[z] = n
         return self._norms[z]
 

@@ -278,7 +278,7 @@ def test_grid_override_is_used(tmp_path):
         "name": "small-grid",
         "model": {"kind": "momentum"},
         "checks": ["pso"],
-        "grid": {"re": [0], "im": [1]},
+        "grid": {"re": [0, 1], "im": [1]},
     })
     assert cli.main(["run", path]) == 0
 

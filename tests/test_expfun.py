@@ -205,36 +205,49 @@ def bits(z):
     return float(z.real).hex(), float(z.imag).hex()
 
 
+#: small pools, so that term kinds repeat across the functions drawn; each
+#: holds zeros of both signs, which make kinds that differ only there
+GRAM_ENDS = (-1.5, -0.0, 0.0, 1.0, 2.5)
+GRAM_INTERVALS = tuple((a, b) for a in GRAM_ENDS for b in GRAM_ENDS if a < b)
+GRAM_DECAY = (0.25, 1.0)
+GRAM_EXP_RE = (-1.0, -0.0, 0.0, 0.5)
+GRAM_EXP_IM = (-2.0, -0.0, 0.0, 1.5)
+GRAM_TINY = (-3e-15, -0.0, 0.0, 4e-15)  # pairs to a degenerate exponent
+
+
 @st.composite
 def gram_functions_st(draw):
-    """Functions on finite and half-infinite intervals with endpoints that
-    are zero or not, powers 0-3, exponents that pair to a degenerate one on
-    finite pieces, and the zero function (no terms)."""
+    """Functions on finite and half-infinite intervals whose endpoints,
+    exponents and powers (0-3) come from the shared pools above, with
+    exponents that pair to a degenerate one on finite pieces, and the zero
+    function (no terms)."""
+    def pick(pool):
+        return draw(st.sampled_from(pool))
+
     terms = []
     for _ in range(draw(st.integers(0, 3))):
         c = draw(complex_st)
-        end = draw(st.floats(-3.0, 3.0))
         power = draw(st.integers(0, 3))
-        re_s = draw(st.floats(0.2, 2.0))
-        im_s = draw(st.floats(-3.0, 3.0))
+        im_s = pick(GRAM_EXP_IM)
         kind = draw(st.integers(0, 3))
         if kind == 0:
-            terms.append(ExpTerm(c, NEG_INF, end, complex(re_s, im_s), power))
+            s = complex(pick(GRAM_DECAY), im_s)
+            terms.append(ExpTerm(c, NEG_INF, pick(GRAM_ENDS), s, power))
         elif kind == 1:
-            terms.append(ExpTerm(c, end, POS_INF, complex(-re_s, im_s), power))
+            s = complex(-pick(GRAM_DECAY), im_s)
+            terms.append(ExpTerm(c, pick(GRAM_ENDS), POS_INF, s, power))
         else:
             if kind == 2:
-                s = complex(draw(st.floats(-2.0, 2.0)), im_s)
-            else:  # near zero: pairs with another such term below 1e-14
-                tiny = st.floats(-4e-15, 4e-15)
-                s = complex(draw(tiny), draw(tiny))
-            terms.append(ExpTerm(c, end, end + draw(st.floats(0.25, 2.0)), s, power))
+                s = complex(pick(GRAM_EXP_RE), im_s)
+            else:
+                s = complex(pick(GRAM_TINY), pick(GRAM_TINY))
+            terms.append(ExpTerm(c, *pick(GRAM_INTERVALS), s, power))
     return PiecewiseExpFunction(terms)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(gram_functions_st(), min_size=1, max_size=4),
-       st.lists(gram_functions_st(), min_size=1, max_size=4))
+@given(st.lists(gram_functions_st(), min_size=1, max_size=6),
+       st.lists(gram_functions_st(), min_size=1, max_size=6))
 def test_gram_equals_inner_bit_for_bit(fs, gs):
     g = gram(fs, gs)
     assert g.shape == (len(fs), len(gs))
@@ -261,6 +274,16 @@ def test_gram_rejects_a_degenerate_exponent_on_a_half_line_as_inner_does():
         inner(f, f)
     with pytest.raises(ValueError, match="zero exponent on infinite interval"):
         gram([f], [f])
+
+
+def test_pack_tells_kinds_apart_bit_for_bit():
+    # kinds that differ only in the sign of a zero endpoint or exponent part
+    fs = [PiecewiseExpFunction.single(1.0, lo, 1.0, complex(0.5, im))
+          for lo in (-0.0, 0.0) for im in (-0.0, 0.0)]
+    fs.append(PiecewiseExpFunction.single(2.0 - 1j, -0.0, 1.0, complex(0.5, -0.0)))
+    kind = expfun.pack(fs).kind[:, 0].tolist()
+    assert len(set(kind[:4])) == 4
+    assert kind[4] == kind[0]  # the coefficient is not part of the kind
 
 
 def test_gram_of_packed_rows_is_the_block_of_the_full_matrix():

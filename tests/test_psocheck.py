@@ -405,6 +405,24 @@ def test_dense_orthogonality_scan_takes_only_its_norms_as_scalars(monkeypatch):
     assert calls["inner"] == 620
 
 
+@pytest.mark.parametrize("grid, bound", [(DENSE_GRID, 624), (Grid.default(), 136)],
+                         ids=["dense", "default"])
+def test_orthogonality_scan_evaluates_a_closed_form_per_kind_pair(monkeypatch, grid, bound):
+    model = NonlocalModel("I", 4j)
+    closed_forms = Counter()
+    original = expfun._integrals
+
+    def counted(k, *args):
+        closed_forms["elements"] += k.size
+        return original(k, *args)
+
+    monkeypatch.setattr(expfun, "_integrals", counted)
+    assert orthogonality_scan(model, grid).verdict == "pass"
+    # one per entry and overlapping pair of terms would be 192,200 (dense)
+    # and 8,712 (default); the vectors share the potential's term kind
+    assert closed_forms["elements"] <= bound
+
+
 def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     model = NonlocalModel("I", 1)
     calls = Counter()
@@ -462,6 +480,36 @@ def test_raising_defect_family_errors_every_check():
     assert [len(c.failures) for c in cert.checks] == [18, 9, 9]
     assert all(math.isnan(c.max_residual) and c.witness is None for c in cert.checks)
     assert cert.overall == "error"
+
+
+def test_constancy_with_fewer_than_two_finite_values_compares_nothing():
+    model = NonlocalModel("II", 1)  # not a Phillips point
+    result = constancy_scan(model, None, Grid.from_axes([-1], [0.2]))
+    assert (result.verdict, result.witness, result.failures) == ("error", None, ())
+    assert math.isnan(result.max_residual)
+    assert constancy_scan(model, None, Grid.from_axes([-1, 1], [0.2])).verdict == "fail"
+
+
+def test_inclusion_scan_records_a_norm_that_overflows_as_failed_points():
+    model = NonlocalModel("II", 1.2e154)
+    grid = Grid.from_axes([-1], [0.2])
+    result = inclusion_scan(model, grid)
+    assert result.verdict == "error" and math.isnan(result.max_residual)
+    assert result.failures == (
+        "lambda=-1+0.2i, mu=-1+0.2i: defect vector norm is not finite",)
+    assert pso_certificate(model, grid).overall == "error"
+
+
+def test_no_scan_raises_at_a_defect_vector_of_norm_zero():
+    model = NonlocalModel("II", 2j)
+    grid = Grid.from_axes([0.0, 1e-9], [1.0, 0.5])  # 1e-9+1i has norm 0
+    cert = pso_certificate(model, grid)
+    for check in ("orthogonality", "inclusion"):
+        entry = cert.entry(check)
+        assert entry.verdict == "inconclusive"
+        assert any(f.startswith("lambda=1e-09+1i") and f.endswith("norm is zero")
+                   for f in entry.failures)
+    assert cert.entry("constancy").verdict == "pass"
 
 
 def test_partial_failures_cap_a_pass_at_inconclusive():

@@ -334,6 +334,16 @@ def test_a_defect_vector_norm_that_overflows_is_an_error():
     assert math.isfinite(model.defects.norm(-1 - 0.2j))
 
 
+def test_a_defect_vector_norm_of_zero_is_an_error():
+    model = NonlocalModel("II", 2j)
+    # near resonance the closed form cancels to 0j; dividing by it would raise
+    # ZeroDivisionError wherever the vector is normalized
+    with pytest.raises(ValueError, match="defect vector norm is zero"):
+        model.defects.norm(1e-9 + 1j)
+    with pytest.raises(ValueError, match="defect vector norm is zero"):
+        model.defects.normalized(1e-9 + 1j)
+
+
 def test_defect_triplet_rejects_a_singular_system_at_construction():
     model = MomentumModel()
     trip = model.triplet
