@@ -96,6 +96,20 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _json_int(value, name):
+    """value if it is a JSON integer; a bool, a float or a string is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_range(value, name):
+    """The pair of JSON integers in a list of exactly two."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{name} must be a list of two integers, got {value!r}")
+    return tuple(_json_int(v, f"{name} bound") for v in value)
+
+
 def build_model(spec):
     if not isinstance(spec, dict):
         raise ScenarioError("model: expected an object")
@@ -108,7 +122,7 @@ def build_model(spec):
             return models.MomentumModel()
         if kind == "shift":
             twist = spec.get("twist", "-1")
-            return models.ShiftModel(d=int(_require(spec, "d", "model")),
+            return models.ShiftModel(d=_json_int(_require(spec, "d", "model"), "d"),
                                      twist=parse_complex(twist))
         if kind == "nonlocal":
             return models.NonlocalModel(
@@ -117,8 +131,8 @@ def build_model(spec):
             )
         if kind == "haar":
             return models.HaarSystem(
-                j_range=tuple(_require(spec, "j_range", "model")),
-                k_range=tuple(_require(spec, "k_range", "model")),
+                j_range=_json_range(_require(spec, "j_range", "model"), "j_range"),
+                k_range=_json_range(_require(spec, "k_range", "model"), "k_range"),
             )
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"model: {exc}") from exc
@@ -402,7 +416,15 @@ def cmd_sweep(args) -> int:
         return 2
     lines = ["re_lambda,im_lambda,re_theta,im_theta"]
     for lam in grid.lambdas_upper:
-        th = triplets.char_function(model.triplet, model.defects, lam)
+        # fail closed, as constancy does: a point without a finite theta
+        # ends the sweep with no CSV written
+        try:
+            th = triplets.char_function(model.triplet, model.defects, lam)
+            if not np.isfinite(th):
+                raise ValueError("theta is not finite")
+        except Exception as exc:
+            print(f"error: lambda={format_complex(lam)}: {exc}", file=sys.stderr)
+            return 2
         lines.append(f"{lam.real:.17g},{lam.imag:.17g},{th.real:.17g},{th.imag:.17g}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(grid.lambdas_upper)} grid rows to {args.out}")

@@ -10,8 +10,9 @@ Gauss-Legendre quadrature is provided as a cross-checking oracle.
 
 All values are Python complex scalars; numpy enters for vectorized
 pointwise evaluation inside the quadrature oracle and for the batched Gram
-kernel, which packs many functions into arrays and reproduces the scalar
-inner product bit for bit.
+kernel, which packs many functions into arrays, takes its integrals from
+the same closed form as the scalar inner product and reproduces that inner
+product bit for bit.
 """
 
 from __future__ import annotations
@@ -435,21 +436,18 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 # ---------------------------------------------------------------------------
 #
 # The kernel evaluates ``inner`` for many pairs at once and must agree with
-# it bit for bit, so it spells out the complex arithmetic CPython does
-# (through 3.13) in real float64 operations, which numpy rounds exactly as C
-# does: a product of complex numbers, the quotient by Smith's method, a
-# float operand widened to ``complex(x, 0.0)``, and ``abs`` as ``hypot``.
-# ``cmath.exp`` and float powers stay scalar Python calls, except where
-# their value is exact (exp(0) and powers 0 and 1, or of zero); every
-# endpoint of the models' defect vectors is 0 or infinite.
+# it bit for bit.  It takes each integral from ``_poly_exp_integral``, the
+# closed form ``inner`` uses, so the only arithmetic it replays is CPython's
+# complex product (through 3.13), spelled out in real float64 operations,
+# which numpy rounds exactly as C does.
 #
 # The integral of a pair of terms depends only on their kinds, (exponent,
 # lo, hi, power), and families of functions share kinds heavily: every
 # defect vector of a nonlocal model carries the potential's term.  So
 # ``pack`` stores a table of the distinct kinds, told apart bit for bit,
 # and an index into it per term; ``gram`` evaluates the closed form once
-# per overlapping pair of kinds present and leaves each entry only a
-# gather, two complex products and the accumulation.
+# per overlapping pair of kinds present, in Python, and leaves each entry
+# only a gather, two complex products and the accumulation.
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,89 +530,6 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _quot(ar, ai, br, bi):
-    """CPython's complex quotient (ar + i ai) / (br + i bi), b nonzero."""
-    real_major = np.abs(br) >= np.abs(bi)
-    ratio = np.where(real_major, bi / br, br / bi)
-    denom = np.where(real_major, br + bi * ratio, br * ratio + bi)
-    re = np.where(real_major, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(real_major, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
-def _pow(x, n):
-    """Python's ``x ** n`` for float x and integer n >= 0, elementwise."""
-    out = np.where(n == 0, 1.0, x)
-    zero = (n > 1) & (x == 0)
-    # 0.0 ** n is 0.0, and -0.0 keeps its sign for odd n
-    out[zero] = np.where(n[zero] % 2 == 1, x[zero], 0.0)
-    rest = np.flatnonzero((n > 1) & (x != 0))
-    if rest.size:
-        out[rest] = [v ** int(p) for v, p in zip(x[rest].tolist(), n[rest].tolist())]
-    return out
-
-
-def _exp(wr, wi):
-    """``cmath.exp`` elementwise; exp of a zero is (1.0, imaginary zero)."""
-    er, ei = np.ones_like(wr), wi.copy()
-    rest = np.flatnonzero((wr != 0) | (wi != 0))
-    if rest.size:
-        vals = [cmath.exp(complex(r, i)) for r, i in zip(wr[rest].tolist(), wi[rest].tolist())]
-        er[rest] = [v.real for v in vals]
-        ei[rest] = [v.imag for v in vals]
-    return er, ei
-
-
-def _integrals(k, ur, ui, a, b):
-    """``_poly_exp_integral(k, u, a, b)`` elementwise, as (re, im) arrays.
-
-    The degenerate integral is a float, which the caller's product widens
-    to imaginary part 0.0.
-    """
-    re, im = np.zeros_like(ur), np.zeros_like(ur)
-    degenerate = np.hypot(ur, ui) < DEGENERATE_EXPONENT_TOL
-    if (degenerate & (np.isinf(a) | np.isinf(b))).any():
-        raise ValueError("divergent integral: zero exponent on infinite interval")
-    d = np.flatnonzero(degenerate)
-    if d.size:
-        kd = k[d] + 1
-        re[d] = _pow(b[d], kd) / kd - _pow(a[d], kd) / kd
-    e = np.flatnonzero(~degenerate)
-    if e.size:
-        re[e], im[e] = _exponential_integrals(k[e], ur[e], ui[e], a[e], b[e])
-    return re, im
-
-
-def _exponential_integrals(k, ur, ui, a, b):
-    """``_poly_exp_integral`` for non-degenerate u: the antiderivative of
-    ``_antiderivative`` at both ends, 0 at an infinite one."""
-    cr, ci = _quot(1.0, 0.0, ur, ui)
-    fall = np.ones_like(ur)
-    ends = [(x, np.isfinite(x)) for x in (b, a)]
-    sums = [(np.zeros_like(ur), np.zeros_like(ur)) for _ in ends]
-    k_max = int(k.max())
-    for j in range(k_max + 1):
-        # the coefficient (-1)**j * fall * c of x**(k - j)
-        tr, ti = _mul(fall if j % 2 == 0 else -fall, 0.0, cr, ci)
-        for (x, finite), (pr, pi) in zip(ends, sums):
-            on = np.flatnonzero((j <= k) & finite)
-            mr, mi = _mul(tr[on], ti[on], _pow(x[on], k[on] - j), 0.0)
-            pr[on] += mr
-            pi[on] += mi
-        if j < k_max:
-            fall = fall * (k - j)
-            cr, ci = _quot(cr, ci, ur, ui)
-    vals = []
-    for (x, finite), (pr, pi) in zip(ends, sums):
-        vr, vi = np.zeros_like(ur), np.zeros_like(ur)
-        on = np.flatnonzero(finite)
-        wr, wi = _mul(ur[on], ui[on], x[on], 0.0)
-        vr[on], vi[on] = _mul(*_exp(wr, wi), pr[on], pi[on])
-        vals.append((vr, vi))
-    (br, bi), (ar, ai) = vals
-    return br - ar, bi - ai
-
-
 def _present(x: PackedFunctions):
     """The kinds present in the rows of x, and each term's index among them."""
     present = np.zeros(len(x.kinds[0]), dtype=bool)
@@ -626,8 +541,8 @@ def _present(x: PackedFunctions):
 
 
 def _kind_integrals(f: PackedFunctions, fk, g: PackedFunctions, gk):
-    """The closed form once per overlapping pair of the kinds ``fk`` of f
-    and ``gk`` of g.
+    """``_poly_exp_integral`` once per overlapping pair of the kinds ``fk``
+    of f and ``gk`` of g.
 
     Returns the integrals' real and imaginary parts at positions 1, 2, ...
     (position 0 holds zeros) and the (len(fk), len(gk)) table of the
@@ -640,19 +555,23 @@ def _kind_integrals(f: PackedFunctions, fk, g: PackedFunctions, gk):
     a, b = np.nonzero(lo < hi)
     position = np.zeros(lo.shape, dtype=np.intp)
     position[a, b] = np.arange(1, a.size + 1)
-    ir, ii = np.zeros(a.size + 1), np.zeros(a.size + 1)
-    if a.size:
-        ir[1:], ii[1:] = _integrals(fpow[a, 0] + gpow[b], fre[a, 0] + gre[b],
-                                    fim[a, 0] + -gim[b], lo[a, b], hi[a, b])
-    return ir, ii, position
+    integrals = np.zeros(a.size + 1, dtype=complex)
+    pairs = zip((fpow[a, 0] + gpow[b]).tolist(), (fre[a, 0] + gre[b]).tolist(),
+                (fim[a, 0] + -gim[b]).tolist(), lo[a, b].tolist(), hi[a, b].tolist())
+    for n, (k, ur, ui, x, y) in enumerate(pairs, 1):
+        # a degenerate integral is a float: widened to complex(v, 0.0), as
+        # inner's product widens it
+        integrals[n] = complex(_poly_exp_integral(k, complex(ur, ui), x, y))
+    return integrals.real, integrals.imag, position
 
 
 def gram(fs, gs) -> np.ndarray:
     """The matrix ``inner(f, g)`` over f in fs (rows) and g in gs (columns).
 
     fs and gs are sequences of functions or their :func:`pack` forms.  Every
-    entry equals the scalar ``inner`` bit for bit.  The closed form runs
-    once per overlapping pair of the term kinds present in fs and gs.  Then,
+    entry equals the scalar ``inner`` bit for bit.  The closed form of
+    ``inner``, ``_poly_exp_integral``, runs once per overlapping pair of the
+    term kinds present in fs and gs.  Then,
     for each pair of term slots, each entry whose terms overlap gathers its
     integral, multiplies its coefficient product by it and accumulates, in
     ``inner``'s term order.

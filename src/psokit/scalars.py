@@ -20,7 +20,10 @@ _PATTERN = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``"a+bi"`` style literals; raises ValueError on anything else."""
+    """Parse ``"a+bi"`` style literals or JSON numbers; raises ValueError on
+    anything else, a bool included."""
+    if isinstance(text, bool):
+        raise ValueError(f"invalid complex literal {text!r}: a bool is not a number")
     if isinstance(text, (int, float)):
         return complex(text)
     m = _PATTERN.match(text)

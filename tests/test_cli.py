@@ -39,6 +39,14 @@ def test_parse_complex_rejects(bad):
         parse_complex(bad)
 
 
+def test_parse_complex_rejects_a_bool():
+    # True == 1 in Python, but a JSON boolean is not a number
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="a bool is not a number"):
+            parse_complex(flag)
+    assert parse_complex(1) == 1 + 0j
+
+
 def test_format_round_trip():
     for z in (0j, 1 + 0j, -2.5j, 3 + 1j, -0.125 - 4j, 1e-3 + 2e2j):
         assert parse_complex(format_complex(z)) == z
@@ -247,6 +255,41 @@ def test_matrix_momentum_model_is_rejected(tmp_path, capsys):
     assert cli.build_model({"kind": "momentum", "m": 1}).describe() == "momentum(m=1)"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "shift", "d": 32.7}, "d must be an integer"),
+    ({"kind": "shift", "d": 32.0}, "d must be an integer"),
+    ({"kind": "shift", "d": "32"}, "d must be an integer"),
+    ({"kind": "shift", "d": True}, "d must be an integer"),
+    ({"kind": "haar", "j_range": [0.5, 2.9], "k_range": [0, 1]},
+     "j_range bound must be an integer"),
+    ({"kind": "haar", "j_range": [True, True], "k_range": [0, 1]},
+     "j_range bound must be an integer"),
+    ({"kind": "haar", "j_range": "01", "k_range": [0, 1]},
+     "j_range must be a list of two integers"),
+    ({"kind": "haar", "j_range": [0, 1], "k_range": [0, 1, 2]},
+     "k_range must be a list of two integers"),
+    ({"kind": "haar", "j_range": [0, 1], "k_range": [1]},
+     "k_range must be a list of two integers"),
+    ({"kind": "nonlocal", "case": "I", "alpha": True}, "a bool is not a number"),
+    ({"kind": "shift", "d": 8, "twist": False}, "a bool is not a number"),
+], ids=["d-float", "d-integral-float", "d-string", "d-bool", "range-floats",
+        "range-bools", "range-string", "range-three", "range-one", "alpha-bool",
+        "twist-bool"])
+def test_integer_and_complex_model_fields_are_not_coerced(tmp_path, capsys, spec, message):
+    path = write_scenario(tmp_path, {"name": "bad", "model": spec, "checks": ["gram"]})
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model: ") and message in err
+
+
+def test_integer_model_fields_accept_json_integers():
+    assert cli.build_model({"kind": "shift", "d": 32}).describe() == "shift(d=32,twist=-1)"
+    haar = cli.build_model({"kind": "haar", "j_range": [0, 2], "k_range": [-1, 1]})
+    assert (haar.j_range, haar.k_range) == ((0, 2), (-1, 1))
+    nonlocal_model = cli.build_model({"kind": "nonlocal", "case": "I", "alpha": 1})
+    assert nonlocal_model.alpha == 1
+
+
 def test_bad_model_parameter_is_error(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "name": "bad",
@@ -350,6 +393,32 @@ def test_sweep_constant_theta_columns(tmp_path):
 def test_sweep_rejects_haar(tmp_path, capsys):
     spec = json.dumps({"kind": "haar", "j_range": [0, 1], "k_range": [0, 1]})
     assert cli.main(["sweep", "--model", spec, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_sweep_with_a_non_finite_theta_is_error(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    spec = json.dumps({"kind": "nonlocal", "case": "I", "alpha": "1e200",
+                       "grid": {"re": [0], "im": [1]}})
+    assert cli.main(["sweep", "--model", spec, "--out", str(out)]) == 2
+    assert "lambda=1i: theta is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_a_raising_char_function_is_error(tmp_path, capsys, monkeypatch):
+    original = triplets.char_function
+
+    def raising(triplet, defects, lam):
+        if lam.real > 0:
+            raise ValueError("boom")
+        return original(triplet, defects, lam)
+
+    monkeypatch.setattr(triplets, "char_function", raising)
+    out = tmp_path / "grid.csv"
+    spec = json.dumps({"kind": "nonlocal", "case": "I", "alpha": "1",
+                       "grid": {"re": [0, 1, 2], "im": [1]}})
+    assert cli.main(["sweep", "--model", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: lambda=1+1i: boom\n"
+    assert not out.exists()
 
 
 def test_list_checks(capsys):

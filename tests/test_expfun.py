@@ -276,6 +276,27 @@ def test_gram_rejects_a_degenerate_exponent_on_a_half_line_as_inner_does():
         gram([f], [f])
 
 
+def test_gram_takes_its_integrals_from_the_closed_form_of_inner(monkeypatch):
+    fs = [
+        # a degenerate exponent on a finite piece, and half lines on both sides
+        PiecewiseExpFunction.single(1.5 - 0.5j, 0.0, 2.0, complex(3e-15, 0.0), 1)
+        + half_line_right(0.5j, complex(-1.0, 2.0)),
+        half_line_left(2.0, complex(0.5, -1.0)) + half_line_right(1.0, -0.25),
+    ]
+    exact = [[inner(f, h) for h in fs] for f in fs]
+    original = expfun._poly_exp_integral
+
+    def perturbed(*args):
+        return original(*args) * (1 + 1e-3)
+
+    monkeypatch.setattr(expfun, "_poly_exp_integral", perturbed)
+    g = gram(fs, fs)
+    for a, f in enumerate(fs):
+        for b, h in enumerate(fs):
+            assert bits(g[a, b]) == bits(inner(f, h)), (a, b)
+            assert g[a, b] != exact[a][b], (a, b)
+
+
 def test_pack_tells_kinds_apart_bit_for_bit():
     # kinds that differ only in the sign of a zero endpoint or exponent part
     fs = [PiecewiseExpFunction.single(1.0, lo, 1.0, complex(0.5, im))
