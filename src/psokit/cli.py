@@ -139,12 +139,20 @@ def build_model(spec):
     raise ScenarioError(f"model: unknown kind {kind!r}")
 
 
+def _json_numbers(value, name):
+    """value if it is a list of JSON numbers; a bool or a string is not one."""
+    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return value
+
+
 def build_grid(spec) -> psocheck.Grid:
     if spec is None:
         return psocheck.Grid.default()
     try:
-        return psocheck.Grid.from_axes(spec["re"], spec["im"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return psocheck.Grid.from_axes(_json_numbers(spec["re"], "re"),
+                                       _json_numbers(spec["im"], "im"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"grid: {exc}") from exc
 
 

@@ -8,6 +8,10 @@ differentiation, and the resolvent of the free momentum operator ``i d/dx``.
 Inner products are evaluated in closed form, and an independent composite
 Gauss-Legendre quadrature is provided as a cross-checking oracle.
 
+A term's kind (interval, exponent, power) is validated once, when the term
+is built from raw values; merging, negation and scalar multiples reuse it
+and check only the new coefficient.
+
 All values are Python complex scalars; numpy enters for vectorized
 pointwise evaluation inside the quadrature oracle and for the batched Gram
 kernel, which packs many functions into arrays, takes its integrals from
@@ -50,6 +54,7 @@ class ExpTerm:
 
     Invariants guarantee square integrability: an infinite left end needs
     ``Re(exponent) > 0`` and an infinite right end needs ``Re(exponent) < 0``.
+    The constructor validates the kind; ``_with_coeff`` reuses a validated one.
     """
 
     coeff: complex
@@ -84,6 +89,17 @@ class ExpTerm:
     def _key(self):
         return (self.lo, self.hi, self.exponent, self.power)
 
+    def _with_coeff(self, coeff: complex) -> "ExpTerm":
+        """This validated kind with a new complex coefficient, checked finite."""
+        if not cmath.isfinite(coeff):
+            raise ValueError("coefficient and exponent must be finite")
+        term = object.__new__(ExpTerm)
+        # field by field: copying __dict__ would give each term its own dict
+        object.__setattr__(term, "coeff", coeff)
+        for name in ("lo", "hi", "exponent", "power"):
+            object.__setattr__(term, name, getattr(self, name))
+        return term
+
 
 def _sort_key(t: ExpTerm):
     return (t.lo, t.hi, t.exponent.real, t.exponent.imag, t.power)
@@ -93,25 +109,23 @@ def _sort_key(t: ExpTerm):
 class PiecewiseExpFunction:
     """Finite sum of :class:`ExpTerm`; the zero function has no terms.
 
-    Construction canonicalizes: terms sharing (lo, hi, exponent, power) are
-    merged and exact-zero coefficients are dropped, so equal functions built
-    the same way compare equal term by term.
+    Construction canonicalizes: terms of one (lo, hi, exponent, power) merge
+    into the validated kind of the first and exact-zero coefficients are
+    dropped, so equal functions built the same way compare equal term by term.
     """
 
     terms: tuple[ExpTerm, ...] = field(default=())
 
     def __init__(self, terms=()):
         acc: dict[tuple, complex] = {}
+        kinds: dict[tuple, ExpTerm] = {}
         for t in terms:
             if not isinstance(t, ExpTerm):
                 t = ExpTerm(*t)
             key = t._key()
             acc[key] = acc.get(key, 0j) + t.coeff
-        merged = [
-            ExpTerm(c, lo, hi, s, p)
-            for (lo, hi, s, p), c in acc.items()
-            if c != 0
-        ]
+            kinds.setdefault(key, t)
+        merged = [kinds[key]._with_coeff(c) for key, c in acc.items() if c != 0]
         merged.sort(key=_sort_key)
         object.__setattr__(self, "terms", tuple(merged))
 
@@ -142,9 +156,7 @@ class PiecewiseExpFunction:
         return PiecewiseExpFunction(self.terms + other.terms)
 
     def __neg__(self):
-        return PiecewiseExpFunction(
-            ExpTerm(-t.coeff, t.lo, t.hi, t.exponent, t.power) for t in self.terms
-        )
+        return PiecewiseExpFunction(t._with_coeff(-t.coeff) for t in self.terms)
 
     def __sub__(self, other):
         if not isinstance(other, PiecewiseExpFunction):
@@ -155,9 +167,7 @@ class PiecewiseExpFunction:
         if isinstance(scalar, PiecewiseExpFunction):
             return NotImplemented
         c = complex(scalar)
-        return PiecewiseExpFunction(
-            ExpTerm(c * t.coeff, t.lo, t.hi, t.exponent, t.power) for t in self.terms
-        )
+        return PiecewiseExpFunction(t._with_coeff(c * t.coeff) for t in self.terms)
 
     __rmul__ = __mul__
 

@@ -24,6 +24,7 @@ from . import matops
 from .expfun import (
     NEG_INF,
     POS_INF,
+    ExpTerm,
     PiecewiseExpFunction,
     coefficient_distance,
     free_resolvent,
@@ -47,14 +48,10 @@ def _half_line(coeff, exponent, side) -> PiecewiseExpFunction:
     return PiecewiseExpFunction.single(coeff, 0.0, POS_INF, exponent)
 
 
-def upper_defect_exponential(z: complex) -> PiecewiseExpFunction:
-    """chi_(-inf,0) exp(-izx), square integrable exactly for Im z > 0."""
-    return _half_line(1.0, -1j * complex(z), "-")
-
-
-def lower_defect_exponential(z: complex) -> PiecewiseExpFunction:
-    """chi_(0,inf) exp(-izx), square integrable exactly for Im z < 0."""
-    return _half_line(1.0, -1j * complex(z), "+")
+def _defect_exponential(coeff: complex, z: complex) -> ExpTerm:
+    """coeff * exp(-izx) on (-inf, 0) for Im z > 0, on (0, inf) for Im z < 0."""
+    lo, hi = (NEG_INF, 0.0) if z.imag > 0 else (0.0, POS_INF)
+    return ExpTerm(coeff, lo, hi, -1j * complex(z))
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +83,7 @@ class MomentumModel:
 
     @staticmethod
     def _defect(z: complex) -> PiecewiseExpFunction:
-        if z.imag > 0:
-            return upper_defect_exponential(z)
-        return lower_defect_exponential(z)
+        return PiecewiseExpFunction((_defect_exponential(1.0, z),))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return 1j * f.derivative(jump_ok_at=(0.0,))
@@ -418,13 +413,13 @@ class NonlocalModel:
         g = free_resolvent(z, self.gamma) if not self.gamma.is_zero \
             else PiecewiseExpFunction.zero()
         g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
-        if z.imag > 0:
-            bump = upper_defect_exponential(z)
-        else:
-            bump = lower_defect_exponential(z)
+        # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge; a
+        # merge starts from 0j, erasing zero signs, so the bits are the same
         if self.case == "I":
-            return g - 2 * (1 + g0) * bump
-        return g + bump if z.imag > 0 else g - bump
+            coeff = -2 * (1 + g0)
+        else:
+            coeff = 1.0 if z.imag > 0 else -1.0
+        return PiecewiseExpFunction(g.terms + (_defect_exponential(coeff, z),))
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

@@ -57,6 +57,8 @@ class Grid:
         dn = tuple(complex(z) for z in self.lambdas_lower)
         if not up or not dn:
             raise ValueError("grid must sample both half planes")
+        if not np.isfinite(up + dn).all():
+            raise ValueError("grid points must be finite")
         if any(z.imag <= 0 for z in up):
             raise ValueError("upper grid contains non-upper points")
         if any(z.imag >= 0 for z in dn):

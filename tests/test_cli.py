@@ -326,6 +326,29 @@ def test_grid_override_is_used(tmp_path):
     assert cli.main(["run", path]) == 0
 
 
+@pytest.mark.parametrize("grid, message", [
+    ('{"re": [true], "im": [1]}', "re must be a list of numbers"),
+    ('{"re": [0, 1], "im": [true]}', "im must be a list of numbers"),
+    ('{"re": ["1"], "im": [1]}', "re must be a list of numbers"),
+    ('{"re": [0], "im": ["1"]}', "im must be a list of numbers"),
+    ('{"re": 0, "im": [1]}', "re must be a list of numbers"),
+    ('{"re": [[0]], "im": [1]}', "re must be a list of numbers"),
+    ('{"re": [NaN], "im": [1]}', "grid points must be finite"),
+    ('{"re": [0], "im": [NaN]}', "grid points must be finite"),
+    ('{"re": [Infinity], "im": [1]}', "grid points must be finite"),
+    ('{"re": [0], "im": [1e400]}', "grid points must be finite"),
+    ('{"re": [1' + "0" * 400 + '], "im": [1]}', "int too large to convert to float"),
+], ids=["re-bool", "im-bool", "re-string", "im-string", "re-scalar", "re-nested",
+        "re-nan", "im-nan", "re-infinity", "im-overflow", "re-huge-int"])
+def test_grid_values_must_be_finite_json_numbers(tmp_path, capsys, grid, message):
+    path = tmp_path / "bad-grid.json"
+    path.write_text('{"name": "bad-grid", "model": {"kind": "momentum"}, '
+                    '"checks": ["pso"], "grid": %s}' % grid)
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid: ") and message in err
+
+
 def test_classify_requires_certificate_or_theta(tmp_path, capsys):
     refused = write_scenario(tmp_path, {
         "name": "classify-refused",

@@ -54,6 +54,55 @@ def test_canonicalization_merges_and_drops_zeros():
     assert f == PiecewiseExpFunction.zero()
 
 
+def test_a_merge_that_overflows_is_rejected():
+    big = PiecewiseExpFunction.single(1e308, 0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="coefficient and exponent must be finite"):
+        big + big
+    with pytest.raises(ValueError, match="coefficient and exponent must be finite"):
+        PiecewiseExpFunction(big.terms + big.terms)
+
+
+@pytest.mark.parametrize("scalar", [1e300, -1e300j, float("inf"), complex("nan")],
+                         ids=repr)
+def test_a_scalar_multiple_that_is_not_finite_is_rejected(scalar):
+    f = PiecewiseExpFunction.single(1e10, 0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="coefficient and exponent must be finite"):
+        f * scalar
+    with pytest.raises(ValueError, match="coefficient and exponent must be finite"):
+        scalar * f
+
+
+@pytest.mark.parametrize("term, message", [
+    ((1.0, 1.0, 1.0, 0.0), "empty interval"),
+    ((1.0, 1.0, 0.0, 0.0), "empty interval"),
+    ((1.0, float("nan"), 1.0, 0.0), "empty interval"),
+    ((1.0, NEG_INF, 0.0, -1.0), "need Re\\(exponent\\) > 0 at -inf"),
+    ((1.0, 0.0, POS_INF, 1j), "need Re\\(exponent\\) < 0 at \\+inf"),
+    ((float("inf"), 0.0, 1.0, 0.0), "coefficient and exponent must be finite"),
+    ((1.0, 0.0, 1.0, complex("nan")), "coefficient and exponent must be finite"),
+    ((1.0, 0.0, 1.0, 0.0, -1), "power must be a nonnegative integer"),
+    ((1.0, 0.0, 1.0, 0.0, 1.5), "power must be a nonnegative integer"),
+], ids=["empty", "reversed", "nan-end", "left-tail", "right-tail", "coeff",
+        "exponent", "negative-power", "fractional-power"])
+def test_tuple_terms_are_fully_validated(term, message):
+    with pytest.raises(ValueError, match=message):
+        PiecewiseExpFunction([term])
+    # also behind a term of another kind that is already validated
+    with pytest.raises(ValueError, match=message):
+        PiecewiseExpFunction([ExpTerm(1.0, 0.0, 1.0, 2.0), term])
+
+
+def test_merged_negated_and_scaled_terms_equal_fully_built_ones():
+    f = PiecewiseExpFunction([(1.5, -1.0, 1.0, 2j, 1), (-0.5, NEG_INF, 0.0, 1 + 1j),
+                              (0.25, -1.0, 1.0, 2j, 1)])
+    for g, scale in ((f, 1), (-f, -1), (f * (2 - 1j), 2 - 1j), (f + f, 2)):
+        assert g.terms == tuple(
+            ExpTerm(c * scale, lo, hi, s, p)
+            for c, lo, hi, s, p in ((-0.5, NEG_INF, 0.0, 1 + 1j, 0),
+                                    (1.75, -1.0, 1.0, 2j, 1)))
+        assert all(type(t.coeff) is complex and type(t.power) is int for t in g.terms)
+
+
 # -- closed-form inner product --------------------------------------------
 
 

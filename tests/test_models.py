@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psokit import models
 from psokit.expfun import (
     NEG_INF,
     POS_INF,
+    ExpTerm,
     PiecewiseExpFunction,
+    free_resolvent,
     gram,
     inner,
     inner_quadrature,
@@ -296,6 +300,81 @@ def test_nonlocal_rejects_unknown_case():
 def test_nonlocal_defect_normalized():
     model = NonlocalModel("II", 1.0)
     assert norm(model.defects.normalized(1j)) == pytest.approx(1.0)
+
+
+def reference_defect(model, z):
+    """The defect vector as g - 2 (1 + g0) bump (case I) or g +- bump (case II)."""
+    g = free_resolvent(z, model.gamma) if not model.gamma.is_zero \
+        else PiecewiseExpFunction.zero()
+    g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
+    bump = left_exp(1.0, -1j * z) if z.imag > 0 else right_exp(1.0, -1j * z)
+    if model.case == "I":
+        return g - 2 * (1 + g0) * bump
+    return g + bump if z.imag > 0 else g - bump
+
+
+def term_bits(build, *args):
+    """Every part of every term as float.hex, or the error raised instead."""
+    try:
+        f = build(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(t.coeff.real.hex(), t.coeff.imag.hex(), t.lo.hex(), t.hi.hex(),
+             t.exponent.real.hex(), t.exponent.imag.hex(), t.power) for t in f.terms]
+
+
+signed_zero_st = st.sampled_from([0.0, -0.0])
+alpha_st = st.one_of(
+    # zero of every sign, and the Phillips points of both cases
+    st.sampled_from([0, 0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                     4j, -4j, 2j, -2j]),
+    st.builds(complex, st.floats(-1e3, 1e3), signed_zero_st),
+    st.builds(complex, signed_zero_st, st.floats(-1e3, 1e3)),
+    st.builds(cmath.rect, st.floats(-300, 154).map(lambda e: 10.0 ** e),
+              st.floats(-math.pi, math.pi)),
+)
+defect_point_st = st.builds(
+    lambda re, im, upper: complex(re, im if upper else -im),
+    st.one_of(signed_zero_st, st.floats(-1e3, 1e3)),
+    st.floats(1e-6, 1e3), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["I", "II"]), alpha_st, defect_point_st)
+# couplings beyond the drawn range, whose defect vectors overflow and raise
+@example("I", 1e308j, 0.1j)
+@example("I", 1.7e308, complex(-0.0, -0.1))
+@example("II", 1.7e308, 0.1j)
+def test_defect_vectors_are_bit_identical_to_the_algebra_expression(case, alpha, z):
+    model = NonlocalModel(case, alpha)
+    assert term_bits(model._defect, z) == term_bits(reference_defect, model, z)
+
+
+@pytest.mark.parametrize("case, alpha", [("I", 4j), ("II", 1)])
+def test_a_dense_defect_family_takes_one_canonicalisation_per_vector(
+        monkeypatch, case, alpha):
+    calls = {"validations": 0, "canonicalisations": 0}
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(ExpTerm, "__post_init__",
+                        counted("validations", ExpTerm.__post_init__))
+    monkeypatch.setattr(PiecewiseExpFunction, "__init__",
+                        counted("canonicalisations", PiecewiseExpFunction.__init__))
+    model = NonlocalModel(case, alpha)
+    uppers = [complex(re, im) for re in range(-15, 16)
+              for im in (0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10)]
+    for z in uppers + [z.conjugate() for z in uppers]:
+        model.defects(z)
+    # the model takes 4 validations and 5 canonicalisations; each of the 620
+    # vectors then validates its two resolvent terms and its bump (at the
+    # resonant point, -i in case I and i in case II, one resolvent term
+    # vanishes) and canonicalises the resolvent and itself, once each
+    assert calls == {"validations": 4 + 3 * 620 - 1, "canonicalisations": 5 + 2 * 620}
 
 
 # -- Haar system -------------------------------------------------------------------

@@ -46,6 +46,26 @@ def test_grid_rejects_real_points():
         Grid((), (-1j,))
 
 
+@pytest.mark.parametrize("upper, lower", [
+    ((complex(0.0, math.nan),), (-1j,)),
+    ((complex(math.inf, 1.0),), (-1j,)),
+    ((1j, complex(0.0, math.inf)), (-1j,)),
+    ((1j,), (complex(math.nan, -1.0),)),
+    ((1j,), (complex(0.0, -math.inf),)),
+], ids=["upper-nan-im", "upper-inf-re", "upper-inf-im", "lower-nan-re", "lower-inf-im"])
+def test_grid_rejects_points_that_are_not_finite(upper, lower):
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        Grid(upper, lower)
+
+
+@pytest.mark.parametrize("re, im", [([math.nan], [1.0]), ([0.0], [math.nan]),
+                                    ([-math.inf], [1.0]), ([0.0, 1.0], [1.0, math.inf])],
+                         ids=["re-nan", "im-nan", "re-minus-inf", "im-inf"])
+def test_grid_from_axes_rejects_values_that_are_not_finite(re, im):
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        Grid.from_axes(re, im)
+
+
 # -- individual scans ------------------------------------------------------------
 
 
