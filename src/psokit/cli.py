@@ -149,10 +149,12 @@ def _json_numbers(value, name):
 def build_grid(spec) -> psocheck.Grid:
     if spec is None:
         return psocheck.Grid.default()
+    if not isinstance(spec, dict):
+        raise ScenarioError("grid: expected an object")
+    re, im = _require(spec, "re", "grid"), _require(spec, "im", "grid")
     try:
-        return psocheck.Grid.from_axes(_json_numbers(spec["re"], "re"),
-                                       _json_numbers(spec["im"], "im"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return psocheck.Grid.from_axes(_json_numbers(re, "re"), _json_numbers(im, "im"))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"grid: {exc}") from exc
 
 

@@ -456,8 +456,15 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 # defect vector of a nonlocal model carries the potential's term.  So
 # ``pack`` stores a table of the distinct kinds, told apart bit for bit,
 # and an index into it per term; ``gram`` evaluates the closed form once
-# per overlapping pair of kinds present, in Python, and leaves each entry
-# only a gather, two complex products and the accumulation.
+# per call for each overlapping pair of kinds present, in Python, and
+# leaves each entry only a gather, two complex products and the
+# accumulation.  Those per-entry steps run GRAM_BLOCK rows of the output
+# at a time, which bounds their temporaries and lets a block skip a slot
+# pair whose terms overlap nowhere in its rows.
+
+#: rows of the output whose per-entry products the kernel takes at once; a
+#: 310 x 310 Gram peaks at about 1 MB of temporaries beside its result
+GRAM_BLOCK = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,16 +565,20 @@ def _kind_integrals(f: PackedFunctions, fk, g: PackedFunctions, gk):
     (position 0 holds zeros) and the (len(fk), len(gk)) table of the
     position of each pair, 0 for a pair whose intervals do not overlap.
     """
-    flo, fhi, fre, fim, fpow = (x[fk, None] for x in f.kinds)
+    flo, fhi, fre, fim, fpow = (x[fk] for x in f.kinds)
     glo, ghi, gre, gim, gpow = (x[gk] for x in g.kinds)
-    lo = np.where(glo > flo, glo, flo)  # max(tf.lo, tg.lo)
-    hi = np.where(ghi < fhi, ghi, fhi)  # min(tf.hi, tg.hi)
-    a, b = np.nonzero(lo < hi)
-    position = np.zeros(lo.shape, dtype=np.intp)
+    # the candidates include every overlapping pair; the strict test on
+    # them is inner's, which also rejects the padding kind [0, 0]
+    a, b = np.nonzero((glo < fhi[:, None]) & (flo[:, None] < ghi))
+    lo = np.where(glo[b] > flo[a], glo[b], flo[a])  # max(tf.lo, tg.lo)
+    hi = np.where(ghi[b] < fhi[a], ghi[b], fhi[a])  # min(tf.hi, tg.hi)
+    on = lo < hi
+    a, b, lo, hi = a[on], b[on], lo[on], hi[on]
+    position = np.zeros((fk.size, gk.size), dtype=np.int32)
     position[a, b] = np.arange(1, a.size + 1)
     integrals = np.zeros(a.size + 1, dtype=complex)
-    pairs = zip((fpow[a, 0] + gpow[b]).tolist(), (fre[a, 0] + gre[b]).tolist(),
-                (fim[a, 0] + -gim[b]).tolist(), lo[a, b].tolist(), hi[a, b].tolist())
+    pairs = zip((fpow[a] + gpow[b]).tolist(), (fre[a] + gre[b]).tolist(),
+                (fim[a] + -gim[b]).tolist(), lo.tolist(), hi.tolist())
     for n, (k, ur, ui, x, y) in enumerate(pairs, 1):
         # a degenerate integral is a float: widened to complex(v, 0.0), as
         # inner's product widens it
@@ -580,32 +591,36 @@ def gram(fs, gs) -> np.ndarray:
 
     fs and gs are sequences of functions or their :func:`pack` forms.  Every
     entry equals the scalar ``inner`` bit for bit.  The closed form of
-    ``inner``, ``_poly_exp_integral``, runs once per overlapping pair of the
-    term kinds present in fs and gs.  Then,
-    for each pair of term slots, each entry whose terms overlap gathers its
-    integral, multiplies its coefficient product by it and accumulates, in
-    ``inner``'s term order.
+    ``inner``, ``_poly_exp_integral``, runs once per call for each
+    overlapping pair of the term kinds present in fs and gs.  Then, GRAM_BLOCK
+    rows at a time and for each pair of term slots (p outer, q inner, as in
+    ``inner``), each entry whose terms overlap gathers its integral,
+    multiplies its coefficient product by it and accumulates.
     """
     f = fs if isinstance(fs, PackedFunctions) else pack(fs)
     g = gs if isinstance(gs, PackedFunctions) else pack(gs)
     (fk, fi), (gk, gi) = _present(f), _present(g)
     out = np.zeros((len(f), len(g)), dtype=complex)
-    total_re, total_im = out.real, out.imag
+    g_conj_im = -g.coeff_im
     with np.errstate(all="ignore"):
         ir, ii, position = _kind_integrals(f, fk, g, gk)
         # entry (i, j) of slot pair (p, q) takes position.flat[fi[i, p] + gi[j, q]]
         fi = fi * len(gk)
-        for p in range(fi.shape[1]):
-            for q in range(gi.shape[1]):
-                pos = position.take(fi[:, p, None] + gi[:, q])
-                on = pos != 0
-                if not on.any():
-                    continue
-                cr, ci = _mul(f.coeff_re[:, p, None], f.coeff_im[:, p, None],
-                              g.coeff_re[:, q], -g.coeff_im[:, q])
-                cr, ci = _mul(cr, ci, ir.take(pos), ii.take(pos))
-                np.add(total_re, cr, out=total_re, where=on)
-                np.add(total_im, ci, out=total_im, where=on)
+        for start in range(0, len(f), GRAM_BLOCK):
+            rows = slice(start, start + GRAM_BLOCK)
+            total_re, total_im = out[rows].real, out[rows].imag
+            f_re, f_im, f_at = f.coeff_re[rows], f.coeff_im[rows], fi[rows]
+            for p in range(fi.shape[1]):
+                for q in range(gi.shape[1]):
+                    pos = position.take(f_at[:, p, None] + gi[:, q])
+                    on = pos != 0
+                    if not on.any():
+                        continue
+                    cr, ci = _mul(f_re[:, p, None], f_im[:, p, None],
+                                  g.coeff_re[:, q], g_conj_im[:, q])
+                    cr, ci = _mul(cr, ci, ir.take(pos), ii.take(pos))
+                    np.add(total_re, cr, out=total_re, where=on)
+                    np.add(total_im, ci, out=total_im, where=on)
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matops, triplets
 # inner stays bound here for bench/tracer.py, which rebinds every import of it
-from .expfun import gram, inner, pack  # noqa: F401
+from .expfun import GRAM_BLOCK, gram, inner, pack  # noqa: F401
 from .scalars import format_complex
 
 PASS_ORTHOGONALITY = 1e-10
@@ -36,25 +36,24 @@ VERDICT_FAIL = "fail"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_ERROR = "error"
 
-#: lower defect vectors paired per Gram evaluation; bounds the kernel's
-#: temporaries to a few rows of the full matrix (a 310 x 310 scan peaks at
-#: about 0.95 MB with 24, against 1.25 MB with 32)
-GRAM_BLOCK = 24
-
 DEFAULT_RE = tuple(float(r) for r in range(-5, 6))
 DEFAULT_IM = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Sampling of both open half planes; no real points allowed."""
+    """Sampling of both open half planes; no real points allowed.
+
+    Each half plane keeps the first occurrence of each point, so a repeated
+    point is evaluated once; -0.0 and 0.0 are the same coordinate.
+    """
 
     lambdas_upper: tuple[complex, ...]
     lambdas_lower: tuple[complex, ...]
 
     def __post_init__(self):
-        up = tuple(complex(z) for z in self.lambdas_upper)
-        dn = tuple(complex(z) for z in self.lambdas_lower)
+        up = tuple(dict.fromkeys(complex(z) for z in self.lambdas_upper))
+        dn = tuple(dict.fromkeys(complex(z) for z in self.lambdas_lower))
         if not up or not dn:
             raise ValueError("grid must sample both half planes")
         if not np.isfinite(up + dn).all():
@@ -174,9 +173,10 @@ def _normalized_defects(model, points, label: str, failures: list[str]):
 def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest normalized pairing between upper and lower defect vectors.
 
-    The pairings are Gram entries of the packed vectors, GRAM_BLOCK lower
-    vectors at a time; the witness is the first largest one in nu-major,
-    lambda-minor order.
+    The pairings are the entries of one Gram matrix of the packed vectors,
+    taken only when both half planes have vectors; the witness is the first
+    largest one in nu-major, lambda-minor order, found GRAM_BLOCK lower
+    vectors at a time.
     """
     grid = grid or Grid.default()
     failures = []
@@ -184,9 +184,10 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     lowers, down = _normalized_defects(model, grid.lambdas_lower, "nu", failures)
     worst = 0.0
     witness = None
-    # with no upper vector there is nothing to pair (and no entry to take)
-    for start in range(0, len(lowers) if uppers else 0, GRAM_BLOCK):
-        pairings = gram(up, down[start:start + GRAM_BLOCK]).T  # rows nu
+    # with no vector on one side there is nothing to pair
+    matrix = gram(up, down) if uppers and lowers else np.empty((0, 0))
+    for start in range(0, matrix.shape[1], GRAM_BLOCK):
+        pairings = matrix[:, start:start + GRAM_BLOCK].T  # rows nu
         vals = np.hypot(pairings.real, pairings.imag)  # abs() of each entry
         # a NaN pairing never beats the worst, as in a scalar val > worst
         i = int(np.argmax(np.where(np.isnan(vals), -1.0, vals)))

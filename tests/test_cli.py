@@ -349,6 +349,29 @@ def test_grid_values_must_be_finite_json_numbers(tmp_path, capsys, grid, message
     assert err.startswith("error: grid: ") and message in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"im": [1]}, "grid: missing required field 're'"),
+    ({"re": [0]}, "grid: missing required field 'im'"),
+    ([[0], [1]], "grid: expected an object"),
+], ids=["no-re", "no-im", "list"])
+def test_a_grid_without_an_axis_names_the_missing_field(spec, message):
+    with pytest.raises(cli.ScenarioError) as info:
+        cli.build_grid(spec)
+    assert str(info.value) == message
+
+
+def test_repeated_grid_points_are_one_point(tmp_path, capsys):
+    # four spellings of lambda = 1j: one point, so constancy compares nothing
+    path = write_scenario(tmp_path, {
+        "name": "repeated-points",
+        "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+        "checks": ["constancy"],
+        "grid": {"re": [0, 0.0], "im": [1, -1]},
+    })
+    assert cli.main(["run", path]) == 2
+    assert json.loads(capsys.readouterr().out)["checks"][0]["verdict"] == "error"
+
+
 def test_classify_requires_certificate_or_theta(tmp_path, capsys):
     refused = write_scenario(tmp_path, {
         "name": "classify-refused",

@@ -365,6 +365,57 @@ def test_gram_of_packed_rows_is_the_block_of_the_full_matrix():
     np.testing.assert_array_equal(gram(packed, packed[2:5]), full[:, 2:5])
 
 
+def block_family(rng, count):
+    """count functions over the pools of gram_functions_st: a left tail, a
+    finite piece whose exponent pairs to a degenerate one, a finite piece
+    and a right tail, with endpoints of both zero signs.  Every fourth one
+    lacks the left tail, so its other terms sit one slot further left, and
+    every ninth one is zero."""
+    def pick(pool):
+        return pool[rng.integers(len(pool))]
+
+    def coeff():
+        return complex(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
+
+    fs = []
+    for i in range(count):
+        terms = [
+            ExpTerm(coeff(), *pick(GRAM_INTERVALS), complex(pick(GRAM_TINY), pick(GRAM_TINY)),
+                    int(rng.integers(0, 3))),
+            ExpTerm(coeff(), *pick(GRAM_INTERVALS),
+                    complex(pick(GRAM_EXP_RE), pick(GRAM_EXP_IM)), int(rng.integers(0, 2))),
+            ExpTerm(coeff(), pick(GRAM_ENDS), POS_INF, complex(-pick(GRAM_DECAY), pick(GRAM_EXP_IM))),
+        ]
+        if i % 4:
+            terms.append(ExpTerm(coeff(), NEG_INF, pick(GRAM_ENDS),
+                                 complex(pick(GRAM_DECAY), pick(GRAM_EXP_IM))))
+        fs.append(PiecewiseExpFunction(terms if i % 9 else ()))
+    return fs
+
+
+def test_gram_equals_inner_across_row_blocks():
+    block = expfun.GRAM_BLOCK
+    rng = np.random.default_rng(21)
+    fs = block_family(rng, 2 * block + 9)
+    gs = block_family(rng, block + 3)
+    rows = slice(4, 4 + 2 * block + 5)
+    packed = expfun.pack(fs)
+    # slot 0 holds a left tail in some rows and a finite piece in others
+    assert {f.terms[0].lo == NEG_INF for f in fs[rows] if f.terms} == {True, False}
+    g = gram(packed[rows], gs)
+    assert g.shape == (2 * block + 5, block + 3)
+    for a, f in enumerate(fs[rows]):
+        for b, h in enumerate(gs):
+            assert bits(g[a, b]) == bits(inner(f, h)), (a, b)
+
+
+def test_gram_of_an_empty_side_is_an_empty_matrix():
+    fs = block_family(np.random.default_rng(22), 3)
+    assert gram(fs, []).shape == (3, 0)
+    assert gram([], fs).shape == (0, 3)
+    assert gram(expfun.pack(fs)[3:], fs).shape == (0, 3)
+
+
 # -- boundary values ---------------------------------------------------------
 
 

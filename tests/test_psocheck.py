@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from psokit import cli, expfun, matops, models, triplets
+from psokit import cli, expfun, matops, models, psocheck, triplets
 from psokit.expfun import inner
 from psokit.models import MomentumModel, NonlocalModel, momentum_eigen_test
 from psokit.psocheck import (
@@ -37,6 +38,31 @@ def test_default_grid_shape():
     assert all(z.imag > 0 for z in grid.lambdas_upper)
     assert all(z.imag < 0 for z in grid.lambdas_lower)
     assert 1j in grid.lambdas_upper and -1j in grid.lambdas_lower
+
+
+def test_grid_keeps_the_first_occurrence_of_each_point():
+    grid = Grid((1j, 2 + 1j, complex(-0.0, 1.0), 1j), (complex(-0.0, -1.0), -1j))
+    assert grid.lambdas_upper == (1j, 2 + 1j)
+    assert grid.lambdas_lower == (-1j,)
+    assert math.copysign(1.0, grid.lambdas_lower[0].real) == -1.0  # the first one
+
+
+def test_mirrored_and_repeated_axis_values_give_one_point():
+    grid = Grid.from_axes([0, 0.0], [1, -1])
+    assert (grid.lambdas_upper, grid.lambdas_lower) == ((1j,), (-1j,))
+    single = Grid.from_axes([0], [1])
+    model = NonlocalModel("I", 1)  # not a Phillips point
+    # one point compares nothing: error, as on the one-point grid
+    assert constancy_scan(model, None, grid).verdict == "error"
+    for scan in (orthogonality_scan, inclusion_scan):
+        got, want = scan(model, grid), scan(model, single)
+        assert (got.verdict, repr(got.max_residual), got.witness) == \
+            (want.verdict, repr(want.max_residual), want.witness)
+
+
+def test_the_pinned_grids_hold_no_repeated_points():
+    for grid, count in ((Grid.default(), 66), (DENSE_GRID, 310), (SMALL_GRID, 9)):
+        assert len(grid.lambdas_upper) == len(grid.lambdas_lower) == count
 
 
 def test_grid_rejects_real_points():
@@ -425,11 +451,13 @@ def test_dense_orthogonality_scan_takes_only_its_norms_as_scalars(monkeypatch):
     assert calls["inner"] == 620
 
 
-@pytest.mark.parametrize("grid, expected", [(DENSE_GRID, 323), (Grid.default(), 69)],
-                         ids=["dense", "default"])
-def test_orthogonality_scan_evaluates_a_closed_form_per_kind_pair(monkeypatch, grid,
-                                                                   expected):
-    model = NonlocalModel("I", 4j)
+@pytest.mark.parametrize("model, grid, verdict, expected", [
+    (NonlocalModel("I", 4j), DENSE_GRID, "pass", 311),
+    (NonlocalModel("I", 4j), Grid.default(), "pass", 67),
+    (NonlocalModel("II", 1), DENSE_GRID, "fail", 311),
+], ids=["dense", "default", "dense-II(1)"])
+def test_orthogonality_scan_evaluates_a_closed_form_per_kind_pair(monkeypatch, model, grid,
+                                                                   verdict, expected):
     for z in (*grid.lambdas_upper, *grid.lambdas_lower):
         model.defects.norm(z)  # cached, so the scan's norms take no closed form
     closed_forms = Counter()
@@ -440,10 +468,44 @@ def test_orthogonality_scan_evaluates_a_closed_form_per_kind_pair(monkeypatch, g
         return original(*args)
 
     monkeypatch.setattr(expfun, "_poly_exp_integral", counted)
-    assert orthogonality_scan(model, grid).verdict == "pass"
-    # one per entry and overlapping pair of terms would be 192,200 (dense)
-    # and 8,712 (default); the vectors share the potential's term kind
+    assert orthogonality_scan(model, grid).verdict == verdict
+    # one per entry and overlapping pair of terms would be 192,200 for the
+    # dense I(4i) scan and 8,712 for the default one; the vectors share the
+    # potential's term kind, and the scan's one Gram call evaluates each
+    # overlapping pair of kinds once
     assert closed_forms["calls"] == expected
+
+
+def test_a_dense_orthogonality_scan_keeps_its_temporaries_small():
+    model = NonlocalModel("II", 1)
+    orthogonality_scan(model, DENSE_GRID)  # builds and caches the vectors and norms
+    tracemalloc.start()
+    try:
+        orthogonality_scan(model, DENSE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 310 x 310 result takes 1.5 MB of the 2.5 MB; with a dense (kinds x
+    # kinds) table of the pairs' bounds and positions the scan peaks at 4.0 MB
+    assert peak <= 3_000_000
+
+
+def test_an_orthogonality_scan_whose_lower_vectors_all_fail_takes_no_gram(monkeypatch):
+    base = NonlocalModel("I", 1)
+
+    def upper_only(z):
+        if z.imag < 0:
+            raise RuntimeError(f"synthetic construction failure at {z}")
+        return base.defects(z)
+
+    model = variant(base, "upper-only", defect=upper_only)
+    calls = Counter()
+    monkeypatch.setattr(psocheck, "gram", lambda *args: calls.update(["gram"]))
+    result = orthogonality_scan(model, Grid.default())
+    assert calls["gram"] == 0
+    assert (result.verdict, repr(result.max_residual), result.witness, result.failures) == \
+        pairwise_orthogonality(model, Grid.default())
+    assert result.verdict == "error" and len(result.failures) == 66
 
 
 def test_inclusion_scan_solves_once_per_mu(monkeypatch):
