@@ -182,7 +182,10 @@ def parse_scenario(obj):
     if len(set(checks)) != len(checks):
         raise ScenarioError("scenario: duplicate check ids")
     grid = build_grid(obj.get("grid"))
-    return name, model, checks, grid, obj.get("params", {})
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError("scenario: params must be an object")
+    return name, model, checks, grid, params
 
 
 # -- individual check runners -------------------------------------------------
@@ -308,7 +311,7 @@ def _run_pso(model, grid, params):
 
 _RUNNERS = {
     "orthogonality": _scan_runner(psocheck.orthogonality_scan),
-    "constancy": lambda model, grid, params: psocheck.constancy_scan(model, None, grid),
+    "constancy": _scan_runner(psocheck.constancy_scan),
     "inclusion": _scan_runner(psocheck.inclusion_scan),
     "pso": _run_pso,
     "green": _run_green,
@@ -366,11 +369,22 @@ def run_scenario(path: str) -> dict:
     return run_scenario_obj(obj)
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, data: str) -> bool:
+    """Write data to path through path.tmp.  On failure print the error,
+    remove the path.tmp this call made and return False."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    made = False
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            made = True
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if made:
+            os.remove(tmp)
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def report_exit_code(report: dict) -> int:
@@ -396,8 +410,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        _atomic_write(args.out, text + "\n")
+    if args.out and not _atomic_write(args.out, text + "\n"):
+        return 2
     print(text)
     code = report_exit_code(report)
     if code == 1:
@@ -436,7 +450,8 @@ def cmd_sweep(args) -> int:
             print(f"error: lambda={format_complex(lam)}: {exc}", file=sys.stderr)
             return 2
         lines.append(f"{lam.real:.17g},{lam.imag:.17g},{th.real:.17g},{th.imag:.17g}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    if not _atomic_write(args.out, "\n".join(lines) + "\n"):
+        return 2
     print(f"wrote {len(grid.lambdas_upper)} grid rows to {args.out}")
     return 0
 

@@ -456,9 +456,9 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 # defect vector of a nonlocal model carries the potential's term.  So
 # ``pack`` stores a table of the distinct kinds, told apart bit for bit,
 # and an index into it per term; ``gram`` evaluates the closed form once
-# per call for each overlapping pair of kinds present, in Python, and
-# leaves each entry only a gather, two complex products and the
-# accumulation.  Those per-entry steps run GRAM_BLOCK rows of the output
+# per call for each overlapping pair of kinds of its two packs, in
+# Python, and leaves each entry only a gather, two complex products and
+# the accumulation.  Those per-entry steps run GRAM_BLOCK rows of the output
 # at a time, which bounds their temporaries and lets a block skip a slot
 # pair whose terms overlap nowhere in its rows.
 
@@ -477,8 +477,7 @@ class PackedFunctions:
     real and imaginary parts.  The rest of a term is its kind: exponent,
     lo, hi and power.  ``kinds`` is the table (lo, hi, exp_re, exp_im,
     power) of the distinct kinds, and ``kind[i, p]`` indexes it.  Kinds are
-    told apart bit for bit, so -0.0 and 0.0 are different kinds.  Slicing
-    selects rows and shares the kind table.
+    told apart bit for bit, so -0.0 and 0.0 are different kinds.
     """
 
     coeff_re: np.ndarray
@@ -488,10 +487,6 @@ class PackedFunctions:
 
     def __len__(self) -> int:
         return self.kind.shape[0]
-
-    def __getitem__(self, rows: slice) -> "PackedFunctions":
-        return PackedFunctions(self.coeff_re[rows], self.coeff_im[rows],
-                               self.kind[rows], self.kinds)
 
 
 def pack(fs, scales=None) -> PackedFunctions:
@@ -547,26 +542,16 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _present(x: PackedFunctions):
-    """The kinds present in the rows of x, and each term's index among them."""
-    present = np.zeros(len(x.kinds[0]), dtype=bool)
-    present[x.kind] = True
-    kinds = np.flatnonzero(present)
-    index = np.zeros(present.size, dtype=np.intp)
-    index[kinds] = np.arange(kinds.size)
-    return kinds, index[x.kind]
-
-
-def _kind_integrals(f: PackedFunctions, fk, g: PackedFunctions, gk):
-    """``_poly_exp_integral`` once per overlapping pair of the kinds ``fk``
-    of f and ``gk`` of g.
+def _kind_integrals(f: PackedFunctions, g: PackedFunctions):
+    """``_poly_exp_integral`` once per overlapping pair of a kind of f and a
+    kind of g.
 
     Returns the integrals' real and imaginary parts at positions 1, 2, ...
-    (position 0 holds zeros) and the (len(fk), len(gk)) table of the
+    (position 0 holds zeros) and the (kinds of f, kinds of g) table of the
     position of each pair, 0 for a pair whose intervals do not overlap.
     """
-    flo, fhi, fre, fim, fpow = (x[fk] for x in f.kinds)
-    glo, ghi, gre, gim, gpow = (x[gk] for x in g.kinds)
+    flo, fhi, fre, fim, fpow = f.kinds
+    glo, ghi, gre, gim, gpow = g.kinds
     # the candidates include every overlapping pair; the strict test on
     # them is inner's, which also rejects the padding kind [0, 0]
     a, b = np.nonzero((glo < fhi[:, None]) & (flo[:, None] < ghi))
@@ -574,7 +559,7 @@ def _kind_integrals(f: PackedFunctions, fk, g: PackedFunctions, gk):
     hi = np.where(ghi[b] < fhi[a], ghi[b], fhi[a])  # min(tf.hi, tg.hi)
     on = lo < hi
     a, b, lo, hi = a[on], b[on], lo[on], hi[on]
-    position = np.zeros((fk.size, gk.size), dtype=np.int32)
+    position = np.zeros((flo.size, glo.size), dtype=np.int32)
     position[a, b] = np.arange(1, a.size + 1)
     integrals = np.zeros(a.size + 1, dtype=complex)
     pairs = zip((fpow[a] + gpow[b]).tolist(), (fre[a] + gre[b]).tolist(),
@@ -592,20 +577,19 @@ def gram(fs, gs) -> np.ndarray:
     fs and gs are sequences of functions or their :func:`pack` forms.  Every
     entry equals the scalar ``inner`` bit for bit.  The closed form of
     ``inner``, ``_poly_exp_integral``, runs once per call for each
-    overlapping pair of the term kinds present in fs and gs.  Then, GRAM_BLOCK
+    overlapping pair of a term kind of fs and a term kind of gs.  Then, GRAM_BLOCK
     rows at a time and for each pair of term slots (p outer, q inner, as in
     ``inner``), each entry whose terms overlap gathers its integral,
     multiplies its coefficient product by it and accumulates.
     """
     f = fs if isinstance(fs, PackedFunctions) else pack(fs)
     g = gs if isinstance(gs, PackedFunctions) else pack(gs)
-    (fk, fi), (gk, gi) = _present(f), _present(g)
     out = np.zeros((len(f), len(g)), dtype=complex)
     g_conj_im = -g.coeff_im
     with np.errstate(all="ignore"):
-        ir, ii, position = _kind_integrals(f, fk, g, gk)
+        ir, ii, position = _kind_integrals(f, g)
         # entry (i, j) of slot pair (p, q) takes position.flat[fi[i, p] + gi[j, q]]
-        fi = fi * len(gk)
+        fi, gi = f.kind * position.shape[1], g.kind
         for start in range(0, len(f), GRAM_BLOCK):
             rows = slice(start, start + GRAM_BLOCK)
             total_re, total_im = out[rows].real, out[rows].imag

@@ -425,12 +425,6 @@ class NonlocalModel:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"
 
 
-def defect_equation_residual(model: NonlocalModel, z: complex) -> float:
-    """Coefficient-level residual of (S* - z) f_z = 0 for the defect vector."""
-    f = model.defects(complex(z))
-    return coefficient_distance(model.adjoint_apply(f), complex(z) * f)
-
-
 # ---------------------------------------------------------------------------
 # Haar dilation/translation system
 # ---------------------------------------------------------------------------

@@ -183,21 +183,6 @@ def char_value(lam: complex, gp: complex, gm: complex) -> complex:
     return gm / gp
 
 
-def char_function_lower(triplet: BoundaryTriplet, defects: DefectFamily,
-                        nu: complex) -> complex:
-    """Lower-half-plane counterpart, defined through the mirrored domain
-    condition; equals conj(char_function(conj(nu)))."""
-    nu = complex(nu)
-    if nu.imag >= 0:
-        raise ValueError("expected nu in the lower half plane")
-    f = defects(nu)
-    gm = triplet.gamma_minus(f)
-    gp = triplet.gamma_plus(f)
-    if abs(gm) <= BOUNDARY_SINGULAR_TOL * (1 + abs(gp)):
-        raise ValueError(f"gamma_minus vanishes on the defect vector at {nu}")
-    return gp / gm
-
-
 def require_regular_system(system: np.ndarray) -> None:
     """Reject a singular S(mu), the images of the defect vectors at mu, conj(mu)."""
     if matops.is_singular(system, DECOMPOSE_SINGULAR_TOL):
@@ -294,17 +279,6 @@ def triplet_convert(g0: BoundaryFunctional, g1: BoundaryFunctional, model,
     out = BoundaryTriplet(minus, plus, witness=model.triplet.witness)
     out.check_surjectivity()
     return out
-
-
-def convert_back(triplet: BoundaryTriplet) -> tuple[BoundaryFunctional, BoundaryFunctional]:
-    """Inverse of triplet_convert for functional-backed triplets."""
-    gm, gp = triplet.gamma_minus, triplet.gamma_plus
-    if not isinstance(gm, BoundaryFunctional) or not isinstance(gp, BoundaryFunctional):
-        raise TypeError("convert_back needs functional-backed boundary maps")
-    inv_sqrt2 = 1 / math.sqrt(2)
-    g1 = inv_sqrt2 * (gp + gm)
-    g0 = (-1j * inv_sqrt2) * (gp + (-1.0) * gm)
-    return g0, g1
 
 
 def change_of_basis(t1: BoundaryTriplet, t2: BoundaryTriplet, model,

@@ -59,7 +59,7 @@ def test_criterion_01_constant_theta_closed_form_and_quadrature():
 def test_criterion_02_nonconstant_theta_witness():
     model = NonlocalModel("I", 1.0)
     theta_i = triplets.char_function(model.triplet, model.defects, 1j)
-    deviation = psocheck.constancy_scan(model, None, GRID).max_residual
+    deviation = psocheck.constancy_scan(model, GRID).max_residual
     value_ok = abs(theta_i - (-0.10820 - 0.20984j)) <= 1e-4
     ok = value_ok and deviation >= 0.01
     report("02 non-constant theta (alpha=1)", ok,

@@ -1,0 +1,46 @@
+"""The names the layer tracer in bench/tracer.py binds to.
+
+The tracer wraps library functions by name, so renaming or deleting one of
+them breaks ``bench/run.py --trace 1`` without failing any other test here.
+The tracer module is loaded from its file and only read and installed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from psokit import cli, psocheck, triplets
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_defined_where_the_tracer_looks():
+    tracer = load_tracer()
+    for owner, attr, _ in tracer.SPANS + tracer.COUNTED:
+        assert attr in vars(owner), (owner.__name__, attr)
+    assert "__call__" in vars(triplets.DefectFamily)
+    assert set(cli._RUNNERS) == set(cli.CHECK_TABLE)
+
+
+def test_the_tracer_wraps_the_scan_runners_and_restores_them():
+    tracer = load_tracer()
+    runners = dict(cli._RUNNERS)
+    scans = {name: getattr(psocheck, f"{name}_scan")
+             for name in ("orthogonality", "constancy", "inclusion")}
+    with tracer.Tracer():
+        for name, scan in scans.items():
+            traced = getattr(psocheck, f"{name}_scan")
+            assert traced is not scan
+            # the runner's closure calls the traced scan
+            runner = cli._RUNNERS[name].__wrapped__
+            assert runner.__closure__[0].cell_contents is traced
+    assert cli._RUNNERS == runners
+    for name, scan in scans.items():
+        assert getattr(psocheck, f"{name}_scan") is scan
+        assert runners[name].__closure__[0].cell_contents is scan

@@ -80,6 +80,33 @@ def test_run_passing_scenario(tmp_path, capsys):
                            "witness", "wall_time_ms", "statement"}
 
 
+SMALL_SCENARIO = {
+    "name": "small",
+    "model": {"kind": "momentum"},
+    "checks": ["constancy"],
+    "grid": {"re": [0], "im": [1, 2]},
+}
+
+
+def test_run_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, SMALL_SCENARIO)
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main(["run", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {out}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_run_into_a_directory_is_an_error_and_leaves_no_temporary(tmp_path, capsys):
+    path = write_scenario(tmp_path, SMALL_SCENARIO)
+    out = tmp_path / "reports"
+    out.mkdir()
+    assert cli.main(["run", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reports", "scenario.json"]
+    assert not any(out.iterdir())
+
+
 def test_run_failing_scenario_exit_code(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "name": "orthogonality-fail",
@@ -372,6 +399,18 @@ def test_repeated_grid_points_are_one_point(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["checks"][0]["verdict"] == "error"
 
 
+@pytest.mark.parametrize("params", [None, "T", ["T", "1"]], ids=["null", "string", "list"])
+def test_params_must_be_an_object(tmp_path, capsys, params):
+    path = write_scenario(tmp_path, {
+        "name": "bad-params",
+        "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+        "checks": ["mobius", "classify"],
+        "params": params,
+    })
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err == "error: scenario: params must be an object\n"
+
+
 def test_classify_requires_certificate_or_theta(tmp_path, capsys):
     refused = write_scenario(tmp_path, {
         "name": "classify-refused",
@@ -439,6 +478,15 @@ def test_sweep_constant_theta_columns(tmp_path):
 def test_sweep_rejects_haar(tmp_path, capsys):
     spec = json.dumps({"kind": "haar", "j_range": [0, 1], "k_range": [0, 1]})
     assert cli.main(["sweep", "--model", spec, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_sweep_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "grid.csv"
+    spec = json.dumps({"kind": "momentum", "grid": {"re": [0], "im": [1]}})
+    assert cli.main(["sweep", "--model", spec, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert captured.out == ""
 
 
 def test_sweep_with_a_non_finite_theta_is_error(tmp_path, capsys):

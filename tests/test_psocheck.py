@@ -53,7 +53,7 @@ def test_mirrored_and_repeated_axis_values_give_one_point():
     single = Grid.from_axes([0], [1])
     model = NonlocalModel("I", 1)  # not a Phillips point
     # one point compares nothing: error, as on the one-point grid
-    assert constancy_scan(model, None, grid).verdict == "error"
+    assert constancy_scan(model, grid).verdict == "error"
     for scan in (orthogonality_scan, inclusion_scan):
         got, want = scan(model, grid), scan(model, single)
         assert (got.verdict, repr(got.max_residual), got.witness) == \
@@ -98,7 +98,7 @@ def test_grid_from_axes_rejects_values_that_are_not_finite(re, im):
 def test_momentum_scans_all_zero():
     mom = MomentumModel()
     assert orthogonality_scan(mom, SMALL_GRID).max_residual == 0
-    assert constancy_scan(mom, None, SMALL_GRID).max_residual == 0
+    assert constancy_scan(mom, SMALL_GRID).max_residual == 0
     assert inclusion_scan(mom, SMALL_GRID).max_residual == 0
 
 
@@ -113,7 +113,7 @@ def test_orthogonality_fail_witness():
 
 def test_constancy_fail_for_generic_alpha():
     model = NonlocalModel("I", 1.0)
-    result = constancy_scan(model, None, SMALL_GRID)
+    result = constancy_scan(model, SMALL_GRID)
     assert result.verdict == "fail"
     assert result.max_residual >= 0.01
 
@@ -128,7 +128,7 @@ def test_inclusion_fail_for_generic_alpha():
 def test_scans_pass_for_pso_fixtures():
     for model in (NonlocalModel("I", 4j), NonlocalModel("II", 2j)):
         assert orthogonality_scan(model, SMALL_GRID).verdict == "pass"
-        assert constancy_scan(model, None, SMALL_GRID).verdict == "pass"
+        assert constancy_scan(model, SMALL_GRID).verdict == "pass"
         assert inclusion_scan(model, SMALL_GRID).verdict == "pass"
 
 
@@ -174,8 +174,8 @@ def test_certificate_scale_invariance():
 
     for scan in (orthogonality_scan, inclusion_scan):
         assert scan(Scaled(), SMALL_GRID).verdict == scan(base, SMALL_GRID).verdict
-    ref = constancy_scan(base, None, SMALL_GRID)
-    got = constancy_scan(Scaled(), None, SMALL_GRID)
+    ref = constancy_scan(base, SMALL_GRID)
+    got = constancy_scan(Scaled(), SMALL_GRID)
     assert got.verdict == ref.verdict
     assert got.max_residual == pytest.approx(ref.max_residual, rel=1e-9)
 
@@ -297,7 +297,7 @@ def nan_boundary_model():
 
 
 def test_constancy_counts_a_non_finite_theta_as_a_failed_point():
-    result = constancy_scan(nan_boundary_model(), None, SMALL_GRID)
+    result = constancy_scan(nan_boundary_model(), SMALL_GRID)
     assert result.failures == ("lambda=3+1i: theta is not finite",)
     assert math.isfinite(result.max_residual)
 
@@ -413,7 +413,7 @@ SCAN_CASES = [(name, make, SMALL_GRID) for name, make in EQUIVALENCE_MODELS.item
 def test_gram_scans_match_the_scalar_pair_loops(make, grid):
     model = make()
     for scan, reference in ((orthogonality_scan, pairwise_orthogonality),
-                            (lambda m, g: constancy_scan(m, None, g), pairwise_constancy)):
+                            (constancy_scan, pairwise_constancy)):
         got = scan(model, grid)
         # repr compares residuals bit for bit and NaN equal to NaN
         assert (got.verdict, repr(got.max_residual), got.witness, got.failures) == \
@@ -523,6 +523,11 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     inclusion_scan(model, Grid.default())
     assert calls["decompose"] == 0
     assert calls["is_singular"] == 66
+    # pairs whose coefficients are not finite fail without a decompose
+    result = inclusion_scan(nan_boundary_model(), SMALL_GRID)
+    assert calls["decompose"] == 0
+    assert sum("coefficient and exponent must be finite" in f
+               for f in result.failures) == 8
 
 
 @pytest.mark.parametrize("spec", [{"kind": "nonlocal", "case": "I", "alpha": "1"},
@@ -569,10 +574,10 @@ def test_raising_defect_family_errors_every_check():
 
 def test_constancy_with_fewer_than_two_finite_values_compares_nothing():
     model = NonlocalModel("II", 1)  # not a Phillips point
-    result = constancy_scan(model, None, Grid.from_axes([-1], [0.2]))
+    result = constancy_scan(model, Grid.from_axes([-1], [0.2]))
     assert (result.verdict, result.witness, result.failures) == ("error", None, ())
     assert math.isnan(result.max_residual)
-    assert constancy_scan(model, None, Grid.from_axes([-1, 1], [0.2])).verdict == "fail"
+    assert constancy_scan(model, Grid.from_axes([-1, 1], [0.2])).verdict == "fail"
 
 
 def test_inclusion_scan_records_a_norm_that_overflows_as_failed_points():

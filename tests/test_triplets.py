@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psokit import matops, triplets
+from psokit import matops
 from psokit.expfun import (
     NEG_INF,
     POS_INF,
@@ -17,7 +17,6 @@ from psokit.triplets import (
     BoundaryTriplet,
     change_of_basis,
     char_function,
-    char_function_lower,
     char_value,
     decompose,
     defect_triplet,
@@ -148,7 +147,9 @@ def test_adjoint_convention():
     for model in (MomentumModel(), NonlocalModel("I", 1.0), NonlocalModel("II", 1j)):
         for lam in (1j, 2 + 0.5j, -1 + 3j):
             up = char_function(model.triplet, model.defects, lam)
-            low = char_function_lower(model.triplet, model.defects, lam.conjugate())
+            # gamma_plus / gamma_minus on the defect vector at conj(lam)
+            f = model.defects(lam.conjugate())
+            low = model.triplet.gamma_plus(f) / model.triplet.gamma_minus(f)
             assert low == pytest.approx(up.conjugate(), abs=1e-10)
 
 
@@ -225,7 +226,12 @@ def test_triplet_convert_round_trip():
     mom = MomentumModel()
     g0, g1 = momentum_symmetric_pair()
     converted = triplet_convert(g0, g1, mom)
-    back0, back1 = triplets.convert_back(converted)
+    # the inverse of the conversion: g1 = (plus + minus) / sqrt(2) and
+    # g0 = -i (plus - minus) / sqrt(2)
+    gm, gp = converted.gamma_minus, converted.gamma_plus
+    inv_sqrt2 = 1 / math.sqrt(2)
+    back1 = inv_sqrt2 * (gp + gm)
+    back0 = (-1j * inv_sqrt2) * (gp + (-1.0) * gm)
     rng = np.random.default_rng(23)
     for _ in range(5):
         f = random_maximal_domain_function(rng)
