@@ -170,7 +170,7 @@ def parse_scenario(obj):
         raise ScenarioError("scenario: checks must be a nonempty list")
     kind = spec["kind"]  # a known kind: build_model rejects the others
     for cid in checks:
-        if cid not in CHECK_TABLE:
+        if not isinstance(cid, str) or cid not in CHECK_TABLE:
             raise ScenarioError(
                 f"scenario: unknown check id {cid!r}; "
                 f"valid ids: {', '.join(sorted(CHECK_TABLE))}"
@@ -242,7 +242,7 @@ def _run_gram(system, grid, params):
 
 
 def _run_wandering(model, grid, params):
-    report = models.shift_wandering_report(model, n_max=model.d)
+    report = models.shift_wandering_report(model)
     wrap = abs(report.defect_per_n[model.d - 1] - 1.0)
     return _threshold_result(
         "wandering", [*report.defect_per_n[: model.d - 1], wrap], WANDERING_TOL,
@@ -438,18 +438,14 @@ def cmd_sweep(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    lams, thetas, failures = psocheck.char_values(model, grid.lambdas_upper)
+    if failures:
+        # fail closed, as constancy does: no CSV without every finite theta
+        print(f"error: {failures[0]}", file=sys.stderr)
+        return 2
     lines = ["re_lambda,im_lambda,re_theta,im_theta"]
-    for lam in grid.lambdas_upper:
-        # fail closed, as constancy does: a point without a finite theta
-        # ends the sweep with no CSV written
-        try:
-            th = triplets.char_function(model.triplet, model.defects, lam)
-            if not np.isfinite(th):
-                raise ValueError("theta is not finite")
-        except Exception as exc:
-            print(f"error: lambda={format_complex(lam)}: {exc}", file=sys.stderr)
-            return 2
-        lines.append(f"{lam.real:.17g},{lam.imag:.17g},{th.real:.17g},{th.imag:.17g}")
+    lines += [f"{lam.real:.17g},{lam.imag:.17g},{th.real:.17g},{th.imag:.17g}"
+              for lam, th in zip(lams, thetas)]
     if not _atomic_write(args.out, "\n".join(lines) + "\n"):
         return 2
     print(f"wrote {len(grid.lambdas_upper)} grid rows to {args.out}")

@@ -221,9 +221,8 @@ class WanderingReport:
         return self.first_violation is None
 
 
-def wandering_check(u, basis: SubspaceBasis, n_max: int,
-                    tol: float = SINGULARITY_TOL) -> WanderingReport:
-    """Sizes ||L* U^n L|| for n = 1..n_max and the first n exceeding tol.
+def wandering_check(u, basis: SubspaceBasis, n_max: int) -> WanderingReport:
+    """Sizes ||L* U^n L|| for n = 1..n_max and the first n above SINGULARITY_TOL.
 
     A subspace is wandering when all its images under positive powers of U
     stay orthogonal to it.
@@ -241,6 +240,6 @@ def wandering_check(u, basis: SubspaceBasis, n_max: int,
         current = u @ current
         d = opnorm(ell.conj().T @ current)
         defects.append(d)
-        if first is None and d > tol:
+        if first is None and d > SINGULARITY_TOL:
             first = n
     return WanderingReport(first, tuple(defects))

@@ -336,10 +336,8 @@ def shift_cayley_identity(model: ShiftModel, x) -> float:
     return float(np.linalg.norm((model.a - 1j * np.eye(model.d)) @ u - 2j * x))
 
 
-def shift_wandering_report(model: ShiftModel, n_max: int | None = None):
-    if n_max is None:
-        n_max = model.d
-    return matops.wandering_check(model.u, model.basis, n_max)
+def shift_wandering_report(model: ShiftModel):
+    return matops.wandering_check(model.u, model.basis, model.d)
 
 
 # ---------------------------------------------------------------------------

@@ -151,34 +151,62 @@ def _scan_result(check_id: str, worst: float, tolerance: float,
                        tuple(failures))
 
 
-def _normalized_defects(model, points, label: str, failures: list[str]):
-    """The points whose normalized defect vector exists, and those vectors
-    packed as ``model.defects.normalized`` would build them."""
-    kept, fs, scales = [], [], []
+def _per_point(points, label: str, fn, failures: list[str]):
+    """The points where ``fn`` evaluates and its values there; a point where
+    it raises is left out and recorded as ``<label>=<point>: <error>``."""
+    kept, values = [], []
     for z in points:
         try:
-            scale = 1.0 / model.defects.norm(z)
+            value = fn(z)
         except Exception as exc:
             failures.append(f"{label}={format_complex(z)}: {exc}")
             continue
         kept.append(z)
-        fs.append(model.defects(z))
-        scales.append(scale)
-    return kept, pack(fs, scales)
+        values.append(value)
+    return kept, values
+
+
+def _native_images(model, points):
+    """Native images of the defect vectors at ``points``, 2 x n with row 0
+    gamma_plus and a failed column zero, and each failed column's error."""
+    images = np.zeros((2, len(points)), dtype=complex)
+    errors: dict[int, Exception] = {}
+    for j, z in enumerate(points):
+        try:
+            images[:, j] = model.triplet.images(model.defects(z))[:, 0]
+        except Exception as exc:
+            errors[j] = exc
+    return images, errors
+
+
+def char_values(model, lams):
+    """The points of ``lams`` with a finite characteristic function value,
+    those values, and a failure text for every other point."""
+    def theta(lam):
+        value = triplets.char_function(model.triplet, model.defects, lam)
+        if not np.isfinite(value):
+            raise ValueError("theta is not finite")
+        return value
+
+    failures: list[str] = []
+    kept, values = _per_point(lams, "lambda", theta, failures)
+    return kept, values, failures
 
 
 def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest normalized pairing between upper and lower defect vectors.
 
-    The pairings are the entries of one Gram matrix of the packed vectors,
-    taken only when both half planes have vectors; the witness is the first
-    largest one in nu-major, lambda-minor order, found GRAM_BLOCK lower
-    vectors at a time.
+    A point whose norm fails is a failed point.  The pairings are the
+    entries of one Gram matrix of the normalized vectors, taken only when
+    both half planes have vectors; the witness is the first largest one in
+    nu-major, lambda-minor order, found GRAM_BLOCK lower vectors at a time.
     """
     grid = grid or Grid.default()
     failures = []
-    uppers, up = _normalized_defects(model, grid.lambdas_upper, "lambda", failures)
-    lowers, down = _normalized_defects(model, grid.lambdas_lower, "nu", failures)
+    uppers, up_norms = _per_point(grid.lambdas_upper, "lambda", model.defects.norm, failures)
+    lowers, down_norms = _per_point(grid.lambdas_lower, "nu", model.defects.norm, failures)
+    up = pack([model.defects(z) for z in uppers], [1.0 / n for n in up_norms])
+    down = pack([model.defects(z) for z in lowers], [1.0 / n for n in down_norms])
     worst = 0.0
     witness = None
     # with no vector on one side there is nothing to pair
@@ -206,20 +234,7 @@ def constancy_scan(model, grid: Grid | None = None) -> CheckResult:
     pairs, so fewer than two finite values compare nothing and report error.
     """
     grid = grid or Grid.default()
-    lams = []
-    values = []
-    failures = []
-    for lam in grid.lambdas_upper:
-        try:
-            theta = triplets.char_function(model.triplet, model.defects, lam)
-        except Exception as exc:
-            failures.append(f"lambda={format_complex(lam)}: {exc}")
-            continue
-        if np.isfinite(theta):
-            lams.append(lam)
-            values.append(theta)
-        else:
-            failures.append(f"lambda={format_complex(lam)}: theta is not finite")
+    lams, values, failures = char_values(model, grid.lambdas_upper)
     re = np.array([v.real for v in values])
     im = np.array([v.imag for v in values])
     worst = 0.0
@@ -243,62 +258,55 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     defect vector at conj(mu); |b| is scaled by the norms so the verdict is
     scale free.
 
-    The coefficients are linear in the boundary images (gamma_plus(f),
-    gamma_minus(f)), so each lambda is mapped to its images once, and each
-    mu builds its 2x2 system S(mu) once and solves it for all lambdas in a
-    single call.  A singular S(mu) is a failure of every pair at that mu.
-    Failures keep the precedence and text of ``decompose``: lambda-side
-    construction errors (the norm of f included), then mu-side errors, then
-    errors of the boundary maps on f, then the singularity of S(mu).  A pair
-    whose coefficients are not finite fails as ``decompose`` fails on it:
-    its defect vectors cannot be scaled by them.
+    The coefficients are linear in the native images (gamma_plus(f),
+    gamma_minus(f)), so each upper and each conjugate point is mapped once:
+    the upper images are the right-hand sides and S(mu)'s first column, the
+    conjugate ones its second, and each mu solves S(mu) for all lambdas at
+    once.  A singular S(mu) fails every pair at that mu.  Failures keep the
+    precedence and text of ``decompose``: lambda-side construction errors
+    (the norm of f included), then mu-side errors, then errors of the
+    boundary maps on f, then the singularity of S(mu).  A pair whose
+    coefficients are not finite fails as ``decompose`` fails on it: its
+    defect vectors cannot be scaled by them.
     """
     grid = grid or Grid.default()
-    trip = model.triplet
     lams = grid.lambdas_upper
     labels = [format_complex(lam) for lam in lams]
-    # per lambda: error before the mu-side work, error of the boundary maps
+    # per lambda: the error before the boundary maps
     early: dict[int, Exception] = {}
-    late: dict[int, Exception] = {}
-    rhs = np.zeros((2, len(lams)), dtype=complex)
     norms = [1.0] * len(lams)
     for j, lam in enumerate(lams):
         try:
-            f = model.defects(lam)
-            triplets.require_maximal_domain(f)
+            triplets.require_maximal_domain(model.defects(lam))
             norms[j] = model.defects.norm(lam)
         except Exception as exc:
             early[j] = exc
-            continue
-        try:
-            rhs[:, j] = trip.images(f)[:, 0]
-        except Exception as exc:
-            late[j] = exc
+    rhs, late = _native_images(model, lams)
+    conj, conj_errors = _native_images(model, [lam.conjugate() for lam in lams])
 
     worst = 0.0
     witness = None
     failures = []
     evaluated = 0
-    for mu, mu_label in zip(lams, labels):
+    for i, (mu, mu_label) in enumerate(zip(lams, labels)):
         try:
             n_conj = model.defects.norm(mu.conjugate())
         except Exception as exc:
             failures.append(f"mu={mu_label}: {exc}")
             continue
-        mu_error = singular = None
-        try:
-            system = trip.images(model.defects(mu), model.defects(mu.conjugate()))
-        except Exception as exc:
-            mu_error = exc
-        else:
+        # mapping f_mu, then f_conj(mu), as decompose does
+        mu_error = late.get(i) or conj_errors.get(i)
+        singular = None
+        if mu_error is None:
+            system = np.column_stack([rhs[:, i], conj[:, i]])
             try:
                 triplets.require_regular_system(system)
             except Exception as exc:
                 singular = exc
-        if mu_error is None and singular is None:
-            coeffs = np.linalg.solve(system, rhs)
-            finite = np.isfinite(coeffs).all(axis=0).tolist()
-            bs = coeffs[1].tolist()
+            else:
+                coeffs = np.linalg.solve(system, rhs)
+                finite = np.isfinite(coeffs).all(axis=0).tolist()
+                bs = coeffs[1].tolist()
         for j in range(len(lams)):
             exc = early.get(j) or mu_error or late.get(j) or singular
             if exc is None and not finite[j]:

@@ -91,9 +91,10 @@ class BoundaryTriplet:
     from_native: Callable[..., tuple[complex, complex]] | None = None
 
     def images(self, *fs: PiecewiseExpFunction) -> np.ndarray:
-        """Boundary images, 2 x len(fs): row 0 gamma_plus, row 1 gamma_minus."""
-        return np.array([[self.gamma_plus(f) for f in fs],
-                         [self.gamma_minus(f) for f in fs]])
+        """Boundary images, 2 x len(fs): row 0 gamma_plus, row 1 gamma_minus;
+        each f is mapped by both, gamma_plus first, before the next f."""
+        pairs = [(self.gamma_plus(f), self.gamma_minus(f)) for f in fs]
+        return np.array([[gp for gp, _ in pairs], [gm for _, gm in pairs]])
 
     def check_surjectivity(self) -> None:
         if matops.is_singular(self.images(*self.witness), 1e-8):
@@ -128,9 +129,6 @@ class DefectFamily:
                 raise ValueError("defect vector norm is zero")
             self._norms[z] = n
         return self._norms[z]
-
-    def normalized(self, z: complex) -> PiecewiseExpFunction:
-        return (1.0 / self.norm(z)) * self(z)
 
 
 def require_maximal_domain(f: PiecewiseExpFunction,

@@ -251,6 +251,18 @@ def test_unknown_check_is_parse_error(tmp_path, capsys):
     assert "unknown check id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cid", [["constancy"], {"x": 1}, 1], ids=["list", "object", "number"])
+def test_a_check_id_that_is_not_a_string_is_a_parse_error(tmp_path, capsys, cid):
+    path = write_scenario(tmp_path, {
+        "name": "bad",
+        "model": {"kind": "momentum"},
+        "checks": [cid],
+    })
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: scenario: unknown check id {cid!r}; valid ids: ")
+
+
 def test_check_model_mismatch_is_parse_error(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "name": "bad",

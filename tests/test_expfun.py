@@ -17,7 +17,6 @@ from psokit.expfun import (
     gram,
     inner,
     inner_quadrature,
-    norm,
 )
 
 

@@ -60,7 +60,7 @@ def test_momentum_defects_are_one_sided_exponentials():
 
 def test_momentum_defect_normalization():
     mom = MomentumModel()
-    f = mom.defects.normalized(2j)
+    f = (1.0 / mom.defects.norm(2j)) * mom.defects(2j)
     assert norm(f) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -301,7 +301,7 @@ def test_nonlocal_rejects_unknown_case():
 
 def test_nonlocal_defect_normalized():
     model = NonlocalModel("II", 1.0)
-    assert norm(model.defects.normalized(1j)) == pytest.approx(1.0)
+    assert norm((1.0 / model.defects.norm(1j)) * model.defects(1j)) == pytest.approx(1.0)
 
 
 def reference_defect(model, z):
@@ -428,7 +428,8 @@ def test_gram_of_normalized_defect_vectors_is_bit_identical(model):
     lowers = [z.conjugate() for z in uppers]
     packed = [pack([model.defects(z) for z in zs],
                    [1.0 / model.defects.norm(z) for z in zs]) for zs in (uppers, lowers)]
-    fs, gs = ([model.defects.normalized(z) for z in zs] for zs in (uppers, lowers))
+    fs, gs = ([(1.0 / model.defects.norm(z)) * model.defects(z) for z in zs]
+              for zs in (uppers, lowers))
     want = np.array([[inner(f, g) for g in gs] for f in fs])
     # compare bytes: signed zeros and last bits included
     assert gram(*packed).tobytes() == want.tobytes()

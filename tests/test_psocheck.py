@@ -259,6 +259,25 @@ def flaky_model():
     return variant(mom, "flaky", defect=flaky)
 
 
+def double_fault_model():
+    """gamma_minus raises on f_mu and gamma_plus on f_conj(mu), at mu = i."""
+    mom = MomentumModel()
+    f_mu, f_conj = mom.defects(1j), mom.defects(-1j)
+
+    def gamma_minus(f, inner_product=None):
+        if f == f_mu:
+            raise ValueError("no gamma_minus on f_mu")
+        return mom.triplet.gamma_minus(f)
+
+    def gamma_plus(f, inner_product=None):
+        if f == f_conj:
+            raise ValueError("no gamma_plus on f_conj(mu)")
+        return mom.triplet.gamma_plus(f)
+
+    trip = BoundaryTriplet(gamma_minus, gamma_plus, mom.triplet.witness)
+    return variant(mom, "double-fault", triplet=trip)
+
+
 def raising_model():
     def broken(z):
         raise ValueError("broken defect family")
@@ -339,6 +358,7 @@ EQUIVALENCE_MODELS = {
     "degenerate": degenerate_model,
     "gamma-raising": gamma_raising_model,
     "nan-boundary": nan_boundary_model,
+    "double-fault": double_fault_model,
 }
 
 
@@ -356,12 +376,12 @@ def pairwise_orthogonality(model, grid):
     worst, witness, failures, evaluated, uppers = 0.0, None, [], 0, []
     for lam in grid.lambdas_upper:
         try:
-            uppers.append((lam, model.defects.normalized(lam)))
+            uppers.append((lam, (1.0 / model.defects.norm(lam)) * model.defects(lam)))
         except Exception as exc:
             failures.append(f"lambda={format_complex(lam)}: {exc}")
     for nu in grid.lambdas_lower:
         try:
-            g = model.defects.normalized(nu)
+            g = (1.0 / model.defects.norm(nu)) * model.defects(nu)
         except Exception as exc:
             failures.append(f"nu={format_complex(nu)}: {exc}")
             continue
@@ -438,9 +458,10 @@ def test_certificate_takes_scalar_inner_products_only_outside_the_gram(monkeypat
     model = NonlocalModel("I", 1)
     calls = count_inner_calls(monkeypatch)
     pso_certificate(model, Grid.default())
-    # 132 norms, 132 boundary pairings for constancy and 132 + 264 for
-    # inclusion; the 4356 orthogonality pairings took 5016 in all as scalars
-    assert calls["inner"] == 660
+    # 132 norms, 132 boundary pairings for constancy and 264 for inclusion,
+    # which maps each upper and each conjugate vector once; the 4356
+    # orthogonality pairings took 5016 in all as scalars
+    assert calls["inner"] == 528
 
 
 def test_dense_orthogonality_scan_takes_only_its_norms_as_scalars(monkeypatch):
@@ -528,6 +549,21 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     assert calls["decompose"] == 0
     assert sum("coefficient and exponent must be finite" in f
                for f in result.failures) == 8
+
+
+def test_inclusion_scan_maps_each_upper_and_conjugate_vector_once(monkeypatch):
+    calls = Counter()
+    original = triplets.BoundaryFunctional.__call__
+
+    def counted(self, *args, **kwargs):
+        calls["maps"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(triplets.BoundaryFunctional, "__call__", counted)
+    inclusion_scan(NonlocalModel("I", 1), Grid.default())
+    # 66 upper and 66 conjugate vectors at 2 maps each; mapping the upper
+    # vectors again for each S(mu) made 396
+    assert calls["maps"] == 264
 
 
 @pytest.mark.parametrize("spec", [{"kind": "nonlocal", "case": "I", "alpha": "1"},
