@@ -23,6 +23,7 @@ Complex numbers are strings such as ``"2"``, ``"-0.5i"``, ``"3+i"``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,13 +208,18 @@ def _threshold_result(check_id, residuals, tolerance, witness, holds=True):
     return psocheck.CheckResult(check_id, verdict, worst, tolerance, witness)
 
 
-def _run_green(model, grid, params):
+@functools.cache
+def _green_pairs():
+    """The 20 seeded random maximal-domain pairs of the green check; they
+    depend on no model, so one process builds them once, on first use."""
     rng = np.random.default_rng(20240601)
-    residuals = []
-    for _ in range(20):
-        f = models.random_maximal_domain_function(rng)
-        g = models.random_maximal_domain_function(rng)
-        residuals.append(triplets.green_residual(model.triplet, model, f, g))
+    return tuple((models.random_maximal_domain_function(rng),
+                  models.random_maximal_domain_function(rng)) for _ in range(20))
+
+
+def _run_green(model, grid, params):
+    residuals = [triplets.green_residual(model.triplet, model, f, g)
+                 for f, g in _green_pairs()]
     return _threshold_result("green", residuals, GREEN_TOL, "20 seeded random pairs")
 
 
@@ -222,13 +228,24 @@ def _run_mobius(model, grid, params):
     t2 = triplets.defect_triplet(model, mu)
     k = triplets.change_of_basis(model.triplet, t2, model, mu=mu)
     residuals = [k.krein_defect()]
+    th1, th2, held = [], [], None
     for lam in grid.lambdas_upper:
         # one native map of f_lambda and one solve serve both triplets
-        f = model.defects(lam)
-        native = model.triplet.images(f)[:, 0]
-        th1 = triplets.char_value(lam, *native.tolist())
-        th2 = triplets.char_value(lam, *t2.from_native(f, native))
-        residuals.append(abs(th2 - matops.interspherical(k, th1)))
+        try:
+            f = model.defects(lam)
+            native = model.triplet.images(f)[:, 0]
+            theta = triplets.char_value(lam, *native.tolist())
+            th2.append(triplets.char_value(lam, *t2.from_native(f, native)))
+        except Exception as exc:
+            held = exc  # raised below unless the map of an earlier lambda fails
+            break
+        th1.append(theta)
+    # the first failing lambda decides, and its own error comes before the
+    # map of its theta_1, as when each lambda was mapped on its own
+    mapped = matops.interspherical(k, np.reshape(th1, (-1, 1, 1)))
+    if held is not None:
+        raise held
+    residuals += [abs(b - a) for a, b in zip(mapped[:, 0, 0].tolist(), th2)]
     # the Krein defect comes first, so a worst index i > 0 names lambda i - 1
     i = int(np.argmax(residuals))
     witness = f"lambda={format_complex(grid.lambdas_upper[i - 1])}" if i else None

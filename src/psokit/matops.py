@@ -21,21 +21,30 @@ KREIN_TOL = 1e-10
 SINGULARITY_TOL = 1e-10
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """a as a finite square complex matrix; with ``stacked`` as a stack of
+    them along the first axis."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 + stacked or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix entries must be finite")
     return m
 
 
-def opnorm(a) -> float:
-    return float(np.linalg.norm(np.atleast_2d(np.asarray(a, dtype=complex)), 2))
+def opnorm(a) -> float | np.ndarray:
+    """Spectral norm; for a stack, the norm of each matrix along the last
+    two axes."""
+    m = np.atleast_2d(np.asarray(a, dtype=complex))
+    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(norms) if m.ndim == 2 else norms
 
 
-def min_singular_value(a) -> float:
-    return float(np.linalg.svd(_as_matrix(a), compute_uv=False)[-1])
+def min_singular_value(a) -> float | np.ndarray:
+    """Smallest singular value; for a stack (ndim 3), that of each matrix."""
+    m = _as_matrix(a, stacked=np.ndim(a) == 3)
+    smin = np.linalg.svd(m, compute_uv=False)[..., -1]
+    return float(smin) if m.ndim == 2 else smin
 
 
 def is_singular(m, tol: float = SINGULARITY_TOL) -> bool:
@@ -140,19 +149,36 @@ def interspherical(k: KreinBlockOperator, z) -> np.ndarray | complex:
 
     Defined for contractions Z (||Z|| <= 1); the denominator is invertible
     for every Krein-unitary K, so a singular denominator signals a broken K
-    and is rejected.  A scalar z is accepted and a scalar is returned.
+    and is rejected.  A scalar z is accepted and a scalar is returned.  A
+    stack of contractions, shape (n, m, m), is mapped element by element
+    into a stack; the first element that fails raises the error it raises
+    alone.
     """
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    zm = np.atleast_2d(np.asarray(z, dtype=complex))
-    if zm.shape != (k.m, k.m):
-        raise ValueError(f"contraction has shape {zm.shape}, expected {(k.m, k.m)}")
-    if opnorm(zm) > 1 + 1e-10:
-        raise ValueError(f"||Z|| = {opnorm(zm):.6f} exceeds 1")
-    den = k.k11 + k.k12 @ zm
-    if min_singular_value(den) <= 1e-12:
+    zs = np.atleast_2d(np.asarray(z, dtype=complex))
+    if zs.ndim > 3 or zs.shape[-2:] != (k.m, k.m):
+        raise ValueError(f"contraction has shape {zs.shape}, expected {(k.m, k.m)}")
+    stack = zs.reshape(-1, k.m, k.m)
+    # a non-finite entry can stop the SVD of the whole stack, so such an
+    # element is sized alone, below, once it is the first to fail
+    finite_z = np.isfinite(stack).all(axis=(1, 2))
+    norms = opnorm(np.where(finite_z[:, None, None], stack, 0))
+    expands = norms > 1 + 1e-10
+    den = k.k11 + k.k12 @ stack
+    finite_den = np.isfinite(den).all(axis=(1, 2))
+    smin = min_singular_value(np.where(finite_den[:, None, None], den, np.eye(k.m)))
+    bad = np.isnan(stack).any(axis=(1, 2)) | expands | ~finite_den | (smin <= 1e-12)
+    if bad.any():
+        # the first failing element's checks, in their order, raise its error
+        j = int(np.argmax(bad))
+        opnorm(stack[j])  # a NaN entry raises LinAlgError, as it does alone
+        if expands[j]:
+            raise ValueError(f"||Z|| = {norms[j]:.6f} exceeds 1")
+        min_singular_value(den[j])  # raises on a non-finite denominator
         raise ValueError("K11 + K12 Z is numerically singular; K is not Krein unitary")
-    out = (k.k21 + k.k22 @ zm) @ np.linalg.inv(den)
-    return complex(out[0, 0]) if (scalar and k.m == 1) else out
+    out = (k.k21 + k.k22 @ stack) @ np.linalg.inv(den)
+    if zs.ndim == 3:
+        return out
+    return complex(out[0, 0, 0]) if np.ndim(z) == 0 else out[0]
 
 
 def random_krein_unitary(m: int, rng: np.random.Generator,
@@ -233,13 +259,12 @@ def wandering_check(u, basis: SubspaceBasis, n_max: int) -> WanderingReport:
     if opnorm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARY_TOL:
         raise ValueError("U is not unitary")
     ell = basis.vectors
-    defects = []
-    first = None
+    blocks = []
     current = ell
-    for n in range(1, n_max + 1):
+    for _ in range(n_max):
         current = u @ current
-        d = opnorm(ell.conj().T @ current)
-        defects.append(d)
-        if first is None and d > SINGULARITY_TOL:
-            first = n
-    return WanderingReport(first, tuple(defects))
+        blocks.append(ell.conj().T @ current)
+    defects = opnorm(np.stack(blocks))
+    over = np.flatnonzero(defects > SINGULARITY_TOL)
+    first = int(over[0]) + 1 if over.size else None
+    return WanderingReport(first, tuple(defects.tolist()))

@@ -7,6 +7,8 @@ part carries a mandatory ``i`` suffix; a bare ``i`` means ``1i``.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 
 _DEC = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -21,11 +23,21 @@ _PATTERN = re.compile(
 
 def parse_complex(text: str) -> complex:
     """Parse ``"a+bi"`` style literals or JSON numbers; raises ValueError on
-    anything else, a bool included."""
+    anything else, a bool and a value that is not finite included."""
     if isinstance(text, bool):
         raise ValueError(f"invalid complex literal {text!r}: a bool is not a number")
-    if isinstance(text, (int, float)):
-        return complex(text)
+    if not isinstance(text, (str, int, float)):
+        raise ValueError(f"invalid complex literal {text!r}: expected a string or a number")
+    try:
+        z = complex(text) if isinstance(text, (int, float)) else _parse_text(text)
+    except OverflowError:  # an int beyond the float range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ValueError(f"invalid complex literal {text!r}: not finite")
+    return z
+
+
+def _parse_text(text: str) -> complex:
     m = _PATTERN.match(text)
     if not m:
         raise ValueError(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psokit import cli, matops, models, triplets
+from psokit import cli, matops, models, psocheck, triplets
 from psokit.triplets import BoundaryTriplet
 from psokit.scalars import format_complex, parse_complex
 
@@ -33,7 +33,10 @@ def test_parse_complex(text, value):
     assert parse_complex(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1+2", "i5", "2 + 3i", "1+i2", "++i"])
+@pytest.mark.parametrize("bad", ["", "abc", "1+2", "i5", "2 + 3i", "1+i2", "++i",
+                                 "1e400", "1-1e400i", math.nan, math.inf,
+                                 pytest.param(10**400, id="int-beyond-float"),
+                                 None, pytest.param([1], id="list")])
 def test_parse_complex_rejects(bad):
     with pytest.raises(ValueError):
         parse_complex(bad)
@@ -206,6 +209,71 @@ def test_mobius_builds_the_defect_triplet_without_decompose(monkeypatch):
     assert report["checks"][0]["verdict"] == "pass"
     # one S(mu) test in defect_triplet, one in change_of_basis
     assert (calls["decompose"], calls["is_singular"]) == (0, 2)
+
+
+def counted_calls(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("expand_at, raise_at, note", [
+    (None, (5, 0), "ValueError: no theta at lambda 5"),
+    (2, (5, 1), "ValueError: ||Z|| = 2.000000 exceeds 1"),
+    (5, (5, 1), "ValueError: no theta at lambda 5"),
+], ids=["theta-1-raises", "earlier-map-fails", "own-error-before-own-map"])
+def test_mobius_reports_the_first_failing_lambda(monkeypatch, expand_at, raise_at, note):
+    # calls at one lambda: 0 gives theta_1, which is mapped, and 1 theta_2
+    lams = list(psocheck.Grid.default().lambdas_upper)
+    calls = Counter()
+    char_value = triplets.char_value
+
+    def patched(lam, gp, gm):
+        at = (lams.index(lam), calls[lam])
+        calls[lam] += 1
+        if at == raise_at:
+            raise ValueError(f"no theta at lambda {at[0]}")
+        if at == (expand_at, 0):
+            return 2.0
+        return char_value(lam, gp, gm)
+
+    monkeypatch.setattr(triplets, "char_value", patched)
+    report = cli.run_scenario_obj({
+        "name": "mobius", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+        "checks": ["mobius"]})
+    record = report["checks"][0]
+    assert (record["verdict"], record["notes"]) == ("error", note)
+
+
+def test_green_builds_its_random_pairs_once_per_process(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(models, "random_maximal_domain_function", counted_calls(
+        calls, "built", models.random_maximal_domain_function))
+    cli._green_pairs.cache_clear()
+    scenario = {"name": "green", "model": {"kind": "momentum"}, "checks": ["green"]}
+    first, second = (cli.run_scenario_obj(scenario)["checks"][0] for _ in range(2))
+    assert calls["built"] == 40
+    assert first["verdict"] == "pass"
+    assert repr(first["max_residual"]) == repr(second["max_residual"])
+
+
+def test_mobius_takes_as_many_svds_on_the_default_grid_as_on_two_points(monkeypatch):
+    calls = Counter()
+    for name in ("opnorm", "min_singular_value", "is_singular"):
+        monkeypatch.setattr(matops, name, counted_calls(calls, name, getattr(matops, name)))
+
+    def svds(grid):
+        calls.clear()
+        report = cli.run_scenario_obj({
+            "name": "mobius", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+            "checks": ["mobius"], **grid})
+        assert report["checks"][0]["verdict"] == "pass"
+        return dict(calls)
+
+    # one stacked map for the whole grid; one 1 x 1 map per lambda took two
+    # SVDs each
+    assert svds({"grid": {"re": [0], "im": [1, 2]}}) == svds({})
 
 
 def test_mobius_with_a_singular_defect_system_is_an_error(tmp_path, capsys, monkeypatch):
@@ -452,6 +520,25 @@ def test_classify_requires_certificate_or_theta(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "real-plus-upper" in out
+
+
+@pytest.mark.parametrize("check, params, note", [
+    ("mobius", {"mu": "1e400"}, "invalid complex literal '1e400': not finite"),
+    ("classify", {"T": "1", "theta": math.nan}, "invalid complex literal nan: not finite"),
+    ("mobius", {"mu": None},
+     "invalid complex literal None: expected a string or a number"),
+], ids=["overflow", "json-nan", "null"])
+def test_a_parameter_that_is_no_finite_complex_is_an_error(tmp_path, capsys, check,
+                                                           params, note):
+    path = write_scenario(tmp_path, {
+        "name": "bad-value",
+        "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+        "checks": [check],
+        "params": params,
+    })
+    assert cli.main(["run", path]) == 2
+    record = json.loads(capsys.readouterr().out)["checks"][0]
+    assert (record["verdict"], record["notes"]) == ("error", f"ValueError: {note}")
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -120,6 +120,45 @@ def test_interspherical_rejects_expansions():
         interspherical(k, 1.5)
 
 
+def random_contractions(rng, n, m):
+    z = rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
+    return z * (rng.uniform(0, 0.95, size=(n, 1, 1)) / opnorm(z)[:, None, None])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_stacked_transform_is_the_per_element_transform_bit_for_bit(m):
+    rng = np.random.default_rng(17 + m)
+    for _ in range(40):
+        k = random_krein_unitary(m, rng)
+        zs = random_contractions(rng, int(rng.integers(1, 30)), m)
+        stacked = interspherical(k, zs)
+        assert stacked.shape == zs.shape
+        for z, got in zip(zs, stacked):
+            # the one-matrix formula is the reference
+            ref = (k.k21 + k.k22 @ z) @ np.linalg.inv(k.k11 + k.k12 @ z)
+            one = interspherical(k, complex(z[0, 0]) if m == 1 else z)
+            assert repr(got.tolist()) == repr(ref.tolist())
+            assert repr(np.atleast_2d(one).tolist()) == repr(ref.tolist())
+
+
+def test_the_first_failing_element_of_a_stack_raises_its_own_error():
+    rng = np.random.default_rng(23)
+    k = random_krein_unitary(1, rng)
+    zs = random_contractions(rng, 6, 1)
+    zs[3, 0, 0] = 1.25
+    zs[5, 0, 0] = complex("nan")
+    with pytest.raises(ValueError, match=r"^\|\|Z\|\| = 1\.250000 exceeds 1$"):
+        interspherical(k, zs)
+    with pytest.raises(np.linalg.LinAlgError):  # as the NaN element alone
+        interspherical(k, zs[4:])
+
+
+def test_an_empty_stack_maps_to_an_empty_stack():
+    k = random_krein_unitary(2, np.random.default_rng(29))
+    out = interspherical(k, np.zeros((0, 2, 2)))
+    assert out.shape == (0, 2, 2) and out.dtype == complex
+
+
 # -- wandering subspaces ------------------------------------------------------
 
 
