@@ -210,16 +210,23 @@ def _threshold_result(check_id, residuals, tolerance, witness, holds=True):
 
 @functools.cache
 def _green_pairs():
-    """The 20 seeded random maximal-domain pairs of the green check; they
-    depend on no model, so one process builds them once, on first use."""
+    """The 20 seeded random maximal-domain pairs of the green check, each
+    function with its free part i f'.  None of this depends on the model, so
+    one process builds, checks and differentiates them once, on first use."""
     rng = np.random.default_rng(20240601)
-    return tuple((models.random_maximal_domain_function(rng),
-                  models.random_maximal_domain_function(rng)) for _ in range(20))
+
+    def prepared():
+        f = models.random_maximal_domain_function(rng)
+        triplets.require_maximal_domain(f)
+        return f, models.free_part(f)
+
+    return tuple((prepared(), prepared()) for _ in range(20))
 
 
 def _run_green(model, grid, params):
-    residuals = [triplets.green_residual(model.triplet, model, f, g)
-                 for f, g in _green_pairs()]
+    residuals = [triplets.green_defect(model.triplet, f, model.adjoint_from(f, df),
+                                       g, model.adjoint_from(g, dg))
+                 for (f, df), (g, dg) in _green_pairs()]
     return _threshold_result("green", residuals, GREEN_TOL, "20 seeded random pairs")
 
 

@@ -144,10 +144,16 @@ def _fundamental_symmetry(m: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
 
 
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in a 1-d mask; its length if there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
 def interspherical(k: KreinBlockOperator, z) -> np.ndarray | complex:
     """Linear fractional transform (K21 + K22 Z)(K11 + K12 Z)^(-1).
 
-    Defined for contractions Z (||Z|| <= 1); the denominator is invertible
+    Defined for finite contractions Z (||Z|| <= 1), and a Z that is not
+    finite is rejected before its norm is taken; the denominator is invertible
     for every Krein-unitary K, so a singular denominator signals a broken K
     and is rejected.  A scalar z is accepted and a scalar is returned.  A
     stack of contractions, shape (n, m, m), is mapped element by element
@@ -158,23 +164,19 @@ def interspherical(k: KreinBlockOperator, z) -> np.ndarray | complex:
     if zs.ndim > 3 or zs.shape[-2:] != (k.m, k.m):
         raise ValueError(f"contraction has shape {zs.shape}, expected {(k.m, k.m)}")
     stack = zs.reshape(-1, k.m, k.m)
-    # a non-finite entry can stop the SVD of the whole stack, so such an
-    # element is sized alone, below, once it is the first to fail
-    finite_z = np.isfinite(stack).all(axis=(1, 2))
-    norms = opnorm(np.where(finite_z[:, None, None], stack, 0))
-    expands = norms > 1 + 1e-10
-    den = k.k11 + k.k12 @ stack
-    finite_den = np.isfinite(den).all(axis=(1, 2))
-    smin = min_singular_value(np.where(finite_den[:, None, None], den, np.eye(k.m)))
-    bad = np.isnan(stack).any(axis=(1, 2)) | expands | ~finite_den | (smin <= 1e-12)
-    if bad.any():
-        # the first failing element's checks, in their order, raise its error
-        j = int(np.argmax(bad))
-        opnorm(stack[j])  # a NaN entry raises LinAlgError, as it does alone
-        if expands[j]:
-            raise ValueError(f"||Z|| = {norms[j]:.6f} exceeds 1")
-        min_singular_value(den[j])  # raises on a non-finite denominator
+    # each check sizes only the elements before the first one an earlier
+    # check rejects, so the first failing element raises its own error
+    n_finite = _first(~np.isfinite(stack).all(axis=(1, 2)))
+    norms = opnorm(stack[:n_finite])
+    n_contracting = _first(norms > 1 + 1e-10)
+    den = k.k11 + k.k12 @ stack[:n_contracting]
+    n_regular = _first(min_singular_value(den) <= 1e-12)
+    if n_regular < n_contracting:
         raise ValueError("K11 + K12 Z is numerically singular; K is not Krein unitary")
+    if n_contracting < n_finite:
+        raise ValueError(f"||Z|| = {norms[n_contracting]:.6f} exceeds 1")
+    if n_finite < len(stack):
+        raise ValueError("contraction entries must be finite")
     out = (k.k21 + k.k22 @ stack) @ np.linalg.inv(den)
     if zs.ndim == 3:
         return out

@@ -48,6 +48,12 @@ def _half_line(coeff, exponent, side) -> PiecewiseExpFunction:
     return PiecewiseExpFunction.single(coeff, 0.0, POS_INF, exponent)
 
 
+def free_part(f: PiecewiseExpFunction) -> PiecewiseExpFunction:
+    """i f', the free momentum operator on f, with a jump allowed at the
+    origin; the models' maximal operators add their coupling to it."""
+    return 1j * f.derivative(jump_ok_at=(0.0,))
+
+
 def _defect_exponential(coeff: complex, z: complex) -> ExpTerm:
     """coeff * exp(-izx) on (-inf, 0) for Im z > 0, on (0, inf) for Im z < 0."""
     lo, hi = (NEG_INF, 0.0) if z.imag > 0 else (0.0, POS_INF)
@@ -86,7 +92,13 @@ class MomentumModel:
         return PiecewiseExpFunction((_defect_exponential(1.0, z),))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
-        return 1j * f.derivative(jump_ok_at=(0.0,))
+        return self.adjoint_from(f, free_part(f))
+
+    @staticmethod
+    def adjoint_from(f: PiecewiseExpFunction,
+                     free: PiecewiseExpFunction) -> PiecewiseExpFunction:
+        """T f from f and its free part ``free_part(f)``."""
+        return free
 
     def describe(self) -> str:
         return "momentum(m=1)"
@@ -161,10 +173,10 @@ def similarity_conjugation_check(t1, t2, samples) -> float:
             raise ValueError(
                 f"sample violates the T1 boundary condition by {bc:.3e}"
             )
-        derivs = [1j * c.derivative(jump_ok_at=(0.0,)) for c in comps]
+        derivs = [free_part(c) for c in comps]
         uf_of_deriv = _apply_half_line_multiplier(f_matrix, derivs)
         uf_sample = _apply_half_line_multiplier(f_matrix, comps)
-        deriv_of_uf = [1j * c.derivative(jump_ok_at=(0.0,)) for c in uf_sample]
+        deriv_of_uf = [free_part(c) for c in uf_sample]
         commutation = max(
             norm(a - b) for a, b in zip(uf_of_deriv, deriv_of_uf)
         )
@@ -400,12 +412,17 @@ class NonlocalModel:
         object.__setattr__(self, "defects", DefectFamily(self._defect))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
-        df = 1j * f.derivative(jump_ok_at=(0.0,))
+        return self.adjoint_from(f, free_part(f))
+
+    def adjoint_from(self, f: PiecewiseExpFunction,
+                     free: PiecewiseExpFunction) -> PiecewiseExpFunction:
+        """T f from f and its free part ``free_part(f)``: the coupling term
+        added to the free part."""
         if self.case == "I":
             coupling = (f.limit(0.0, "+") + f.limit(0.0, "-")) / 2
         else:
             coupling = f.limit(0.0, "+") - f.limit(0.0, "-")
-        return df + coupling * self.gamma
+        return free + coupling * self.gamma
 
     def _defect(self, z: complex) -> PiecewiseExpFunction:
         g = free_resolvent(z, self.gamma) if not self.gamma.is_zero \

@@ -182,14 +182,11 @@ def _native_images(model, points):
 def char_values(model, lams):
     """The points of ``lams`` with a finite characteristic function value,
     those values, and a failure text for every other point."""
-    def theta(lam):
-        value = triplets.char_function(model.triplet, model.defects, lam)
-        if not np.isfinite(value):
-            raise ValueError("theta is not finite")
-        return value
-
     failures: list[str] = []
-    kept, values = _per_point(lams, "lambda", theta, failures)
+    kept, values = _per_point(
+        lams, "lambda",
+        lambda lam: triplets.char_function(model.triplet, model.defects, lam),
+        failures)
     return kept, values, failures
 
 

@@ -16,6 +16,7 @@ supply concrete triplets and defect families.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -151,6 +152,14 @@ def green_residual(triplet: BoundaryTriplet, model, f: PiecewiseExpFunction,
     require_maximal_domain(g)
     tf = model.adjoint_apply(f)
     tg = model.adjoint_apply(g)
+    return green_defect(triplet, f, tf, g, tg)
+
+
+def green_defect(triplet: BoundaryTriplet, f: PiecewiseExpFunction,
+                 tf: PiecewiseExpFunction, g: PiecewiseExpFunction,
+                 tg: PiecewiseExpFunction) -> float:
+    """Defect of the Green identity on f and g, given tf = T f and tg = T g;
+    the caller has checked that both lie in the maximal domain."""
     lhs = inner(tf, g) - inner(f, tg)
     gp, gm = triplet.gamma_plus, triplet.gamma_minus
     rhs = 1j * (gp(f) * gp(g).conjugate() - gm(f) * gm(g).conjugate())
@@ -172,13 +181,16 @@ def char_function(triplet: BoundaryTriplet, defects: DefectFamily,
 
 def char_value(lam: complex, gp: complex, gm: complex) -> complex:
     """gamma_minus / gamma_plus, the boundary values of the defect vector at
-    lam; a vanishing gamma_plus is an error."""
+    lam; a vanishing gamma_plus or a ratio that is not finite is an error."""
     if abs(gp) <= BOUNDARY_SINGULAR_TOL * (1 + abs(gm)):
         raise ValueError(
             f"gamma_plus vanishes on the defect vector at {lam}; "
             "triplet and defect family are inconsistent"
         )
-    return gm / gp
+    theta = gm / gp
+    if not cmath.isfinite(theta):
+        raise ValueError("theta is not finite")
+    return theta
 
 
 def require_regular_system(system: np.ndarray) -> None:
@@ -264,8 +276,15 @@ def triplet_convert(g0: BoundaryFunctional, g1: BoundaryFunctional, model,
     if test_pairs is None:
         w1, w2 = model.triplet.witness
         test_pairs = [(w1, w1), (w1, w2), (w2, w1), (w2, w2)]
+    applied: dict[int, PiecewiseExpFunction] = {}  # T f by id(f), once each
+
+    def t(f):
+        if id(f) not in applied:
+            applied[id(f)] = model.adjoint_apply(f)
+        return applied[id(f)]
+
     for f, g in test_pairs:
-        lhs = inner(model.adjoint_apply(f), g) - inner(f, model.adjoint_apply(g))
+        lhs = inner(t(f), g) - inner(f, t(g))
         rhs = g1(f) * g0(g).conjugate() - g0(f) * g1(g).conjugate()
         if abs(lhs - rhs) > GREEN_TOL:
             raise ValueError(

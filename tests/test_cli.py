@@ -250,12 +250,40 @@ def test_green_builds_its_random_pairs_once_per_process(monkeypatch):
     calls = Counter()
     monkeypatch.setattr(models, "random_maximal_domain_function", counted_calls(
         calls, "built", models.random_maximal_domain_function))
+    monkeypatch.setattr(triplets, "require_maximal_domain", counted_calls(
+        calls, "checked", triplets.require_maximal_domain))
+    monkeypatch.setattr(models.PiecewiseExpFunction, "derivative", counted_calls(
+        calls, "differentiated", models.PiecewiseExpFunction.derivative))
     cli._green_pairs.cache_clear()
     scenario = {"name": "green", "model": {"kind": "momentum"}, "checks": ["green"]}
     first, second = (cli.run_scenario_obj(scenario)["checks"][0] for _ in range(2))
-    assert calls["built"] == 40
+    assert calls == {"built": 40, "checked": 40, "differentiated": 40}
     assert first["verdict"] == "pass"
     assert repr(first["max_residual"]) == repr(second["max_residual"])
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "momentum"},
+    *({"kind": "nonlocal", "case": case, "alpha": alpha}
+      for case, phillips in (("I", "4i"), ("II", "2i"))
+      for alpha in ("0", "1", phillips, "3-i")),
+], ids=lambda spec: "-".join(spec.values()))
+def test_green_residuals_equal_the_one_off_green_residual(monkeypatch, spec):
+    seen = []
+    threshold_result = cli._threshold_result
+
+    def recorded(check_id, residuals, *args, **kwargs):
+        seen.append(residuals)
+        return threshold_result(check_id, residuals, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_threshold_result", recorded)
+    model = cli.build_model(spec)
+    cli._run_green(model, None, {})
+    rng = np.random.default_rng(20240601)
+    pairs = [(models.random_maximal_domain_function(rng),
+              models.random_maximal_domain_function(rng)) for _ in range(20)]
+    expected = [triplets.green_residual(model.triplet, model, f, g) for f, g in pairs]
+    assert [repr(r) for r in seen[0]] == [repr(r) for r in expected]
 
 
 def test_mobius_takes_as_many_svds_on_the_default_grid_as_on_two_points(monkeypatch):

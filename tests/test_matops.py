@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,8 +150,21 @@ def test_the_first_failing_element_of_a_stack_raises_its_own_error():
     zs[5, 0, 0] = complex("nan")
     with pytest.raises(ValueError, match=r"^\|\|Z\|\| = 1\.250000 exceeds 1$"):
         interspherical(k, zs)
-    with pytest.raises(np.linalg.LinAlgError):  # as the NaN element alone
+    with pytest.raises(ValueError, match="^contraction entries must be finite$"):
         interspherical(k, zs[4:])
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"),
+                               [[complex("nan"), 0], [0, 0]],
+                               [[0, 0], [0, float("inf")]]])
+def test_interspherical_rejects_a_non_finite_contraction_first(z):
+    m = np.atleast_2d(z).shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        for k in (KreinBlockOperator.identity(m),
+                  random_krein_unitary(m, np.random.default_rng(31))):
+            with pytest.raises(ValueError, match="^contraction entries must be finite$"):
+                interspherical(k, z)
 
 
 def test_an_empty_stack_maps_to_an_empty_stack():

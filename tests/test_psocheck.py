@@ -321,6 +321,12 @@ def test_constancy_counts_a_non_finite_theta_as_a_failed_point():
     assert math.isfinite(result.max_residual)
 
 
+def test_mobius_names_a_non_finite_theta():
+    # the map of the NaN theta at 3+i once failed inside numpy's SVD
+    with pytest.raises(ValueError, match="^theta is not finite$"):
+        cli._run_mobius(nan_boundary_model(), SMALL_GRID, {})
+
+
 def pairwise_inclusion(model, grid):
     """Reference inclusion scan: one ``decompose`` per (lambda, mu) pair."""
     worst, witness, failures, evaluated = 0.0, None, [], 0

@@ -221,6 +221,20 @@ def test_triplet_convert_momentum():
         assert green_residual(converted, mom, f, g) <= 1e-10
 
 
+def test_triplet_convert_applies_t_once_per_witness(monkeypatch):
+    mom = MomentumModel()
+    calls = []
+    adjoint_apply = MomentumModel.adjoint_apply
+
+    def counted(model, f):
+        calls.append(f)
+        return adjoint_apply(model, f)
+
+    monkeypatch.setattr(MomentumModel, "adjoint_apply", counted)
+    triplet_convert(*momentum_symmetric_pair(), mom)
+    assert [id(f) for f in calls] == [id(w) for w in mom.triplet.witness]
+
+
 def test_triplet_convert_round_trip():
     mom = MomentumModel()
     g0, g1 = momentum_symmetric_pair()
