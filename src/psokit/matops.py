@@ -16,6 +16,7 @@ import scipy.linalg
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 KREIN_TOL = 1e-10
+CONTRACTION_BOUND = 1 + 1e-10
 
 #: shared relative threshold for "0 is in the spectrum" style tests
 SINGULARITY_TOL = 1e-10
@@ -168,7 +169,7 @@ def interspherical(k: KreinBlockOperator, z) -> np.ndarray | complex:
     # check rejects, so the first failing element raises its own error
     n_finite = _first(~np.isfinite(stack).all(axis=(1, 2)))
     norms = opnorm(stack[:n_finite])
-    n_contracting = _first(norms > 1 + 1e-10)
+    n_contracting = _first(norms > CONTRACTION_BOUND)
     den = k.k11 + k.k12 @ stack[:n_contracting]
     n_regular = _first(min_singular_value(den) <= 1e-12)
     if n_regular < n_contracting:

@@ -8,9 +8,11 @@ a symmetric restriction (constant characteristic function):
 * vanishing of the conjugate-defect coefficient when any upper defect
   vector is decomposed against a fixed upper point.
 
-Each scan produces a pass / fail / inconclusive / error verdict with its
-witness.  Scans fail closed: a grid point that could not be evaluated caps
-a pass at inconclusive, and a scan that evaluated nothing reports error.
+Each scan builds one matrix of its residuals, NaN where an entry failed,
+and produces a pass / fail / inconclusive / error verdict from its worst
+entry, which names the witness.  Scans fail closed: a grid point that could
+not be evaluated caps a pass at inconclusive, and a scan that evaluated
+nothing reports error.
 The aggregate certificate additionally demands that the three verdicts
 agree, which guards against implementation drift between the criteria.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import matops, triplets
 # inner stays bound here for bench/tracer.py, which rebinds every import of it
-from .expfun import GRAM_BLOCK, gram, inner, pack  # noqa: F401
+from .expfun import gram, inner, pack  # noqa: F401
 from .scalars import format_complex
 
 PASS_ORTHOGONALITY = 1e-10
@@ -136,14 +138,21 @@ def _verdict(max_residual: float, pass_tol: float, evaluated: int,
     return VERDICT_INCONCLUSIVE
 
 
-def _scan_result(check_id: str, worst: float, tolerance: float,
-                 witness: str | None, evaluated: int,
-                 failures: list[str]) -> CheckResult:
+def _scan_result(check_id: str, residuals: np.ndarray, tolerance: float,
+                 name, evaluated: int, failures: list[str]) -> CheckResult:
     """The result of a scan over ``evaluated`` grid points.
 
+    The worst of ``residuals``, a NaN where an entry failed or is excluded,
+    is its first strictly largest entry in C order; ``name(row, column)``
+    names it.  A NaN never wins, and nothing at or below 0 names a witness.
     A scan that evaluated nothing reports a NaN residual rather than the
     0.0 it started from, which would read as a perfect pass.
     """
+    worst = float(np.fmax.reduce(residuals, axis=None, initial=0.0))
+    witness = None
+    if worst > 0:
+        first = int(np.argmax(residuals == worst))
+        witness = name(*np.unravel_index(first, residuals.shape))
     if not evaluated:
         worst = float("nan")
     verdict = _verdict(worst, tolerance, evaluated, len(failures))
@@ -196,7 +205,7 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     A point whose norm fails is a failed point.  The pairings are the
     entries of one Gram matrix of the normalized vectors, taken only when
     both half planes have vectors; the witness is the first largest one in
-    nu-major, lambda-minor order, found GRAM_BLOCK lower vectors at a time.
+    nu-major, lambda-minor order.
     """
     grid = grid or Grid.default()
     failures = []
@@ -204,47 +213,32 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     lowers, down_norms = _per_point(grid.lambdas_lower, "nu", model.defects.norm, failures)
     up = pack([model.defects(z) for z in uppers], [1.0 / n for n in up_norms])
     down = pack([model.defects(z) for z in lowers], [1.0 / n for n in down_norms])
-    worst = 0.0
-    witness = None
     # with no vector on one side there is nothing to pair
-    matrix = gram(up, down) if uppers and lowers else np.empty((0, 0))
-    for start in range(0, matrix.shape[1], GRAM_BLOCK):
-        pairings = matrix[:, start:start + GRAM_BLOCK].T  # rows nu
-        vals = np.hypot(pairings.real, pairings.imag)  # abs() of each entry
-        # a NaN pairing never beats the worst, as in a scalar val > worst
-        i = int(np.argmax(np.where(np.isnan(vals), -1.0, vals)))
-        if vals.flat[i] > worst:
-            worst = float(vals.flat[i])
-            nu, lam = divmod(i, len(uppers))
-            witness = (f"lambda={format_complex(uppers[lam])}, "
-                       f"nu={format_complex(lowers[start + nu])}")
-    return _scan_result("orthogonality", worst, PASS_ORTHOGONALITY, witness,
-                        len(uppers) * len(lowers), failures)
+    pairings = gram(up, down).T if uppers and lowers else np.empty((0, 0))  # rows nu
+    return _scan_result(
+        "orthogonality", np.hypot(pairings.real, pairings.imag), PASS_ORTHOGONALITY,
+        lambda nu, lam: f"lambda={format_complex(uppers[lam])}, nu={format_complex(lowers[nu])}",
+        pairings.size, failures)
 
 
 def constancy_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest pairwise deviation of the characteristic function over the
     upper grid.  Pass below 1e-8, fail above 1e-2, inconclusive between.
 
-    The deviations are taken one row i at a time against every j > i; the
-    witness is the first largest one in i-major order.  The scan evaluates
-    pairs, so fewer than two finite values compare nothing and report error.
+    The deviations are those of the pairs i < j; the witness is the first
+    largest one in i-major order.  The scan evaluates pairs, so fewer than
+    two finite values compare nothing and report error.
     """
     grid = grid or Grid.default()
     lams, values, failures = char_values(model, grid.lambdas_upper)
-    re = np.array([v.real for v in values])
-    im = np.array([v.imag for v in values])
-    worst = 0.0
-    witness = None
-    for i in range(len(values) - 1):
-        devs = np.hypot(re[i] - re[i + 1:], im[i] - im[i + 1:])  # abs(v_i - v_j)
-        j = int(np.argmax(devs))
-        if devs[j] > worst:
-            worst = float(devs[j])
-            witness = (f"lambda={format_complex(lams[i])}, "
-                       f"mu={format_complex(lams[i + 1 + j])}")
-    return _scan_result("constancy", worst, PASS_CONSTANCY, witness,
-                        len(values) * (len(values) - 1) // 2, failures)
+    v = np.array(values, dtype=complex)
+    devs = v.real[:, None] - v.real
+    np.hypot(devs, v.imag[:, None] - v.imag, out=devs)  # abs(v_i - v_j), in place
+    devs[np.tri(len(values), dtype=bool)] = np.nan  # only the pairs i < j
+    return _scan_result(
+        "constancy", devs, PASS_CONSTANCY,
+        lambda i, j: f"lambda={format_complex(lams[i])}, mu={format_complex(lams[j])}",
+        len(values) * (len(values) - 1) // 2, failures)
 
 
 def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
@@ -253,13 +247,14 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     Decomposing the defect vector f at lambda against the point mu, as
     ``triplets.decompose`` does, must leave no component b along the
     defect vector at conj(mu); |b| is scaled by the norms so the verdict is
-    scale free.
+    scale free.  The witness is the first largest one in mu-major,
+    lambda-minor order.
 
     The coefficients are linear in the native images (gamma_plus(f),
     gamma_minus(f)), so each upper and each conjugate point is mapped once:
     the upper images are the right-hand sides and S(mu)'s first column, the
-    conjugate ones its second, and each mu solves S(mu) for all lambdas at
-    once.  A singular S(mu) fails every pair at that mu.  Failures keep the
+    conjugate ones its second, and one stacked solve covers every regular
+    S(mu).  A singular S(mu) fails every pair at that mu.  Failures keep the
     precedence and text of ``decompose``: lambda-side construction errors
     (the norm of f included), then mu-side errors, then errors of the
     boundary maps on f, then the singularity of S(mu).  A pair whose
@@ -271,7 +266,7 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     labels = [format_complex(lam) for lam in lams]
     # per lambda: the error before the boundary maps
     early: dict[int, Exception] = {}
-    norms = [1.0] * len(lams)
+    norms = np.ones(len(lams))
     for j, lam in enumerate(lams):
         try:
             triplets.require_maximal_domain(model.defects(lam))
@@ -281,43 +276,46 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     rhs, late = _native_images(model, lams)
     conj, conj_errors = _native_images(model, [lam.conjugate() for lam in lams])
 
-    worst = 0.0
-    witness = None
-    failures = []
-    evaluated = 0
-    for i, (mu, mu_label) in enumerate(zip(lams, labels)):
+    # per mu: the norm at conj(mu), then, mapping f_mu before f_conj(mu) as
+    # decompose does, the first mapping error and the singularity of S(mu)
+    systems = np.stack([rhs.T, conj.T], axis=2)
+    n_conj = np.ones(len(lams))
+    mu_failures: dict[int, str] = {}
+    mu_errors = [late.get(i) or conj_errors.get(i) for i in range(len(lams))]
+    singular: dict[int, Exception] = {}
+    for i, mu in enumerate(lams):
         try:
-            n_conj = model.defects.norm(mu.conjugate())
+            n_conj[i] = model.defects.norm(mu.conjugate())
         except Exception as exc:
-            failures.append(f"mu={mu_label}: {exc}")
+            mu_failures[i] = f"mu={labels[i]}: {exc}"
             continue
-        # mapping f_mu, then f_conj(mu), as decompose does
-        mu_error = late.get(i) or conj_errors.get(i)
-        singular = None
-        if mu_error is None:
-            system = np.column_stack([rhs[:, i], conj[:, i]])
+        if mu_errors[i] is None:
             try:
-                triplets.require_regular_system(system)
+                triplets.require_regular_system(systems[i])
             except Exception as exc:
-                singular = exc
-            else:
-                coeffs = np.linalg.solve(system, rhs)
-                finite = np.isfinite(coeffs).all(axis=0).tolist()
-                bs = coeffs[1].tolist()
-        for j in range(len(lams)):
-            exc = early.get(j) or mu_error or late.get(j) or singular
-            if exc is None and not finite[j]:
-                exc = ValueError("coefficient and exponent must be finite")
-            if exc is not None:
-                failures.append(f"lambda={labels[j]}, mu={mu_label}: {exc}")
-                continue
-            evaluated += 1
-            val = abs(bs[j]) * n_conj / norms[j]
-            if val > worst:
-                worst = val
-                witness = f"lambda={labels[j]}, mu={mu_label}"
-    return _scan_result("inclusion", worst, PASS_INCLUSION, witness,
-                        evaluated, failures)
+                singular[i] = exc
+    regular = [i for i in range(len(lams)) if i not in mu_failures
+               and mu_errors[i] is None and i not in singular]
+    coeffs = np.full((len(lams), 2, len(lams)), np.nan, dtype=complex)  # mu, (a, b), lambda
+    coeffs[regular] = np.linalg.solve(systems[regular], rhs)
+    failed = ~np.isfinite(coeffs).all(axis=1)
+    failed[:, [*early, *late]] = True
+
+    failures = []
+    for i in range(len(lams)):
+        if i in mu_failures:
+            failures.append(mu_failures[i])
+            continue
+        for j in np.flatnonzero(failed[i]):
+            exc = (early.get(j) or mu_errors[i] or late.get(j) or singular.get(i)
+                   or ValueError("coefficient and exponent must be finite"))
+            failures.append(f"lambda={labels[j]}, mu={labels[i]}: {exc}")
+    # hypot is abs() of a complex bit for bit; np.abs is not
+    vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * n_conj[:, None] / norms
+    vals[failed] = np.nan
+    return _scan_result("inclusion", vals, PASS_INCLUSION,
+                        lambda mu, lam: f"lambda={labels[lam]}, mu={labels[mu]}",
+                        np.count_nonzero(~failed), failures)
 
 
 def pso_certificate(model, grid: Grid | None = None) -> Certificate:
@@ -351,7 +349,7 @@ def classify_spectrum(theta_const, t) -> str:
     tm = np.atleast_2d(np.asarray(t, dtype=complex))
     if theta.shape != tm.shape or theta.shape[0] != theta.shape[1]:
         raise ValueError("theta and T must be square matrices of equal size")
-    if matops.opnorm(theta) > 1 + 1e-10:
+    if matops.opnorm(theta) > matops.CONTRACTION_BOUND:
         raise ValueError("theta must be a contraction (characteristic value)")
     upper = matops.is_singular(theta - tm)
     lower = matops.is_singular(np.eye(theta.shape[0]) - theta.conj().T @ tm)

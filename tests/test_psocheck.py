@@ -431,15 +431,18 @@ def pairwise_constancy(model, grid):
 
 
 SCAN_CASES = [(name, make, SMALL_GRID) for name, make in EQUIVALENCE_MODELS.items()] + [
-    (name, EQUIVALENCE_MODELS[name], Grid.default()) for name in ("I(1)", "II(1)")]
+    (name, EQUIVALENCE_MODELS[name], grid) for grid in (Grid.default(), DENSE_GRID)
+    for name in ("I(1)", "II(1)")]
 
 
 @pytest.mark.parametrize("make, grid", [case[1:] for case in SCAN_CASES],
                          ids=[f"{case[0]}-{len(case[2].lambdas_upper)}" for case in SCAN_CASES])
 def test_gram_scans_match_the_scalar_pair_loops(make, grid):
     model = make()
-    for scan, reference in ((orthogonality_scan, pairwise_orthogonality),
-                            (constancy_scan, pairwise_constancy)):
+    scans = ((orthogonality_scan, pairwise_orthogonality),
+             (constancy_scan, pairwise_constancy))
+    # on the dense grid the scalar orthogonality loop takes ~96k inner calls
+    for scan, reference in scans[grid is DENSE_GRID:]:
         got = scan(model, grid)
         # repr compares residuals bit for bit and NaN equal to NaN
         assert (got.verdict, repr(got.max_residual), got.witness, got.failures) == \
@@ -517,6 +520,20 @@ def test_a_dense_orthogonality_scan_keeps_its_temporaries_small():
     assert peak <= 3_000_000
 
 
+def test_a_dense_constancy_scan_keeps_its_temporaries_small():
+    model = NonlocalModel("II", 1)
+    constancy_scan(model, DENSE_GRID)  # builds and caches the vectors
+    tracemalloc.start()
+    try:
+        constancy_scan(model, DENSE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 310 x 310 deviations take 0.77 MB, twice that while hypot runs;
+    # a fresh hypot output instead of the in-place one peaks at 2.3 MB
+    assert peak <= 2_000_000
+
+
 def test_an_orthogonality_scan_whose_lower_vectors_all_fail_takes_no_gram(monkeypatch):
     base = NonlocalModel("I", 1)
 
@@ -547,9 +564,12 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
 
     monkeypatch.setattr(triplets, "decompose", counted("decompose", triplets.decompose))
     monkeypatch.setattr(matops, "is_singular", counted("is_singular", matops.is_singular))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     inclusion_scan(model, Grid.default())
     assert calls["decompose"] == 0
     assert calls["is_singular"] == 66
+    # every regular S(mu) in one stacked solve, not one solve per mu
+    assert calls["solve"] == 1
     # pairs whose coefficients are not finite fail without a decompose
     result = inclusion_scan(nan_boundary_model(), SMALL_GRID)
     assert calls["decompose"] == 0
