@@ -235,14 +235,17 @@ def _run_mobius(model, grid, params):
     t2 = triplets.defect_triplet(model, mu)
     k = triplets.change_of_basis(model.triplet, t2, model, mu=mu)
     residuals = [k.krein_defect()]
+    # every lambda's native images, mapped into the defect triplet by one solve
+    natives, errors = psocheck.native_images(model, grid.lambdas_upper)
+    gps, gms = t2.from_native(natives)
     th1, th2, held = [], [], None
-    for lam in grid.lambdas_upper:
-        # one native map of f_lambda and one solve serve both triplets
+    for j, lam in enumerate(grid.lambdas_upper):
         try:
-            f = model.defects(lam)
-            native = model.triplet.images(f)[:, 0]
-            theta = triplets.char_value(lam, *native.tolist())
-            th2.append(triplets.char_value(lam, *t2.from_native(f, native)))
+            if j in errors:
+                raise errors[j]
+            theta = triplets.char_value(lam, *natives[:, j].tolist())
+            triplets.require_maximal_domain(model.defects(lam))
+            th2.append(triplets.char_value(lam, gps[j], gms[j]))
         except Exception as exc:
             held = exc  # raised below unless the map of an earlier lambda fails
             break
@@ -298,8 +301,8 @@ def _run_classify(model, grid, params):
                 "classify: refused, model certificate did not pass and no "
                 "explicit constant theta was supplied"
             )
-        theta = triplets.char_function(model.triplet, model.defects,
-                                       grid.lambdas_upper[0])
+        lam = grid.lambdas_upper[0]
+        theta = triplets.char_value(lam, *model.defects.images(lam))
         note = "theta taken from the passed constancy certificate"
     label = psocheck.classify_spectrum([[theta]], [[t]])
     result = psocheck.CheckResult(

@@ -85,7 +85,7 @@ class MomentumModel:
             witness=(_half_line(1.0, 1.0, "-"), _half_line(1.0, -1.0, "+")),
         )
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily(self._defect))
+        object.__setattr__(self, "defects", DefectFamily(self._defect, trip))
 
     @staticmethod
     def _defect(z: complex) -> PiecewiseExpFunction:
@@ -409,7 +409,7 @@ class NonlocalModel:
         object.__setattr__(self, "gamma", gamma)
         trip = BoundaryTriplet(gamma_minus=gm, gamma_plus=gp, witness=witness)
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily(self._defect))
+        object.__setattr__(self, "defects", DefectFamily(self._defect, trip))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))

@@ -175,14 +175,14 @@ def _per_point(points, label: str, fn, failures: list[str]):
     return kept, values
 
 
-def _native_images(model, points):
+def native_images(model, points):
     """Native images of the defect vectors at ``points``, 2 x n with row 0
     gamma_plus and a failed column zero, and each failed column's error."""
     images = np.zeros((2, len(points)), dtype=complex)
     errors: dict[int, Exception] = {}
     for j, z in enumerate(points):
         try:
-            images[:, j] = model.triplet.images(model.defects(z))[:, 0]
+            images[:, j] = model.defects.images(z)
         except Exception as exc:
             errors[j] = exc
     return images, errors
@@ -194,7 +194,7 @@ def char_values(model, lams):
     failures: list[str] = []
     kept, values = _per_point(
         lams, "lambda",
-        lambda lam: triplets.char_function(model.triplet, model.defects, lam),
+        lambda lam: triplets.char_value(lam, *model.defects.images(lam)),
         failures)
     return kept, values, failures
 
@@ -273,8 +273,8 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
             norms[j] = model.defects.norm(lam)
         except Exception as exc:
             early[j] = exc
-    rhs, late = _native_images(model, lams)
-    conj, conj_errors = _native_images(model, [lam.conjugate() for lam in lams])
+    rhs, late = native_images(model, lams)
+    conj, conj_errors = native_images(model, [lam.conjugate() for lam in lams])
 
     # per mu: the norm at conj(mu), then, mapping f_mu before f_conj(mu) as
     # decompose does, the first mapping error and the singularity of S(mu)

@@ -82,14 +82,14 @@ class BoundaryTriplet:
     The witness is a pair of maximal-domain functions whose joint boundary
     images span C^2; ``check_surjectivity`` verifies that.  A triplet
     defined through the model's native one (``defect_triplet``) also has
-    ``from_native(f, native)``, both of its values on f computed from
-    ``native``, the native images of f.
+    ``from_native(native)``, its two rows of values, as lists, on the
+    functions whose native images are the columns of the 2 x n ``native``.
     """
 
     gamma_minus: Callable[..., complex]
     gamma_plus: Callable[..., complex]
     witness: tuple[PiecewiseExpFunction, PiecewiseExpFunction]
-    from_native: Callable[..., tuple[complex, complex]] | None = None
+    from_native: Callable[..., tuple[list, list]] | None = None
 
     def images(self, *fs: PiecewiseExpFunction) -> np.ndarray:
         """Boundary images, 2 x len(fs): row 0 gamma_plus, row 1 gamma_minus;
@@ -103,12 +103,17 @@ class BoundaryTriplet:
 
 
 class DefectFamily:
-    """Map from non-real z to the canonical defect vector at z (cached)."""
+    """Map from non-real z to the canonical defect vector at z, with its
+    norm and its native images under the model's ``triplet``, each cached:
+    the one place a defect point is mapped through the boundary maps."""
 
-    def __init__(self, fn: Callable[[complex], PiecewiseExpFunction]):
+    def __init__(self, fn: Callable[[complex], PiecewiseExpFunction],
+                 triplet: BoundaryTriplet):
         self._fn = fn
+        self._triplet = triplet
         self._cache: dict[complex, PiecewiseExpFunction] = {}
         self._norms: dict[complex, float] = {}
+        self._images: dict[complex, tuple[complex, complex]] = {}
 
     def __call__(self, z: complex) -> PiecewiseExpFunction:
         z = complex(z)
@@ -130,6 +135,16 @@ class DefectFamily:
                 raise ValueError("defect vector norm is zero")
             self._norms[z] = n
         return self._norms[z]
+
+    def images(self, z: complex) -> tuple[complex, complex]:
+        """(gamma_plus, gamma_minus) of the defect vector at z, mapped in that
+        order, as Python complex values."""
+        z = complex(z)
+        if z not in self._images:
+            # not BoundaryTriplet.images: its array costs more than two maps
+            f, trip = self(z), self._triplet
+            self._images[z] = (complex(trip.gamma_plus(f)), complex(trip.gamma_minus(f)))
+        return self._images[z]
 
 
 def require_maximal_domain(f: PiecewiseExpFunction,
@@ -244,18 +259,17 @@ def defect_triplet(model, mu: complex) -> BoundaryTriplet:
     system = model.triplet.images(*witness)  # S(mu) of decompose, fixed here
     require_regular_system(system)
 
-    def from_native(f, native=None):
-        require_maximal_domain(f)
-        if native is None:
-            native = model.triplet.images(f)[:, 0]
+    def from_native(native):
+        # one solve for all columns; Python complex scaling keeps theta's bits
         a, b = np.linalg.solve(system, native).tolist()
-        return scale * n_up * a, scale * n_dn * b
+        return [scale * n_up * x for x in a], [scale * n_dn * x for x in b]
 
     def coordinate(row):
         def gamma(f, inner_product=None):
             if inner_product is not None:
                 raise ValueError("defect triplets evaluate in closed form only")
-            return from_native(f)[row]
+            require_maximal_domain(f)
+            return from_native(model.triplet.images(f))[row][0]
         return gamma
 
     return BoundaryTriplet(coordinate(1), coordinate(0), witness=witness,

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from psokit import cli, psocheck, triplets
+from psokit.models import MomentumModel
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -26,6 +27,15 @@ def test_every_traced_name_is_defined_where_the_tracer_looks():
         assert attr in vars(owner), (owner.__name__, attr)
     assert "__call__" in vars(triplets.DefectFamily)
     assert set(cli._RUNNERS) == set(cli.CHECK_TABLE)
+
+
+def test_the_defect_lookup_reads_a_dict_of_vectors_keyed_by_z():
+    # the tracer counts a hit by testing ``complex(z) in family._cache``
+    family = MomentumModel().defects
+    f = family(1j)
+    family.images(2j)
+    assert type(family._cache) is dict
+    assert family._cache == {1j: f, 2j: family(2j)}
 
 
 def test_the_tracer_wraps_the_scan_runners_and_restores_them():

@@ -222,7 +222,10 @@ def counted_calls(calls, name, fn):
     (None, (5, 0), "ValueError: no theta at lambda 5"),
     (2, (5, 1), "ValueError: ||Z|| = 2.000000 exceeds 1"),
     (5, (5, 1), "ValueError: no theta at lambda 5"),
-], ids=["theta-1-raises", "earlier-map-fails", "own-error-before-own-map"])
+    (None, (0, 0), "ValueError: no theta at lambda 0"),
+    (None, (0, 1), "ValueError: no theta at lambda 0"),
+], ids=["theta-1-raises", "earlier-map-fails", "own-error-before-own-map",
+        "first-theta-1-raises", "first-theta-2-raises"])
 def test_mobius_reports_the_first_failing_lambda(monkeypatch, expand_at, raise_at, note):
     # calls at one lambda: 0 gives theta_1, which is mapped, and 1 theta_2
     lams = list(psocheck.Grid.default().lambdas_upper)
@@ -626,14 +629,14 @@ def test_sweep_with_a_non_finite_theta_is_error(tmp_path, capsys):
 
 
 def test_sweep_with_a_raising_char_function_is_error(tmp_path, capsys, monkeypatch):
-    original = triplets.char_function
+    original = triplets.char_value
 
-    def raising(triplet, defects, lam):
+    def raising(lam, gp, gm):
         if lam.real > 0:
             raise ValueError("boom")
-        return original(triplet, defects, lam)
+        return original(lam, gp, gm)
 
-    monkeypatch.setattr(triplets, "char_function", raising)
+    monkeypatch.setattr(triplets, "char_value", raising)
     out = tmp_path / "grid.csv"
     spec = json.dumps({"kind": "nonlocal", "case": "I", "alpha": "1",
                        "grid": {"re": [0, 1, 2], "im": [1]}})

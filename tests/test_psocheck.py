@@ -166,7 +166,7 @@ def test_certificate_scale_invariance():
     class Scaled:
         triplet = base.triplet
         adjoint_apply = staticmethod(base.adjoint_apply)
-        defects = DefectFamily(lambda z: (3.7 - 1.2j) * base.defects(z))
+        defects = DefectFamily(lambda z: (3.7 - 1.2j) * base.defects(z), base.triplet)
 
         @staticmethod
         def describe():
@@ -192,7 +192,8 @@ def test_certificate_flags_criterion_disagreement():
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
         defects = DefectFamily(
-            lambda z: mom.defects(z) if z.imag > 0 else mom.defects(z) + leak)
+            lambda z: mom.defects(z) if z.imag > 0 else mom.defects(z) + leak,
+            mom.triplet)
 
         @staticmethod
         def describe():
@@ -216,7 +217,7 @@ def test_scan_reports_per_point_failures_and_continues():
     class Flaky:
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
-        defects = DefectFamily(flaky)
+        defects = DefectFamily(flaky, mom.triplet)
 
         @staticmethod
         def describe():
@@ -233,7 +234,8 @@ def test_scan_reports_per_point_failures_and_continues():
 
 
 def variant(base, name, defect=None, triplet=None):
-    """``base`` with its defect family or its triplet swapped out."""
+    """``base`` with its defect vectors or its triplet swapped out; its
+    family maps the vectors through its own triplet."""
 
     class Variant:
         adjoint_apply = staticmethod(base.adjoint_apply)
@@ -242,8 +244,8 @@ def variant(base, name, defect=None, triplet=None):
         def describe():
             return name
 
-    Variant.defects = DefectFamily(defect) if defect else base.defects
     Variant.triplet = triplet or base.triplet
+    Variant.defects = DefectFamily(defect or base.defects, Variant.triplet)
     return Variant()
 
 
@@ -304,8 +306,8 @@ def gamma_raising_model():
     return variant(mom, "gamma-raising", triplet=trip)
 
 
-def nan_boundary_model():
-    base = NonlocalModel("I", 1)
+def nan_boundary_model(base=None):
+    base = base or NonlocalModel("I", 1)
     bad = base.defects(3 + 1j)
 
     def gamma_plus(f, inner_product=None):
@@ -319,6 +321,13 @@ def test_constancy_counts_a_non_finite_theta_as_a_failed_point():
     result = constancy_scan(nan_boundary_model(), SMALL_GRID)
     assert result.failures == ("lambda=3+1i: theta is not finite",)
     assert math.isfinite(result.max_residual)
+
+
+def test_a_variant_with_a_swapped_triplet_reads_its_own_images():
+    base = NonlocalModel("I", 1)
+    assert constancy_scan(base, SMALL_GRID).failures == ()  # caches base's images
+    result = constancy_scan(nan_boundary_model(base), SMALL_GRID)
+    assert result.failures == ("lambda=3+1i: theta is not finite",)
 
 
 def test_mobius_names_a_non_finite_theta():
@@ -463,14 +472,28 @@ def count_inner_calls(monkeypatch):
     return calls
 
 
+def count_boundary_maps(monkeypatch):
+    """Count every call of a boundary functional (a native boundary map)."""
+    calls = Counter()
+    original = triplets.BoundaryFunctional.__call__
+
+    def counted(self, *args, **kwargs):
+        calls["maps"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(triplets.BoundaryFunctional, "__call__", counted)
+    return calls
+
+
 def test_certificate_takes_scalar_inner_products_only_outside_the_gram(monkeypatch):
     model = NonlocalModel("I", 1)
     calls = count_inner_calls(monkeypatch)
     pso_certificate(model, Grid.default())
-    # 132 norms, 132 boundary pairings for constancy and 264 for inclusion,
-    # which maps each upper and each conjugate vector once; the 4356
-    # orthogonality pairings took 5016 in all as scalars
-    assert calls["inner"] == 528
+    # 132 norms, 132 boundary pairings for the upper vectors, which
+    # constancy maps and inclusion reads back, and 132 for inclusion's
+    # conjugate vectors; the 4356 orthogonality pairings took 5016 in all
+    # as scalars, and mapping the upper vectors again in inclusion 528
+    assert calls["inner"] == 396
 
 
 def test_dense_orthogonality_scan_takes_only_its_norms_as_scalars(monkeypatch):
@@ -578,14 +601,7 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
 
 
 def test_inclusion_scan_maps_each_upper_and_conjugate_vector_once(monkeypatch):
-    calls = Counter()
-    original = triplets.BoundaryFunctional.__call__
-
-    def counted(self, *args, **kwargs):
-        calls["maps"] += 1
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(triplets.BoundaryFunctional, "__call__", counted)
+    calls = count_boundary_maps(monkeypatch)
     inclusion_scan(NonlocalModel("I", 1), Grid.default())
     # 66 upper and 66 conjugate vectors at 2 maps each; mapping the upper
     # vectors again for each S(mu) made 396
@@ -608,9 +624,29 @@ def test_mobius_maps_each_lambda_through_the_native_triplet_once(monkeypatch, sp
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     report = cli.run_scenario_obj({"name": "mobius", "model": spec, "checks": ["mobius"]})
     assert report["checks"][0]["verdict"] == "pass"
-    # 66 lambdas at 2 maps and 1 solve each (6 and 2 before), plus 16 maps
-    # and 4 solves for the defect triplet and the change of basis
-    assert (calls["maps"], calls["solve"]) == (148, 70)
+    # 66 lambdas at 2 maps each and one solve for all of them (one per
+    # lambda made 70 solves), plus 16 maps and 4 solves for the defect
+    # triplet and the change of basis
+    assert (calls["maps"], calls["solve"]) == (148, 5)
+
+
+def test_a_certificate_maps_each_defect_point_once(monkeypatch):
+    calls = count_boundary_maps(monkeypatch)
+    pso_certificate(NonlocalModel("I", 1), Grid.default())
+    # 66 upper and 66 conjugate vectors at 2 maps each; inclusion mapping
+    # the upper vectors again after constancy made 396
+    assert calls["maps"] == 264
+
+
+def test_mobius_reads_the_images_constancy_mapped(monkeypatch):
+    calls = count_boundary_maps(monkeypatch)
+    report = cli.run_scenario_obj({
+        "name": "mix", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+        "checks": ["constancy", "mobius"]})
+    assert [c["verdict"] for c in report["checks"]] == ["fail", "pass"]
+    # 132 for the upper vectors and 16 for the defect triplet and the change
+    # of basis; mobius mapping the upper vectors again made 280
+    assert calls["maps"] == 148
 
 
 def test_degenerate_triplet_is_an_error_not_a_pass():

@@ -334,13 +334,13 @@ def test_defect_triplet_maps_are_the_scaled_decompose_coefficients(make, mu):
 def test_shared_native_images_give_both_char_functions_bit_for_bit(make):
     model = make()
     t2 = defect_triplet(model, 1 + 2j)
-    for lam in UPPER_GRID[::5]:
-        f = model.defects(lam)
-        native = model.triplet.images(f)[:, 0]
-        assert repr(char_value(lam, *native.tolist())) == \
+    lams = UPPER_GRID[::5]
+    natives = [model.defects.images(lam) for lam in lams]
+    # one stacked solve against the coordinate maps' one solve per call
+    for lam, native, gp, gm in zip(lams, natives, *t2.from_native(np.transpose(natives))):
+        assert repr(char_value(lam, *native)) == \
             repr(char_function(model.triplet, model.defects, lam))
-        assert repr(char_value(lam, *t2.from_native(f, native))) == \
-            repr(char_function(t2, model.defects, lam))
+        assert repr(char_value(lam, gp, gm)) == repr(char_function(t2, model.defects, lam))
 
 
 def test_a_defect_vector_norm_that_overflows_is_an_error():
