@@ -41,6 +41,13 @@ def opnorm(a) -> float | np.ndarray:
     return float(norms) if m.ndim == 2 else norms
 
 
+def _exceeds(m: np.ndarray, tol: float) -> bool:
+    """True unless ``opnorm(m) <= tol``, so a NaN norm exceeds every tol; the
+    SVD is skipped where the Frobenius norm, an upper bound of the spectral
+    norm, is at most tol."""
+    return not (np.linalg.norm(m) <= tol or opnorm(m) <= tol)
+
+
 def min_singular_value(a) -> float | np.ndarray:
     """Smallest singular value; for a stack (ndim 3), that of each matrix."""
     m = _as_matrix(a, stacked=np.ndim(a) == 3)
@@ -59,9 +66,9 @@ def cayley(a) -> np.ndarray:
     """U = (A + iI)(A - iI)^(-1) for hermitian A; U is unitary without
     eigenvalue 1."""
     a = _as_matrix(a)
-    herm = opnorm(a - a.conj().T)
-    if herm > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not hermitian: ||A - A*|| = {herm:.3e}")
+    skew = a - a.conj().T
+    if _exceeds(skew, HERMITIAN_TOL):
+        raise ValueError(f"matrix is not hermitian: ||A - A*|| = {opnorm(skew):.3e}")
     eye = np.eye(a.shape[0])
     # (A+iI) and (A-iI)^(-1) commute, so a single left solve suffices
     return np.linalg.solve(a - 1j * eye, a + 1j * eye)
@@ -71,9 +78,9 @@ def inverse_cayley(u) -> np.ndarray:
     """A = i(U + I)(U - I)^(-1) for unitary U without eigenvalue 1."""
     u = _as_matrix(u)
     eye = np.eye(u.shape[0])
-    udef = opnorm(u.conj().T @ u - eye)
-    if udef > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary: ||U*U - I|| = {udef:.3e}")
+    udef = u.conj().T @ u - eye
+    if _exceeds(udef, UNITARY_TOL):
+        raise ValueError(f"matrix is not unitary: ||U*U - I|| = {opnorm(udef):.3e}")
     smin = min_singular_value(u - eye)
     if smin <= UNITARY_TOL:
         raise ValueError(
@@ -212,7 +219,7 @@ class SubspaceBasis:
         if v.ndim != 2 or v.shape[1] == 0:
             raise ValueError("basis must contain at least one column")
         gram = v.conj().T @ v
-        if opnorm(gram - np.eye(v.shape[1])) > 1e-12:
+        if _exceeds(gram - np.eye(v.shape[1]), 1e-12):
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "vectors", v)
 
@@ -259,7 +266,7 @@ def wandering_check(u, basis: SubspaceBasis, n_max: int) -> WanderingReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     u = _as_matrix(u)
-    if opnorm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARY_TOL:
+    if _exceeds(u.conj().T @ u - np.eye(u.shape[0]), UNITARY_TOL):
         raise ValueError("U is not unitary")
     ell = basis.vectors
     blocks = []

@@ -15,6 +15,7 @@ subspace.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -409,7 +410,10 @@ class NonlocalModel:
         object.__setattr__(self, "gamma", gamma)
         trip = BoundaryTriplet(gamma_minus=gm, gamma_plus=gp, witness=witness)
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily(self._defect, trip))
+        # the family holds the case and the potential, not the model, so a
+        # dropped model is freed without the cyclic collector
+        defect = functools.partial(self._defect, case, gamma)
+        object.__setattr__(self, "defects", DefectFamily(defect, trip))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -424,13 +428,14 @@ class NonlocalModel:
             coupling = f.limit(0.0, "+") - f.limit(0.0, "-")
         return free + coupling * self.gamma
 
-    def _defect(self, z: complex) -> PiecewiseExpFunction:
-        g = free_resolvent(z, self.gamma) if not self.gamma.is_zero \
+    @staticmethod
+    def _defect(case: str, gamma: PiecewiseExpFunction, z: complex) -> PiecewiseExpFunction:
+        g = free_resolvent(z, gamma) if not gamma.is_zero \
             else PiecewiseExpFunction.zero()
         g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
         # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge; a
         # merge starts from 0j, erasing zero signs, so the bits are the same
-        if self.case == "I":
+        if case == "I":
             coeff = -2 * (1 + g0)
         else:
             coeff = 1.0 if z.imag > 0 else -1.0

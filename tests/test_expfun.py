@@ -1,12 +1,13 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psokit import expfun
+from psokit import cli, expfun
 from psokit.expfun import (
     NEG_INF,
     POS_INF,
@@ -332,6 +333,7 @@ def test_gram_takes_its_integrals_from_the_closed_form_of_inner(monkeypatch):
         half_line_left(2.0, complex(0.5, -1.0)) + half_line_right(1.0, -0.25),
     ]
     exact = [[inner(f, h) for h in fs] for f in fs]
+    # the patch replaces the memo too, so every call, warm or cold, is perturbed
     original = expfun._poly_exp_integral
 
     def perturbed(*args):
@@ -403,6 +405,91 @@ def test_gram_of_an_empty_side_is_an_empty_matrix():
     assert gram(fs, []).shape == (3, 0)
     assert gram([], fs).shape == (0, 3)
     assert gram(expfun.pack([]), fs).shape == (0, 3)
+
+
+# -- the closed-form memo ------------------------------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """An empty memo for the test, and a count of the raw closed forms the
+    memo lets through."""
+    count = Counter()
+    raw = expfun._closed_form
+
+    def counted(*args):
+        count["raw"] += 1
+        return raw(*args)
+
+    monkeypatch.setattr(expfun, "_closed_forms", {})
+    monkeypatch.setattr(expfun, "_closed_form", counted)
+    return count
+
+
+def value_bits(v):
+    return type(v).__name__, bits(v)
+
+
+def test_the_memo_keeps_signed_zeros_apart_and_returns_the_raw_bits(evaluations):
+    # zeros of either sign in an endpoint and in each exponent part.  The
+    # closed form returns equal values for these pairs today; keyed on bits,
+    # each is still its own entry.  A degenerate exponent returns a float,
+    # which the memo keeps as a float.
+    args = [(k, complex(re, im), lo, hi)
+            for k, re, im, lo, hi in ((0, 0.0, -1.5, -0.0, 2.0), (0, 0.0, -1.5, 0.0, 2.0),
+                                      (1, -0.0, 0.0, -1.0, 0.0), (1, 0.0, 0.0, -1.0, 0.0),
+                                      (1, 0.0, -0.0, -1.0, 0.0), (2, 0.75, 0.0, -0.0, 1.0),
+                                      (2, 0.75, -0.0, -0.0, 1.0))]
+    raw = [value_bits(expfun._closed_form(*a)) for a in args]
+    evaluations.clear()
+    for _ in range(2):
+        assert [value_bits(expfun._poly_exp_integral(*a)) for a in args] == raw
+    assert {kind for kind, _ in raw} == {"complex", "float"}
+    # each argument is its own entry, evaluated once
+    assert len(expfun._closed_forms) == len(args)
+    assert evaluations["raw"] == len(args)
+
+
+def test_a_divergent_integral_raises_on_every_call_and_is_not_stored(evaluations):
+    for args, message in (((0, 0j, 0.0, POS_INF), "zero exponent on infinite interval"),
+                          ((1, complex(0.5, 1.0), 0.0, POS_INF), "divergent integral at \\+inf"),
+                          ((0, complex(-0.5, 1.0), NEG_INF, 0.0), "divergent integral at -inf")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                expfun._poly_exp_integral(*args)
+    assert expfun._closed_forms == {}
+    assert evaluations["raw"] == 6
+
+
+def test_the_memo_never_holds_more_than_its_bound(monkeypatch, evaluations):
+    monkeypatch.setattr(expfun, "CLOSED_FORM_MEMO_SIZE", 8)
+    args = [(k, complex(-0.25 * n, 1.0), 0.0, 1.0 + n) for n in range(10) for k in range(3)]
+    for a in args * 2:
+        assert value_bits(expfun._poly_exp_integral(*a)) == value_bits(expfun._closed_form(*a))
+        assert 1 <= len(expfun._closed_forms) <= 8
+
+
+def test_a_repeated_run_takes_every_closed_form_from_the_memo(evaluations):
+    scenario = {"name": "memo", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+                "checks": ["constancy", "green"]}
+    first = cli.run_scenario_obj(scenario)
+    cold = evaluations["raw"]
+    second = cli.run_scenario_obj(scenario)
+    assert cold > 0
+    assert evaluations["raw"] == cold
+    assert [(c["verdict"], repr(c["max_residual"])) for c in first["checks"]] == \
+        [(c["verdict"], repr(c["max_residual"])) for c in second["checks"]]
+
+
+def test_gram_equals_inner_bit_for_bit_on_a_warm_memo(evaluations):
+    fs = block_family(np.random.default_rng(23), 12)
+    cold = gram(fs, fs)
+    evaluated = evaluations["raw"]
+    warm = gram(fs, fs)
+    for a, f in enumerate(fs):
+        for b, h in enumerate(fs):
+            assert bits(warm[a, b]) == bits(cold[a, b]) == bits(inner(f, h)), (a, b)
+    assert evaluations["raw"] == evaluated
 
 
 # -- boundary values ---------------------------------------------------------

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from psokit import matops
 from psokit.matops import (
     KreinBlockOperator,
     SubspaceBasis,
@@ -52,7 +53,8 @@ def test_cayley_round_trip_random():
 
 
 def test_cayley_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="hermitian"):
+    # the spectral norm of A - A*; its Frobenius norm is 1.414
+    with pytest.raises(ValueError, match=r"not hermitian: \|\|A - A\*\|\| = 1\.000e\+00$"):
         cayley([[0.0, 1.0], [0.0, 0.0]])
 
 
@@ -64,6 +66,46 @@ def test_inverse_cayley_rejects_eigenvalue_one():
 def test_inverse_cayley_of_twisted_shift_is_hermitian():
     a = inverse_cayley(twisted_shift(8))
     assert opnorm(a - a.conj().T) <= 1e-11
+
+
+def test_the_tolerance_tests_take_an_svd_only_where_the_frobenius_norm_does_not_settle(
+        monkeypatch):
+    # every |u_j|^2 - 1 is 0.9e-10: ||U*U - I|| = 0.9e-10 is within the
+    # tolerance, the Frobenius norm 1.8e-10 is not
+    u = np.sqrt(1 + 0.9e-10) * np.diag([-1, 1j, -1j, np.exp(2j)])
+    udef = u.conj().T @ u - np.eye(4)
+    assert np.linalg.norm(udef) > matops.UNITARY_TOL >= opnorm(udef)
+    # likewise ||A - A*|| = 0.8e-12 against the hermitian tolerance 1e-12
+    a = np.diag([1.0, 2.0, -1.0, 0.5]) + 0.4e-12j * np.eye(4)
+    skew = a - a.conj().T
+    assert np.linalg.norm(skew) > matops.HERMITIAN_TOL >= opnorm(skew)
+    calls = []
+    monkeypatch.setattr(matops, "opnorm", lambda m: calls.append(m) or opnorm(m))
+    inverse_cayley(u)
+    cayley(a)
+    assert len(calls) == 2
+    calls.clear()
+    inverse_cayley(twisted_shift(8))
+    cayley(random_hermitian(np.random.default_rng(5), 4))
+    assert calls == []
+    # wandering_check sizes its reported defects in one stacked call beside
+    # the unitarity test
+    wandering_check(u, SubspaceBasis.coordinate(4, 0), 3)
+    wandering_check(twisted_shift(8), SubspaceBasis.coordinate(8, 0), 8)
+    assert [c.ndim for c in calls] == [2, 3, 3]
+
+
+def test_inverse_cayley_rejects_a_non_unitary_matrix():
+    # the spectral norm of U*U - I; its Frobenius norm is 3.162
+    with pytest.raises(ValueError, match=r"not unitary: \|\|U\*U - I\|\| = 3\.000e\+00$"):
+        inverse_cayley(np.diag([2.0, 0.0, -1.0, 1j]))
+    # U*U overflows to inf - inf = nan off the diagonal, and a nan norm fails
+    u = np.array([[1e200, 1e200], [1e200, -1e200]])
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="not unitary: .* = nan"):
+            inverse_cayley(u)
+        with pytest.raises(ValueError, match="U is not unitary"):
+            wandering_check(u, SubspaceBasis.coordinate(2, 0), 2)
 
 
 # -- Krein block operators and the linear fractional transform ---------------

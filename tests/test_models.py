@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from psokit.models import (
     similarity_conjugation_check,
     weyl_relation_check,
 )
+from psokit.psocheck import Grid, constancy_scan
 
 
 def left_exp(c=1.0, s=1.0):
@@ -304,6 +307,21 @@ def test_nonlocal_defect_normalized():
     assert norm((1.0 / model.defects.norm(1j)) * model.defects(1j)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("make", [MomentumModel, lambda: NonlocalModel("I", 1)],
+                         ids=["momentum", "I(1)"])
+def test_a_dropped_model_is_freed_without_the_cyclic_collector(make):
+    model = make()
+    assert constancy_scan(model, Grid.default()).verdict in ("pass", "fail")
+    assert model.defects._images  # the family holds the vectors and their images
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def reference_defect(model, z):
     """The defect vector as g - 2 (1 + g0) bump (case I) or g +- bump (case II)."""
     g = free_resolvent(z, model.gamma) if not model.gamma.is_zero \
@@ -349,7 +367,8 @@ defect_point_st = st.builds(
 @example("II", 1.7e308, 0.1j)
 def test_defect_vectors_are_bit_identical_to_the_algebra_expression(case, alpha, z):
     model = NonlocalModel(case, alpha)
-    assert term_bits(model._defect, z) == term_bits(reference_defect, model, z)
+    assert (term_bits(NonlocalModel._defect, model.case, model.gamma, z)
+            == term_bits(reference_defect, model, z))
 
 
 @pytest.mark.parametrize("case, alpha", [("I", 4j), ("II", 1)])

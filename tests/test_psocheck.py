@@ -524,8 +524,9 @@ def test_orthogonality_scan_evaluates_a_closed_form_per_kind_pair(monkeypatch, m
     assert orthogonality_scan(model, grid).verdict == verdict
     # one per entry and overlapping pair of terms would be 192,200 for the
     # dense I(4i) scan and 8,712 for the default one; the vectors share the
-    # potential's term kind, and the scan's one Gram call evaluates each
-    # overlapping pair of kinds once
+    # potential's term kind, and the scan's one Gram call asks for each
+    # overlapping pair of kinds once.  The patch replaces the memo inside
+    # _poly_exp_integral, so these are calls, not raw evaluations.
     assert closed_forms["calls"] == expected
 
 
