@@ -1,11 +1,11 @@
 """pso-kit: numerical certification toolkit for symmetric-operator extension theory.
 
-The package is organized around a closed-form algebra of piecewise
-exponential functions (:mod:`psokit.expfun`), a small dense-matrix kernel
-(:mod:`psokit.matops`), boundary triplets and characteristic functions
-(:mod:`psokit.triplets`), concrete operator models (:mod:`psokit.models`),
-and the certification battery (:mod:`psokit.psocheck`).  The ``pso-kit``
-command line (:mod:`psokit.cli`) drives scenario files.
+The package is organized around a closed-form algebra of piecewise exponential functions
+(:mod:`psokit.expfun`), a small dense-matrix kernel (:mod:`psokit.matops`), boundary
+triplets and characteristic functions (:mod:`psokit.triplets`), concrete operator models
+(:mod:`psokit.models`) and the certification battery (:mod:`psokit.psocheck`), with every
+threshold defined once, in :mod:`psokit.tolerances`.  The ``pso-kit`` command line
+(:mod:`psokit.cli`) drives scenario files.
 """
 
 __version__ = "0.1.0"

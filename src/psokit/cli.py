@@ -33,12 +33,7 @@ import numpy as np
 
 from . import __version__, matops, models, psocheck, triplets
 from .scalars import format_complex, parse_complex
-from .triplets import GREEN_TOL
-
-CAYLEY_IDENTITY_TOL = 1e-11
-GRAM_TOL = 1e-12
-WANDERING_TOL = 1e-10
-MOBIUS_TOL = 1e-8
+from .tolerances import CAYLEY_IDENTITY_TOL, GRAM_TOL, GREEN_TOL, MOBIUS_TOL, SINGULARITY_TOL
 
 #: check id -> (statement certified, model kinds it applies to)
 CHECK_TABLE = {
@@ -192,8 +187,8 @@ def parse_scenario(obj):
 # -- individual check runners -------------------------------------------------
 
 
-def _threshold_result(check_id, residuals, tolerance, witness, holds=True):
-    """Pass when ``holds`` and the worst residual is within ``tolerance``.
+def _threshold_result(check_id, residuals, tolerance, witness):
+    """Pass when the worst residual is within ``tolerance``.
 
     A non-finite worst residual means the check could not evaluate, so it
     is an error; np.max propagates NaN, where max() would drop it.
@@ -201,7 +196,7 @@ def _threshold_result(check_id, residuals, tolerance, witness, holds=True):
     worst = float(np.max(residuals))
     if not np.isfinite(worst):
         verdict = psocheck.VERDICT_ERROR
-    elif holds and worst <= tolerance:
+    elif worst <= tolerance:
         verdict = psocheck.VERDICT_PASS
     else:
         verdict = psocheck.VERDICT_FAIL
@@ -269,12 +264,12 @@ def _run_gram(system, grid, params):
 
 
 def _run_wandering(model, grid, params):
+    # wandering_check's own threshold, so a pass is a first violation at n = d
     report = models.shift_wandering_report(model)
     wrap = abs(report.defect_per_n[model.d - 1] - 1.0)
     return _threshold_result(
-        "wandering", [*report.defect_per_n[: model.d - 1], wrap], WANDERING_TOL,
-        f"first violation at n={report.first_violation}",
-        holds=report.first_violation == model.d)
+        "wandering", [*report.defect_per_n[: model.d - 1], wrap], SINGULARITY_TOL,
+        f"first violation at n={report.first_violation}")
 
 
 def _run_cayley_identity(model, grid, params):

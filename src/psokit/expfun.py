@@ -29,17 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tolerances import DEGENERATE_EXPONENT_TOL, JUMP_TOL, QUADRATURE_TOL, TAIL_CUTOFF
+
 NEG_INF = float("-inf")
 POS_INF = float("inf")
-
-#: exponents closer to zero than this are integrated with the length formula
-DEGENERATE_EXPONENT_TOL = 1e-14
-
-#: maximum allowed jump at a breakpoint for a function to count as continuous
-JUMP_TOL = 1e-13
-
-#: pointwise envelope below which infinite quadrature tails are cut off
-TAIL_CUTOFF = 1e-16
 
 #: closed-form integrals the memo of ``_poly_exp_integral`` holds before it
 #: starts over; at about 150 B an entry, 0.6 MB
@@ -186,6 +179,8 @@ class PiecewiseExpFunction:
 
     def restrict(self, lo, hi) -> "PiecewiseExpFunction":
         """Restriction to the interval [lo, hi] (zero outside)."""
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"restriction bounds must not be NaN, got lo={lo}, hi={hi}")
         out = []
         for t in self.terms:
             a, b = max(t.lo, lo), min(t.hi, hi)
@@ -666,12 +661,12 @@ def _tail_cutoff(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
 
 
 def inner_quadrature(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
-                     rel_tol: float = 1e-10) -> complex:
+                     rel_tol: float = QUADRATURE_TOL) -> complex:
     """Inner product by composite 32-point Gauss-Legendre panels.
 
     Independent of the closed form: panels are laid between the breakpoints
     of f and g (width at most 0.5) with infinite tails truncated where the
-    integrand envelope falls below 1e-16.  The value is accepted only if a
+    integrand envelope falls below TAIL_CUTOFF.  The value is accepted only if a
     refined pass with half-width panels agrees to rel_tol; otherwise
     QuadratureBudgetError is raised (non-convergence, not a wrong value).
     """

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
-KREIN_TOL = 1e-10
-CONTRACTION_BOUND = 1 + 1e-10
+from .tolerances import (CONTRACTION_BOUND, HERMITIAN_TOL, KREIN_DENOMINATOR_TOL, KREIN_TOL,
+                         ORTHONORMAL_TOL, RANK_TOL, SINGULARITY_TOL, UNITARY_TOL)
 
-#: shared relative threshold for "0 is in the spectrum" style tests
-SINGULARITY_TOL = 1e-10
+
+def require_finite(m: np.ndarray) -> np.ndarray:
+    """m, a complex array, unless one of its entries is not finite."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def _as_matrix(a, stacked: bool = False) -> np.ndarray:
@@ -28,9 +30,7 @@ def _as_matrix(a, stacked: bool = False) -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=complex))
     if m.ndim != 2 + stacked or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return require_finite(m)
 
 
 def opnorm(a) -> float | np.ndarray:
@@ -178,7 +178,7 @@ def interspherical(k: KreinBlockOperator, z) -> np.ndarray | complex:
     norms = opnorm(stack[:n_finite])
     n_contracting = _first(norms > CONTRACTION_BOUND)
     den = k.k11 + k.k12 @ stack[:n_contracting]
-    n_regular = _first(min_singular_value(den) <= 1e-12)
+    n_regular = _first(min_singular_value(den) <= KREIN_DENOMINATOR_TOL)
     if n_regular < n_contracting:
         raise ValueError("K11 + K12 Z is numerically singular; K is not Krein unitary")
     if n_contracting < n_finite:
@@ -215,11 +215,11 @@ class SubspaceBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
+        v = require_finite(np.atleast_2d(np.asarray(self.vectors, dtype=complex)))
         if v.ndim != 2 or v.shape[1] == 0:
             raise ValueError("basis must contain at least one column")
         gram = v.conj().T @ v
-        if _exceeds(gram - np.eye(v.shape[1]), 1e-12):
+        if _exceeds(gram - np.eye(v.shape[1]), ORTHONORMAL_TOL):
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "vectors", v)
 
@@ -236,7 +236,7 @@ class SubspaceBasis:
         """Orthonormalize the given (full-rank) columns."""
         v = np.atleast_2d(np.asarray(columns, dtype=complex))
         q, r = np.linalg.qr(v)
-        if min_singular_value(r) <= 1e-12 * max(1.0, opnorm(r)):
+        if min_singular_value(r) <= RANK_TOL * max(1.0, opnorm(r)):
             raise ValueError("columns are rank deficient")
         return cls(q)
 

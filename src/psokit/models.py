@@ -35,6 +35,7 @@ from .expfun import (
     pack,
 )
 from .scalars import format_complex
+from .tolerances import BOUNDARY_CONDITION_TOL, DECOMPOSE_SINGULAR_TOL, SERIES_TAIL_TOL, TWIST_TOL
 from .triplets import (
     BoundaryFunctional,
     BoundaryTriplet,
@@ -158,7 +159,7 @@ def similarity_conjugation_check(t1, t2, samples) -> float:
     m = t1.shape[0]
     if t1.shape != (m, m) or t2.shape != (m, m):
         raise ValueError("boundary parameters must be square matrices of equal size")
-    if matops.is_singular(t1, 1e-12):
+    if matops.is_singular(t1, DECOMPOSE_SINGULAR_TOL):
         raise ValueError("T1 must be invertible (real-spectrum extensions only)")
     f_matrix = t2 @ np.linalg.inv(t1)
 
@@ -170,7 +171,7 @@ def similarity_conjugation_check(t1, t2, samples) -> float:
         v_minus = np.array([c.limit(0.0, "-") for c in comps])
         v_plus = np.array([c.limit(0.0, "+") for c in comps])
         bc = float(np.linalg.norm(t1 @ v_minus - v_plus))
-        if bc > 1e-12 * (1 + float(np.linalg.norm(v_minus))):
+        if bc > BOUNDARY_CONDITION_TOL * (1 + float(np.linalg.norm(v_minus))):
             raise ValueError(
                 f"sample violates the T1 boundary condition by {bc:.3e}"
             )
@@ -277,7 +278,7 @@ class ShiftModel:
         if self.d < 4:
             raise ValueError("shift dimension must be at least 4")
         twist = complex(self.twist)
-        if abs(abs(twist) - 1) > 1e-12:
+        if not abs(abs(twist) - 1) <= TWIST_TOL:  # a NaN twist fails
             raise ValueError("twist must be unimodular")
         object.__setattr__(self, "twist", twist)
         u = np.zeros((self.d, self.d), dtype=complex)
@@ -304,11 +305,11 @@ def shift_defect(model: ShiftModel, z: complex, method: str = "direct") -> np.nd
 
     method 'direct' solves with A; method 'series' (upper half plane only)
     sums 2U/(1 - iz) * sum_n t^n U^n e_0 with the tail truncated below
-    1e-14.  The two agree to machine precision.
+    SERIES_TAIL_TOL.  The two agree to machine precision.
     """
     z = complex(z)
-    if z.imag == 0:
-        raise ValueError("defect vectors exist only for non-real z")
+    if not cmath.isfinite(z) or z.imag == 0:
+        raise ValueError(f"defect vectors exist only for finite non-real z, got z={z}")
     e0 = model.basis.vectors[:, 0]
     if method == "direct":
         eye = np.eye(model.d)
@@ -320,7 +321,7 @@ def shift_defect(model: ShiftModel, z: complex, method: str = "direct") -> np.nd
         if t == 0:
             n_cut = 0
         else:
-            n_cut = max(0, math.ceil(math.log(1e-14) / math.log(abs(t))))
+            n_cut = max(0, math.ceil(math.log(SERIES_TAIL_TOL) / math.log(abs(t))))
         acc = np.zeros(model.d, dtype=complex)
         vec = e0.astype(complex)
         coeff = 1.0 + 0j

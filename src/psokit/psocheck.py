@@ -27,11 +27,8 @@ from . import matops, triplets
 # inner stays bound here for bench/tracer.py, which rebinds every import of it
 from .expfun import gram, inner, pack  # noqa: F401
 from .scalars import format_complex
-
-PASS_ORTHOGONALITY = 1e-10
-PASS_INCLUSION = 1e-10
-PASS_CONSTANCY = 1e-8
-FAIL_THRESHOLD = 1e-2
+from .tolerances import (CONTRACTION_BOUND, FAIL_THRESHOLD, PASS_CONSTANCY, PASS_INCLUSION,
+                         PASS_ORTHOGONALITY)
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -223,7 +220,7 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
 
 def constancy_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest pairwise deviation of the characteristic function over the
-    upper grid.  Pass below 1e-8, fail above 1e-2, inconclusive between.
+    upper grid.  Pass up to PASS_CONSTANCY, inconclusive below FAIL_THRESHOLD.
 
     The deviations are those of the pairs i < j; the witness is the first
     largest one in i-major order.  The scan evaluates pairs, so fewer than
@@ -345,11 +342,11 @@ def classify_spectrum(theta_const, t) -> str:
     The upper half plane fills the spectrum exactly when theta - T is
     singular; the lower one exactly when I - theta* T is singular.
     """
-    theta = np.atleast_2d(np.asarray(theta_const, dtype=complex))
-    tm = np.atleast_2d(np.asarray(t, dtype=complex))
+    theta = matops.require_finite(np.atleast_2d(np.asarray(theta_const, dtype=complex)))
+    tm = matops.require_finite(np.atleast_2d(np.asarray(t, dtype=complex)))
     if theta.shape != tm.shape or theta.shape[0] != theta.shape[1]:
         raise ValueError("theta and T must be square matrices of equal size")
-    if matops.opnorm(theta) > matops.CONTRACTION_BOUND:
+    if matops.opnorm(theta) > CONTRACTION_BOUND:
         raise ValueError("theta must be a contraction (characteristic value)")
     upper = matops.is_singular(theta - tm)
     lower = matops.is_singular(np.eye(theta.shape[0]) - theta.conj().T @ tm)

@@ -25,15 +25,8 @@ import numpy as np
 
 from . import matops
 from .expfun import PiecewiseExpFunction, inner, norm
-
-#: |gamma| below this (relative) counts as a singular boundary image
-BOUNDARY_SINGULAR_TOL = 1e-12
-
-#: S(mu), the boundary images of the defect vectors at mu and conj(mu), is
-#: singular when its smallest singular value is below this (relative)
-DECOMPOSE_SINGULAR_TOL = 1e-12
-
-GREEN_TOL = 1e-10
+from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
+                         GREEN_TOL, SURJECTIVITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class BoundaryTriplet:
         return np.array([[gp for gp, _ in pairs], [gm for _, gm in pairs]])
 
     def check_surjectivity(self) -> None:
-        if matops.is_singular(self.images(*self.witness), 1e-8):
+        if matops.is_singular(self.images(*self.witness), SURJECTIVITY_TOL):
             raise ValueError("boundary maps fail the surjectivity witness")
 
 
@@ -155,7 +148,7 @@ def require_maximal_domain(f: PiecewiseExpFunction,
     everywhere (automatic for this algebra) and continuity at every finite
     breakpoint except the allowed jump points.
     """
-    x, jump = f.first_jump(1e-12 * (1 + f.coefficient_norm()), jump_at)
+    x, jump = f.first_jump(DOMAIN_JUMP_TOL * (1 + f.coefficient_norm()), jump_at)
     if x is not None:
         raise ValueError(f"not in the maximal domain: jump {jump:.3e} at x={x}")
 
@@ -184,7 +177,8 @@ def green_defect(triplet: BoundaryTriplet, f: PiecewiseExpFunction,
 def char_function(triplet: BoundaryTriplet, defects: DefectFamily,
                   lam: complex, inner_product=None) -> complex:
     """Characteristic function value gamma_minus / gamma_plus on the defect
-    vector at lam in the upper half plane; a strict contraction there."""
+    vector at lam in the upper half plane; a strict contraction there.  Only
+    a reference: production evaluates theta through char_value."""
     lam = complex(lam)
     if lam.imag <= 0:
         raise ValueError("characteristic function is evaluated on the upper half plane")
@@ -220,7 +214,8 @@ def decompose(model, f: PiecewiseExpFunction, mu: complex
 
     Writes f = u + a f_mu + b f_conj(mu) with u in the minimal domain (both
     native boundary maps vanish on u) and returns (a, b, residual), the
-    residual being the larger boundary value of the reassembled u.
+    larger boundary value of the reassembled u.  Only a reference:
+    production takes (a, b) from inclusion_scan's stacked solve.
     """
     mu = complex(mu)
     if mu.imag <= 0:

@@ -178,18 +178,34 @@ def test_non_finite_residuals_are_errors(tmp_path, capsys):
     assert math.isnan(constancy["max_residual"]) and math.isnan(green["max_residual"])
 
 
-@pytest.mark.parametrize("residuals,holds,verdict", [
-    ([0.0, 1e-12], True, "pass"),
-    ([0.0, 1e-12], False, "fail"),
-    ([1e-3, 0.0], True, "fail"),
-    ([float("nan"), 0.5], True, "error"),
-    ([0.5, float("nan")], True, "error"),
-    ([0.0, float("inf")], True, "error"),
+@pytest.mark.parametrize("residuals,verdict", [
+    ([0.0, 1e-12], "pass"),
+    ([1e-3, 0.0], "fail"),
+    ([float("nan"), 0.5], "error"),
+    ([0.5, float("nan")], "error"),
+    ([0.0, float("inf")], "error"),
 ])
-def test_threshold_result_fails_closed(residuals, holds, verdict):
-    result = cli._threshold_result("x", residuals, 1e-10, None, holds=holds)
+def test_threshold_result_fails_closed(residuals, verdict):
+    result = cli._threshold_result("x", residuals, 1e-10, None)
     assert result.verdict == verdict
     assert repr(result.max_residual) == repr(float(np.max(residuals)))
+
+
+@pytest.mark.parametrize("defects,first", [
+    ((0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0), 3),  # a violation before n = d
+    ((0.0,) * 8, None),  # no violation at all, not even the wrap
+], ids=["early", "none"])
+def test_wandering_fails_unless_its_first_violation_is_the_wrap(
+        monkeypatch, tmp_path, capsys, defects, first):
+    report = matops.WanderingReport(first, defects)
+    monkeypatch.setattr(models, "shift_wandering_report", lambda model: report)
+    path = write_scenario(tmp_path, {
+        "name": "shift", "model": {"kind": "shift", "d": 8}, "checks": ["wandering"]})
+    assert cli.main(["run", path]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["verdict"] == "fail"
+    assert check["witness"] == f"first violation at n={first}"
+    assert check["max_residual"] == (0.5 if first else 1.0)
 
 
 def test_mobius_builds_the_defect_triplet_without_decompose(monkeypatch):

@@ -106,6 +106,15 @@ def test_merged_negated_and_scaled_terms_equal_fully_built_ones():
 # -- closed-form inner product --------------------------------------------
 
 
+@pytest.mark.parametrize("lo,hi", [(float("nan"), 1.0), (0.0, float("nan"))])
+def test_restrict_rejects_a_nan_bound(lo, hi):
+    # max(t.lo, nan) and min(t.hi, nan) keep the term's own ends, so a NaN
+    # bound would leave the function unrestricted on that side
+    f = PiecewiseExpFunction.single(1.0, 0.0, 2.0, 0.5)
+    with pytest.raises(ValueError, match="^restriction bounds must not be NaN"):
+        f.restrict(lo, hi)
+
+
 def test_inner_half_line_left():
     f = half_line_left()
     assert inner(f, f) == pytest.approx(0.5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from psokit import matops
+from psokit.tolerances import HERMITIAN_TOL, UNITARY_TOL
 from psokit.matops import (
     KreinBlockOperator,
     SubspaceBasis,
@@ -74,11 +75,11 @@ def test_the_tolerance_tests_take_an_svd_only_where_the_frobenius_norm_does_not_
     # tolerance, the Frobenius norm 1.8e-10 is not
     u = np.sqrt(1 + 0.9e-10) * np.diag([-1, 1j, -1j, np.exp(2j)])
     udef = u.conj().T @ u - np.eye(4)
-    assert np.linalg.norm(udef) > matops.UNITARY_TOL >= opnorm(udef)
+    assert np.linalg.norm(udef) > UNITARY_TOL >= opnorm(udef)
     # likewise ||A - A*|| = 0.8e-12 against the hermitian tolerance 1e-12
     a = np.diag([1.0, 2.0, -1.0, 0.5]) + 0.4e-12j * np.eye(4)
     skew = a - a.conj().T
-    assert np.linalg.norm(skew) > matops.HERMITIAN_TOL >= opnorm(skew)
+    assert np.linalg.norm(skew) > HERMITIAN_TOL >= opnorm(skew)
     calls = []
     monkeypatch.setattr(matops, "opnorm", lambda m: calls.append(m) or opnorm(m))
     inverse_cayley(u)
@@ -276,3 +277,16 @@ def test_subspace_basis_validation():
         SubspaceBasis(np.array([[1.0], [1.0]]))
     b = SubspaceBasis.span(np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]))
     assert b.dim == 2 and b.ambient_dim == 3
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_subspace_basis_rejects_a_non_finite_column_first(entry):
+    # before its Gram product (an inf column warns there) and its SVD
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        SubspaceBasis(np.array([[entry], [0.0]]))
+
+
+def test_a_transposed_complex_matrix_passes_the_finiteness_test():
+    # its last axis is not contiguous, so no float view of it can be taken
+    a = np.array([[2.0, 1j], [3.0, 4.0]]).T
+    assert matops.min_singular_value(a) == matops.min_singular_value(a.copy())

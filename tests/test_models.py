@@ -200,6 +200,12 @@ def test_shift_defect_at_minus_i_spans_generator():
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("method", ["direct", "series"])
+def test_shift_defect_rejects_a_non_finite_z(method):
+    with pytest.raises(ValueError, match=r"finite non-real z, got z=\(nan\+1j\)$"):
+        shift_defect(ShiftModel(d=8), complex("nan+1j"), method)
+
+
 def test_shift_series_rejects_lower_half_plane():
     model = ShiftModel(d=8)
     with pytest.raises(ValueError, match="series"):
@@ -241,6 +247,9 @@ def test_shift_model_validation():
         ShiftModel(d=3)
     with pytest.raises(ValueError, match="unimodular"):
         ShiftModel(d=8, twist=2.0)
+    # abs(abs(nan) - 1) > tol is False, so the test fails closed instead
+    with pytest.raises(ValueError, match="unimodular"):
+        ShiftModel(d=4, twist=float("nan"))
     # twist +1 makes 1 an eigenvalue of U, so no inverse Cayley exists
     with pytest.raises(ValueError, match="eigenvalue 1"):
         ShiftModel(d=8, twist=1.0)

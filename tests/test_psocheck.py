@@ -9,9 +9,6 @@ from psokit import cli, expfun, matops, models, psocheck, triplets
 from psokit.expfun import inner
 from psokit.models import MomentumModel, NonlocalModel, momentum_eigen_test
 from psokit.psocheck import (
-    PASS_CONSTANCY,
-    PASS_INCLUSION,
-    PASS_ORTHOGONALITY,
     Grid,
     SpectrumClass,
     _verdict,
@@ -22,6 +19,7 @@ from psokit.psocheck import (
     pso_certificate,
 )
 from psokit.scalars import format_complex
+from psokit.tolerances import PASS_CONSTANCY, PASS_INCLUSION, PASS_ORTHOGONALITY
 from psokit.triplets import BoundaryTriplet, DefectFamily
 
 SMALL_GRID = Grid.from_axes([-2.0, 0.0, 3.0], [0.5, 1.0, 5.0])
@@ -723,6 +721,14 @@ def test_classify_fixtures():
 def test_classify_rejects_expansive_theta():
     with pytest.raises(ValueError, match="contraction"):
         classify_spectrum([[1.5]], [[1.0]])
+
+
+@pytest.mark.parametrize("theta,t", [([[np.nan]], [[0.0]]), ([[0.0]], [[np.nan]])],
+                         ids=["nan-theta", "nan-T"])
+def test_classify_rejects_a_non_finite_theta_or_t_first(theta, t):
+    # before theta's norm, whose SVD raises LinAlgError on a NaN
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        classify_spectrum(theta, t)
 
 
 def test_classify_matches_eigen_test():
