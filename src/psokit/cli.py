@@ -219,9 +219,11 @@ def _green_pairs():
 
 
 def _run_green(model, grid, params):
-    residuals = [triplets.green_defect(model.triplet, f, model.adjoint_from(f, df),
-                                       g, model.adjoint_from(g, dg))
-                 for (f, df), (g, dg) in _green_pairs()]
+    pairs = _green_pairs()
+    fs, gs = [f for (f, _), _ in pairs], [g for _, (g, _) in pairs]
+    residuals = triplets.green_defects(
+        model.triplet, fs, [model.adjoint_from(f, df) for (f, df), _ in pairs],
+        gs, [model.adjoint_from(g, dg) for _, (g, dg) in pairs])
     return _threshold_result("green", residuals, GREEN_TOL, "20 seeded random pairs")
 
 
@@ -239,7 +241,7 @@ def _run_mobius(model, grid, params):
             if j in errors:
                 raise errors[j]
             theta = triplets.char_value(lam, *natives[:, j].tolist())
-            triplets.require_maximal_domain(model.defects(lam))
+            triplets.require_maximal_domain(model.defects.row(lam))
             th2.append(triplets.char_value(lam, gps[j], gms[j]))
         except Exception as exc:
             held = exc  # raised below unless the map of an earlier lambda fails

@@ -13,10 +13,16 @@ A term's kind (interval, exponent, power) is validated once, when the term
 is built from raw values; merging, negation and scalar multiples reuse it
 and check only the new coefficient.
 
+A function's terms can also be kept as a *row*: tuples of the raw values,
+merged and sorted as a function holds them, with no object per term.  The
+free resolvent and the models' defect vectors are built as rows, and a
+function is made from a row only when one is asked for.
+
 All values are Python complex scalars; numpy enters for vectorized
-pointwise evaluation inside the quadrature oracle and for the batched Gram
-kernel, which packs many functions into arrays, takes its integrals from
-the same closed form as the scalar inner product and reproduces that inner
+pointwise evaluation inside the quadrature oracle and for the batched
+kernels, ``gram`` (all pairs of two lists) and ``paired`` (row by row),
+which pack many functions or rows into arrays, take their integrals from
+the same closed form as the scalar inner product and reproduce that inner
 product bit for bit.
 """
 
@@ -73,7 +79,7 @@ class ExpTerm:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
         if not (cmath.isfinite(self.coeff) and cmath.isfinite(self.exponent)):
-            raise ValueError("coefficient and exponent must be finite")
+            raise ValueError(_NOT_FINITE)
         if self.lo == NEG_INF and self.exponent.real <= 0:
             raise ValueError(
                 f"term exp({self.exponent}*x) on ({self.lo}, {self.hi}] is not "
@@ -85,23 +91,132 @@ class ExpTerm:
                 "square integrable: need Re(exponent) < 0 at +inf"
             )
 
-    def _key(self):
-        return (self.lo, self.hi, self.exponent, self.power)
+    def __iter__(self):
+        """The raw values (coeff, lo, hi, exponent, power): a term unpacks as
+        the term tuples of a row do."""
+        return iter((self.coeff, self.lo, self.hi, self.exponent, self.power))
 
     def _with_coeff(self, coeff: complex) -> "ExpTerm":
         """This validated kind with a new complex coefficient, checked finite."""
-        if not cmath.isfinite(coeff):
-            raise ValueError("coefficient and exponent must be finite")
+        return ExpTerm._unchecked(_finite(coeff), self.lo, self.hi, self.exponent, self.power)
+
+    @staticmethod
+    def _unchecked(coeff, lo, hi, exponent, power) -> "ExpTerm":
+        """A term of values already validated, built without the checks."""
         term = object.__new__(ExpTerm)
-        # field by field: copying __dict__ would give each term its own dict
+        # field by field, in field order: copying __dict__ would give each
+        # term its own dict
         object.__setattr__(term, "coeff", coeff)
-        for name in ("lo", "hi", "exponent", "power"):
-            object.__setattr__(term, name, getattr(self, name))
+        object.__setattr__(term, "lo", lo)
+        object.__setattr__(term, "hi", hi)
+        object.__setattr__(term, "exponent", exponent)
+        object.__setattr__(term, "power", power)
         return term
 
 
-def _sort_key(t: ExpTerm):
-    return (t.lo, t.hi, t.exponent.real, t.exponent.imag, t.power)
+# ---------------------------------------------------------------------------
+# rows: the terms of a function as raw tuples
+# ---------------------------------------------------------------------------
+#
+# A row is a function's terms as tuples (coeff, lo, hi, exponent, power) of
+# the values an ExpTerm holds, in canonical order, without an object per
+# term or per function.  The model builders and ``DefectFamily`` keep defect
+# vectors this way; ``pack`` reads a row as it reads a function.  A function
+# holds its own row as ``f.row``, and its methods call the helpers below on
+# it; an ExpTerm unpacks as a row's tuple does.
+
+_NOT_FINITE = "coefficient and exponent must be finite"
+
+
+def _finite(coeff: complex) -> complex:
+    if not cmath.isfinite(coeff):
+        raise ValueError(_NOT_FINITE)
+    return coeff
+
+
+def row_term(coeff: complex, lo: float, hi: float, exponent: complex,
+             power: int = 0) -> tuple:
+    """The term tuple of ``ExpTerm(coeff, lo, hi, exponent, power)`` from
+    values of the types an ExpTerm holds.  Only the finiteness of the
+    coefficient and the exponent is checked, as ExpTerm checks it; the
+    caller answers for the interval, the power and square integrability."""
+    if not (cmath.isfinite(coeff) and cmath.isfinite(exponent)):
+        raise ValueError(_NOT_FINITE)
+    return (coeff, lo, hi, exponent, power)
+
+
+def terms_of(f) -> tuple:
+    """The row of a function, or f itself if it is a row."""
+    return f.row if isinstance(f, PiecewiseExpFunction) else f
+
+
+def as_function(f) -> PiecewiseExpFunction:
+    """f itself if it is a function, else the function of the row f."""
+    return f if isinstance(f, PiecewiseExpFunction) else PiecewiseExpFunction.from_row(f)
+
+
+def _row_sort_key(t: tuple):
+    return (t[1], t[2], t[3].real, t[3].imag, t[4])
+
+
+def canonical_row(terms) -> tuple:
+    """The canonical row of the sum of validated terms, as the function
+    ``PiecewiseExpFunction(terms)`` holds it.
+
+    Terms of one (lo, hi, exponent, power) merge into the kind of the first,
+    their coefficients summed from 0j; an exact-zero sum is dropped and one
+    that is not finite is rejected; the rest are sorted by (lo, hi,
+    exponent, power).
+    """
+    acc: dict[tuple, complex] = {}
+    for coeff, lo, hi, exponent, power in terms:
+        key = (lo, hi, exponent, power)
+        # a dict keeps the first of equal keys, so the kind's bits are the first term's
+        acc[key] = acc.get(key, 0j) + coeff
+    merged = []
+    for (lo, hi, exponent, power), c in acc.items():
+        if c != 0:
+            merged.append((_finite(c), lo, hi, exponent, power))
+    if len(merged) > 1:
+        merged.sort(key=_row_sort_key)
+    return tuple(merged)
+
+
+def row_breakpoints(terms) -> tuple[float, ...]:
+    """Sorted finite interval endpoints appearing in any term."""
+    pts = set()
+    for _, lo, hi, _, _ in terms:
+        if lo != NEG_INF:
+            pts.add(lo)
+        if hi != POS_INF:
+            pts.add(hi)
+    return tuple(sorted(pts))
+
+
+def row_limit(terms, x0: float, side: str) -> complex:
+    """One-sided limit at x0 of the sum of the terms; side is '+' or '-'."""
+    val = 0j
+    for coeff, lo, hi, exponent, power in terms:
+        if (lo < x0 <= hi) if side == "-" else (lo <= x0 < hi):
+            val += coeff * x0**power * cmath.exp(exponent * x0)
+    return val
+
+
+def row_first_jump(terms, tol: float, skip: tuple[float, ...] = ()
+                   ) -> tuple[float | None, float]:
+    """First breakpoint outside ``skip`` where the one-sided limits differ by
+    more than tol, with the size of that jump; (None, 0.0) if none."""
+    for b in row_breakpoints(terms):
+        if b in skip:
+            continue
+        jump = abs(row_limit(terms, b, "+") - row_limit(terms, b, "-"))
+        if jump > tol:
+            return b, jump
+    return None, 0.0
+
+
+def row_coefficient_norm(terms) -> float:
+    return max((abs(coeff) for coeff, _, _, _, _ in terms), default=0.0)
 
 
 @dataclass(frozen=True, init=False)
@@ -111,24 +226,29 @@ class PiecewiseExpFunction:
     Construction canonicalizes: terms of one (lo, hi, exponent, power) merge
     into the validated kind of the first and exact-zero coefficients are
     dropped, so equal functions built the same way compare equal term by term.
+    The same terms are also held as a row, ``row``.
     """
 
     terms: tuple[ExpTerm, ...] = field(default=())
 
     def __init__(self, terms=()):
-        acc: dict[tuple, complex] = {}
-        kinds: dict[tuple, ExpTerm] = {}
-        for t in terms:
-            if not isinstance(t, ExpTerm):
-                t = ExpTerm(*t)
-            key = t._key()
-            acc[key] = acc.get(key, 0j) + t.coeff
-            kinds.setdefault(key, t)
-        merged = [kinds[key]._with_coeff(c) for key, c in acc.items() if c != 0]
-        merged.sort(key=_sort_key)
-        object.__setattr__(self, "terms", tuple(merged))
+        self._hold(canonical_row(t if isinstance(t, ExpTerm) else ExpTerm(*t) for t in terms))
+
+    def _hold(self, row: tuple) -> None:
+        """Hold the terms of a canonical row, as ExpTerms in ``terms`` and as
+        the row itself in ``row``, which the row helpers read."""
+        object.__setattr__(self, "terms", tuple(ExpTerm._unchecked(*t) for t in row))
+        object.__setattr__(self, "row", row)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_row(cls, row) -> "PiecewiseExpFunction":
+        """The function whose terms are those of a canonical row, such as
+        ``canonical_row`` returns; nothing is merged or checked again."""
+        f = object.__new__(cls)
+        f._hold(tuple(row))
+        return f
 
     @classmethod
     def zero(cls) -> "PiecewiseExpFunction":
@@ -254,39 +374,19 @@ class PiecewiseExpFunction:
 
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted finite interval endpoints appearing in any term."""
-        pts = set()
-        for t in self.terms:
-            if t.lo != NEG_INF:
-                pts.add(t.lo)
-            if t.hi != POS_INF:
-                pts.add(t.hi)
-        return tuple(sorted(pts))
+        return row_breakpoints(self.row)
 
     def limit(self, x0: float, side: str) -> complex:
         """One-sided limit at x0; side is '+' or '-'."""
         if side not in ("+", "-"):
             raise ValueError("side must be '+' or '-'")
-        val = 0j
-        for t in self.terms:
-            if side == "-":
-                active = t.lo < x0 <= t.hi
-            else:
-                active = t.lo <= x0 < t.hi
-            if active:
-                val += t.coeff * x0**t.power * cmath.exp(t.exponent * x0)
-        return val
+        return row_limit(self.row, x0, side)
 
     def first_jump(self, tol: float, skip: tuple[float, ...] = ()
                    ) -> tuple[float | None, float]:
         """First breakpoint outside ``skip`` where the one-sided limits differ
         by more than tol, with the size of that jump; (None, 0.0) if none."""
-        for b in self.breakpoints():
-            if b in skip:
-                continue
-            jump = abs(self.limit(b, "+") - self.limit(b, "-"))
-            if jump > tol:
-                return b, jump
-        return None, 0.0
+        return row_first_jump(self.row, tol, skip)
 
     def eval_at(self, x) -> np.ndarray:
         """Pointwise values on an array of interior points (endpoints have
@@ -301,7 +401,7 @@ class PiecewiseExpFunction:
         return out
 
     def coefficient_norm(self) -> float:
-        return max((abs(t.coeff) for t in self.terms), default=0.0)
+        return row_coefficient_norm(self.row)
 
     def support(self) -> tuple[float, float]:
         if not self.terms:
@@ -457,7 +557,11 @@ def inner(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> complex:
 
 
 def norm(f: PiecewiseExpFunction) -> float:
-    return math.sqrt(max(inner(f, f).real, 0.0))
+    return _root(inner(f, f))
+
+
+def _root(square: complex) -> float:
+    return math.sqrt(max(square.real, 0.0))
 
 
 def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> float:
@@ -490,6 +594,13 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 #: 310 x 310 Gram peaks at about 1 MB of temporaries beside its result
 GRAM_BLOCK = 24
 
+#: ``paired`` evaluates fewer rows than this by the scalar ``inner``: its
+#: kernel costs about 150 us however few the rows, one scalar inner product
+#: of a defect vector 3-7 us.  At 32 rows both took about 0.2 ms for the
+#: norms of nonlocal defect vectors on a 2-vCPU x86-64 host, and the kernel
+#: already won for their boundary pairings.
+PAIRED_SCALAR_ROWS = 32
+
 
 @dataclass(frozen=True, eq=False)
 class PackedFunctions:
@@ -514,7 +625,8 @@ class PackedFunctions:
 
 
 def pack(fs, scales=None) -> PackedFunctions:
-    """Pack functions for :func:`gram`, with the table of their term kinds.
+    """Pack functions, or their rows, for :func:`gram` and :func:`paired`,
+    with the table of their term kinds.
 
     With ``scales``, row i holds ``scales[i] * fs[i]`` with the coefficients
     that product would have, without building it: a coefficient that is not
@@ -523,42 +635,35 @@ def pack(fs, scales=None) -> PackedFunctions:
     """
     rows = []
     for i, f in enumerate(fs):
-        terms = [(t.coeff, t.lo, t.hi, t.exponent, t.power) for t in f.terms]
+        terms = terms_of(f)
         if scales is not None:
             scale = complex(scales[i])
             scaled = []
-            for coeff, *rest in terms:
-                coeff = scale * coeff
-                if not cmath.isfinite(coeff):
-                    raise ValueError("coefficient and exponent must be finite")
-                coeff = 0j + coeff  # the merge in PiecewiseExpFunction.__init__
+            for coeff, lo, hi, exponent, power in terms:
+                coeff = 0j + _finite(scale * coeff)  # the merge of canonical_row
                 if coeff != 0:
-                    scaled.append((coeff, *rest))
+                    scaled.append((coeff, lo, hi, exponent, power))
             terms = scaled
         rows.append(terms)
     n = len(rows)
     width = max(map(len, rows), default=0)
-    pad = (0j, 0.0, 0.0, 0j, 0)
-    slots = [t for row in rows for t in row + [pad] * (width - len(row))]
-
-    def column(i, dtype):
-        return np.array([t[i] for t in slots], dtype=dtype)
-
-    coeff, exponent = column(0, complex), column(3, complex)
-    parts = (column(1, float), column(2, float), exponent.real, exponent.imag,
-             column(4, np.int64))
-    # a term's key is the 40 bytes of its kind; at[i] is the first term with
-    # the key of term i, and those first terms make up the table
+    pad = ((0j, 0.0, 0.0, 0j, 0),)
+    slots = [t for row in rows for t in (*row, *pad * (width - len(row)))]
+    coeff, lo, hi, exponent, power = (
+        np.array(column, dtype=dtype) for column, dtype in
+        zip(list(zip(*slots)) or [()] * 5, (complex, float, float, complex, np.int64)))
+    parts = (lo, hi, exponent.real, exponent.imag, power)
+    # a term's key is the 40 bytes of its kind; the table holds the distinct
+    # keys in the order of their first terms
     keys = np.stack([x.view(np.int64) for x in parts], axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel().tolist()
-    first = {}
-    at = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
-    own = at == np.arange(at.size)
-    index = np.zeros(at.size, dtype=np.intp)
-    index[own] = np.arange(np.count_nonzero(own))
-    kind = index[at]
+    keys = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
+    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
     return PackedFunctions(coeff.real.reshape(n, width), coeff.imag.reshape(n, width),
-                           kind.reshape(n, width), tuple(x[own] for x in parts))
+                           rank[at.ravel()].reshape(n, width),
+                           tuple(x[first[order]] for x in parts))
 
 
 def _mul(ar, ai, br, bi):
@@ -566,52 +671,67 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _kind_integrals(f: PackedFunctions, g: PackedFunctions):
-    """``_poly_exp_integral`` once per overlapping pair of a kind of f and a
-    kind of g.
+def _kind_integrals(f: PackedFunctions, g: PackedFunctions, a: np.ndarray,
+                    b: np.ndarray):
+    """``_poly_exp_integral`` once for each candidate pair (a[n], b[n]) of a
+    kind of f and a kind of g whose intervals overlap.
 
-    Returns the integrals' real and imaginary parts at positions 1, 2, ...
-    (position 0 holds zeros) and the (kinds of f, kinds of g) table of the
-    position of each pair, 0 for a pair whose intervals do not overlap.
+    Returns the mask of the candidates that overlap and the integrals' real
+    and imaginary parts at positions 1, 2, ..., in the order of those
+    candidates (position 0 holds zeros).  The overlap test is inner's strict
+    one, which also rejects the padding kind [0, 0].
     """
     flo, fhi, fre, fim, fpow = f.kinds
     glo, ghi, gre, gim, gpow = g.kinds
-    # the candidates include every overlapping pair; the strict test on
-    # them is inner's, which also rejects the padding kind [0, 0]
-    a, b = np.nonzero((glo < fhi[:, None]) & (flo[:, None] < ghi))
     lo = np.where(glo[b] > flo[a], glo[b], flo[a])  # max(tf.lo, tg.lo)
     hi = np.where(ghi[b] < fhi[a], ghi[b], fhi[a])  # min(tf.hi, tg.hi)
     on = lo < hi
     a, b, lo, hi = a[on], b[on], lo[on], hi[on]
-    position = np.zeros((flo.size, glo.size), dtype=np.int32)
-    position[a, b] = np.arange(1, a.size + 1)
-    integrals = np.zeros(a.size + 1, dtype=complex)
     pairs = zip((fpow[a] + gpow[b]).tolist(), (fre[a] + gre[b]).tolist(),
                 (fim[a] + -gim[b]).tolist(), lo.tolist(), hi.tolist())
-    for n, (k, ur, ui, x, y) in enumerate(pairs, 1):
-        # a degenerate integral is a float: widened to complex(v, 0.0), as
-        # inner's product widens it
-        integrals[n] = complex(_poly_exp_integral(k, complex(ur, ui), x, y))
-    return integrals.real, integrals.imag, position
+    # a degenerate integral is a float: widened to complex(v, 0.0), as
+    # inner's product widens it
+    integrals = np.array([0j, *(_poly_exp_integral(k, complex(ur, ui), x, y)
+                                for k, ur, ui, x, y in pairs)], dtype=complex)
+    return on, integrals.real, integrals.imag
+
+
+def _packed(fs) -> PackedFunctions:
+    return fs if isinstance(fs, PackedFunctions) else pack(fs)
+
+
+def _accumulate(total_re, total_im, f_re, f_im, g_re, g_conj_im, pos, ir, ii) -> None:
+    """Add coefficient product times integral where ``pos`` is not 0, as
+    ``inner`` adds one overlapping pair of terms."""
+    on = pos != 0
+    if on.any():
+        cr, ci = _mul(f_re, f_im, g_re, g_conj_im)
+        cr, ci = _mul(cr, ci, ir.take(pos), ii.take(pos))
+        np.add(total_re, cr, out=total_re, where=on)
+        np.add(total_im, ci, out=total_im, where=on)
 
 
 def gram(fs, gs) -> np.ndarray:
     """The matrix ``inner(f, g)`` over f in fs (rows) and g in gs (columns).
 
-    fs and gs are sequences of functions or their :func:`pack` forms.  Every
-    entry equals the scalar ``inner`` bit for bit.  The closed form of
-    ``inner``, ``_poly_exp_integral``, runs once per call for each
-    overlapping pair of a term kind of fs and a term kind of gs.  Then, GRAM_BLOCK
-    rows at a time and for each pair of term slots (p outer, q inner, as in
-    ``inner``), each entry whose terms overlap gathers its integral,
-    multiplies its coefficient product by it and accumulates.
+    fs and gs are sequences of functions or rows, or their :func:`pack`
+    forms.  Every entry equals the scalar ``inner`` bit for bit.  The closed
+    form of ``inner``, ``_poly_exp_integral``, runs once per call for each
+    overlapping pair of a term kind of fs and a term kind of gs.  Then,
+    GRAM_BLOCK rows at a time and for each pair of term slots (p outer, q
+    inner, as in ``inner``), each entry whose terms overlap gathers its
+    integral, multiplies its coefficient product by it and accumulates.
     """
-    f = fs if isinstance(fs, PackedFunctions) else pack(fs)
-    g = gs if isinstance(gs, PackedFunctions) else pack(gs)
+    f, g = _packed(fs), _packed(gs)
     out = np.zeros((len(f), len(g)), dtype=complex)
     g_conj_im = -g.coeff_im
     with np.errstate(all="ignore"):
-        ir, ii, position = _kind_integrals(f, g)
+        # the candidates include every overlapping pair of kinds
+        flo, fhi, glo, ghi = f.kinds[0], f.kinds[1], g.kinds[0], g.kinds[1]
+        a, b = np.nonzero((glo < fhi[:, None]) & (flo[:, None] < ghi))
+        on, ir, ii = _kind_integrals(f, g, a, b)
+        position = np.zeros((flo.size, glo.size), dtype=np.int32)
+        position[a[on], b[on]] = np.arange(1, np.count_nonzero(on) + 1)
         # entry (i, j) of slot pair (p, q) takes position.flat[fi[i, p] + gi[j, q]]
         fi, gi = f.kind * position.shape[1], g.kind
         for start in range(0, len(f), GRAM_BLOCK):
@@ -620,16 +740,55 @@ def gram(fs, gs) -> np.ndarray:
             f_re, f_im, f_at = f.coeff_re[rows], f.coeff_im[rows], fi[rows]
             for p in range(fi.shape[1]):
                 for q in range(gi.shape[1]):
-                    pos = position.take(f_at[:, p, None] + gi[:, q])
-                    on = pos != 0
-                    if not on.any():
-                        continue
-                    cr, ci = _mul(f_re[:, p, None], f_im[:, p, None],
-                                  g.coeff_re[:, q], g_conj_im[:, q])
-                    cr, ci = _mul(cr, ci, ir.take(pos), ii.take(pos))
-                    np.add(total_re, cr, out=total_re, where=on)
-                    np.add(total_im, ci, out=total_im, where=on)
+                    _accumulate(total_re, total_im, f_re[:, p, None], f_im[:, p, None],
+                                g.coeff_re[:, q], g_conj_im[:, q],
+                                position.take(f_at[:, p, None] + gi[:, q]), ir, ii)
     return out
+
+
+def paired(fs, gs) -> np.ndarray:
+    """The array ``[inner(f, g) for f, g in zip(fs, gs)]``, row by row.
+
+    fs and gs are equally long sequences of functions or rows, or their
+    :func:`pack` forms; a gs of one function pairs it with every f.  Every
+    value equals the scalar ``inner`` bit for bit.  Fewer than
+    PAIRED_SCALAR_ROWS rows given as functions or rows are evaluated by
+    ``inner`` itself.  Otherwise ``_poly_exp_integral`` runs once per call
+    for each distinct overlapping pair of a term kind of f and a term kind
+    of g that meet within one row, so rows that share no kinds build no
+    cross table.  Then, for each pair of term slots (p outer, q inner, as in
+    ``inner``), every row whose terms overlap gathers its integral,
+    multiplies its coefficient product by it and accumulates.
+    """
+    if len(gs) != len(fs) and len(gs) != 1:
+        raise ValueError(f"paired needs equally many functions, got {len(fs)} and {len(gs)}")
+    packed = isinstance(fs, PackedFunctions) or isinstance(gs, PackedFunctions)
+    if not packed and len(fs) < PAIRED_SCALAR_ROWS:
+        pairs = zip(fs, gs if len(gs) == len(fs) else list(gs) * len(fs))
+        return np.array([inner(as_function(f), as_function(g)) for f, g in pairs], dtype=complex)
+    f = _packed(fs)
+    g = f if gs is fs else _packed(gs)
+    out = np.zeros(len(f), dtype=complex)
+    total_re, total_im = out.real, out.imag
+    n_g = g.kinds[0].size
+    with np.errstate(all="ignore"):
+        # the kind pair of every slot pair (p, q) of every row, as one code
+        codes = f.kind[:, :, None] * n_g + g.kind[:, None, :]
+        candidates, at = np.unique(codes.ravel(), return_inverse=True)
+        on, ir, ii = _kind_integrals(f, g, *np.divmod(candidates, n_g))
+        position = (np.cumsum(on) * on)[at].reshape(codes.shape)
+        g_conj_im = -g.coeff_im
+        for p in range(codes.shape[1]):
+            for q in range(codes.shape[2]):
+                _accumulate(total_re, total_im, f.coeff_re[:, p], f.coeff_im[:, p],
+                            g.coeff_re[:, q], g_conj_im[:, q], position[:, p, q], ir, ii)
+    return out
+
+
+def norms(fs) -> list[float]:
+    """``[norm(f) for f in fs]``, bit for bit, from one :func:`paired` call;
+    fs may be functions or rows."""
+    return [_root(square) for square in paired(fs, fs).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +876,62 @@ def inner_quadrature(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
 # ---------------------------------------------------------------------------
 
 
+def resolvent_row(z: complex, gamma: PiecewiseExpFunction) -> tuple:
+    """The canonical row of ``free_resolvent(z, gamma)``, raising as it does.
+
+    Each coefficient is the same Python complex expression, evaluated in the
+    same order, as when the function is built term by term; each term is
+    checked as ExpTerm checks it (only finiteness can fail here: the
+    intervals come from gamma's terms and their complements, and each
+    homogeneous term decays on the side where it is kept) and the terms
+    are merged by ``canonical_row``, without an object per term.
+    """
+    z = complex(z)
+    if z.imag == 0:
+        raise ValueError("resolvent requires non-real z")
+    upper = z.imag > 0
+    ez = -1j * z  # exponent of the homogeneous solution exp(-izx)
+    out: list[tuple] = []
+
+    for t in gamma.terms:
+        coeff, lo, hi, exponent, k = t.coeff, t.lo, t.hi, t.exponent, t.power
+        u = 1j * z + exponent
+        # a resonant term (degenerate u, coeffs None) keeps the input's
+        # exponent so cancellations against gamma stay exact at the term level
+        coeffs = _antiderivative_coeffs(k, u)
+        if upper:
+            # Re u < 0 is guaranteed at an infinite right end
+            Gb = 0j if hi == POS_INF else _antiderivative(k, u, coeffs, hi)
+            # left of the support: a pure multiple of exp(-izx)
+            if lo != NEG_INF:
+                c = 1j * coeff * (Gb - _antiderivative(k, u, coeffs, lo))
+                if c != 0:
+                    out.append(row_term(c, NEG_INF, lo, ez))
+            # on the support: a homogeneous part plus the particular part
+            homogeneous = 1j * coeff * Gb
+        else:
+            # Re u > 0 is guaranteed at an infinite left end
+            Ga = 0j if lo == NEG_INF else _antiderivative(k, u, coeffs, lo)
+            if hi != POS_INF:
+                c = -1j * coeff * (_antiderivative(k, u, coeffs, hi) - Ga)
+                if c != 0:
+                    out.append(row_term(c, hi, POS_INF, ez))
+            homogeneous = 1j * coeff * Ga
+        sign = -1j * coeff
+
+        if coeffs is None:
+            if homogeneous != 0:
+                out.append(row_term(homogeneous, lo, hi, exponent))
+            out.append(row_term(sign / (k + 1), lo, hi, exponent, k + 1))
+        else:
+            if homogeneous != 0:
+                out.append(row_term(homogeneous, lo, hi, ez))
+            for j, c in enumerate(coeffs):
+                out.append(row_term(sign * c, lo, hi, exponent, k - j))
+
+    return canonical_row(out)
+
+
 def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunction:
     """Resolvent of the free momentum operator applied to gamma.
 
@@ -727,52 +942,10 @@ def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunct
 
     The result is again piecewise exponential; a resonant term (input
     exponent equal to -iz on a finite interval) raises the monomial power by
-    one instead of leaving the algebra.
+    one instead of leaving the algebra.  The terms are those of
+    ``resolvent_row``, the one evaluation of the resolvent.
     """
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("resolvent requires non-real z")
-    upper = z.imag > 0
-    ez = -1j * z  # exponent of the homogeneous solution exp(-izx)
-    out: list[ExpTerm] = []
-
-    for t in gamma.terms:
-        u = 1j * z + t.exponent
-        k = t.power
-        # a resonant term (degenerate u, coeffs None) keeps the input's
-        # exponent so cancellations against gamma stay exact at the term level
-        coeffs = _antiderivative_coeffs(k, u)
-        if upper:
-            # Re u < 0 is guaranteed at an infinite right end
-            Gb = 0j if t.hi == POS_INF else _antiderivative(k, u, coeffs, t.hi)
-            # left of the support: a pure multiple of exp(-izx)
-            if t.lo != NEG_INF:
-                c = 1j * t.coeff * (Gb - _antiderivative(k, u, coeffs, t.lo))
-                if c != 0:
-                    out.append(ExpTerm(c, NEG_INF, t.lo, ez))
-            # on the support: a homogeneous part plus the particular part
-            homogeneous = 1j * t.coeff * Gb
-        else:
-            # Re u > 0 is guaranteed at an infinite left end
-            Ga = 0j if t.lo == NEG_INF else _antiderivative(k, u, coeffs, t.lo)
-            if t.hi != POS_INF:
-                c = -1j * t.coeff * (_antiderivative(k, u, coeffs, t.hi) - Ga)
-                if c != 0:
-                    out.append(ExpTerm(c, t.hi, POS_INF, ez))
-            homogeneous = 1j * t.coeff * Ga
-        sign = -1j * t.coeff
-
-        if coeffs is None:
-            if homogeneous != 0:
-                out.append(ExpTerm(homogeneous, t.lo, t.hi, t.exponent))
-            out.append(ExpTerm(sign / (k + 1), t.lo, t.hi, t.exponent, k + 1))
-        else:
-            if homogeneous != 0:
-                out.append(ExpTerm(homogeneous, t.lo, t.hi, ez))
-            for j, c in enumerate(coeffs):
-                out.append(ExpTerm(sign * c, t.lo, t.hi, t.exponent, k - j))
-
-    return PiecewiseExpFunction(out)
+    return PiecewiseExpFunction.from_row(resolvent_row(z, gamma))
 
 
 def resolvent_residual(z: complex, gamma: PiecewiseExpFunction,

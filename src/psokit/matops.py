@@ -35,9 +35,15 @@ def _as_matrix(a, stacked: bool = False) -> np.ndarray:
 
 def opnorm(a) -> float | np.ndarray:
     """Spectral norm; for a stack, the norm of each matrix along the last
-    two axes."""
+    two axes.  A matrix with an entry that is not finite has norm NaN, and
+    its SVD is not run."""
     m = np.atleast_2d(np.asarray(a, dtype=complex))
-    norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if finite.all():
+        norms = np.linalg.norm(m, 2, axis=(-2, -1))
+    else:
+        norms = np.full(finite.shape, np.nan)
+        norms[finite] = np.linalg.norm(m[finite], 2, axis=(-2, -1))
     return float(norms) if m.ndim == 2 else norms
 
 

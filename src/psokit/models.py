@@ -25,14 +25,17 @@ from . import matops
 from .expfun import (
     NEG_INF,
     POS_INF,
-    ExpTerm,
     PiecewiseExpFunction,
+    as_function,
+    canonical_row,
     coefficient_distance,
-    free_resolvent,
     gram,
     inner,
     norm,
     pack,
+    resolvent_row,
+    row_limit,
+    row_term,
 )
 from .scalars import format_complex
 from .tolerances import BOUNDARY_CONDITION_TOL, DECOMPOSE_SINGULAR_TOL, SERIES_TAIL_TOL, TWIST_TOL
@@ -40,7 +43,9 @@ from .triplets import (
     BoundaryFunctional,
     BoundaryTriplet,
     DefectFamily,
+    each_point,
     require_maximal_domain,
+    unwrap,
 )
 
 
@@ -56,10 +61,13 @@ def free_part(f: PiecewiseExpFunction) -> PiecewiseExpFunction:
     return 1j * f.derivative(jump_ok_at=(0.0,))
 
 
-def _defect_exponential(coeff: complex, z: complex) -> ExpTerm:
-    """coeff * exp(-izx) on (-inf, 0) for Im z > 0, on (0, inf) for Im z < 0."""
+def _defect_exponential(coeff: complex, z: complex) -> tuple:
+    """The term coeff * exp(-izx) on (-inf, 0) for Im z > 0, on (0, inf) for
+    Im z < 0; it decays on its half line."""
     lo, hi = (NEG_INF, 0.0) if z.imag > 0 else (0.0, POS_INF)
-    return ExpTerm(coeff, lo, hi, -1j * complex(z))
+    return row_term(complex(coeff), lo, hi, -1j * complex(z))
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +95,16 @@ class MomentumModel:
             witness=(_half_line(1.0, 1.0, "-"), _half_line(1.0, -1.0, "+")),
         )
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily(self._defect, trip))
+        object.__setattr__(self, "defects", DefectFamily.batched(self._defects, trip))
+
+    @staticmethod
+    def _defects(zs) -> list:
+        """The canonical row of the defect vector at each z, or its error."""
+        return each_point(lambda z: canonical_row((_defect_exponential(1.0, z),)), zs)
 
     @staticmethod
     def _defect(z: complex) -> PiecewiseExpFunction:
-        return PiecewiseExpFunction((_defect_exponential(1.0, z),))
+        return as_function(unwrap(MomentumModel._defects([z])[0]))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -159,9 +172,14 @@ def similarity_conjugation_check(t1, t2, samples) -> float:
     m = t1.shape[0]
     if t1.shape != (m, m) or t2.shape != (m, m):
         raise ValueError("boundary parameters must be square matrices of equal size")
+    matops.require_finite(t1)
+    matops.require_finite(t2)
     if matops.is_singular(t1, DECOMPOSE_SINGULAR_TOL):
         raise ValueError("T1 must be invertible (real-spectrum extensions only)")
     f_matrix = t2 @ np.linalg.inv(t1)
+    samples = list(samples)
+    if not samples:
+        raise ValueError("the similarity check needs at least one sample")
 
     worst = 0.0
     for sample in samples:
@@ -413,8 +431,8 @@ class NonlocalModel:
         object.__setattr__(self, "triplet", trip)
         # the family holds the case and the potential, not the model, so a
         # dropped model is freed without the cyclic collector
-        defect = functools.partial(self._defect, case, gamma)
-        object.__setattr__(self, "defects", DefectFamily(defect, trip))
+        build = functools.partial(self._defects, case, gamma)
+        object.__setattr__(self, "defects", DefectFamily.batched(build, trip))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -430,17 +448,25 @@ class NonlocalModel:
         return free + coupling * self.gamma
 
     @staticmethod
+    def _defects(case: str, gamma: PiecewiseExpFunction, zs) -> list:
+        """The canonical row of the defect vector at each z, or its error."""
+
+        def row(z):
+            g = resolvent_row(z, gamma) if not gamma.is_zero else ()
+            g0 = (row_limit(g, 0.0, "+") + row_limit(g, 0.0, "-")) / 2
+            # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge;
+            # a merge starts from 0j, erasing zero signs, so the bits are the same
+            if case == "I":
+                coeff = -2 * (1 + g0)
+            else:
+                coeff = 1.0 if z.imag > 0 else -1.0
+            return canonical_row(g + (_defect_exponential(coeff, z),))
+
+        return each_point(row, zs)
+
+    @staticmethod
     def _defect(case: str, gamma: PiecewiseExpFunction, z: complex) -> PiecewiseExpFunction:
-        g = free_resolvent(z, gamma) if not gamma.is_zero \
-            else PiecewiseExpFunction.zero()
-        g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
-        # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge; a
-        # merge starts from 0j, erasing zero signs, so the bits are the same
-        if case == "I":
-            coeff = -2 * (1 + g0)
-        else:
-            coeff = 1.0 if z.imag > 0 else -1.0
-        return PiecewiseExpFunction(g.terms + (_defect_exponential(coeff, z),))
+        return as_function(unwrap(NonlocalModel._defects(case, gamma, [z])[0]))
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

@@ -157,18 +157,23 @@ def _scan_result(check_id: str, residuals: np.ndarray, tolerance: float,
                        tuple(failures))
 
 
-def _per_point(points, label: str, fn, failures: list[str]):
-    """The points where ``fn`` evaluates and its values there; a point where
-    it raises is left out and recorded as ``<label>=<point>: <error>``."""
+def _per_point(points, label: str, entries, failures: list[str], fn=None):
+    """The points whose entry is a value, not an exception, and those
+    values, taken through ``fn(point, value)`` if given; every other point,
+    or one where ``fn`` raises, is left out and recorded as
+    ``<label>=<point>: <error>``."""
     kept, values = [], []
-    for z in points:
-        try:
-            value = fn(z)
-        except Exception as exc:
-            failures.append(f"{label}={format_complex(z)}: {exc}")
+    for z, entry in zip(points, entries):
+        if fn is not None and not isinstance(entry, Exception):
+            try:
+                entry = fn(z, entry)
+            except Exception as exc:
+                entry = exc
+        if isinstance(entry, Exception):
+            failures.append(f"{label}={format_complex(z)}: {entry}")
             continue
         kept.append(z)
-        values.append(value)
+        values.append(entry)
     return kept, values
 
 
@@ -177,11 +182,11 @@ def native_images(model, points):
     gamma_plus and a failed column zero, and each failed column's error."""
     images = np.zeros((2, len(points)), dtype=complex)
     errors: dict[int, Exception] = {}
-    for j, z in enumerate(points):
-        try:
-            images[:, j] = model.defects.images(z)
-        except Exception as exc:
-            errors[j] = exc
+    for j, entry in enumerate(model.defects.images_at(points)):
+        if isinstance(entry, Exception):
+            errors[j] = entry
+        else:
+            images[:, j] = entry
     return images, errors
 
 
@@ -189,10 +194,8 @@ def char_values(model, lams):
     """The points of ``lams`` with a finite characteristic function value,
     those values, and a failure text for every other point."""
     failures: list[str] = []
-    kept, values = _per_point(
-        lams, "lambda",
-        lambda lam: triplets.char_value(lam, *model.defects.images(lam)),
-        failures)
+    kept, values = _per_point(lams, "lambda", model.defects.images_at(lams), failures,
+                              lambda lam, images: triplets.char_value(lam, *images))
     return kept, values, failures
 
 
@@ -200,16 +203,18 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest normalized pairing between upper and lower defect vectors.
 
     A point whose norm fails is a failed point.  The pairings are the
-    entries of one Gram matrix of the normalized vectors, taken only when
-    both half planes have vectors; the witness is the first largest one in
-    nu-major, lambda-minor order.
+    entries of one Gram matrix of the normalized vectors, packed from the
+    family's rows, taken only when both half planes have vectors; the
+    witness is the first largest one in nu-major, lambda-minor order.
     """
     grid = grid or Grid.default()
     failures = []
-    uppers, up_norms = _per_point(grid.lambdas_upper, "lambda", model.defects.norm, failures)
-    lowers, down_norms = _per_point(grid.lambdas_lower, "nu", model.defects.norm, failures)
-    up = pack([model.defects(z) for z in uppers], [1.0 / n for n in up_norms])
-    down = pack([model.defects(z) for z in lowers], [1.0 / n for n in down_norms])
+    family, n_up = model.defects, len(grid.lambdas_upper)
+    norms = family.norms_at(grid.lambdas_upper + grid.lambdas_lower)  # one batch
+    uppers, up_norms = _per_point(grid.lambdas_upper, "lambda", norms[:n_up], failures)
+    lowers, down_norms = _per_point(grid.lambdas_lower, "nu", norms[n_up:], failures)
+    up = pack(family.rows_at(uppers), [1.0 / n for n in up_norms])
+    down = pack(family.rows_at(lowers), [1.0 / n for n in down_norms])
     # with no vector on one side there is nothing to pair
     pairings = gram(up, down).T if uppers and lowers else np.empty((0, 0))  # rows nu
     return _scan_result(
@@ -261,17 +266,20 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     grid = grid or Grid.default()
     lams = grid.lambdas_upper
     labels = [format_complex(lam) for lam in lams]
+    conjs = [lam.conjugate() for lam in lams]
+    family = model.defects
+    all_norms = family.norms_at([*lams, *conjs])  # one batch for both half planes
     # per lambda: the error before the boundary maps
     early: dict[int, Exception] = {}
     norms = np.ones(len(lams))
-    for j, lam in enumerate(lams):
+    for j, row in enumerate(family.rows_at(lams)):
         try:
-            triplets.require_maximal_domain(model.defects(lam))
-            norms[j] = model.defects.norm(lam)
+            triplets.require_maximal_domain(triplets.unwrap(row))
+            norms[j] = triplets.unwrap(all_norms[j])
         except Exception as exc:
             early[j] = exc
     rhs, late = native_images(model, lams)
-    conj, conj_errors = native_images(model, [lam.conjugate() for lam in lams])
+    conj, conj_errors = native_images(model, conjs)
 
     # per mu: the norm at conj(mu), then, mapping f_mu before f_conj(mu) as
     # decompose does, the first mapping error and the singularity of S(mu)
@@ -280,12 +288,11 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     mu_failures: dict[int, str] = {}
     mu_errors = [late.get(i) or conj_errors.get(i) for i in range(len(lams))]
     singular: dict[int, Exception] = {}
-    for i, mu in enumerate(lams):
-        try:
-            n_conj[i] = model.defects.norm(mu.conjugate())
-        except Exception as exc:
-            mu_failures[i] = f"mu={labels[i]}: {exc}"
+    for i, n in enumerate(all_norms[len(lams):]):
+        if isinstance(n, Exception):
+            mu_failures[i] = f"mu={labels[i]}: {n}"
             continue
+        n_conj[i] = n
         if mu_errors[i] is None:
             try:
                 triplets.require_regular_system(systems[i])

@@ -17,6 +17,7 @@ supply concrete triplets and defect families.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .expfun import PiecewiseExpFunction, inner, norm
+from .expfun import (PiecewiseExpFunction, as_function, inner, norms, paired,
+                     row_coefficient_norm, row_first_jump, row_limit, terms_of)
 from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
                          GREEN_TOL, SURJECTIVITY_TOL)
 
@@ -44,13 +46,19 @@ class BoundaryFunctional:
 
     def __call__(self, f: PiecewiseExpFunction, inner_product=None) -> complex:
         ip = inner if inner_product is None else inner_product
+        return self.combine(f.limit(0.0, "-"), f.limit(0.0, "+"),
+                            [ip(f, h) for _, h in self.pairings])
+
+    def combine(self, minus: complex, plus: complex, pairings) -> complex:
+        """The value on a function f with f(0-) = minus, f(0+) = plus and the
+        inner products (f, h_k), in the order of ``self.pairings``."""
         val = 0j
         if self.left:
-            val += self.left * f.limit(0.0, "-")
+            val += self.left * minus
         if self.right:
-            val += self.right * f.limit(0.0, "+")
-        for w, h in self.pairings:
-            val += w * ip(f, h)
+            val += self.right * plus
+        for (w, _), ip in zip(self.pairings, pairings):
+            val += w * ip
         return val
 
     def __add__(self, other):
@@ -87,7 +95,7 @@ class BoundaryTriplet:
     def images(self, *fs: PiecewiseExpFunction) -> np.ndarray:
         """Boundary images, 2 x len(fs): row 0 gamma_plus, row 1 gamma_minus;
         each f is mapped by both, gamma_plus first, before the next f."""
-        pairs = [(self.gamma_plus(f), self.gamma_minus(f)) for f in fs]
+        pairs = boundary_images(self, fs)
         return np.array([[gp for gp, _ in pairs], [gm for _, gm in pairs]])
 
     def check_surjectivity(self) -> None:
@@ -95,60 +103,192 @@ class BoundaryTriplet:
             raise ValueError("boundary maps fail the surjectivity witness")
 
 
+def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex]]:
+    """(gamma_plus(f), gamma_minus(f)) of each f in fs, a function or a row,
+    bit for bit.
+
+    When both maps are boundary functionals they are evaluated together:
+    each f's one-sided limits at the origin are taken once, and each
+    distinct pairing function h is paired with every f by one ``paired``
+    call, so a pairing both maps share is taken once.  Other maps are
+    called on each f as a function, gamma_plus first.
+    """
+    maps = (triplet.gamma_plus, triplet.gamma_minus)
+    if not all(isinstance(m, BoundaryFunctional) for m in maps):
+        fs = [as_function(f) for f in fs]
+        return [(triplet.gamma_plus(f), triplet.gamma_minus(f)) for f in fs]
+    hs = list({id(h): h for m in maps for _, h in m.pairings}.values())
+    column = {id(h): j for j, h in enumerate(hs)}
+    plan = [(m, [column[id(h)] for _, h in m.pairings]) for m in maps]
+    ips = zip(*(paired(fs, [h]).tolist() for h in hs)) if hs else [()] * len(fs)
+    out = []
+    for f, ip in zip(fs, ips):
+        terms = terms_of(f)
+        minus, plus = row_limit(terms, 0.0, "-"), row_limit(terms, 0.0, "+")
+        out.append(tuple([m.combine(minus, plus, [ip[j] for j in columns])
+                          for m, columns in plan]))
+    return out
+
+
+def each_point(fn: Callable, points) -> list:
+    """``fn(z)`` for each z of points, or the exception it raised there."""
+    out = []
+    for z in points:
+        try:
+            out.append(fn(z))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _batch(fn: Callable[[list], list], items: list) -> list:
+    """``fn(items)``; if that raises, ``fn`` of each item alone, or the
+    exception it raised there, so one item cannot fail the others."""
+    try:
+        return fn(items)
+    except Exception:
+        return each_point(lambda item: fn([item])[0], items)
+
+
+def unwrap(entry):
+    """An entry of a batch: its value, or the exception it holds, raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _norm_entry(n: float):
+    """A defect vector's norm, or the error for one that cannot scale it:
+    an overflowing norm would scale the vector to zero, which pairs
+    perfectly with everything, and a zero one cannot be divided by."""
+    if not math.isfinite(n):
+        return ValueError("defect vector norm is not finite")
+    if n == 0:
+        return ValueError("defect vector norm is zero")
+    return n
+
+
 class DefectFamily:
-    """Map from non-real z to the canonical defect vector at z, with its
-    norm and its native images under the model's ``triplet``, each cached:
-    the one place a defect point is mapped through the boundary maps."""
+    """Map from non-real z to the canonical defect vector at z, with its norm
+    and its native images under the model's ``triplet``: the one place a
+    defect point is mapped through the boundary maps.
+
+    The vectors are kept as a table of rows (see ``expfun``), one per point.
+    The builder fills it by one call for all the points asked for at once:
+    ``build(points)`` returns, per point, the canonical row of its vector or
+    the exception its construction raised.  Norms come from one ``norms``
+    call and images from one ``boundary_images`` call per batch of rows,
+    and are cached beside them.  A failed point keeps no entry, so it is
+    built again, and fails again, whenever it is asked for.  A
+    PiecewiseExpFunction is built from a row only when the family is called.
+
+    The ``*_at(points)`` methods return per point a value or the exception
+    that stands for it; ``row``, ``norm``, ``images`` and the call raise it.
+    """
 
     def __init__(self, fn: Callable[[complex], PiecewiseExpFunction],
                  triplet: BoundaryTriplet):
-        self._fn = fn
+        """The family of the vectors ``fn(z)``, built point by point."""
+        self._start(functools.partial(each_point, lambda z: fn(z).row), triplet)
+
+    @classmethod
+    def batched(cls, build: Callable[[list[complex]], list],
+                triplet: BoundaryTriplet) -> "DefectFamily":
+        """The family of the rows ``build(points)`` returns."""
+        family = cls.__new__(cls)
+        family._start(build, triplet)
+        return family
+
+    def _start(self, build, triplet):
+        self._build = build
         self._triplet = triplet
+        self._rows: dict[complex, tuple] = {}
         self._cache: dict[complex, PiecewiseExpFunction] = {}
         self._norms: dict[complex, float] = {}
         self._images: dict[complex, tuple[complex, complex]] = {}
 
+    @staticmethod
+    def _fill(table: dict, points, compute: Callable[[list], list]) -> list:
+        """The entries of ``points`` in ``table``; the points not in it are
+        computed by one ``compute`` call, and the values among them stored."""
+        zs = [complex(z) for z in points]
+        fresh = {}
+        missing = [z for z in dict.fromkeys(zs) if z not in table]
+        if missing:
+            for z, entry in zip(missing, compute(missing)):
+                fresh[z] = entry
+                if not isinstance(entry, Exception):
+                    table[z] = entry
+        return [table[z] if z in table else fresh[z] for z in zs]
+
+    def _build_rows(self, zs: list[complex]) -> list:
+        todo = [z for z in zs if z.imag != 0]
+        try:
+            built = dict(zip(todo, self._build(todo)))
+        except Exception as exc:  # a builder that raises fails each point
+            built = dict.fromkeys(todo, exc)
+        return [built[z] if z.imag != 0
+                else ValueError("defect vectors exist only for non-real z") for z in zs]
+
+    def _on_rows(self, compute: Callable[[list], list]) -> Callable[[list], list]:
+        """``compute``, a map from rows to entries, as a map from points: a
+        point whose row failed keeps its error."""
+        def step(zs):
+            rows = self.rows_at(zs)
+            done = iter(_batch(compute, [r for r in rows if not isinstance(r, Exception)]))
+            return [r if isinstance(r, Exception) else next(done) for r in rows]
+        return step
+
+    def rows_at(self, points) -> list:
+        """The row of the vector at each point."""
+        return self._fill(self._rows, points, self._build_rows)
+
+    def norms_at(self, points) -> list:
+        """The norm of the vector at each point; one that is zero or not
+        finite is an error."""
+        return self._fill(self._norms, points, self._on_rows(
+            lambda rows: [_norm_entry(n) for n in norms(rows)]))
+
+    def images_at(self, points) -> list:
+        """(gamma_plus, gamma_minus) of the vector at each point, mapped in
+        that order, as Python complex values."""
+        return self._fill(self._images, points, self._on_rows(
+            lambda rows: [(complex(gp), complex(gm))
+                          for gp, gm in boundary_images(self._triplet, rows)]))
+
+    @staticmethod
+    def _one(table: dict, batch: Callable[[list], list], z: complex):
+        """The entry of one point: from the table if it is there, else from
+        a batch of one, raised if it is an exception."""
+        z = complex(z)
+        return table[z] if z in table else unwrap(batch([z])[0])
+
+    def row(self, z: complex) -> tuple:
+        return self._one(self._rows, self.rows_at, z)
+
     def __call__(self, z: complex) -> PiecewiseExpFunction:
         z = complex(z)
-        if z.imag == 0:
-            raise ValueError("defect vectors exist only for non-real z")
         if z not in self._cache:
-            self._cache[z] = self._fn(z)
+            self._cache[z] = as_function(self.row(z))
         return self._cache[z]
 
     def norm(self, z: complex) -> float:
-        z = complex(z)
-        if z not in self._norms:
-            n = norm(self(z))
-            # an overflowing norm would scale the vector to zero, which
-            # pairs perfectly with everything; a zero one cannot be divided by
-            if not math.isfinite(n):
-                raise ValueError("defect vector norm is not finite")
-            if n == 0:
-                raise ValueError("defect vector norm is zero")
-            self._norms[z] = n
-        return self._norms[z]
+        return self._one(self._norms, self.norms_at, z)
 
     def images(self, z: complex) -> tuple[complex, complex]:
-        """(gamma_plus, gamma_minus) of the defect vector at z, mapped in that
-        order, as Python complex values."""
-        z = complex(z)
-        if z not in self._images:
-            # not BoundaryTriplet.images: its array costs more than two maps
-            f, trip = self(z), self._triplet
-            self._images[z] = (complex(trip.gamma_plus(f)), complex(trip.gamma_minus(f)))
-        return self._images[z]
+        return self._one(self._images, self.images_at, z)
 
 
-def require_maximal_domain(f: PiecewiseExpFunction,
-                           jump_at: tuple[float, ...] = (0.0,)) -> None:
-    """Membership test for the models' maximal domain.
+def require_maximal_domain(f, jump_at: tuple[float, ...] = (0.0,)) -> None:
+    """Membership test for the models' maximal domain, of a function or a row.
 
     Piecewise W^1_2 on the line split at the origin: finite one-sided limits
     everywhere (automatic for this algebra) and continuity at every finite
     breakpoint except the allowed jump points.
     """
-    x, jump = f.first_jump(DOMAIN_JUMP_TOL * (1 + f.coefficient_norm()), jump_at)
+    terms = terms_of(f)
+    x, jump = row_first_jump(terms, DOMAIN_JUMP_TOL * (1 + row_coefficient_norm(terms)),
+                             jump_at)
     if x is not None:
         raise ValueError(f"not in the maximal domain: jump {jump:.3e} at x={x}")
 
@@ -168,10 +308,23 @@ def green_defect(triplet: BoundaryTriplet, f: PiecewiseExpFunction,
                  tg: PiecewiseExpFunction) -> float:
     """Defect of the Green identity on f and g, given tf = T f and tg = T g;
     the caller has checked that both lie in the maximal domain."""
-    lhs = inner(tf, g) - inner(f, tg)
-    gp, gm = triplet.gamma_plus, triplet.gamma_minus
-    rhs = 1j * (gp(f) * gp(g).conjugate() - gm(f) * gm(g).conjugate())
-    return abs(lhs - rhs)
+    return green_defects(triplet, [f], [tf], [g], [tg])[0]
+
+
+def green_defects(triplet: BoundaryTriplet, fs, tfs, gs, tgs) -> list[float]:
+    """``green_defect`` of each pair (fs[k], gs[k]), bit for bit.
+
+    The inner products (T f, g) and (f, T g) take one ``paired`` call each,
+    and all the boundary values one ``boundary_images`` call.
+    """
+    lhs = [a - b for a, b in zip(paired(tfs, gs).tolist(), paired(fs, tgs).tolist())]
+    images = boundary_images(triplet, [*fs, *gs])
+    out = []
+    for k, value in enumerate(lhs):
+        (gpf, gmf), (gpg, gmg) = images[k], images[len(lhs) + k]
+        rhs = 1j * (gpf * gpg.conjugate() - gmf * gmg.conjugate())
+        out.append(abs(value - rhs))
+    return out
 
 
 def char_function(triplet: BoundaryTriplet, defects: DefectFamily,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psokit import cli, matops, models, psocheck, triplets
+from psokit import cli, expfun, matops, models, psocheck, triplets
 from psokit.triplets import BoundaryTriplet
 from psokit.scalars import format_complex, parse_complex
 
@@ -126,10 +126,11 @@ def test_run_failing_scenario_exit_code(tmp_path, capsys):
 
 
 def test_raising_defect_family_exits_2(tmp_path, capsys, monkeypatch):
-    def broken(z):
+    def broken(zs):
         raise ValueError("broken defect family")
 
-    monkeypatch.setattr(models.MomentumModel, "_defect", staticmethod(broken))
+    # the family's batch builder; a builder that raises fails every point
+    monkeypatch.setattr(models.MomentumModel, "_defects", staticmethod(broken))
     path = write_scenario(tmp_path, {
         "name": "broken-momentum",
         "model": {"kind": "momentum"},
@@ -303,6 +304,35 @@ def test_green_residuals_equal_the_one_off_green_residual(monkeypatch, spec):
               models.random_maximal_domain_function(rng)) for _ in range(20)]
     expected = [triplets.green_residual(model.triplet, model, f, g) for f, g in pairs]
     assert [repr(r) for r in seen[0]] == [repr(r) for r in expected]
+    assert [repr(r) for r in seen[0]] == [repr(scalar_green_defect(model, f, g))
+                                          for f, g in pairs]
+
+
+def scalar_green_defect(model, f, g):
+    """The Green defect as its formula reads, by scalar inner products and
+    boundary functional calls."""
+    tf, tg = model.adjoint_apply(f), model.adjoint_apply(g)
+    gp, gm = model.triplet.gamma_plus, model.triplet.gamma_minus
+    lhs = expfun.inner(tf, g) - expfun.inner(f, tg)
+    return abs(lhs - 1j * (gp(f) * gp(g).conjugate() - gm(f) * gm(g).conjugate()))
+
+
+def test_a_nonlocal_green_check_pairs_each_function_with_the_potential_once(monkeypatch):
+    model = cli.build_model({"kind": "nonlocal", "case": "I", "alpha": "1"})
+    cli._green_pairs()  # drawn once per process, before the count
+    calls, batches = Counter(), []
+    for module in (expfun, triplets):
+        monkeypatch.setattr(module, "inner", counted_calls(calls, "inner", expfun.inner))
+    paired = triplets.paired
+    monkeypatch.setattr(triplets, "paired",
+                        lambda fs, gs: batches.append((len(fs), len(gs))) or paired(fs, gs))
+    assert cli._run_green(model, None, {}).verdict == "pass"
+    # (T f, g) and (f, T g) for the 20 pairs, by the scalar inner below
+    # PAIRED_SCALAR_ROWS, then the 40 functions against the potential in one
+    # batch, each once: 120 scalar calls before, 40 of them repeats, as
+    # gamma_plus and gamma_minus each paired f with the potential
+    assert expfun.PAIRED_SCALAR_ROWS > 20
+    assert (calls["inner"], batches) == (40, [(20, 20), (20, 20), (40, 1)])
 
 
 def test_mobius_takes_as_many_svds_on_the_default_grid_as_on_two_points(monkeypatch):

@@ -274,7 +274,7 @@ GRAM_TINY = (-3e-15, -0.0, 0.0, 4e-15)  # pairs to a degenerate exponent
 
 
 @st.composite
-def gram_functions_st(draw):
+def gram_functions_st(draw, coeffs=complex_st):
     """Functions on finite and half-infinite intervals whose endpoints,
     exponents and powers (0-3) come from the shared pools above, with
     exponents that pair to a degenerate one on finite pieces, and the zero
@@ -284,7 +284,7 @@ def gram_functions_st(draw):
 
     terms = []
     for _ in range(draw(st.integers(0, 3))):
-        c = draw(complex_st)
+        c = draw(coeffs)
         power = draw(st.integers(0, 3))
         im_s = pick(GRAM_EXP_IM)
         kind = draw(st.integers(0, 3))
@@ -312,6 +312,69 @@ def test_gram_equals_inner_bit_for_bit(fs, gs):
     for a, f in enumerate(fs):
         for b, h in enumerate(gs):
             assert bits(g[a, b]) == bits(inner(f, h)), (a, b)
+
+
+#: coefficients with zero parts of either sign, and ones whose products with
+#: each other overflow to inf (a merge of three still fits a float)
+PAIRED_COEFFS = st.one_of(complex_st, st.sampled_from(
+    [complex(2.0, -0.0), complex(-0.0, -1.5), 1e300, complex(-0.0, 1e300),
+     complex(1e155, -1e155)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.lists(
+           st.tuples(gram_functions_st(PAIRED_COEFFS), gram_functions_st(PAIRED_COEFFS)),
+           min_size=n, max_size=n)),
+       st.booleans())
+def test_paired_equals_inner_bit_for_bit(pairs, as_rows):
+    # rows of different lengths leave padding slots; the zero function has none
+    fs = [f for f, _ in pairs]
+    gs = [g.row for _, g in pairs] if as_rows else [g for _, g in pairs]
+    want = [bits(inner(f, g)) for f, g in pairs]
+    # packed forms always take the kernel; a short list takes the scalar inner
+    for got in (expfun.paired(expfun.pack(fs), expfun.pack(gs)), expfun.paired(fs, gs)):
+        assert got.shape == (len(pairs),)
+        assert [bits(v) for v in got.tolist()] == want
+
+
+def test_paired_takes_the_kernel_from_paired_scalar_rows_on(monkeypatch):
+    fs = block_family(np.random.default_rng(24), expfun.PAIRED_SCALAR_ROWS + 1)
+    h = fs[1]
+    want = [bits(inner(f, h)) for f in fs]
+    calls = Counter()
+    monkeypatch.setattr(expfun, "inner", lambda f, g: calls.update(["inner"]) or 0j)
+    # a gs of one function pairs it with every f
+    assert [bits(v) for v in expfun.paired(fs, [h]).tolist()] == want
+    assert calls["inner"] == 0
+    expfun.paired(fs[2:], [h])
+    assert calls["inner"] == expfun.PAIRED_SCALAR_ROWS - 1
+
+
+def test_paired_takes_each_kind_pair_that_meets_in_a_row_once(monkeypatch):
+    f = PiecewiseExpFunction.single(1.0, 0.0, 2.0, 0.5) + half_line_right(2j, -1.0)
+    g = half_line_right(1.0, complex(-1.0, 3.0))
+    want = [bits(inner(f, g))] * 2 + [bits(inner(g, f))]
+    calls = Counter()
+    original = expfun._poly_exp_integral
+
+    def counted(*args):
+        calls[args] += 1
+        return original(*args)
+
+    monkeypatch.setattr(expfun, "_poly_exp_integral", counted)
+    got = expfun.paired(expfun.pack([f, f, g]), expfun.pack([g, g, f]))
+    assert [bits(v) for v in got.tolist()] == want
+    # two overlapping kind pairs per (f, g) row and two per (g, f) row, once each
+    assert sorted(calls.values()) == [1, 1, 1, 1]
+    with pytest.raises(ValueError, match="equally many"):
+        expfun.paired([f], [f, g])
+
+
+def test_norms_equal_norm_bit_for_bit():
+    fs = block_family(np.random.default_rng(23), 12)
+    assert [n.hex() for n in expfun.norms(fs)] == [expfun.norm(f).hex() for f in fs]
+    rows = [f.row for f in fs]
+    assert expfun.norms(rows) == expfun.norms(fs)
 
 
 def test_gram_of_scaled_functions_equals_inner_of_the_products():

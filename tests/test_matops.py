@@ -96,6 +96,25 @@ def test_the_tolerance_tests_take_an_svd_only_where_the_frobenius_norm_does_not_
     assert [c.ndim for c in calls] == [2, 3, 3]
 
 
+@pytest.mark.parametrize("m", [[[np.nan]], np.full((2, 2), np.nan), [[np.inf]]],
+                         ids=["nan", "nan-2x2", "inf"])
+def test_the_norm_of_a_non_finite_matrix_is_nan_without_an_svd(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the SVD raised LinAlgError on a NaN and returned nan on an inf
+        assert math.isnan(opnorm(m))
+        assert matops._exceeds(np.asarray(m, dtype=complex), 1.0)
+
+
+def test_the_norm_of_a_stack_is_nan_for_each_non_finite_matrix():
+    stack = np.array([np.eye(2), np.full((2, 2), np.nan), 2 * np.eye(2),
+                      [[np.inf, 0.0], [0.0, 1.0]]], dtype=complex)
+    got = opnorm(stack)
+    assert got.shape == (4,)
+    assert got[[0, 2]].tolist() == [1.0, 2.0] and np.isnan(got[[1, 3]]).all()
+    assert opnorm(stack[[0, 2]]).tolist() == [1.0, 2.0]
+
+
 def test_inverse_cayley_rejects_a_non_unitary_matrix():
     # the spectral norm of U*U - I; its Frobenius norm is 3.162
     with pytest.raises(ValueError, match=r"not unitary: \|\|U\*U - I\|\| = 3\.000e\+00$"):

@@ -1,6 +1,8 @@
 import cmath
+import functools
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from psokit import expfun
 from psokit.expfun import (
     NEG_INF,
     POS_INF,
@@ -135,6 +138,22 @@ def test_similarity_matrix_case():
 def test_similarity_rejects_singular_t1():
     with pytest.raises(ValueError, match="invertible"):
         similarity_conjugation_check([[0.0]], [[1.0]], [])
+
+
+@pytest.mark.parametrize("t2", [[[complex("nan")]], [[complex("inf")]]], ids=["nan", "inf"])
+def test_similarity_rejects_a_non_finite_t2_before_using_it(t2):
+    sample = boundary_sample([[1.0]], np.random.default_rng(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's matmul warning on inf came first
+        for samples in ([sample], []):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                similarity_conjugation_check([[1.0]], t2, samples)
+
+
+def test_similarity_refuses_an_empty_sample_list():
+    # a perfect 0.0 from nothing evaluated would read as a pass
+    with pytest.raises(ValueError, match="at least one sample"):
+        similarity_conjugation_check([[1.0]], [[2.0]], [])
 
 
 def test_similarity_rejects_bad_sample():
@@ -331,9 +350,84 @@ def test_a_dropped_model_is_freed_without_the_cyclic_collector(make):
         gc.enable()
 
 
+def object_resolvent(z, gamma):
+    """free_resolvent as the object algebra builds it: every term an ExpTerm,
+    validated, and their sum one PiecewiseExpFunction."""
+    z = complex(z)
+    if z.imag == 0:
+        raise ValueError("resolvent requires non-real z")
+    upper, ez, out = z.imag > 0, -1j * z, []
+    for t in gamma.terms:
+        u, k = 1j * z + t.exponent, t.power
+        coeffs = expfun._antiderivative_coeffs(k, u)
+
+        def antiderivative(x):
+            return expfun._antiderivative(k, u, coeffs, x)
+
+        if upper:
+            Gb = 0j if t.hi == POS_INF else antiderivative(t.hi)
+            if t.lo != NEG_INF:
+                c = 1j * t.coeff * (Gb - antiderivative(t.lo))
+                if c != 0:
+                    out.append(ExpTerm(c, NEG_INF, t.lo, ez))
+            homogeneous = 1j * t.coeff * Gb
+        else:
+            Ga = 0j if t.lo == NEG_INF else antiderivative(t.lo)
+            if t.hi != POS_INF:
+                c = -1j * t.coeff * (antiderivative(t.hi) - Ga)
+                if c != 0:
+                    out.append(ExpTerm(c, t.hi, POS_INF, ez))
+            homogeneous = 1j * t.coeff * Ga
+        sign = -1j * t.coeff
+        if coeffs is None:
+            if homogeneous != 0:
+                out.append(ExpTerm(homogeneous, t.lo, t.hi, t.exponent))
+            out.append(ExpTerm(sign / (k + 1), t.lo, t.hi, t.exponent, k + 1))
+        else:
+            if homogeneous != 0:
+                out.append(ExpTerm(homogeneous, t.lo, t.hi, ez))
+            for j, c in enumerate(coeffs):
+                out.append(ExpTerm(sign * c, t.lo, t.hi, t.exponent, k - j))
+    return PiecewiseExpFunction(out)
+
+
+@st.composite
+def resolvent_case_st(draw):
+    """A point z and a potential of 1-3 terms on half lines and finite
+    pieces, with powers 0-2; a finite piece may be resonant at z (exponent
+    -iz, or within 1e-15 of it, which the closed form treats as zero) or
+    near it (3e-14 off), where a coefficient of 1e307 overflows."""
+    z = draw(defect_point_st)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.one_of(st.complex_numbers(min_magnitude=0.01, max_magnitude=1e3,
+                                              allow_nan=False, allow_infinity=False),
+                           st.sampled_from([1e307, complex(-0.0, 1e307), complex(2.0, -0.0)])))
+        power, im = draw(st.integers(0, 2)), draw(st.floats(-3, 3))
+        end = draw(st.sampled_from([-1.5, -0.0, 0.0, 2.0]))
+        side = draw(st.integers(0, 3))
+        if side == 0:
+            terms.append(ExpTerm(c, NEG_INF, end, complex(draw(st.floats(0.25, 2)), im), power))
+        elif side == 1:
+            terms.append(ExpTerm(c, end, POS_INF, complex(-draw(st.floats(0.25, 2)), im), power))
+        else:
+            exponent = -1j * z + draw(st.sampled_from([0j, 4e-16, complex(0.0, -3e-16), 3e-14])) \
+                if side == 2 else complex(draw(st.floats(-2, 2)), im)
+            terms.append(ExpTerm(c, end, end + draw(st.sampled_from([0.5, 3.0])), exponent,
+                                 power))
+    return z, PiecewiseExpFunction(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolvent_case_st())
+def test_the_resolvent_rows_are_bit_identical_to_the_object_build(case):
+    z, gamma = case
+    assert term_bits(free_resolvent, z, gamma) == term_bits(object_resolvent, z, gamma)
+
+
 def reference_defect(model, z):
     """The defect vector as g - 2 (1 + g0) bump (case I) or g +- bump (case II)."""
-    g = free_resolvent(z, model.gamma) if not model.gamma.is_zero \
+    g = object_resolvent(z, model.gamma) if not model.gamma.is_zero \
         else PiecewiseExpFunction.zero()
     g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
     bump = left_exp(1.0, -1j * z) if z.imag > 0 else right_exp(1.0, -1j * z)
@@ -348,8 +442,14 @@ def term_bits(build, *args):
         f = build(*args)
     except (ValueError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
-    return [(t.coeff.real.hex(), t.coeff.imag.hex(), t.lo.hex(), t.hi.hex(),
-             t.exponent.real.hex(), t.exponent.imag.hex(), t.power) for t in f.terms]
+    return row_bits(f.terms)
+
+
+def row_bits(terms):
+    """Every part of every term, an ExpTerm or a row's tuple, as float.hex."""
+    return [(coeff.real.hex(), coeff.imag.hex(), lo.hex(), hi.hex(),
+             exponent.real.hex(), exponent.imag.hex(), power)
+            for coeff, lo, hi, exponent, power in terms]
 
 
 signed_zero_st = st.sampled_from([0.0, -0.0])
@@ -381,7 +481,7 @@ def test_defect_vectors_are_bit_identical_to_the_algebra_expression(case, alpha,
 
 
 @pytest.mark.parametrize("case, alpha", [("I", 4j), ("II", 1)])
-def test_a_dense_defect_family_takes_one_canonicalisation_per_vector(
+def test_a_dense_defect_family_builds_no_term_or_function_object(
         monkeypatch, case, alpha):
     calls = {"validations": 0, "canonicalisations": 0}
 
@@ -398,13 +498,76 @@ def test_a_dense_defect_family_takes_one_canonicalisation_per_vector(
     model = NonlocalModel(case, alpha)
     uppers = [complex(re, im) for re in range(-15, 16)
               for im in (0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10)]
-    for z in uppers + [z.conjugate() for z in uppers]:
-        model.defects(z)
-    # the model takes 4 validations and 5 canonicalisations; each of the 620
-    # vectors then validates its two resolvent terms and its bump (at the
-    # resonant point, -i in case I and i in case II, one resolvent term
-    # vanishes) and canonicalises the resolvent and itself, once each
-    assert calls == {"validations": 4 + 3 * 620 - 1, "canonicalisations": 5 + 2 * 620}
+    points = uppers + [z.conjugate() for z in uppers]
+    family = model.defects
+    for batch in (family.rows_at, family.norms_at, family.images_at):
+        assert not any(isinstance(entry, Exception) for entry in batch(points))
+    # only the model takes its 4 validations and 5 canonicalisations: the
+    # 620 vectors are rows, with their norms and images computed from them.
+    # Built as functions, each vector validated its two resolvent terms and
+    # its bump and canonicalised the resolvent and itself, 1859 validations
+    # and 1240 canonicalisations in all
+    assert calls == {"validations": 4, "canonicalisations": 5}
+    # a function is built from a row only when asked for, without either
+    assert family(uppers[0]) == PiecewiseExpFunction(family.row(uppers[0]))
+    assert calls == {"validations": 4 + 2, "canonicalisations": 5 + 1}
+
+
+NEAR_RESONANCE_GRID = Grid.from_axes([0.0, 1e-6, 1e-9, 1e-12], [1.0, 1 + 1e-9, 0.5])
+DENSE_GRID = Grid.from_axes(range(-15, 16), [0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10])
+#: the momentum model and both nonlocal cases at the Phillips points, at
+#: alpha = 0, 1 and 3 - i, and at couplings whose vectors overflow
+TABLE_MODELS = {"momentum": MomentumModel, **{
+    f"{case}({alpha})": functools.partial(NonlocalModel, case, alpha)
+    for case in ("I", "II") for alpha in (4j, 2j, 0, 1, 3 - 1j, 1.2e154, 1.7e308)}}
+
+
+def reference_vector(model, z):
+    if isinstance(model, MomentumModel):
+        return left_exp(1.0, -1j * z) if z.imag > 0 else right_exp(1.0, -1j * z)
+    return reference_defect(model, z)
+
+
+def failure(exc):
+    return type(exc).__name__, str(exc)
+
+
+def reference_entries(model, z):
+    """The bits of the defect vector at z, its norm by ``expfun.norm`` and
+    its images by the boundary functionals, each on the object built from
+    the algebra expression, or the failure that stands for it."""
+    try:
+        f = reference_vector(model, z)
+    except (ValueError, OverflowError) as exc:
+        return (failure(exc),) * 3
+    n = norm(f)
+    if not math.isfinite(n):
+        n = failure(ValueError("defect vector norm is not finite"))
+    elif n == 0:
+        n = failure(ValueError("defect vector norm is zero"))
+    else:
+        n = n.hex()
+    try:
+        images = [bit for v in (model.triplet.gamma_plus(f), model.triplet.gamma_minus(f))
+                  for bit in (v.real.hex(), v.imag.hex())]
+    except (ValueError, OverflowError) as exc:
+        images = failure(exc)
+    return row_bits(f.terms), n, images
+
+
+@pytest.mark.parametrize("grid", [Grid.default(), DENSE_GRID, NEAR_RESONANCE_GRID],
+                         ids=["default", "dense", "near-resonance"])
+@pytest.mark.parametrize("make", TABLE_MODELS.values(), ids=TABLE_MODELS)
+def test_the_table_rows_norms_and_images_match_the_reference_vectors(make, grid):
+    model = make()
+    points = [*grid.lambdas_upper, *grid.lambdas_lower]
+    family = model.defects
+    got = [tuple(failure(e) if isinstance(e, Exception) else bits(e) for e, bits in
+                 zip(entries, (row_bits, float.hex,
+                               lambda v: [b for z in v for b in (z.real.hex(), z.imag.hex())])))
+           for entries in zip(family.rows_at(points), family.norms_at(points),
+                              family.images_at(points))]
+    assert got == [reference_entries(model, z) for z in points]
 
 
 # -- Haar system -------------------------------------------------------------------

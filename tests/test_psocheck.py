@@ -471,15 +471,24 @@ def count_inner_calls(monkeypatch):
 
 
 def count_boundary_maps(monkeypatch):
-    """Count every call of a boundary functional (a native boundary map)."""
+    """Count every call of a boundary functional (a native boundary map) and
+    every function or row mapped by ``boundary_images``, which evaluates
+    the native maps on a batch of them without calling either."""
     calls = Counter()
     original = triplets.BoundaryFunctional.__call__
+    images = triplets.boundary_images
 
     def counted(self, *args, **kwargs):
         calls["maps"] += 1
         return original(self, *args, **kwargs)
 
+    def mapped(triplet, fs):
+        calls["batches"] += 1
+        calls["mapped"] += len(fs)
+        return images(triplet, fs)
+
     monkeypatch.setattr(triplets.BoundaryFunctional, "__call__", counted)
+    monkeypatch.setattr(triplets, "boundary_images", mapped)
     return calls
 
 
@@ -487,19 +496,20 @@ def test_certificate_takes_scalar_inner_products_only_outside_the_gram(monkeypat
     model = NonlocalModel("I", 1)
     calls = count_inner_calls(monkeypatch)
     pso_certificate(model, Grid.default())
-    # 132 norms, 132 boundary pairings for the upper vectors, which
-    # constancy maps and inclusion reads back, and 132 for inclusion's
-    # conjugate vectors; the 4356 orthogonality pairings took 5016 in all
-    # as scalars, and mapping the upper vectors again in inclusion 528
-    assert calls["inner"] == 396
+    # the 132 norms come from one paired call and the 264 boundary pairings
+    # from two gram calls, one per half plane, so no scalar is left; the
+    # norms and pairings took 396 scalars, and with the 4356 orthogonality
+    # pairings 5016 in all
+    assert calls["inner"] == 0
 
 
-def test_dense_orthogonality_scan_takes_only_its_norms_as_scalars(monkeypatch):
+def test_dense_orthogonality_scan_takes_no_scalar_inner_product(monkeypatch):
     model = NonlocalModel("I", 4j)
     calls = count_inner_calls(monkeypatch)
     result = orthogonality_scan(model, DENSE_GRID)
     assert result.verdict == "pass"
-    assert calls["inner"] == 620
+    # the 620 norms, once scalars, come from one paired call
+    assert calls["inner"] == 0
 
 
 @pytest.mark.parametrize("model, grid, verdict, expected", [
@@ -602,9 +612,10 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
 def test_inclusion_scan_maps_each_upper_and_conjugate_vector_once(monkeypatch):
     calls = count_boundary_maps(monkeypatch)
     inclusion_scan(NonlocalModel("I", 1), Grid.default())
-    # 66 upper and 66 conjugate vectors at 2 maps each; mapping the upper
-    # vectors again for each S(mu) made 396
-    assert calls["maps"] == 264
+    # the rows of the 66 upper and the 66 conjugate vectors, one batch each;
+    # 264 functional calls, 2 per vector, before the rows were mapped as a
+    # batch, and mapping the upper vectors again for each S(mu) made 396
+    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 2, 132)
 
 
 @pytest.mark.parametrize("spec", [{"kind": "nonlocal", "case": "I", "alpha": "1"},
@@ -618,23 +629,24 @@ def test_mobius_maps_each_lambda_through_the_native_triplet_once(monkeypatch, sp
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(triplets.BoundaryFunctional, "__call__",
-                        counted("maps", triplets.BoundaryFunctional.__call__))
+    maps = count_boundary_maps(monkeypatch)
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     report = cli.run_scenario_obj({"name": "mobius", "model": spec, "checks": ["mobius"]})
     assert report["checks"][0]["verdict"] == "pass"
-    # 66 lambdas at 2 maps each and one solve for all of them (one per
-    # lambda made 70 solves), plus 16 maps and 4 solves for the defect
-    # triplet and the change of basis
-    assert (calls["maps"], calls["solve"]) == (148, 5)
+    # the rows of the 66 lambdas in one batch and one solve for all of them
+    # (one per lambda made 70 solves), plus 10 functions in 7 batches and 4
+    # solves for the defect triplet and the change of basis; 148 functional
+    # calls before the maps took batches
+    assert (maps["maps"], maps["batches"], maps["mapped"], calls["solve"]) == (0, 8, 76, 5)
 
 
 def test_a_certificate_maps_each_defect_point_once(monkeypatch):
     calls = count_boundary_maps(monkeypatch)
     pso_certificate(NonlocalModel("I", 1), Grid.default())
-    # 66 upper and 66 conjugate vectors at 2 maps each; inclusion mapping
-    # the upper vectors again after constancy made 396
-    assert calls["maps"] == 264
+    # the rows of the 66 upper and the 66 conjugate vectors, one batch each
+    # (264 functional calls before); inclusion mapping the upper vectors
+    # again after constancy made 396
+    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 2, 132)
 
 
 def test_mobius_reads_the_images_constancy_mapped(monkeypatch):
@@ -643,9 +655,10 @@ def test_mobius_reads_the_images_constancy_mapped(monkeypatch):
         "name": "mix", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
         "checks": ["constancy", "mobius"]})
     assert [c["verdict"] for c in report["checks"]] == ["fail", "pass"]
-    # 132 for the upper vectors and 16 for the defect triplet and the change
-    # of basis; mobius mapping the upper vectors again made 280
-    assert calls["maps"] == 148
+    # the 66 upper rows in one batch and 10 functions for the defect triplet
+    # and the change of basis (148 functional calls before); mobius mapping
+    # the upper vectors again made 280
+    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 8, 76)
 
 
 def test_degenerate_triplet_is_an_error_not_a_pass():

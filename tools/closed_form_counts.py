@@ -1,12 +1,19 @@
-"""Print how often each benchmark pass asks for a closed-form integral.
+"""Print how often each benchmark pass asks for a closed-form integral, and
+how many objects and scalar inner products its ops take.
 
 For each workload at seed 7, runs two passes of its ops in this one process
 and prints, per pass, the calls of ``expfun._poly_exp_integral``, the
 distinct arguments among them (told apart by the bits the memo keys on) and
 the raw ``expfun._closed_form`` evaluations the memo let through.  The memo
-is emptied before each workload's first pass, so that pass starts cold.  The
-counts depend on no timing and no hardware.  The modules under ``bench/``
-are imported, never modified.
+is emptied before each workload's first pass, so that pass starts cold.
+
+Then, per op of the pass: the defect vectors built as PiecewiseExpFunction
+objects (calls of a ``DefectFamily`` for a point it holds no object for),
+the ``ExpTerm`` validations (``__post_init__`` runs), the
+``PiecewiseExpFunction.__init__`` runs and the scalar ``expfun.inner``
+calls, under every name a module imported it as.  The counts depend on no
+timing and no hardware.  The modules under ``bench/`` are imported, never
+modified.
 
     python3 tools/closed_form_counts.py
 """
@@ -23,16 +30,29 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 
-from psokit import expfun  # noqa: E402
+from psokit import expfun, models, psocheck, triplets  # noqa: E402
 
 SEED = 7
 PASSES = ("first", "second")
+#: modules that hold a name for expfun.inner
+INNER_NAMES = (expfun, triplets, models, psocheck)
+
+
+def _patch(patches):
+    """Set each (owner, name, value) and return the list that undoes it."""
+    undo = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, value in patches:
+        setattr(owner, name, value)
+    return undo
 
 
 def main() -> None:
-    memo, raw = expfun._poly_exp_integral, expfun._closed_form
     counts: Counter = Counter()
     keys: set[bytes] = set()
+    memo, raw, inner = expfun._poly_exp_integral, expfun._closed_form, expfun.inner
+    validate = expfun.ExpTerm.__post_init__
+    init = expfun.PiecewiseExpFunction.__init__
+    call = triplets.DefectFamily.__call__
 
     def counted_memo(k, u, a, b):
         counts["calls"] += 1
@@ -43,9 +63,29 @@ def main() -> None:
         counts["evaluations"] += 1
         return raw(*args)
 
-    expfun._poly_exp_integral, expfun._closed_form = counted_memo, counted_raw
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_call(family, z):
+        if complex(z) not in family._cache:
+            counts["vectors"] += 1
+        return call(family, z)
+
+    undo = _patch([
+        (expfun, "_poly_exp_integral", counted_memo),
+        (expfun, "_closed_form", counted_raw),
+        (expfun.ExpTerm, "__post_init__", counted("validations", validate)),
+        (expfun.PiecewiseExpFunction, "__init__", counted("inits", init)),
+        (triplets.DefectFamily, "__call__", counted_call),
+        *((module, "inner", counted("inner", inner)) for module in INNER_NAMES
+          if getattr(module, "inner", None) is inner),
+    ])
     try:
-        print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}")
+        print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
+              f"{'vectors/op':>12}{'validations/op':>16}{'inits/op':>10}{'inner/op':>10}")
         for workload in workloads.WORKLOADS:
             ops = workloads.generate(workload, SEED)
             expfun._closed_forms.clear()
@@ -54,10 +94,13 @@ def main() -> None:
                 keys.clear()
                 for op in ops:
                     workloads.run_op(op)
+                per_op = [counts[key] / len(ops)
+                          for key in ("vectors", "validations", "inits", "inner")]
                 print(f"{workload:<14}{name:<8}{counts['calls']:>9,}"
-                      f"{len(keys):>10,}{counts['evaluations']:>8,}")
+                      f"{len(keys):>10,}{counts['evaluations']:>8,}"
+                      + "".join(f"{v:>{w},.1f}" for v, w in zip(per_op, (12, 16, 10, 10))))
     finally:
-        expfun._poly_exp_integral, expfun._closed_form = memo, raw
+        _patch(undo)
 
 
 if __name__ == "__main__":
