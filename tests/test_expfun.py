@@ -634,6 +634,115 @@ def test_unitarity_of_transforms():
         assert inner(f.dilate(), g.dilate()) == pytest.approx(base, abs=1e-12)
 
 
+def reference_sum(terms):
+    """The function of the validated ``terms``, written out term by term:
+    terms of one (lo, hi, exponent, power) merge into the first one's kind
+    with coefficients summed from 0j, an exact-zero sum is dropped, and the
+    rest, each validated again, are sorted by (lo, hi, exponent, power)."""
+    acc = {}
+    for t in terms:
+        key = (t.lo, t.hi, t.exponent, t.power)
+        acc[key] = acc.get(key, 0j) + t.coeff
+    merged = [ExpTerm(c, *key) for key, c in acc.items() if c != 0]
+    return sorted(merged, key=lambda t: (t.lo, t.hi, t.exponent.real, t.exponent.imag,
+                                         t.power))
+
+
+def reference_transform(name, f, g, arg):
+    """The terms of the transform ``name`` of f, built from f's terms (and
+    g's) as validated ExpTerms, one by one."""
+    if name == "neg":
+        out = [ExpTerm(-t.coeff, t.lo, t.hi, t.exponent, t.power) for t in f.terms]
+    elif name == "mul":
+        out = [ExpTerm(arg * t.coeff, t.lo, t.hi, t.exponent, t.power) for t in f.terms]
+    elif name == "add":
+        out = [*f.terms, *g.terms]
+    elif name == "sub":
+        out = [*f.terms, *(ExpTerm(-t.coeff, t.lo, t.hi, t.exponent, t.power)
+                           for t in g.terms)]
+    elif name == "conjugate":
+        out = [ExpTerm(t.coeff.conjugate(), t.lo, t.hi, t.exponent.conjugate(), t.power)
+               for t in f.terms]
+    elif name == "restrict":
+        lo, hi = arg
+        out = [ExpTerm(t.coeff, max(t.lo, lo), min(t.hi, hi), t.exponent, t.power)
+               for t in f.terms if max(t.lo, lo) < min(t.hi, hi)]
+    elif name == "translate":
+        out = []
+        for t in f.terms:
+            base = t.coeff * cmath.exp(-t.exponent * arg)
+            for j in range(t.power + 1):
+                c = base * math.comb(t.power, j) * (-arg) ** (t.power - j)
+                out.append(ExpTerm(c, t.lo + arg, t.hi + arg, t.exponent, j))
+    elif name == "scale":
+        out = [ExpTerm(math.sqrt(arg) * t.coeff * arg**t.power, t.lo / arg, t.hi / arg,
+                       arg * t.exponent, t.power) for t in f.terms]
+    elif name == "modulate":
+        out = [ExpTerm(t.coeff, t.lo, t.hi, t.exponent + -1j * arg, t.power)
+               for t in f.terms]
+    else:  # the piecewise derivative, jumps allowed at every breakpoint
+        out = []
+        for t in f.terms:
+            if t.power > 0:
+                out.append(ExpTerm(t.coeff * t.power, t.lo, t.hi, t.exponent, t.power - 1))
+            if t.exponent != 0:
+                out.append(ExpTerm(t.coeff * t.exponent, t.lo, t.hi, t.exponent, t.power))
+    return reference_sum(out)
+
+
+TRANSFORMS = {
+    "neg": lambda f, g, arg: -f,
+    "mul": lambda f, g, arg: arg * f,
+    "add": lambda f, g, arg: f + g,
+    "sub": lambda f, g, arg: f - g,
+    "conjugate": lambda f, g, arg: f.conjugate(),
+    "restrict": lambda f, g, arg: f.restrict(*arg),
+    "translate": lambda f, g, arg: f.translate(arg),
+    "scale": lambda f, g, arg: f.scale(arg),
+    "modulate": lambda f, g, arg: f.modulate(arg),
+    "derivative": lambda f, g, arg: f.derivative(jump_ok_at=f.breakpoints()),
+}
+
+#: values with zero parts of either sign, and ones whose products with each
+#: other overflow (a merge of three still fits a float)
+TRANSFORM_COEFFS = st.one_of(complex_st, st.sampled_from(
+    [complex(2.0, -0.0), complex(-0.0, -1.5), complex(-0.0, 1e300), 1e300]))
+RESTRICT_ENDS = (NEG_INF, -1.0, -0.0, 0.0, 0.7, 2.5, POS_INF)
+
+
+@st.composite
+def transform_case_st(draw):
+    """A transform, its argument, and the two functions it may read."""
+    name = draw(st.sampled_from(sorted(TRANSFORMS)))
+    arg = {
+        "mul": TRANSFORM_COEFFS,
+        "restrict": st.tuples(st.sampled_from(RESTRICT_ENDS), st.sampled_from(RESTRICT_ENDS)),
+        "translate": st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3)),
+        "scale": st.one_of(st.just(2.0), st.floats(0.1, 4)),
+        "modulate": st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3)),
+    }.get(name, st.none())
+    return (name, draw(gram_functions_st(TRANSFORM_COEFFS)),
+            draw(gram_functions_st(TRANSFORM_COEFFS)), draw(arg))
+
+
+def outcome(build, *args):
+    """Every part of every term as float.hex, or the error raised instead."""
+    try:
+        terms = build(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(t.coeff.real.hex(), t.coeff.imag.hex(), t.lo.hex(), t.hi.hex(),
+             t.exponent.real.hex(), t.exponent.imag.hex(), t.power) for t in terms]
+
+
+@settings(max_examples=400, deadline=None)
+@given(transform_case_st())
+def test_every_transform_equals_its_term_by_term_build_bit_for_bit(case):
+    name, f, g, arg = case
+    got = outcome(lambda: TRANSFORMS[name](f, g, arg).terms)
+    assert got == outcome(reference_transform, name, f, g, arg)
+
+
 # -- free resolvent -----------------------------------------------------------
 
 
