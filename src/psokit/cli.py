@@ -241,7 +241,7 @@ def _run_mobius(model, grid, params):
             if j in errors:
                 raise errors[j]
             theta = triplets.char_value(lam, *natives[:, j].tolist())
-            triplets.require_maximal_domain(model.defects.row(lam))
+            triplets.require_maximal_domain(model.defects(lam))
             th2.append(triplets.char_value(lam, gps[j], gms[j]))
         except Exception as exc:
             held = exc  # raised below unless the map of an earlier lambda fails

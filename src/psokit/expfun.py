@@ -13,17 +13,15 @@ A term's kind (interval, exponent, power) is validated once, when the term
 is built from raw values; merging, negation and scalar multiples reuse it
 and check only the new coefficient.
 
-A function's terms can also be kept as a *row*: tuples of the raw values,
-merged and sorted as a function holds them, with no object per term.  The
-free resolvent and the models' defect vectors are built as rows, and a
-function is made from a row only when one is asked for.
+A function holds its terms as one *row*: tuples of the raw values, merged
+and sorted, with no object per term; ``terms`` gives ExpTerm views of it.
 
 All values are Python complex scalars; numpy enters for vectorized
 pointwise evaluation inside the quadrature oracle and for the batched
 kernels, ``gram`` (all pairs of two lists) and ``paired`` (row by row),
-which pack many functions or rows into arrays, take their integrals from
-the same closed form as the scalar inner product and reproduce that inner
-product bit for bit.
+which pack many functions into arrays, take their integrals from the same
+closed form as the scalar inner product and reproduce that inner product
+bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +57,7 @@ class ExpTerm:
 
     Invariants guarantee square integrability: an infinite left end needs
     ``Re(exponent) > 0`` and an infinite right end needs ``Re(exponent) < 0``.
-    The constructor validates the kind; ``_with_coeff`` reuses a validated one.
+    The constructor validates the term.
     """
 
     coeff: complex
@@ -96,10 +94,6 @@ class ExpTerm:
         the term tuples of a row do."""
         return iter((self.coeff, self.lo, self.hi, self.exponent, self.power))
 
-    def _with_coeff(self, coeff: complex) -> "ExpTerm":
-        """This validated kind with a new complex coefficient, checked finite."""
-        return ExpTerm._unchecked(_finite(coeff), self.lo, self.hi, self.exponent, self.power)
-
     @staticmethod
     def _unchecked(coeff, lo, hi, exponent, power) -> "ExpTerm":
         """A term of values already validated, built without the checks."""
@@ -118,12 +112,9 @@ class ExpTerm:
 # rows: the terms of a function as raw tuples
 # ---------------------------------------------------------------------------
 #
-# A row is a function's terms as tuples (coeff, lo, hi, exponent, power) of
-# the values an ExpTerm holds, in canonical order, without an object per
-# term or per function.  The model builders and ``DefectFamily`` keep defect
-# vectors this way; ``pack`` reads a row as it reads a function.  A function
-# holds its own row as ``f.row``, and its methods call the helpers below on
-# it; an ExpTerm unpacks as a row's tuple does.
+# A function holds its terms as its *row*: tuples (coeff, lo, hi, exponent,
+# power) of the values an ExpTerm holds, merged and in canonical order,
+# without an object per term.  An ExpTerm unpacks as a row's tuple does.
 
 _NOT_FINITE = "coefficient and exponent must be finite"
 
@@ -143,16 +134,6 @@ def row_term(coeff: complex, lo: float, hi: float, exponent: complex,
     if not (cmath.isfinite(coeff) and cmath.isfinite(exponent)):
         raise ValueError(_NOT_FINITE)
     return (coeff, lo, hi, exponent, power)
-
-
-def terms_of(f) -> tuple:
-    """The row of a function, or f itself if it is a row."""
-    return f.row if isinstance(f, PiecewiseExpFunction) else f
-
-
-def as_function(f) -> PiecewiseExpFunction:
-    """f itself if it is a function, else the function of the row f."""
-    return f if isinstance(f, PiecewiseExpFunction) else PiecewiseExpFunction.from_row(f)
 
 
 def _row_sort_key(t: tuple):
@@ -182,63 +163,27 @@ def canonical_row(terms) -> tuple:
     return tuple(merged)
 
 
-def row_breakpoints(terms) -> tuple[float, ...]:
-    """Sorted finite interval endpoints appearing in any term."""
-    pts = set()
-    for _, lo, hi, _, _ in terms:
-        if lo != NEG_INF:
-            pts.add(lo)
-        if hi != POS_INF:
-            pts.add(hi)
-    return tuple(sorted(pts))
-
-
-def row_limit(terms, x0: float, side: str) -> complex:
-    """One-sided limit at x0 of the sum of the terms; side is '+' or '-'."""
-    val = 0j
-    for coeff, lo, hi, exponent, power in terms:
-        if (lo < x0 <= hi) if side == "-" else (lo <= x0 < hi):
-            val += coeff * x0**power * cmath.exp(exponent * x0)
-    return val
-
-
-def row_first_jump(terms, tol: float, skip: tuple[float, ...] = ()
-                   ) -> tuple[float | None, float]:
-    """First breakpoint outside ``skip`` where the one-sided limits differ by
-    more than tol, with the size of that jump; (None, 0.0) if none."""
-    for b in row_breakpoints(terms):
-        if b in skip:
-            continue
-        jump = abs(row_limit(terms, b, "+") - row_limit(terms, b, "-"))
-        if jump > tol:
-            return b, jump
-    return None, 0.0
-
-
-def row_coefficient_norm(terms) -> float:
-    return max((abs(coeff) for coeff, _, _, _, _ in terms), default=0.0)
-
-
 @dataclass(frozen=True, init=False)
 class PiecewiseExpFunction:
-    """Finite sum of :class:`ExpTerm`; the zero function has no terms.
+    """Finite sum of terms, held as one canonical row; the zero function has
+    no terms.
 
-    Construction canonicalizes: terms of one (lo, hi, exponent, power) merge
-    into the validated kind of the first and exact-zero coefficients are
-    dropped, so equal functions built the same way compare equal term by term.
-    The same terms are also held as a row, ``row``.
+    Construction validates each raw term as an :class:`ExpTerm` and
+    canonicalizes: terms of one (lo, hi, exponent, power) merge into the
+    kind of the first and exact-zero coefficients are dropped, so equal
+    functions built the same way compare equal term by term.
     """
 
-    terms: tuple[ExpTerm, ...] = field(default=())
+    row: tuple = ()
 
     def __init__(self, terms=()):
-        self._hold(canonical_row(t if isinstance(t, ExpTerm) else ExpTerm(*t) for t in terms))
+        object.__setattr__(self, "row", canonical_row(
+            t if isinstance(t, ExpTerm) else ExpTerm(*t) for t in terms))
 
-    def _hold(self, row: tuple) -> None:
-        """Hold the terms of a canonical row, as ExpTerms in ``terms`` and as
-        the row itself in ``row``, which the row helpers read."""
-        object.__setattr__(self, "terms", tuple(ExpTerm._unchecked(*t) for t in row))
-        object.__setattr__(self, "row", row)
+    @property
+    def terms(self) -> tuple[ExpTerm, ...]:
+        """The terms of the row as ExpTerms, built on each read."""
+        return tuple(ExpTerm._unchecked(*t) for t in self.row)
 
     # -- constructors ------------------------------------------------------
 
@@ -247,7 +192,7 @@ class PiecewiseExpFunction:
         """The function whose terms are those of a canonical row, such as
         ``canonical_row`` returns; nothing is merged or checked again."""
         f = object.__new__(cls)
-        f._hold(tuple(row))
+        object.__setattr__(f, "row", tuple(row))
         return f
 
     @classmethod
@@ -267,15 +212,16 @@ class PiecewiseExpFunction:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row
 
     def __add__(self, other):
         if not isinstance(other, PiecewiseExpFunction):
             return NotImplemented
-        return PiecewiseExpFunction(self.terms + other.terms)
+        return PiecewiseExpFunction.from_row(canonical_row(self.row + other.row))
 
     def __neg__(self):
-        return PiecewiseExpFunction(t._with_coeff(-t.coeff) for t in self.terms)
+        return PiecewiseExpFunction.from_row(canonical_row(
+            (-coeff, lo, hi, exponent, power) for coeff, lo, hi, exponent, power in self.row))
 
     def __sub__(self, other):
         if not isinstance(other, PiecewiseExpFunction):
@@ -286,15 +232,16 @@ class PiecewiseExpFunction:
         if isinstance(scalar, PiecewiseExpFunction):
             return NotImplemented
         c = complex(scalar)
-        return PiecewiseExpFunction(t._with_coeff(c * t.coeff) for t in self.terms)
+        return PiecewiseExpFunction.from_row(canonical_row(
+            (c * coeff, lo, hi, exponent, power) for coeff, lo, hi, exponent, power in self.row))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "PiecewiseExpFunction":
         """Complex conjugate (x stays real, so only coeff and exponent flip)."""
         return PiecewiseExpFunction(
-            ExpTerm(t.coeff.conjugate(), t.lo, t.hi, t.exponent.conjugate(), t.power)
-            for t in self.terms
+            ExpTerm(coeff.conjugate(), lo, hi, exponent.conjugate(), power)
+            for coeff, lo, hi, exponent, power in self.row
         )
 
     def restrict(self, lo, hi) -> "PiecewiseExpFunction":
@@ -302,10 +249,10 @@ class PiecewiseExpFunction:
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError(f"restriction bounds must not be NaN, got lo={lo}, hi={hi}")
         out = []
-        for t in self.terms:
-            a, b = max(t.lo, lo), min(t.hi, hi)
+        for coeff, t_lo, t_hi, exponent, power in self.row:
+            a, b = max(t_lo, lo), min(t_hi, hi)
             if a < b:
-                out.append(ExpTerm(t.coeff, a, b, t.exponent, t.power))
+                out.append(ExpTerm(coeff, a, b, exponent, power))
         return PiecewiseExpFunction(out)
 
     # -- transforms --------------------------------------------------------
@@ -314,12 +261,12 @@ class PiecewiseExpFunction:
         """x -> f(x - y)."""
         y = float(y)
         out = []
-        for t in self.terms:
-            base = t.coeff * cmath.exp(-t.exponent * y)
+        for coeff, lo, hi, exponent, power in self.row:
+            base = coeff * cmath.exp(-exponent * y)
             # (x - y)**k expands into monomials in x
-            for j in range(t.power + 1):
-                c = base * math.comb(t.power, j) * (-y) ** (t.power - j)
-                out.append(ExpTerm(c, t.lo + y, t.hi + y, t.exponent, j))
+            for j in range(power + 1):
+                c = base * math.comb(power, j) * (-y) ** (power - j)
+                out.append(ExpTerm(c, lo + y, hi + y, exponent, j))
         return PiecewiseExpFunction(out)
 
     def scale(self, a: float) -> "PiecewiseExpFunction":
@@ -329,9 +276,8 @@ class PiecewiseExpFunction:
             raise ValueError("scaling factor must be positive")
         root = math.sqrt(a)
         return PiecewiseExpFunction(
-            ExpTerm(root * t.coeff * a**t.power, t.lo / a, t.hi / a,
-                    a * t.exponent, t.power)
-            for t in self.terms
+            ExpTerm(root * coeff * a**power, lo / a, hi / a, a * exponent, power)
+            for coeff, lo, hi, exponent, power in self.row
         )
 
     def dilate(self) -> "PiecewiseExpFunction":
@@ -342,8 +288,8 @@ class PiecewiseExpFunction:
         """x -> exp(-i*t*x) * f(x); shifts every exponent by -i*t."""
         shift = -1j * float(t)
         return PiecewiseExpFunction(
-            ExpTerm(term.coeff, term.lo, term.hi, term.exponent + shift, term.power)
-            for term in self.terms
+            ExpTerm(coeff, lo, hi, exponent + shift, power)
+            for coeff, lo, hi, exponent, power in self.row
         )
 
     def derivative(self, jump_ok_at: tuple[float, ...] = ()) -> "PiecewiseExpFunction":
@@ -361,52 +307,66 @@ class PiecewiseExpFunction:
                 "piecewise derivative rejected"
             )
         out = []
-        for t in self.terms:
-            if t.power > 0:
-                out.append(ExpTerm(t.coeff * t.power, t.lo, t.hi, t.exponent,
-                                   t.power - 1))
-            if t.exponent != 0:
-                out.append(ExpTerm(t.coeff * t.exponent, t.lo, t.hi, t.exponent,
-                                   t.power))
+        for coeff, lo, hi, exponent, power in self.row:
+            if power > 0:
+                out.append(ExpTerm(coeff * power, lo, hi, exponent, power - 1))
+            if exponent != 0:
+                out.append(ExpTerm(coeff * exponent, lo, hi, exponent, power))
         return PiecewiseExpFunction(out)
 
     # -- pointwise structure -----------------------------------------------
 
     def breakpoints(self) -> tuple[float, ...]:
         """Sorted finite interval endpoints appearing in any term."""
-        return row_breakpoints(self.row)
+        pts = set()
+        for _, lo, hi, _, _ in self.row:
+            if lo != NEG_INF:
+                pts.add(lo)
+            if hi != POS_INF:
+                pts.add(hi)
+        return tuple(sorted(pts))
 
     def limit(self, x0: float, side: str) -> complex:
         """One-sided limit at x0; side is '+' or '-'."""
         if side not in ("+", "-"):
             raise ValueError("side must be '+' or '-'")
-        return row_limit(self.row, x0, side)
+        val = 0j
+        for coeff, lo, hi, exponent, power in self.row:
+            if (lo < x0 <= hi) if side == "-" else (lo <= x0 < hi):
+                val += coeff * x0**power * cmath.exp(exponent * x0)
+        return val
 
     def first_jump(self, tol: float, skip: tuple[float, ...] = ()
                    ) -> tuple[float | None, float]:
         """First breakpoint outside ``skip`` where the one-sided limits differ
         by more than tol, with the size of that jump; (None, 0.0) if none."""
-        return row_first_jump(self.row, tol, skip)
+        for b in self.breakpoints():
+            if b in skip:
+                continue
+            jump = abs(self.limit(b, "+") - self.limit(b, "-"))
+            if jump > tol:
+                return b, jump
+        return None, 0.0
 
     def eval_at(self, x) -> np.ndarray:
         """Pointwise values on an array of interior points (endpoints have
         measure zero and are attributed to neither side)."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
-        for t in self.terms:
-            mask = (x > t.lo) & (x < t.hi)
+        for coeff, lo, hi, exponent, power in self.row:
+            mask = (x > lo) & (x < hi)
             if mask.any():
                 xm = x[mask]
-                out[mask] += t.coeff * xm**t.power * np.exp(t.exponent * xm)
+                out[mask] += coeff * xm**power * np.exp(exponent * xm)
         return out
 
     def coefficient_norm(self) -> float:
-        return row_coefficient_norm(self.row)
+        return max((abs(coeff) for coeff, _, _, _, _ in self.row), default=0.0)
 
     def support(self) -> tuple[float, float]:
-        if not self.terms:
+        if not self.row:
             return (0.0, 0.0)
-        return (min(t.lo for t in self.terms), max(t.hi for t in self.terms))
+        return (min(t[1] for t in self.row), max(t[2] for t in self.row))
 
     # -- serialization -----------------------------------------------------
 
@@ -419,17 +379,17 @@ class PiecewiseExpFunction:
             return v
 
         out = []
-        for t in self.terms:
+        for coeff, lo, hi, exponent, power in self.row:
             d = {
-                "coeff_re": t.coeff.real,
-                "coeff_im": t.coeff.imag,
-                "lo": enc(t.lo),
-                "hi": enc(t.hi),
-                "exp_re": t.exponent.real,
-                "exp_im": t.exponent.imag,
+                "coeff_re": coeff.real,
+                "coeff_im": coeff.imag,
+                "lo": enc(lo),
+                "hi": enc(hi),
+                "exp_re": exponent.real,
+                "exp_im": exponent.imag,
             }
-            if t.power:
-                d["power"] = t.power
+            if power:
+                d["power"] = power
             out.append(d)
         return out
 
@@ -541,17 +501,17 @@ def _poly_exp_integral(k: int, u: complex, a: float, b: float) -> complex:
 def inner(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> complex:
     """L2 inner product, linear in f and conjugate linear in g, closed form."""
     total = 0j
-    for tf in f.terms:
-        for tg in g.terms:
-            lo = max(tf.lo, tg.lo)
-            hi = min(tf.hi, tg.hi)
+    for f_coeff, f_lo, f_hi, f_exp, f_power in f.row:
+        for g_coeff, g_lo, g_hi, g_exp, g_power in g.row:
+            lo = max(f_lo, g_lo)
+            hi = min(f_hi, g_hi)
             if lo >= hi:
                 continue
-            u = tf.exponent + tg.exponent.conjugate()
+            u = f_exp + g_exp.conjugate()
             total += (
-                tf.coeff
-                * tg.coeff.conjugate()
-                * _poly_exp_integral(tf.power + tg.power, u, lo, hi)
+                f_coeff
+                * g_coeff.conjugate()
+                * _poly_exp_integral(f_power + g_power, u, lo, hi)
             )
     return total
 
@@ -625,8 +585,8 @@ class PackedFunctions:
 
 
 def pack(fs, scales=None) -> PackedFunctions:
-    """Pack functions, or their rows, for :func:`gram` and :func:`paired`,
-    with the table of their term kinds.
+    """Pack functions for :func:`gram` and :func:`paired`, with the table of
+    their term kinds.
 
     With ``scales``, row i holds ``scales[i] * fs[i]`` with the coefficients
     that product would have, without building it: a coefficient that is not
@@ -635,7 +595,7 @@ def pack(fs, scales=None) -> PackedFunctions:
     """
     rows = []
     for i, f in enumerate(fs):
-        terms = terms_of(f)
+        terms = f.row
         if scales is not None:
             scale = complex(scales[i])
             scaled = []
@@ -714,8 +674,7 @@ def _accumulate(total_re, total_im, f_re, f_im, g_re, g_conj_im, pos, ir, ii) ->
 def gram(fs, gs) -> np.ndarray:
     """The matrix ``inner(f, g)`` over f in fs (rows) and g in gs (columns).
 
-    fs and gs are sequences of functions or rows, or their :func:`pack`
-    forms.  Every entry equals the scalar ``inner`` bit for bit.  The closed
+    fs and gs are sequences of functions, or their :func:`pack` forms.  Every entry equals the scalar ``inner`` bit for bit.  The closed
     form of ``inner``, ``_poly_exp_integral``, runs once per call for each
     overlapping pair of a term kind of fs and a term kind of gs.  Then,
     GRAM_BLOCK rows at a time and for each pair of term slots (p outer, q
@@ -749,11 +708,10 @@ def gram(fs, gs) -> np.ndarray:
 def paired(fs, gs) -> np.ndarray:
     """The array ``[inner(f, g) for f, g in zip(fs, gs)]``, row by row.
 
-    fs and gs are equally long sequences of functions or rows, or their
-    :func:`pack` forms; a gs of one function pairs it with every f.  Every
-    value equals the scalar ``inner`` bit for bit.  Fewer than
-    PAIRED_SCALAR_ROWS rows given as functions or rows are evaluated by
-    ``inner`` itself.  Otherwise ``_poly_exp_integral`` runs once per call
+    fs and gs are equally long sequences of functions, or their :func:`pack`
+    forms; a gs of one function pairs it with every f.  Every value equals
+    the scalar ``inner`` bit for bit.  Fewer than PAIRED_SCALAR_ROWS rows
+    given as functions are evaluated by ``inner`` itself.  Otherwise ``_poly_exp_integral`` runs once per call
     for each distinct overlapping pair of a term kind of f and a term kind
     of g that meet within one row, so rows that share no kinds build no
     cross table.  Then, for each pair of term slots (p outer, q inner, as in
@@ -765,7 +723,7 @@ def paired(fs, gs) -> np.ndarray:
     packed = isinstance(fs, PackedFunctions) or isinstance(gs, PackedFunctions)
     if not packed and len(fs) < PAIRED_SCALAR_ROWS:
         pairs = zip(fs, gs if len(gs) == len(fs) else list(gs) * len(fs))
-        return np.array([inner(as_function(f), as_function(g)) for f, g in pairs], dtype=complex)
+        return np.array([inner(f, g) for f, g in pairs], dtype=complex)
     f = _packed(fs)
     g = f if gs is fs else _packed(gs)
     out = np.zeros(len(f), dtype=complex)
@@ -786,8 +744,7 @@ def paired(fs, gs) -> np.ndarray:
 
 
 def norms(fs) -> list[float]:
-    """``[norm(f) for f in fs]``, bit for bit, from one :func:`paired` call;
-    fs may be functions or rows."""
+    """``[norm(f) for f in fs]``, bit for bit, from one :func:`paired` call."""
     return [_root(square) for square in paired(fs, fs).tolist()]
 
 
@@ -806,9 +763,9 @@ def _tail_cutoff(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
 
     def envelope(func, x):
         total = 0.0
-        for t in func.terms:
-            if (direction > 0 and t.hi == POS_INF) or (direction < 0 and t.lo == NEG_INF):
-                total += abs(t.coeff) * abs(x) ** t.power * math.exp(t.exponent.real * x)
+        for coeff, lo, hi, exponent, power in func.row:
+            if (direction > 0 and hi == POS_INF) or (direction < 0 and lo == NEG_INF):
+                total += abs(coeff) * abs(x) ** power * math.exp(exponent.real * x)
         return total
 
     x = start + direction
@@ -876,15 +833,21 @@ def inner_quadrature(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
 # ---------------------------------------------------------------------------
 
 
-def resolvent_row(z: complex, gamma: PiecewiseExpFunction) -> tuple:
-    """The canonical row of ``free_resolvent(z, gamma)``, raising as it does.
+def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunction:
+    """Resolvent of the free momentum operator applied to gamma.
 
-    Each coefficient is the same Python complex expression, evaluated in the
-    same order, as when the function is built term by term; each term is
-    checked as ExpTerm checks it (only finiteness can fail here: the
-    intervals come from gamma's terms and their complements, and each
-    homogeneous term decays on the side where it is kept) and the terms
-    are merged by ``canonical_row``, without an object per term.
+    Returns g = (i d/dx - z)^(-1) gamma for non-real z, computed per term:
+
+        Im z > 0:  g(x) =  i exp(-izx) * integral_x^inf  exp(iz t) gamma(t) dt
+        Im z < 0:  g(x) = -i exp(-izx) * integral_-inf^x exp(iz t) gamma(t) dt
+
+    The result is again piecewise exponential; a resonant term (input
+    exponent equal to -iz on a finite interval) raises the monomial power by
+    one instead of leaving the algebra.  Each output term is checked as
+    ExpTerm checks it (only finiteness can fail here: the intervals come
+    from gamma's terms and their complements, and each homogeneous term
+    decays on the side where it is kept) and the terms are merged by
+    ``canonical_row``, without an object per term.  Not memoised.
     """
     z = complex(z)
     if z.imag == 0:
@@ -893,8 +856,7 @@ def resolvent_row(z: complex, gamma: PiecewiseExpFunction) -> tuple:
     ez = -1j * z  # exponent of the homogeneous solution exp(-izx)
     out: list[tuple] = []
 
-    for t in gamma.terms:
-        coeff, lo, hi, exponent, k = t.coeff, t.lo, t.hi, t.exponent, t.power
+    for coeff, lo, hi, exponent, k in gamma.row:
         u = 1j * z + exponent
         # a resonant term (degenerate u, coeffs None) keeps the input's
         # exponent so cancellations against gamma stay exact at the term level
@@ -929,23 +891,7 @@ def resolvent_row(z: complex, gamma: PiecewiseExpFunction) -> tuple:
             for j, c in enumerate(coeffs):
                 out.append(row_term(sign * c, lo, hi, exponent, k - j))
 
-    return canonical_row(out)
-
-
-def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunction:
-    """Resolvent of the free momentum operator applied to gamma.
-
-    Returns g = (i d/dx - z)^(-1) gamma for non-real z, computed per term:
-
-        Im z > 0:  g(x) =  i exp(-izx) * integral_x^inf  exp(iz t) gamma(t) dt
-        Im z < 0:  g(x) = -i exp(-izx) * integral_-inf^x exp(iz t) gamma(t) dt
-
-    The result is again piecewise exponential; a resonant term (input
-    exponent equal to -iz on a finite interval) raises the monomial power by
-    one instead of leaving the algebra.  The terms are those of
-    ``resolvent_row``, the one evaluation of the resolvent.
-    """
-    return PiecewiseExpFunction.from_row(resolvent_row(z, gamma))
+    return PiecewiseExpFunction.from_row(canonical_row(out))
 
 
 def resolvent_residual(z: complex, gamma: PiecewiseExpFunction,

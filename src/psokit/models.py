@@ -26,15 +26,13 @@ from .expfun import (
     NEG_INF,
     POS_INF,
     PiecewiseExpFunction,
-    as_function,
     canonical_row,
     coefficient_distance,
+    free_resolvent,
     gram,
     inner,
     norm,
     pack,
-    resolvent_row,
-    row_limit,
     row_term,
 )
 from .scalars import format_complex
@@ -95,16 +93,17 @@ class MomentumModel:
             witness=(_half_line(1.0, 1.0, "-"), _half_line(1.0, -1.0, "+")),
         )
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily.batched(self._defects, trip))
+        object.__setattr__(self, "defects", DefectFamily(self._defects, trip))
 
     @staticmethod
     def _defects(zs) -> list:
-        """The canonical row of the defect vector at each z, or its error."""
-        return each_point(lambda z: canonical_row((_defect_exponential(1.0, z),)), zs)
+        """The defect vector at each z, or its error."""
+        return each_point(lambda z: PiecewiseExpFunction.from_row(
+            canonical_row((_defect_exponential(1.0, z),))), zs)
 
     @staticmethod
     def _defect(z: complex) -> PiecewiseExpFunction:
-        return as_function(unwrap(MomentumModel._defects([z])[0]))
+        return unwrap(MomentumModel._defects([z])[0])
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -432,7 +431,7 @@ class NonlocalModel:
         # the family holds the case and the potential, not the model, so a
         # dropped model is freed without the cyclic collector
         build = functools.partial(self._defects, case, gamma)
-        object.__setattr__(self, "defects", DefectFamily.batched(build, trip))
+        object.__setattr__(self, "defects", DefectFamily(build, trip))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -449,24 +448,25 @@ class NonlocalModel:
 
     @staticmethod
     def _defects(case: str, gamma: PiecewiseExpFunction, zs) -> list:
-        """The canonical row of the defect vector at each z, or its error."""
+        """The defect vector at each z, or its error."""
 
-        def row(z):
-            g = resolvent_row(z, gamma) if not gamma.is_zero else ()
-            g0 = (row_limit(g, 0.0, "+") + row_limit(g, 0.0, "-")) / 2
+        def vector(z):
+            g = free_resolvent(z, gamma) if not gamma.is_zero else gamma
+            g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
             # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge;
             # a merge starts from 0j, erasing zero signs, so the bits are the same
             if case == "I":
                 coeff = -2 * (1 + g0)
             else:
                 coeff = 1.0 if z.imag > 0 else -1.0
-            return canonical_row(g + (_defect_exponential(coeff, z),))
+            return PiecewiseExpFunction.from_row(
+                canonical_row(g.row + (_defect_exponential(coeff, z),)))
 
-        return each_point(row, zs)
+        return each_point(vector, zs)
 
     @staticmethod
     def _defect(case: str, gamma: PiecewiseExpFunction, z: complex) -> PiecewiseExpFunction:
-        return as_function(unwrap(NonlocalModel._defects(case, gamma, [z])[0]))
+        return unwrap(NonlocalModel._defects(case, gamma, [z])[0])
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

@@ -204,7 +204,7 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
 
     A point whose norm fails is a failed point.  The pairings are the
     entries of one Gram matrix of the normalized vectors, packed from the
-    family's rows, taken only when both half planes have vectors; the
+    family's vectors, taken only when both half planes have vectors; the
     witness is the first largest one in nu-major, lambda-minor order.
     """
     grid = grid or Grid.default()
@@ -213,8 +213,8 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     norms = family.norms_at(grid.lambdas_upper + grid.lambdas_lower)  # one batch
     uppers, up_norms = _per_point(grid.lambdas_upper, "lambda", norms[:n_up], failures)
     lowers, down_norms = _per_point(grid.lambdas_lower, "nu", norms[n_up:], failures)
-    up = pack(family.rows_at(uppers), [1.0 / n for n in up_norms])
-    down = pack(family.rows_at(lowers), [1.0 / n for n in down_norms])
+    up = pack(family.vectors_at(uppers), [1.0 / n for n in up_norms])
+    down = pack(family.vectors_at(lowers), [1.0 / n for n in down_norms])
     # with no vector on one side there is nothing to pair
     pairings = gram(up, down).T if uppers and lowers else np.empty((0, 0))  # rows nu
     return _scan_result(
@@ -272,9 +272,9 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     # per lambda: the error before the boundary maps
     early: dict[int, Exception] = {}
     norms = np.ones(len(lams))
-    for j, row in enumerate(family.rows_at(lams)):
+    for j, f in enumerate(family.vectors_at(lams)):
         try:
-            triplets.require_maximal_domain(triplets.unwrap(row))
+            triplets.require_maximal_domain(triplets.unwrap(f))
             norms[j] = triplets.unwrap(all_norms[j])
         except Exception as exc:
             early[j] = exc

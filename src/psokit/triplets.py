@@ -17,7 +17,6 @@ supply concrete triplets and defect families.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,8 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .expfun import (PiecewiseExpFunction, as_function, inner, norms, paired,
-                     row_coefficient_norm, row_first_jump, row_limit, terms_of)
+from .expfun import PiecewiseExpFunction, inner, norms, paired
 from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
                          GREEN_TOL, SURJECTIVITY_TOL)
 
@@ -104,18 +102,16 @@ class BoundaryTriplet:
 
 
 def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex]]:
-    """(gamma_plus(f), gamma_minus(f)) of each f in fs, a function or a row,
-    bit for bit.
+    """(gamma_plus(f), gamma_minus(f)) of each function f in fs, bit for bit.
 
     When both maps are boundary functionals they are evaluated together:
     each f's one-sided limits at the origin are taken once, and each
     distinct pairing function h is paired with every f by one ``paired``
     call, so a pairing both maps share is taken once.  Other maps are
-    called on each f as a function, gamma_plus first.
+    called on each f, gamma_plus first.
     """
     maps = (triplet.gamma_plus, triplet.gamma_minus)
     if not all(isinstance(m, BoundaryFunctional) for m in maps):
-        fs = [as_function(f) for f in fs]
         return [(triplet.gamma_plus(f), triplet.gamma_minus(f)) for f in fs]
     hs = list({id(h): h for m in maps for _, h in m.pairings}.values())
     column = {id(h): j for j, h in enumerate(hs)}
@@ -123,8 +119,7 @@ def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex
     ips = zip(*(paired(fs, [h]).tolist() for h in hs)) if hs else [()] * len(fs)
     out = []
     for f, ip in zip(fs, ips):
-        terms = terms_of(f)
-        minus, plus = row_limit(terms, 0.0, "-"), row_limit(terms, 0.0, "+")
+        minus, plus = f.limit(0.0, "-"), f.limit(0.0, "+")
         out.append(tuple([m.combine(minus, plus, [ip[j] for j in columns])
                           for m, columns in plan]))
     return out
@@ -173,36 +168,20 @@ class DefectFamily:
     and its native images under the model's ``triplet``: the one place a
     defect point is mapped through the boundary maps.
 
-    The vectors are kept as a table of rows (see ``expfun``), one per point.
-    The builder fills it by one call for all the points asked for at once:
-    ``build(points)`` returns, per point, the canonical row of its vector or
-    the exception its construction raised.  Norms come from one ``norms``
-    call and images from one ``boundary_images`` call per batch of rows,
-    and are cached beside them.  A failed point keeps no entry, so it is
-    built again, and fails again, whenever it is asked for.  A
-    PiecewiseExpFunction is built from a row only when the family is called.
+    The builder fills the table of vectors by one call for all the points
+    asked for at once: ``build(points)`` returns, per point, the function
+    or the exception its construction raised.  Norms come from one
+    ``norms`` call and images from one ``boundary_images`` call per batch of
+    vectors, and are cached beside them.  A failed point keeps no entry, so
+    it is built again, and fails again, whenever it is asked for.
 
     The ``*_at(points)`` methods return per point a value or the exception
-    that stands for it; ``row``, ``norm``, ``images`` and the call raise it.
+    that stands for it; the call, ``norm`` and ``images`` raise it.
     """
 
-    def __init__(self, fn: Callable[[complex], PiecewiseExpFunction],
-                 triplet: BoundaryTriplet):
-        """The family of the vectors ``fn(z)``, built point by point."""
-        self._start(functools.partial(each_point, lambda z: fn(z).row), triplet)
-
-    @classmethod
-    def batched(cls, build: Callable[[list[complex]], list],
-                triplet: BoundaryTriplet) -> "DefectFamily":
-        """The family of the rows ``build(points)`` returns."""
-        family = cls.__new__(cls)
-        family._start(build, triplet)
-        return family
-
-    def _start(self, build, triplet):
+    def __init__(self, build: Callable[[list[complex]], list], triplet: BoundaryTriplet):
         self._build = build
         self._triplet = triplet
-        self._rows: dict[complex, tuple] = {}
         self._cache: dict[complex, PiecewiseExpFunction] = {}
         self._norms: dict[complex, float] = {}
         self._images: dict[complex, tuple[complex, complex]] = {}
@@ -221,7 +200,7 @@ class DefectFamily:
                     table[z] = entry
         return [table[z] if z in table else fresh[z] for z in zs]
 
-    def _build_rows(self, zs: list[complex]) -> list:
+    def _build_vectors(self, zs: list[complex]) -> list:
         todo = [z for z in zs if z.imag != 0]
         try:
             built = dict(zip(todo, self._build(todo)))
@@ -230,31 +209,31 @@ class DefectFamily:
         return [built[z] if z.imag != 0
                 else ValueError("defect vectors exist only for non-real z") for z in zs]
 
-    def _on_rows(self, compute: Callable[[list], list]) -> Callable[[list], list]:
-        """``compute``, a map from rows to entries, as a map from points: a
-        point whose row failed keeps its error."""
+    def _on_vectors(self, compute: Callable[[list], list]) -> Callable[[list], list]:
+        """``compute``, a map from vectors to entries, as a map from points: a
+        point whose vector failed keeps its error."""
         def step(zs):
-            rows = self.rows_at(zs)
-            done = iter(_batch(compute, [r for r in rows if not isinstance(r, Exception)]))
-            return [r if isinstance(r, Exception) else next(done) for r in rows]
+            fs = self.vectors_at(zs)
+            done = iter(_batch(compute, [f for f in fs if not isinstance(f, Exception)]))
+            return [f if isinstance(f, Exception) else next(done) for f in fs]
         return step
 
-    def rows_at(self, points) -> list:
-        """The row of the vector at each point."""
-        return self._fill(self._rows, points, self._build_rows)
+    def vectors_at(self, points) -> list:
+        """The vector at each point."""
+        return self._fill(self._cache, points, self._build_vectors)
 
     def norms_at(self, points) -> list:
         """The norm of the vector at each point; one that is zero or not
         finite is an error."""
-        return self._fill(self._norms, points, self._on_rows(
-            lambda rows: [_norm_entry(n) for n in norms(rows)]))
+        return self._fill(self._norms, points, self._on_vectors(
+            lambda fs: [_norm_entry(n) for n in norms(fs)]))
 
     def images_at(self, points) -> list:
         """(gamma_plus, gamma_minus) of the vector at each point, mapped in
         that order, as Python complex values."""
-        return self._fill(self._images, points, self._on_rows(
-            lambda rows: [(complex(gp), complex(gm))
-                          for gp, gm in boundary_images(self._triplet, rows)]))
+        return self._fill(self._images, points, self._on_vectors(
+            lambda fs: [(complex(gp), complex(gm))
+                        for gp, gm in boundary_images(self._triplet, fs)]))
 
     @staticmethod
     def _one(table: dict, batch: Callable[[list], list], z: complex):
@@ -263,14 +242,8 @@ class DefectFamily:
         z = complex(z)
         return table[z] if z in table else unwrap(batch([z])[0])
 
-    def row(self, z: complex) -> tuple:
-        return self._one(self._rows, self.rows_at, z)
-
     def __call__(self, z: complex) -> PiecewiseExpFunction:
-        z = complex(z)
-        if z not in self._cache:
-            self._cache[z] = as_function(self.row(z))
-        return self._cache[z]
+        return self._one(self._cache, self.vectors_at, z)
 
     def norm(self, z: complex) -> float:
         return self._one(self._norms, self.norms_at, z)
@@ -279,16 +252,15 @@ class DefectFamily:
         return self._one(self._images, self.images_at, z)
 
 
-def require_maximal_domain(f, jump_at: tuple[float, ...] = (0.0,)) -> None:
-    """Membership test for the models' maximal domain, of a function or a row.
+def require_maximal_domain(f: PiecewiseExpFunction,
+                           jump_at: tuple[float, ...] = (0.0,)) -> None:
+    """Membership test for the models' maximal domain.
 
     Piecewise W^1_2 on the line split at the origin: finite one-sided limits
     everywhere (automatic for this algebra) and continuity at every finite
     breakpoint except the allowed jump points.
     """
-    terms = terms_of(f)
-    x, jump = row_first_jump(terms, DOMAIN_JUMP_TOL * (1 + row_coefficient_norm(terms)),
-                             jump_at)
+    x, jump = f.first_jump(DOMAIN_JUMP_TOL * (1 + f.coefficient_norm()), jump_at)
     if x is not None:
         raise ValueError(f"not in the maximal domain: jump {jump:.3e} at x={x}")
 
@@ -300,19 +272,13 @@ def green_residual(triplet: BoundaryTriplet, model, f: PiecewiseExpFunction,
     require_maximal_domain(g)
     tf = model.adjoint_apply(f)
     tg = model.adjoint_apply(g)
-    return green_defect(triplet, f, tf, g, tg)
-
-
-def green_defect(triplet: BoundaryTriplet, f: PiecewiseExpFunction,
-                 tf: PiecewiseExpFunction, g: PiecewiseExpFunction,
-                 tg: PiecewiseExpFunction) -> float:
-    """Defect of the Green identity on f and g, given tf = T f and tg = T g;
-    the caller has checked that both lie in the maximal domain."""
     return green_defects(triplet, [f], [tf], [g], [tg])[0]
 
 
 def green_defects(triplet: BoundaryTriplet, fs, tfs, gs, tgs) -> list[float]:
-    """``green_defect`` of each pair (fs[k], gs[k]), bit for bit.
+    """Defect of the Green identity on each pair (fs[k], gs[k]), given
+    tfs[k] = T fs[k] and tgs[k] = T gs[k]; the caller has checked that all
+    lie in the maximal domain.
 
     The inner products (T f, g) and (f, T g) take one ``paired`` call each,
     and all the boundary values one ``boundary_images`` call.

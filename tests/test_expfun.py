@@ -324,12 +324,11 @@ PAIRED_COEFFS = st.one_of(complex_st, st.sampled_from(
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 7).flatmap(lambda n: st.lists(
            st.tuples(gram_functions_st(PAIRED_COEFFS), gram_functions_st(PAIRED_COEFFS)),
-           min_size=n, max_size=n)),
-       st.booleans())
-def test_paired_equals_inner_bit_for_bit(pairs, as_rows):
+           min_size=n, max_size=n)))
+def test_paired_equals_inner_bit_for_bit(pairs):
     # rows of different lengths leave padding slots; the zero function has none
     fs = [f for f, _ in pairs]
-    gs = [g.row for _, g in pairs] if as_rows else [g for _, g in pairs]
+    gs = [g for _, g in pairs]
     want = [bits(inner(f, g)) for f, g in pairs]
     # packed forms always take the kernel; a short list takes the scalar inner
     for got in (expfun.paired(expfun.pack(fs), expfun.pack(gs)), expfun.paired(fs, gs)):
@@ -373,8 +372,6 @@ def test_paired_takes_each_kind_pair_that_meets_in_a_row_once(monkeypatch):
 def test_norms_equal_norm_bit_for_bit():
     fs = block_family(np.random.default_rng(23), 12)
     assert [n.hex() for n in expfun.norms(fs)] == [expfun.norm(f).hex() for f in fs]
-    rows = [f.row for f in fs]
-    assert expfun.norms(rows) == expfun.norms(fs)
 
 
 def test_gram_of_scaled_functions_equals_inner_of_the_products():

@@ -442,14 +442,14 @@ def term_bits(build, *args):
         f = build(*args)
     except (ValueError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
-    return row_bits(f.terms)
+    return row_bits(f)
 
 
-def row_bits(terms):
-    """Every part of every term, an ExpTerm or a row's tuple, as float.hex."""
+def row_bits(f):
+    """Every part of every term of f's row as float.hex."""
     return [(coeff.real.hex(), coeff.imag.hex(), lo.hex(), hi.hex(),
              exponent.real.hex(), exponent.imag.hex(), power)
-            for coeff, lo, hi, exponent, power in terms]
+            for coeff, lo, hi, exponent, power in f.row]
 
 
 signed_zero_st = st.sampled_from([0.0, -0.0])
@@ -481,7 +481,7 @@ def test_defect_vectors_are_bit_identical_to_the_algebra_expression(case, alpha,
 
 
 @pytest.mark.parametrize("case, alpha", [("I", 4j), ("II", 1)])
-def test_a_dense_defect_family_builds_no_term_or_function_object(
+def test_a_dense_defect_family_builds_no_term_object_and_runs_no_constructor(
         monkeypatch, case, alpha):
     calls = {"validations": 0, "canonicalisations": 0}
 
@@ -500,17 +500,17 @@ def test_a_dense_defect_family_builds_no_term_or_function_object(
               for im in (0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10)]
     points = uppers + [z.conjugate() for z in uppers]
     family = model.defects
-    for batch in (family.rows_at, family.norms_at, family.images_at):
+    for batch in (family.vectors_at, family.norms_at, family.images_at):
         assert not any(isinstance(entry, Exception) for entry in batch(points))
-    # only the model takes its 4 validations and 5 canonicalisations: the
-    # 620 vectors are rows, with their norms and images computed from them.
-    # Built as functions, each vector validated its two resolvent terms and
-    # its bump and canonicalised the resolvent and itself, 1859 validations
-    # and 1240 canonicalisations in all
-    assert calls == {"validations": 4, "canonicalisations": 5}
-    # a function is built from a row only when asked for, without either
-    assert family(uppers[0]) == PiecewiseExpFunction(family.row(uppers[0]))
-    assert calls == {"validations": 4 + 2, "canonicalisations": 5 + 1}
+    # only the model takes its 4 validations and 4 canonicalisations: each of
+    # the 620 vectors wraps the canonical row of its resolvent and bump, with
+    # no term object and no run of the constructor.  Built term by term, each
+    # vector validated its two resolvent terms and its bump and canonicalised
+    # the resolvent and itself, 1859 validations and 1240 canonicalisations
+    assert calls == {"validations": 4, "canonicalisations": 4}
+    # the call reads the vector the batch built
+    assert family(uppers[0]) is family.vectors_at(uppers[:1])[0]
+    assert calls == {"validations": 4, "canonicalisations": 4}
 
 
 NEAR_RESONANCE_GRID = Grid.from_axes([0.0, 1e-6, 1e-9, 1e-12], [1.0, 1 + 1e-9, 0.5])
@@ -552,7 +552,7 @@ def reference_entries(model, z):
                   for bit in (v.real.hex(), v.imag.hex())]
     except (ValueError, OverflowError) as exc:
         images = failure(exc)
-    return row_bits(f.terms), n, images
+    return row_bits(f), n, images
 
 
 @pytest.mark.parametrize("grid", [Grid.default(), DENSE_GRID, NEAR_RESONANCE_GRID],
@@ -565,7 +565,7 @@ def test_the_table_rows_norms_and_images_match_the_reference_vectors(make, grid)
     got = [tuple(failure(e) if isinstance(e, Exception) else bits(e) for e, bits in
                  zip(entries, (row_bits, float.hex,
                                lambda v: [b for z in v for b in (z.real.hex(), z.imag.hex())])))
-           for entries in zip(family.rows_at(points), family.norms_at(points),
+           for entries in zip(family.vectors_at(points), family.norms_at(points),
                               family.images_at(points))]
     assert got == [reference_entries(model, z) for z in points]
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -164,7 +165,8 @@ def test_certificate_scale_invariance():
     class Scaled:
         triplet = base.triplet
         adjoint_apply = staticmethod(base.adjoint_apply)
-        defects = DefectFamily(lambda z: (3.7 - 1.2j) * base.defects(z), base.triplet)
+        defects = DefectFamily(functools.partial(
+            triplets.each_point, lambda z: (3.7 - 1.2j) * base.defects(z)), base.triplet)
 
         @staticmethod
         def describe():
@@ -189,9 +191,9 @@ def test_certificate_flags_criterion_disagreement():
         # constancy and inclusion still pass, orthogonality cannot
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
-        defects = DefectFamily(
-            lambda z: mom.defects(z) if z.imag > 0 else mom.defects(z) + leak,
-            mom.triplet)
+        defects = DefectFamily(functools.partial(
+            triplets.each_point,
+            lambda z: mom.defects(z) if z.imag > 0 else mom.defects(z) + leak), mom.triplet)
 
         @staticmethod
         def describe():
@@ -215,7 +217,7 @@ def test_scan_reports_per_point_failures_and_continues():
     class Flaky:
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
-        defects = DefectFamily(flaky, mom.triplet)
+        defects = DefectFamily(functools.partial(triplets.each_point, flaky), mom.triplet)
 
         @staticmethod
         def describe():
@@ -243,7 +245,8 @@ def variant(base, name, defect=None, triplet=None):
             return name
 
     Variant.triplet = triplet or base.triplet
-    Variant.defects = DefectFamily(defect or base.defects, Variant.triplet)
+    Variant.defects = DefectFamily(functools.partial(triplets.each_point, defect or base.defects),
+                                   Variant.triplet)
     return Variant()
 
 

@@ -7,9 +7,8 @@ distinct arguments among them (told apart by the bits the memo keys on) and
 the raw ``expfun._closed_form`` evaluations the memo let through.  The memo
 is emptied before each workload's first pass, so that pass starts cold.
 
-Then, per op of the pass: the defect vectors built as PiecewiseExpFunction
-objects (calls of a ``DefectFamily`` for a point it holds no object for),
-the ``ExpTerm`` validations (``__post_init__`` runs), the
+Then, per op of the pass: the defect vectors the ``DefectFamily`` builders
+return (failed points not counted), the ``ExpTerm`` validations (``__post_init__`` runs), the
 ``PiecewiseExpFunction.__init__`` runs and the scalar ``expfun.inner``
 calls, under every name a module imported it as.  The counts depend on no
 timing and no hardware.  The modules under ``bench/`` are imported, never
@@ -52,7 +51,7 @@ def main() -> None:
     memo, raw, inner = expfun._poly_exp_integral, expfun._closed_form, expfun.inner
     validate = expfun.ExpTerm.__post_init__
     init = expfun.PiecewiseExpFunction.__init__
-    call = triplets.DefectFamily.__call__
+    build_vectors = triplets.DefectFamily._build_vectors
 
     def counted_memo(k, u, a, b):
         counts["calls"] += 1
@@ -69,17 +68,17 @@ def main() -> None:
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_call(family, z):
-        if complex(z) not in family._cache:
-            counts["vectors"] += 1
-        return call(family, z)
+    def counted_build(family, zs):
+        built = build_vectors(family, zs)
+        counts["vectors"] += sum(not isinstance(f, Exception) for f in built)
+        return built
 
     undo = _patch([
         (expfun, "_poly_exp_integral", counted_memo),
         (expfun, "_closed_form", counted_raw),
         (expfun.ExpTerm, "__post_init__", counted("validations", validate)),
         (expfun.PiecewiseExpFunction, "__init__", counted("inits", init)),
-        (triplets.DefectFamily, "__call__", counted_call),
+        (triplets.DefectFamily, "_build_vectors", counted_build),
         *((module, "inner", counted("inner", inner)) for module in INNER_NAMES
           if getattr(module, "inner", None) is inner),
     ])
