@@ -41,9 +41,7 @@ from .triplets import (
     BoundaryFunctional,
     BoundaryTriplet,
     DefectFamily,
-    each_point,
     require_maximal_domain,
-    unwrap,
 )
 
 
@@ -93,17 +91,11 @@ class MomentumModel:
             witness=(_half_line(1.0, 1.0, "-"), _half_line(1.0, -1.0, "+")),
         )
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily(self._defects, trip))
-
-    @staticmethod
-    def _defects(zs) -> list:
-        """The defect vector at each z, or its error."""
-        return each_point(lambda z: PiecewiseExpFunction.from_row(
-            canonical_row((_defect_exponential(1.0, z),))), zs)
+        object.__setattr__(self, "defects", DefectFamily(self._defect, trip))
 
     @staticmethod
     def _defect(z: complex) -> PiecewiseExpFunction:
-        return unwrap(MomentumModel._defects([z])[0])
+        return PiecewiseExpFunction.from_row(canonical_row((_defect_exponential(1.0, z),)))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -430,7 +422,7 @@ class NonlocalModel:
         object.__setattr__(self, "triplet", trip)
         # the family holds the case and the potential, not the model, so a
         # dropped model is freed without the cyclic collector
-        build = functools.partial(self._defects, case, gamma)
+        build = functools.partial(self._defect, case, gamma)
         object.__setattr__(self, "defects", DefectFamily(build, trip))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
@@ -447,26 +439,17 @@ class NonlocalModel:
         return free + coupling * self.gamma
 
     @staticmethod
-    def _defects(case: str, gamma: PiecewiseExpFunction, zs) -> list:
-        """The defect vector at each z, or its error."""
-
-        def vector(z):
-            g = free_resolvent(z, gamma) if not gamma.is_zero else gamma
-            g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
-            # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge;
-            # a merge starts from 0j, erasing zero signs, so the bits are the same
-            if case == "I":
-                coeff = -2 * (1 + g0)
-            else:
-                coeff = 1.0 if z.imag > 0 else -1.0
-            return PiecewiseExpFunction.from_row(
-                canonical_row(g.row + (_defect_exponential(coeff, z),)))
-
-        return each_point(vector, zs)
-
-    @staticmethod
     def _defect(case: str, gamma: PiecewiseExpFunction, z: complex) -> PiecewiseExpFunction:
-        return unwrap(NonlocalModel._defects(case, gamma, [z])[0])
+        g = free_resolvent(z, gamma) if not gamma.is_zero else gamma
+        g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
+        # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge;
+        # a merge starts from 0j, erasing zero signs, so the bits are the same
+        if case == "I":
+            coeff = -2 * (1 + g0)
+        else:
+            coeff = 1.0 if z.imag > 0 else -1.0
+        return PiecewiseExpFunction.from_row(
+            canonical_row(g.row + (_defect_exponential(coeff, z),)))
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

@@ -168,18 +168,18 @@ class DefectFamily:
     and its native images under the model's ``triplet``: the one place a
     defect point is mapped through the boundary maps.
 
-    The builder fills the table of vectors by one call for all the points
-    asked for at once: ``build(points)`` returns, per point, the function
-    or the exception its construction raised.  Norms come from one
-    ``norms`` call and images from one ``boundary_images`` call per batch of
-    vectors, and are cached beside them.  A failed point keeps no entry, so
-    it is built again, and fails again, whenever it is asked for.
+    ``build(z)`` builds the vector at one non-real z; a point whose build
+    raised has that exception as its entry.  Norms come from one ``norms``
+    call and images from one ``boundary_images`` call per batch of vectors,
+    and are cached beside them.  A failed point keeps no entry, so it is
+    built again, and fails again, whenever it is asked for.
 
     The ``*_at(points)`` methods return per point a value or the exception
     that stands for it; the call, ``norm`` and ``images`` raise it.
     """
 
-    def __init__(self, build: Callable[[list[complex]], list], triplet: BoundaryTriplet):
+    def __init__(self, build: Callable[[complex], PiecewiseExpFunction],
+                 triplet: BoundaryTriplet):
         self._build = build
         self._triplet = triplet
         self._cache: dict[complex, PiecewiseExpFunction] = {}
@@ -201,12 +201,8 @@ class DefectFamily:
         return [table[z] if z in table else fresh[z] for z in zs]
 
     def _build_vectors(self, zs: list[complex]) -> list:
-        todo = [z for z in zs if z.imag != 0]
-        try:
-            built = dict(zip(todo, self._build(todo)))
-        except Exception as exc:  # a builder that raises fails each point
-            built = dict.fromkeys(todo, exc)
-        return [built[z] if z.imag != 0
+        built = iter(each_point(self._build, [z for z in zs if z.imag != 0]))
+        return [next(built) if z.imag != 0
                 else ValueError("defect vectors exist only for non-real z") for z in zs]
 
     def _on_vectors(self, compute: Callable[[list], list]) -> Callable[[list], list]:

@@ -8,8 +8,12 @@ The tracer module is loaded from its file and only read and installed.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from psokit import cli, psocheck, triplets
-from psokit.models import MomentumModel
+from psokit.expfun import PiecewiseExpFunction
+from psokit.models import MomentumModel, NonlocalModel
+from psokit.psocheck import Grid, orthogonality_scan
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -54,3 +58,34 @@ def test_the_tracer_wraps_the_scan_runners_and_restores_them():
     for name, scan in scans.items():
         assert getattr(psocheck, f"{name}_scan") is scan
         assert runners[name].__closure__[0].cell_contents is scan
+
+
+MODELS = [MomentumModel, lambda: NonlocalModel("II", 1.0)]
+
+
+@pytest.mark.parametrize("make", MODELS)
+def test_a_fresh_family_builds_each_vector_through_the_models_defect(monkeypatch, make):
+    # the tracer times ``models.defect_build`` by wrapping the class's ``_defect``
+    model_class = type(make())
+    defect = vars(model_class)["_defect"].__func__
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return defect(*args)
+
+    monkeypatch.setattr(model_class, "_defect", staticmethod(counted))
+    vectors = make().defects.vectors_at([1j, 2 - 1j, -1j])
+    assert calls == [1j, 2 - 1j, -1j]
+    assert all(isinstance(f, PiecewiseExpFunction) for f in vectors)
+
+
+@pytest.mark.parametrize("make", MODELS)
+def test_a_raising_defect_makes_the_orthogonality_scan_report_error(monkeypatch, make):
+    def broken(*args):
+        raise ValueError("broken defect")
+
+    monkeypatch.setattr(type(make()), "_defect", staticmethod(broken))
+    result = orthogonality_scan(make(), Grid((1j, 2j), (-1j, -2j)))
+    assert result.verdict == "error"
+    assert result.failures

@@ -126,11 +126,11 @@ def test_run_failing_scenario_exit_code(tmp_path, capsys):
 
 
 def test_raising_defect_family_exits_2(tmp_path, capsys, monkeypatch):
-    def broken(zs):
+    def broken(z):
         raise ValueError("broken defect family")
 
-    # the family's batch builder; a builder that raises fails every point
-    monkeypatch.setattr(models.MomentumModel, "_defects", staticmethod(broken))
+    # the family's builder; a build that raises fails its point
+    monkeypatch.setattr(models.MomentumModel, "_defect", staticmethod(broken))
     path = write_scenario(tmp_path, {
         "name": "broken-momentum",
         "model": {"kind": "momentum"},

@@ -14,6 +14,7 @@ from psokit.models import MomentumModel, NonlocalModel, random_maximal_domain_fu
 from psokit.triplets import (
     BoundaryFunctional,
     BoundaryTriplet,
+    DefectFamily,
     change_of_basis,
     char_function,
     char_value,
@@ -357,6 +358,62 @@ def test_a_defect_vector_norm_of_zero_is_an_error():
     # ZeroDivisionError wherever the vector is normalized
     with pytest.raises(ValueError, match="defect vector norm is zero"):
         model.defects.norm(1e-9 + 1j)
+
+
+# -- the defect family's per-point contract ------------------------------------
+
+
+def counting_family(fail_at=()):
+    """A momentum family whose builder records each z it is called with and
+    raises at the points of ``fail_at``."""
+    calls = []
+
+    def build(z):
+        calls.append(z)
+        if z in fail_at:
+            raise RuntimeError(f"synthetic construction failure at {z}")
+        return MomentumModel._defect(z)
+
+    return DefectFamily(build, MomentumModel().triplet), calls
+
+
+def test_a_point_asked_twice_in_one_batch_is_built_once():
+    family, calls = counting_family()
+    f, g, again = family.vectors_at([1j, 2 - 1j, 1j])
+    assert calls == [1j, 2 - 1j]
+    assert again is f
+    # norms, images and the call read the vectors already built
+    family.norms_at([1j, 2 - 1j])
+    family.images(1j)
+    assert family(2 - 1j) is g
+    assert calls == [1j, 2 - 1j]
+
+
+def test_a_real_point_is_an_error_and_is_never_built():
+    family, calls = counting_family()
+    real, f, zero = family.vectors_at([1.0, 1j, 0])
+    for entry in (real, zero):
+        assert isinstance(entry, ValueError)
+        assert str(entry) == "defect vectors exist only for non-real z"
+    assert f is family(1j)
+    for ask in (family, family.norm, family.images):
+        with pytest.raises(ValueError, match="defect vectors exist only for non-real z"):
+            ask(-3.0)
+    assert calls == [1j]
+    assert list(family._cache) == [1j]
+
+
+def test_a_point_whose_build_raised_is_built_again_and_raises_again():
+    family, calls = counting_family(fail_at={2j})
+    f, failed = family.vectors_at([1j, 2j])
+    assert isinstance(failed, RuntimeError)
+    assert str(failed) == "synthetic construction failure at 2j"
+    assert list(family._cache) == [1j]
+    for ask in (family, family.norm, family.images):
+        with pytest.raises(RuntimeError, match="synthetic construction failure at 2j"):
+            ask(2j)
+    assert calls == [1j, 2j, 2j, 2j, 2j]
+    assert list(family._cache) == [1j]
 
 
 def test_defect_triplet_rejects_a_singular_system_at_construction():
