@@ -8,11 +8,11 @@ a symmetric restriction (constant characteristic function):
 * vanishing of the conjugate-defect coefficient when any upper defect
   vector is decomposed against a fixed upper point.
 
-Each scan builds one matrix of its residuals, NaN where an entry failed,
-and produces a pass / fail / inconclusive / error verdict from its worst
-entry, which names the witness.  Scans fail closed: a grid point that could
-not be evaluated caps a pass at inconclusive, and a scan that evaluated
-nothing reports error.
+Each scan builds one matrix of its residuals, with a mask of the entries it
+leaves out, and produces a pass / fail / inconclusive / error verdict from
+its worst entry, which names the witness.  Scans fail closed: a grid point
+that could not be evaluated, or an entry that is not finite, caps a pass at
+inconclusive, and a scan that evaluated nothing reports error.
 The aggregate certificate additionally demands that the three verdicts
 agree, which guards against implementation drift between the criteria.
 """
@@ -136,15 +136,28 @@ def _verdict(max_residual: float, pass_tol: float, evaluated: int,
 
 
 def _scan_result(check_id: str, residuals: np.ndarray, tolerance: float,
-                 name, evaluated: int, failures: list[str]) -> CheckResult:
-    """The result of a scan over ``evaluated`` grid points.
+                 name, failures: list[str], excluded: np.ndarray | None = None,
+                 what: str = "residual") -> CheckResult:
+    """The result of a scan whose entries are ``residuals``.
 
-    The worst of ``residuals``, a NaN where an entry failed or is excluded,
-    is its first strictly largest entry in C order; ``name(row, column)``
-    names it.  A NaN never wins, and nothing at or below 0 names a witness.
-    A scan that evaluated nothing reports a NaN residual rather than the
-    0.0 it started from, which would read as a perfect pass.
+    ``excluded`` masks the entries the scan leaves out: pairs it does not
+    compare, or entries whose failure it has already listed.  Every other
+    entry that is not finite is a failed entry too, listed as
+    ``<name(row, column)>: <what> is not finite``; the rest are evaluated.
+    The worst evaluated entry is the first strictly largest one in C order,
+    and ``name`` names it; nothing at or below 0 names a witness.  A scan
+    that evaluated nothing reports a NaN residual rather than the 0.0 it
+    started from, which would read as a perfect pass.
     """
+    left_out = ~np.isfinite(residuals)
+    if excluded is not None:
+        left_out &= ~excluded
+    failures = failures + [f"{name(*entry)}: {what} is not finite"
+                           for entry in np.argwhere(left_out).tolist()]
+    if excluded is not None:
+        left_out |= excluded
+    residuals[left_out] = np.nan  # in place: every scan passes a fresh matrix
+    evaluated = residuals.size - int(np.count_nonzero(left_out))
     worst = float(np.fmax.reduce(residuals, axis=None, initial=0.0))
     witness = None
     if worst > 0:
@@ -220,7 +233,7 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     return _scan_result(
         "orthogonality", np.hypot(pairings.real, pairings.imag), PASS_ORTHOGONALITY,
         lambda nu, lam: f"lambda={format_complex(uppers[lam])}, nu={format_complex(lowers[nu])}",
-        pairings.size, failures)
+        failures, what="pairing")
 
 
 def constancy_scan(model, grid: Grid | None = None) -> CheckResult:
@@ -234,13 +247,13 @@ def constancy_scan(model, grid: Grid | None = None) -> CheckResult:
     grid = grid or Grid.default()
     lams, values, failures = char_values(model, grid.lambdas_upper)
     v = np.array(values, dtype=complex)
-    devs = v.real[:, None] - v.real
-    np.hypot(devs, v.imag[:, None] - v.imag, out=devs)  # abs(v_i - v_j), in place
-    devs[np.tri(len(values), dtype=bool)] = np.nan  # only the pairs i < j
+    with np.errstate(over="ignore"):  # an overflow is a deviation that is not finite
+        devs = v.real[:, None] - v.real
+        np.hypot(devs, v.imag[:, None] - v.imag, out=devs)  # abs(v_i - v_j), in place
     return _scan_result(
         "constancy", devs, PASS_CONSTANCY,
         lambda i, j: f"lambda={format_complex(lams[i])}, mu={format_complex(lams[j])}",
-        len(values) * (len(values) - 1) // 2, failures)
+        failures, excluded=np.tri(len(values), dtype=bool), what="deviation")  # pairs i < j
 
 
 def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
@@ -316,10 +329,9 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
             failures.append(f"lambda={labels[j]}, mu={labels[i]}: {exc}")
     # hypot is abs() of a complex bit for bit; np.abs is not
     vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * n_conj[:, None] / norms
-    vals[failed] = np.nan
     return _scan_result("inclusion", vals, PASS_INCLUSION,
                         lambda mu, lam: f"lambda={labels[lam]}, mu={labels[mu]}",
-                        np.count_nonzero(~failed), failures)
+                        failures, excluded=failed, what="coefficient")
 
 
 def pso_certificate(model, grid: Grid | None = None) -> Certificate:

@@ -717,6 +717,42 @@ def test_partial_failures_cap_a_pass_at_inconclusive():
     assert cert.overall == "inconclusive"
 
 
+@pytest.mark.parametrize("entries, verdict", [((3, 5), "inconclusive"), ((), "error")],
+                         ids=["one-entry", "every-entry"])
+def test_a_pairing_that_is_not_finite_is_a_failed_pair(monkeypatch, entries, verdict):
+    grid = Grid.default()
+    gram = psocheck.gram
+
+    def poisoned(*args):
+        out = gram(*args)
+        out[entries or ...] = complex(np.nan, np.nan)  # rows lambda, columns nu
+        return out
+
+    monkeypatch.setattr(psocheck, "gram", poisoned)
+    result = orthogonality_scan(NonlocalModel("I", 4j), grid)
+    assert result.verdict == verdict
+    if entries:
+        lam, nu = grid.lambdas_upper[3], grid.lambdas_lower[5]
+        assert result.failures == (
+            f"lambda={format_complex(lam)}, nu={format_complex(nu)}: pairing is not finite",)
+        assert 0 < result.max_residual <= PASS_ORTHOGONALITY
+    else:
+        assert len(result.failures) == 66 * 66
+        assert math.isnan(result.max_residual) and result.witness is None
+
+
+def test_a_deviation_that_is_not_finite_is_a_failed_pair(monkeypatch):
+    # theta values near the largest float: their difference overflows
+    values = [complex(1e308, 0.0), complex(-1e308, 0.0), 0j]
+    monkeypatch.setattr(psocheck, "char_values",
+                        lambda model, lams: (list(lams[:3]), values, []))
+    grid = Grid.default()
+    result = constancy_scan(NonlocalModel("I", 4j), grid)
+    lams = [format_complex(lam) for lam in grid.lambdas_upper[:3]]
+    assert result.failures == (f"lambda={lams[0]}, mu={lams[1]}: deviation is not finite",)
+    assert result.verdict == "fail" and result.max_residual == 1e308
+
+
 # -- spectrum classification ----------------------------------------------------------
 
 
