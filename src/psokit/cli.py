@@ -234,6 +234,7 @@ def _run_mobius(model, grid, params):
     residuals = [k.krein_defect()]
     # every lambda's native images, mapped into the defect triplet by one solve
     natives, errors = psocheck.native_images(model, grid.lambdas_upper)
+    domain_errors = model.defects.domain_errors_at(grid.lambdas_upper)
     gps, gms = t2.from_native(natives)
     th1, th2, held = [], [], None
     for j, lam in enumerate(grid.lambdas_upper):
@@ -241,7 +242,8 @@ def _run_mobius(model, grid, params):
             if j in errors:
                 raise errors[j]
             theta = triplets.char_value(lam, *natives[:, j].tolist())
-            triplets.require_maximal_domain(model.defects(lam))
+            if domain_errors[j]:
+                raise domain_errors[j]
             th2.append(triplets.char_value(lam, gps[j], gms[j]))
         except Exception as exc:
             held = exc  # raised below unless the map of an earlier lambda fails

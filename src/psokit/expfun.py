@@ -567,12 +567,13 @@ class PackedFunctions:
     """Functions as padded (count, width) arrays of their terms.
 
     Row i holds the terms of function i in their canonical order; a slot
-    past the end of a row holds a padding term with coefficient zero on the
+    that holds no term holds a padding term with coefficient zero on the
     empty interval [0, 0].  Coefficients are stored per term, split into
     real and imaginary parts.  The rest of a term is its kind: exponent,
     lo, hi and power.  ``kinds`` is the table (lo, hi, exp_re, exp_im,
     power) of the distinct kinds, and ``kind[i, p]`` indexes it.  Kinds are
-    told apart bit for bit, so -0.0 and 0.0 are different kinds.
+    told apart bit for bit, so -0.0 and 0.0 are different kinds.  Kind 0 is
+    the padding kind, and every other kind of the table is used by a slot.
     """
 
     coeff_re: np.ndarray
@@ -582,6 +583,51 @@ class PackedFunctions:
 
     def __len__(self) -> int:
         return self.kind.shape[0]
+
+    def rows(self, at=None) -> list[tuple]:
+        """The canonical rows of the functions at the row indices ``at`` (of
+        all of them by default), with the bits the pack holds."""
+        at = slice(None) if at is None else np.asarray(at, dtype=np.intp)
+        kind = self.kind[at]
+        parts = [x.tolist() for x in (self.coeff_re[at], self.coeff_im[at],
+                                      *(column[kind] for column in self.kinds))]
+        return [tuple((complex(cr, ci), lo, hi, complex(er, ei), power)
+                      for cr, ci, lo, hi, er, ei, power, k in zip(*row, kinds) if k)
+                for *row, kinds in zip(*parts, kind.tolist())]
+
+    def functions(self, at=None) -> list["PiecewiseExpFunction"]:
+        """The functions at the row indices ``at``, each wrapping its row."""
+        return [PiecewiseExpFunction.from_row(row) for row in self.rows(at)]
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def _kind_table(lo, hi, exp_re, exp_im, power):
+    """The table (lo, hi, exp_re, exp_im, power) of the distinct kinds among
+    flat arrays of term kinds, told apart by their bits, with the padding
+    kind first and the others in the order of their first terms, and the
+    index of each term's kind in that table."""
+    parts = [np.concatenate(([0], x)) for x in (_bits(lo), _bits(hi), _bits(exp_re),
+                                               _bits(exp_im), np.asarray(power, np.int64))]
+    # a term's key is the 40 bytes of its kind
+    keys = np.stack(parts, axis=1).view(np.dtype((np.void, 40))).ravel()
+    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    table = [x[first[order]] for x in parts]
+    return (*(x.view(np.float64) for x in table[:4]), table[4]), rank[at.ravel()[1:]]
+
+
+def pack_terms(coeff_re, coeff_im, lo, hi, exp_re, exp_im, power) -> PackedFunctions:
+    """The pack of functions given as (count, width) arrays of the parts of
+    their terms, each row in canonical order, with zeros in every part of a
+    slot that holds no term."""
+    kinds, kind = _kind_table(*(np.ravel(x) for x in (lo, hi, exp_re, exp_im, power)))
+    return PackedFunctions(np.asarray(coeff_re, dtype=float), np.asarray(coeff_im, dtype=float),
+                           kind.reshape(np.shape(coeff_re)), kinds)
 
 
 def pack(fs, scales=None) -> PackedFunctions:
@@ -610,20 +656,81 @@ def pack(fs, scales=None) -> PackedFunctions:
     pad = ((0j, 0.0, 0.0, 0j, 0),)
     slots = [t for row in rows for t in (*row, *pad * (width - len(row)))]
     coeff, lo, hi, exponent, power = (
-        np.array(column, dtype=dtype) for column, dtype in
+        np.array(column, dtype=dtype).reshape(n, width) for column, dtype in
         zip(list(zip(*slots)) or [()] * 5, (complex, float, float, complex, np.int64)))
-    parts = (lo, hi, exponent.real, exponent.imag, power)
-    # a term's key is the 40 bytes of its kind; the table holds the distinct
-    # keys in the order of their first terms
-    keys = np.stack([x.view(np.int64) for x in parts], axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()
-    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return PackedFunctions(coeff.real.reshape(n, width), coeff.imag.reshape(n, width),
-                           rank[at.ravel()].reshape(n, width),
-                           tuple(x[first[order]] for x in parts))
+    return pack_terms(coeff.real, coeff.imag, lo, hi, exponent.real, exponent.imag, power)
+
+
+def select(f: PackedFunctions, rows, scales=None) -> PackedFunctions:
+    """The rows ``rows`` of f as their own pack, bit for bit the pack that
+    :func:`pack` makes of those functions, with ``scales`` as it takes them.
+
+    Each coefficient is multiplied as ``complex(scale) * coeff``, then added
+    to 0j as ``canonical_row`` merges it; one that is not finite is rejected
+    as ``pack`` rejects it, and one that is exactly zero becomes padding.
+    The kind table keeps the kinds the rows use, so a kernel takes no
+    closed form for a kind the rows never meet, and trailing slots that hold
+    no term in any row are cut.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if scales is None and np.array_equal(rows, np.arange(len(f))):
+        return f  # every row, in order: the pack itself
+    re, im, kind = f.coeff_re[rows], f.coeff_im[rows], f.kind[rows]
+    if scales is not None:
+        scale = np.asarray(scales, dtype=float)[:, None]
+        re, im = _mul(scale, 0.0, re, im)
+        re, im = 0.0 + re, 0.0 + im
+        term = kind != 0
+        if not (np.isfinite(re[term]).all() and np.isfinite(im[term]).all()):
+            raise ValueError(_NOT_FINITE)
+        kind = np.where((re == 0) & (im == 0), 0, kind)
+    used = np.zeros(f.kinds[0].size, dtype=bool)
+    used[0] = True
+    used[kind] = True
+    width = int(np.flatnonzero(kind.any(axis=0))[-1]) + 1 if kind.any() else 0
+    renumber = np.cumsum(used) - 1
+    return PackedFunctions(re[:, :width], im[:, :width], renumber[kind[:, :width]],
+                           tuple(column[used] for column in f.kinds))
+
+
+def join(f: PackedFunctions, g: PackedFunctions) -> PackedFunctions:
+    """The rows of f, then those of g, as one pack; f's kinds keep their
+    indices and g's kinds join the table unless f has them."""
+    kinds, at = _kind_table(*(np.concatenate((a, b)) for a, b in zip(f.kinds, g.kinds)))
+    n, width = len(f), max(f.kind.shape[1], g.kind.shape[1])
+    parts = []
+    for a, b in ((f.coeff_re, g.coeff_re), (f.coeff_im, g.coeff_im),
+                 (f.kind, at[f.kinds[0].size + g.kind])):
+        both = np.zeros((n + len(g), width), dtype=a.dtype)
+        both[:n, :a.shape[1]] = a
+        both[n:, :b.shape[1]] = b
+        parts.append(both)
+    return PackedFunctions(*parts, kinds)
+
+
+def origin_limits(fs) -> tuple[list[complex], list[complex]]:
+    """``[f.limit(0.0, "-") for f in fs]`` and the same from the right, for
+    a list of functions or, bit for bit, for a pack or pack slice.
+
+    At the origin, ``x0**power`` is 1.0 for power 0 and 0.0 otherwise, and
+    ``cmath.exp(exponent * x0)`` is exactly (1.0, the imaginary part of
+    ``exponent * 0.0``); the packed products and sums replay CPython's.
+    """
+    if not isinstance(fs, PackedFunctions):
+        return [f.limit(0.0, "-") for f in fs], [f.limit(0.0, "+") for f in fs]
+    f = fs
+    lo, hi, er, ei, power = (column[f.kind] for column in f.kinds)
+    x_pow = np.where(power == 0, 1.0, 0.0)
+    cr, ci = _mul(f.coeff_re, f.coeff_im, x_pow, 0.0)
+    cr, ci = _mul(cr, ci, 1.0, er * 0.0 + ei * 0.0)
+    out = []
+    for on in (lo < 0.0) & (0.0 <= hi), (lo <= 0.0) & (0.0 < hi):
+        val_re, val_im = np.zeros(len(f)), np.zeros(len(f))
+        for p in range(on.shape[1]):
+            np.add(val_re, cr[:, p], out=val_re, where=on[:, p])
+            np.add(val_im, ci[:, p], out=val_im, where=on[:, p])
+        out.append([complex(re, im) for re, im in zip(val_re.tolist(), val_im.tolist())])
+    return out[0], out[1]
 
 
 def _mul(ar, ai, br, bi):
@@ -660,6 +767,10 @@ def _packed(fs) -> PackedFunctions:
     return fs if isinstance(fs, PackedFunctions) else pack(fs)
 
 
+def _functions(fs) -> list[PiecewiseExpFunction]:
+    return fs.functions() if isinstance(fs, PackedFunctions) else list(fs)
+
+
 def _accumulate(total_re, total_im, f_re, f_im, g_re, g_conj_im, pos, ir, ii) -> None:
     """Add coefficient product times integral where ``pos`` is not 0, as
     ``inner`` adds one overlapping pair of terms."""
@@ -674,12 +785,14 @@ def _accumulate(total_re, total_im, f_re, f_im, g_re, g_conj_im, pos, ir, ii) ->
 def gram(fs, gs) -> np.ndarray:
     """The matrix ``inner(f, g)`` over f in fs (rows) and g in gs (columns).
 
-    fs and gs are sequences of functions, or their :func:`pack` forms.  Every entry equals the scalar ``inner`` bit for bit.  The closed
-    form of ``inner``, ``_poly_exp_integral``, runs once per call for each
-    overlapping pair of a term kind of fs and a term kind of gs.  Then,
-    GRAM_BLOCK rows at a time and for each pair of term slots (p outer, q
-    inner, as in ``inner``), each entry whose terms overlap gathers its
-    integral, multiplies its coefficient product by it and accumulates.
+    fs and gs are sequences of functions, or their :func:`pack` forms or
+    pack slices.  Every entry equals the scalar ``inner`` bit for bit.  The
+    closed form of ``inner``, ``_poly_exp_integral``, runs once per call
+    for each overlapping pair of a term kind of fs and a term kind of gs.
+    Then, GRAM_BLOCK rows at a time and for each pair of term slots (p
+    outer, q inner, as in ``inner``), each entry whose terms overlap
+    gathers its integral, multiplies its coefficient product by it and
+    accumulates.
     """
     f, g = _packed(fs), _packed(gs)
     out = np.zeros((len(f), len(g)), dtype=complex)
@@ -708,21 +821,22 @@ def gram(fs, gs) -> np.ndarray:
 def paired(fs, gs) -> np.ndarray:
     """The array ``[inner(f, g) for f, g in zip(fs, gs)]``, row by row.
 
-    fs and gs are equally long sequences of functions, or their :func:`pack`
-    forms; a gs of one function pairs it with every f.  Every value equals
-    the scalar ``inner`` bit for bit.  Fewer than PAIRED_SCALAR_ROWS rows
-    given as functions are evaluated by ``inner`` itself.  Otherwise ``_poly_exp_integral`` runs once per call
-    for each distinct overlapping pair of a term kind of f and a term kind
-    of g that meet within one row, so rows that share no kinds build no
-    cross table.  Then, for each pair of term slots (p outer, q inner, as in
-    ``inner``), every row whose terms overlap gathers its integral,
-    multiplies its coefficient product by it and accumulates.
+    fs and gs are equally long sequences of functions, or their
+    :func:`pack` forms or pack slices; a gs of one function pairs it with
+    every f.  Every value equals the scalar ``inner`` bit for bit.  Fewer
+    than PAIRED_SCALAR_ROWS rows are evaluated by ``inner`` itself, a packed
+    row read back as its function.  Otherwise ``_poly_exp_integral`` runs
+    once per call for each distinct overlapping pair of a term kind of f
+    and a term kind of g that meet within one row, so rows that share no
+    kinds build no cross table.  Then, for each pair of term slots (p
+    outer, q inner, as in ``inner``), every row whose terms overlap gathers
+    its integral, multiplies its coefficient product by it and accumulates.
     """
     if len(gs) != len(fs) and len(gs) != 1:
         raise ValueError(f"paired needs equally many functions, got {len(fs)} and {len(gs)}")
-    packed = isinstance(fs, PackedFunctions) or isinstance(gs, PackedFunctions)
-    if not packed and len(fs) < PAIRED_SCALAR_ROWS:
-        pairs = zip(fs, gs if len(gs) == len(fs) else list(gs) * len(fs))
+    if len(fs) < PAIRED_SCALAR_ROWS:
+        fs, gs = _functions(fs), _functions(gs)
+        pairs = zip(fs, gs if len(gs) == len(fs) else gs * len(fs))
         return np.array([inner(f, g) for f, g in pairs], dtype=complex)
     f = _packed(fs)
     g = f if gs is fs else _packed(gs)

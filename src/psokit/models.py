@@ -91,7 +91,7 @@ class MomentumModel:
             witness=(_half_line(1.0, 1.0, "-"), _half_line(1.0, -1.0, "+")),
         )
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily(self._defect, trip))
+        object.__setattr__(self, "defects", DefectFamily.pointwise(self._defect, trip))
 
     @staticmethod
     def _defect(z: complex) -> PiecewiseExpFunction:
@@ -423,7 +423,7 @@ class NonlocalModel:
         # the family holds the case and the potential, not the model, so a
         # dropped model is freed without the cyclic collector
         build = functools.partial(self._defect, case, gamma)
-        object.__setattr__(self, "defects", DefectFamily(build, trip))
+        object.__setattr__(self, "defects", DefectFamily.pointwise(build, trip))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import matops, triplets
 # inner stays bound here for bench/tracer.py, which rebinds every import of it
-from .expfun import gram, inner, pack  # noqa: F401
+from .expfun import gram, inner  # noqa: F401
 from .scalars import format_complex
 from .tolerances import (CONTRACTION_BOUND, FAIL_THRESHOLD, PASS_CONSTANCY, PASS_INCLUSION,
                          PASS_ORTHOGONALITY)
@@ -216,9 +216,9 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     """Largest normalized pairing between upper and lower defect vectors.
 
     A point whose norm fails is a failed point.  The pairings are the
-    entries of one Gram matrix of the normalized vectors, packed from the
-    family's vectors, taken only when both half planes have vectors; the
-    witness is the first largest one in nu-major, lambda-minor order.
+    entries of one Gram matrix of the normalized vectors, two scaled slices
+    of the family's pack, taken only when both half planes have vectors;
+    the witness is the first largest one in nu-major, lambda-minor order.
     """
     grid = grid or Grid.default()
     failures = []
@@ -226,10 +226,11 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     norms = family.norms_at(grid.lambdas_upper + grid.lambdas_lower)  # one batch
     uppers, up_norms = _per_point(grid.lambdas_upper, "lambda", norms[:n_up], failures)
     lowers, down_norms = _per_point(grid.lambdas_lower, "nu", norms[n_up:], failures)
-    up = pack(family.vectors_at(uppers), [1.0 / n for n in up_norms])
-    down = pack(family.vectors_at(lowers), [1.0 / n for n in down_norms])
-    # with no vector on one side there is nothing to pair
-    pairings = gram(up, down).T if uppers and lowers else np.empty((0, 0))  # rows nu
+    pairings = np.empty((0, 0))  # with no vector on one side there is nothing to pair
+    if uppers and lowers:
+        up = family.packed_at(uppers, [1.0 / n for n in up_norms])
+        down = family.packed_at(lowers, [1.0 / n for n in down_norms])
+        pairings = gram(up, down).T  # rows nu
     return _scan_result(
         "orthogonality", np.hypot(pairings.real, pairings.imag), PASS_ORTHOGONALITY,
         lambda nu, lam: f"lambda={format_complex(uppers[lam])}, nu={format_complex(lowers[nu])}",
@@ -285,9 +286,10 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     # per lambda: the error before the boundary maps
     early: dict[int, Exception] = {}
     norms = np.ones(len(lams))
-    for j, f in enumerate(family.vectors_at(lams)):
+    for j, domain_error in enumerate(family.domain_errors_at(lams)):
         try:
-            triplets.require_maximal_domain(triplets.unwrap(f))
+            if domain_error:
+                raise domain_error
             norms[j] = triplets.unwrap(all_norms[j])
         except Exception as exc:
             early[j] = exc

@@ -17,6 +17,8 @@ supply concrete triplets and defect families.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .expfun import PiecewiseExpFunction, inner, norms, paired
+from .expfun import (PackedFunctions, PiecewiseExpFunction, inner, join, norms, origin_limits,
+                     pack, paired, select)
 from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
                          GREEN_TOL, SURJECTIVITY_TOL)
 
@@ -102,7 +105,9 @@ class BoundaryTriplet:
 
 
 def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex]]:
-    """(gamma_plus(f), gamma_minus(f)) of each function f in fs, bit for bit.
+    """(gamma_plus(f), gamma_minus(f)) of each function f in fs, bit for bit;
+    fs is a list of functions, or their :func:`~psokit.expfun.pack` form or
+    a pack slice.
 
     When both maps are boundary functionals they are evaluated together:
     each f's one-sided limits at the origin are taken once, and each
@@ -112,17 +117,14 @@ def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex
     """
     maps = (triplet.gamma_plus, triplet.gamma_minus)
     if not all(isinstance(m, BoundaryFunctional) for m in maps):
+        fs = fs.functions() if isinstance(fs, PackedFunctions) else fs
         return [(triplet.gamma_plus(f), triplet.gamma_minus(f)) for f in fs]
     hs = list({id(h): h for m in maps for _, h in m.pairings}.values())
     column = {id(h): j for j, h in enumerate(hs)}
     plan = [(m, [column[id(h)] for _, h in m.pairings]) for m in maps]
     ips = zip(*(paired(fs, [h]).tolist() for h in hs)) if hs else [()] * len(fs)
-    out = []
-    for f, ip in zip(fs, ips):
-        minus, plus = f.limit(0.0, "-"), f.limit(0.0, "+")
-        out.append(tuple([m.combine(minus, plus, [ip[j] for j in columns])
-                          for m, columns in plan]))
-    return out
+    return [tuple([m.combine(minus, plus, [ip[j] for j in columns]) for m, columns in plan])
+            for minus, plus, ip in zip(*origin_limits(fs), ips)]
 
 
 def each_point(fn: Callable, points) -> list:
@@ -168,23 +170,39 @@ class DefectFamily:
     and its native images under the model's ``triplet``: the one place a
     defect point is mapped through the boundary maps.
 
-    ``build(z)`` builds the vector at one non-real z; a point whose build
-    raised has that exception as its entry.  Norms come from one ``norms``
-    call and images from one ``boundary_images`` call per batch of vectors,
-    and are cached beside them.  A failed point keeps no entry, so it is
-    built again, and fails again, whenever it is asked for.
+    ``build(zs)`` builds the vectors at a list of non-real points as one
+    :class:`~psokit.expfun.PackedFunctions`, a row per point, and returns
+    it with the exception each point raised, or None; a failed point's row
+    holds no term.  The family keeps the pack of every batch it builds and
+    ``_cache``, the (pack, row) of each point's vector.  Norms come from
+    one ``norms`` call and images from one ``boundary_images`` call per
+    batch of points, each on a slice of the packs, and are cached beside
+    the rows; a vector becomes a :class:`PiecewiseExpFunction` only when one
+    is asked for.  A failed point keeps no entry, so it is built again, and
+    fails again, whenever it is asked for.
 
     The ``*_at(points)`` methods return per point a value or the exception
     that stands for it; the call, ``norm`` and ``images`` raise it.
     """
 
-    def __init__(self, build: Callable[[complex], PiecewiseExpFunction],
+    def __init__(self, build: Callable[[list], tuple[PackedFunctions, list]],
                  triplet: BoundaryTriplet):
         self._build = build
         self._triplet = triplet
-        self._cache: dict[complex, PiecewiseExpFunction] = {}
+        self._cache: dict[complex, tuple[PackedFunctions, int]] = {}
         self._norms: dict[complex, float] = {}
         self._images: dict[complex, tuple[complex, complex]] = {}
+
+    @classmethod
+    def pointwise(cls, fn: Callable[[complex], PiecewiseExpFunction],
+                  triplet: BoundaryTriplet) -> "DefectFamily":
+        """The family whose vector at z is the function ``fn(z)``; a batch
+        maps fn over its points and packs their vectors once."""
+        def build(zs):
+            fs = each_point(fn, zs)
+            errors = [f if isinstance(f, Exception) else None for f in fs]
+            return pack([PiecewiseExpFunction() if e else f for f, e in zip(fs, errors)]), errors
+        return cls(build, triplet)
 
     @staticmethod
     def _fill(table: dict, points, compute: Callable[[list], list]) -> list:
@@ -200,36 +218,65 @@ class DefectFamily:
                     table[z] = entry
         return [table[z] if z in table else fresh[z] for z in zs]
 
-    def _build_vectors(self, zs: list[complex]) -> list:
-        built = iter(each_point(self._build, [z for z in zs if z.imag != 0]))
-        return [next(built) if z.imag != 0
+    def _build_rows(self, zs: list[complex]) -> list:
+        built = [z for z in zs if z.imag != 0]
+        rows: dict[complex, tuple | Exception] = {}
+        if built:
+            packed, errors = self._build(built)
+            for i, (z, error) in enumerate(zip(built, errors)):
+                rows[z] = (packed, i) if error is None else error
+        return [rows[z] if z.imag != 0
                 else ValueError("defect vectors exist only for non-real z") for z in zs]
 
-    def _on_vectors(self, compute: Callable[[list], list]) -> Callable[[list], list]:
-        """``compute``, a map from vectors to entries, as a map from points: a
-        point whose vector failed keeps its error."""
+    def _rows_at(self, points) -> list:
+        """The (pack, row) of the vector at each point."""
+        return self._fill(self._cache, points, self._build_rows)
+
+    @staticmethod
+    def _slice(refs, scales=None) -> PackedFunctions:
+        """The rows ``refs``, (pack, row) pairs, as one slice: rows of
+        several packs are taken from their join."""
+        packs = list({id(p): p for p, _ in refs}.values())
+        start = dict(zip(map(id, packs), itertools.accumulate(map(len, packs[:-1]), initial=0)))
+        return select(functools.reduce(join, packs), [start[id(p)] + r for p, r in refs],
+                      scales)
+
+    def _on_rows(self, compute: Callable[[PackedFunctions], list]) -> Callable[[list], list]:
+        """``compute``, a map from a slice of the packs to entries, as a map
+        from points: a point whose vector failed keeps its error."""
         def step(zs):
-            fs = self.vectors_at(zs)
-            done = iter(_batch(compute, [f for f in fs if not isinstance(f, Exception)]))
-            return [f if isinstance(f, Exception) else next(done) for f in fs]
+            refs = self._rows_at(zs)
+            good = [r for r in refs if not isinstance(r, Exception)]
+            done = iter(_batch(lambda at: compute(self._slice(at)), good) if good else ())
+            return [r if isinstance(r, Exception) else next(done) for r in refs]
         return step
 
     def vectors_at(self, points) -> list:
-        """The vector at each point."""
-        return self._fill(self._cache, points, self._build_vectors)
+        """The vector at each point, as a function wrapping its row."""
+        return self._on_rows(PackedFunctions.functions)(points)
+
+    def domain_errors_at(self, points) -> list:
+        """Per point, the error of its vector, or the error
+        ``require_maximal_domain`` raises on it, or None."""
+        return self._on_rows(maximal_domain_errors)(points)
+
+    def packed_at(self, points, scales=None) -> PackedFunctions:
+        """The vectors at points whose vectors were built, as one slice,
+        row i scaled by ``scales[i]`` as ``expfun.select`` scales."""
+        return self._slice([self._cache[complex(z)] for z in points], scales)
 
     def norms_at(self, points) -> list:
         """The norm of the vector at each point; one that is zero or not
         finite is an error."""
-        return self._fill(self._norms, points, self._on_vectors(
-            lambda fs: [_norm_entry(n) for n in norms(fs)]))
+        return self._fill(self._norms, points, self._on_rows(
+            lambda packed: [_norm_entry(n) for n in norms(packed)]))
 
     def images_at(self, points) -> list:
         """(gamma_plus, gamma_minus) of the vector at each point, mapped in
         that order, as Python complex values."""
-        return self._fill(self._images, points, self._on_vectors(
-            lambda fs: [(complex(gp), complex(gm))
-                        for gp, gm in boundary_images(self._triplet, fs)]))
+        return self._fill(self._images, points, self._on_rows(
+            lambda packed: [(complex(gp), complex(gm))
+                            for gp, gm in boundary_images(self._triplet, packed)]))
 
     @staticmethod
     def _one(table: dict, batch: Callable[[list], list], z: complex):
@@ -239,7 +286,7 @@ class DefectFamily:
         return table[z] if z in table else unwrap(batch([z])[0])
 
     def __call__(self, z: complex) -> PiecewiseExpFunction:
-        return self._one(self._cache, self.vectors_at, z)
+        return unwrap(self.vectors_at([z])[0])
 
     def norm(self, z: complex) -> float:
         return self._one(self._norms, self.norms_at, z)
@@ -259,6 +306,23 @@ def require_maximal_domain(f: PiecewiseExpFunction,
     x, jump = f.first_jump(DOMAIN_JUMP_TOL * (1 + f.coefficient_norm()), jump_at)
     if x is not None:
         raise ValueError(f"not in the maximal domain: jump {jump:.3e} at x={x}")
+
+
+def maximal_domain_errors(packed: PackedFunctions) -> list:
+    """Per packed function, the error ``require_maximal_domain`` raises on
+    it, or None.  Only a function with a finite breakpoint away from the
+    origin can fail, so only those are read back and checked."""
+    lo, hi = (column[packed.kind] for column in packed.kinds[:2])
+    # the padding interval [0, 0] sits at the origin
+    away = ((lo != 0) & np.isfinite(lo)) | ((hi != 0) & np.isfinite(hi))
+    errors: list = [None] * len(packed)
+    checked = np.flatnonzero(away.any(axis=1))
+    for i, f in zip(checked.tolist(), packed.functions(checked)):
+        try:
+            require_maximal_domain(f)
+        except Exception as exc:
+            errors[i] = exc
+    return errors
 
 
 def green_residual(triplet: BoundaryTriplet, model, f: PiecewiseExpFunction,

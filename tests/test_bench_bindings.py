@@ -34,12 +34,15 @@ def test_every_traced_name_is_defined_where_the_tracer_looks():
 
 
 def test_the_defect_lookup_reads_a_dict_of_vectors_keyed_by_z():
-    # the tracer counts a hit by testing ``complex(z) in family._cache``
+    # the tracer counts a hit by testing ``complex(z) in family._cache``; the
+    # dict holds the pack and row of each built vector
     family = MomentumModel().defects
     f = family(1j)
     family.images(2j)
     assert type(family._cache) is dict
-    assert family._cache == {1j: f, 2j: family(2j)}
+    assert list(family._cache) == [1j, 2j]
+    assert [packed.functions([row])[0] for packed, row in family._cache.values()] == \
+        [f, family(2j)]
 
 
 def test_the_tracer_wraps_the_scan_runners_and_restores_them():

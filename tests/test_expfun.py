@@ -330,10 +330,13 @@ def test_paired_equals_inner_bit_for_bit(pairs):
     fs = [f for f, _ in pairs]
     gs = [g for _, g in pairs]
     want = [bits(inner(f, g)) for f, g in pairs]
-    # packed forms always take the kernel; a short list takes the scalar inner
-    for got in (expfun.paired(expfun.pack(fs), expfun.pack(gs)), expfun.paired(fs, gs)):
-        assert got.shape == (len(pairs),)
-        assert [bits(v) for v in got.tolist()] == want
+    # a short list or pack takes the scalar inner, a long one the kernel
+    long = expfun.PAIRED_SCALAR_ROWS
+    for got, count in ((expfun.paired(expfun.pack(fs), expfun.pack(gs)), 1),
+                       (expfun.paired(fs, gs), 1),
+                       (expfun.paired(expfun.pack(fs * long), expfun.pack(gs * long)), long)):
+        assert got.shape == (len(pairs) * count,)
+        assert [bits(v) for v in got.tolist()] == want * count
 
 
 def test_paired_takes_the_kernel_from_paired_scalar_rows_on(monkeypatch):
@@ -352,7 +355,9 @@ def test_paired_takes_the_kernel_from_paired_scalar_rows_on(monkeypatch):
 def test_paired_takes_each_kind_pair_that_meets_in_a_row_once(monkeypatch):
     f = PiecewiseExpFunction.single(1.0, 0.0, 2.0, 0.5) + half_line_right(2j, -1.0)
     g = half_line_right(1.0, complex(-1.0, 3.0))
-    want = [bits(inner(f, g))] * 2 + [bits(inner(g, f))]
+    # enough rows to take the kernel
+    repeat = expfun.PAIRED_SCALAR_ROWS // 3 + 1
+    want = ([bits(inner(f, g))] * 2 + [bits(inner(g, f))]) * repeat
     calls = Counter()
     original = expfun._poly_exp_integral
 
@@ -361,7 +366,7 @@ def test_paired_takes_each_kind_pair_that_meets_in_a_row_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(expfun, "_poly_exp_integral", counted)
-    got = expfun.paired(expfun.pack([f, f, g]), expfun.pack([g, g, f]))
+    got = expfun.paired(expfun.pack([f, f, g] * repeat), expfun.pack([g, g, f] * repeat))
     assert [bits(v) for v in got.tolist()] == want
     # two overlapping kind pairs per (f, g) row and two per (g, f) row, once each
     assert sorted(calls.values()) == [1, 1, 1, 1]

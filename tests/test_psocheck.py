@@ -164,7 +164,7 @@ def test_certificate_scale_invariance():
     class Scaled:
         triplet = base.triplet
         adjoint_apply = staticmethod(base.adjoint_apply)
-        defects = DefectFamily(lambda z: (3.7 - 1.2j) * base.defects(z), base.triplet)
+        defects = DefectFamily.pointwise(lambda z: (3.7 - 1.2j) * base.defects(z), base.triplet)
 
         @staticmethod
         def describe():
@@ -189,7 +189,7 @@ def test_certificate_flags_criterion_disagreement():
         # constancy and inclusion still pass, orthogonality cannot
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
-        defects = DefectFamily(
+        defects = DefectFamily.pointwise(
             lambda z: mom.defects(z) if z.imag > 0 else mom.defects(z) + leak, mom.triplet)
 
         @staticmethod
@@ -214,7 +214,7 @@ def test_scan_reports_per_point_failures_and_continues():
     class Flaky:
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
-        defects = DefectFamily(flaky, mom.triplet)
+        defects = DefectFamily.pointwise(flaky, mom.triplet)
 
         @staticmethod
         def describe():
@@ -242,7 +242,7 @@ def variant(base, name, defect=None, triplet=None):
             return name
 
     Variant.triplet = triplet or base.triplet
-    Variant.defects = DefectFamily(defect or base.defects, Variant.triplet)
+    Variant.defects = DefectFamily.pointwise(defect or base.defects, Variant.triplet)
     return Variant()
 
 

@@ -8,11 +8,13 @@ the raw ``expfun._closed_form`` evaluations the memo let through.  The memo
 is emptied before each workload's first pass, so that pass starts cold.
 
 Then, per op of the pass: the defect vectors the ``DefectFamily`` builders
-return (failed points not counted), the ``ExpTerm`` validations (``__post_init__`` runs), the
-``PiecewiseExpFunction.__init__`` runs and the scalar ``expfun.inner``
-calls, under every name a module imported it as.  The counts depend on no
-timing and no hardware.  The modules under ``bench/`` are imported, never
-modified.
+return (failed points not counted); the packs made from terms, calls of
+``expfun.pack_terms`` (``pack`` and the defect builders make every pack
+through it), and the rows they hold; the ``ExpTerm`` validations
+(``__post_init__`` runs), the ``PiecewiseExpFunction.__init__`` runs and
+the scalar ``expfun.inner`` calls, under every name a module imported it
+as.  The counts depend on no timing and no hardware.  The modules under
+``bench/`` are imported, never modified.
 
     python3 tools/closed_form_counts.py
 """
@@ -51,7 +53,8 @@ def main() -> None:
     memo, raw, inner = expfun._poly_exp_integral, expfun._closed_form, expfun.inner
     validate = expfun.ExpTerm.__post_init__
     init = expfun.PiecewiseExpFunction.__init__
-    build_vectors = triplets.DefectFamily._build_vectors
+    build_rows = triplets.DefectFamily._build_rows
+    pack_terms = expfun.pack_terms
 
     def counted_memo(k, u, a, b):
         counts["calls"] += 1
@@ -69,22 +72,30 @@ def main() -> None:
         return wrapper
 
     def counted_build(family, zs):
-        built = build_vectors(family, zs)
-        counts["vectors"] += sum(not isinstance(f, Exception) for f in built)
+        built = build_rows(family, zs)
+        counts["vectors"] += sum(not isinstance(row, Exception) for row in built)
         return built
+
+    def counted_pack(*parts):
+        counts["packs"] += 1
+        counts["packed rows"] += len(parts[0])
+        return pack_terms(*parts)
 
     undo = _patch([
         (expfun, "_poly_exp_integral", counted_memo),
         (expfun, "_closed_form", counted_raw),
         (expfun.ExpTerm, "__post_init__", counted("validations", validate)),
         (expfun.PiecewiseExpFunction, "__init__", counted("inits", init)),
-        (triplets.DefectFamily, "_build_vectors", counted_build),
+        (triplets.DefectFamily, "_build_rows", counted_build),
+        (expfun, "pack_terms", counted_pack),
         *((module, "inner", counted("inner", inner)) for module in INNER_NAMES
           if getattr(module, "inner", None) is inner),
     ])
     try:
+        columns = {"vectors": 12, "packs": 10, "packed rows": 17, "validations": 16,
+                   "inits": 10, "inner": 10}
         print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
-              f"{'vectors/op':>12}{'validations/op':>16}{'inits/op':>10}{'inner/op':>10}")
+              + "".join(f"{name + '/op':>{w}}" for name, w in columns.items()))
         for workload in workloads.WORKLOADS:
             ops = workloads.generate(workload, SEED)
             expfun._closed_forms.clear()
@@ -93,11 +104,10 @@ def main() -> None:
                 keys.clear()
                 for op in ops:
                     workloads.run_op(op)
-                per_op = [counts[key] / len(ops)
-                          for key in ("vectors", "validations", "inits", "inner")]
                 print(f"{workload:<14}{name:<8}{counts['calls']:>9,}"
                       f"{len(keys):>10,}{counts['evaluations']:>8,}"
-                      + "".join(f"{v:>{w},.1f}" for v, w in zip(per_op, (12, 16, 10, 10))))
+                      + "".join(f"{counts[key] / len(ops):>{w},.1f}"
+                                for key, w in columns.items()))
     finally:
         _patch(undo)
 
