@@ -125,17 +125,6 @@ def _finite(coeff: complex) -> complex:
     return coeff
 
 
-def row_term(coeff: complex, lo: float, hi: float, exponent: complex,
-             power: int = 0) -> tuple:
-    """The term tuple of ``ExpTerm(coeff, lo, hi, exponent, power)`` from
-    values of the types an ExpTerm holds.  Only the finiteness of the
-    coefficient and the exponent is checked, as ExpTerm checks it; the
-    caller answers for the interval, the power and square integrability."""
-    if not (cmath.isfinite(coeff) and cmath.isfinite(exponent)):
-        raise ValueError(_NOT_FINITE)
-    return (coeff, lo, hi, exponent, power)
-
-
 def _row_sort_key(t: tuple):
     return (t[1], t[2], t[3].real, t[3].imag, t[4])
 
@@ -609,16 +598,22 @@ def _kind_table(lo, hi, exp_re, exp_im, power):
     flat arrays of term kinds, told apart by their bits, with the padding
     kind first and the others in the order of their first terms, and the
     index of each term's kind in that table."""
-    parts = [np.concatenate(([0], x)) for x in (_bits(lo), _bits(hi), _bits(exp_re),
-                                               _bits(exp_im), np.asarray(power, np.int64))]
-    # a term's key is the 40 bytes of its kind
-    keys = np.stack(parts, axis=1).view(np.dtype((np.void, 40))).ravel()
-    _, first, at = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    table = [x[first[order]] for x in parts]
-    return (*(x.view(np.float64) for x in table[:4]), table[4]), rank[at.ravel()[1:]]
+    keys = np.zeros((5, np.size(lo) + 1), dtype=np.int64)  # the padding kind first
+    for key, x in zip(keys, (lo, hi, exp_re, exp_im)):
+        key[1:] = _bits(x)
+    keys[4, 1:] = power
+    # a stable sort puts equal keys side by side, each run led by its first term
+    order = np.lexsort(keys)
+    runs = np.empty(order.size, dtype=bool)
+    runs[0] = True
+    np.any(keys[:, order[1:]] != keys[:, order[:-1]], axis=0, out=runs[1:])
+    first = order[runs]
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    at = np.empty(order.size, dtype=np.intp)
+    at[order] = rank[np.cumsum(runs) - 1]
+    table = keys[:, np.sort(first)]
+    return (*(x.view(np.float64) for x in table[:4]), table[4]), at[1:]
 
 
 def pack_terms(coeff_re, coeff_im, lo, hi, exp_re, exp_im, power) -> PackedFunctions:
@@ -678,7 +673,8 @@ def select(f: PackedFunctions, rows, scales=None) -> PackedFunctions:
     re, im, kind = f.coeff_re[rows], f.coeff_im[rows], f.kind[rows]
     if scales is not None:
         scale = np.asarray(scales, dtype=float)[:, None]
-        re, im = _mul(scale, 0.0, re, im)
+        with np.errstate(all="ignore"):  # a product that overflows is rejected below
+            re, im = _mul(scale, 0.0, re, im)
         re, im = 0.0 + re, 0.0 + im
         term = kind != 0
         if not (np.isfinite(re[term]).all() and np.isfinite(im[term]).all()):
@@ -708,34 +704,12 @@ def join(f: PackedFunctions, g: PackedFunctions) -> PackedFunctions:
     return PackedFunctions(*parts, kinds)
 
 
-def origin_limits(fs) -> tuple[list[complex], list[complex]]:
-    """``[f.limit(0.0, "-") for f in fs]`` and the same from the right, for
-    a list of functions or, bit for bit, for a pack or pack slice.
-
-    At the origin, ``x0**power`` is 1.0 for power 0 and 0.0 otherwise, and
-    ``cmath.exp(exponent * x0)`` is exactly (1.0, the imaginary part of
-    ``exponent * 0.0``); the packed products and sums replay CPython's.
-    """
-    if not isinstance(fs, PackedFunctions):
-        return [f.limit(0.0, "-") for f in fs], [f.limit(0.0, "+") for f in fs]
-    f = fs
-    lo, hi, er, ei, power = (column[f.kind] for column in f.kinds)
-    x_pow = np.where(power == 0, 1.0, 0.0)
-    cr, ci = _mul(f.coeff_re, f.coeff_im, x_pow, 0.0)
-    cr, ci = _mul(cr, ci, 1.0, er * 0.0 + ei * 0.0)
-    out = []
-    for on in (lo < 0.0) & (0.0 <= hi), (lo <= 0.0) & (0.0 < hi):
-        val_re, val_im = np.zeros(len(f)), np.zeros(len(f))
-        for p in range(on.shape[1]):
-            np.add(val_re, cr[:, p], out=val_re, where=on[:, p])
-            np.add(val_im, ci[:, p], out=val_im, where=on[:, p])
-        out.append([complex(re, im) for re, im in zip(val_re.tolist(), val_im.tolist())])
-    return out[0], out[1]
-
-
-def _mul(ar, ai, br, bi):
-    """CPython's complex product (ar + i ai) * (br + i bi)."""
-    return ar * br - ai * bi, ar * bi + ai * br
+def origin_limits(f: PackedFunctions) -> tuple["SplitComplex", "SplitComplex"]:
+    """``[h.limit(0.0, "-") for h in fs]`` and the same from the right, bit
+    for bit, for the functions fs packed in f."""
+    minus, plus = _origin_limits((f.coeff_re, f.coeff_im,
+                                  *(column[f.kind] for column in f.kinds)))
+    return SplitComplex(*minus), SplitComplex(*plus)
 
 
 def _kind_integrals(f: PackedFunctions, g: PackedFunctions, a: np.ndarray,
@@ -835,7 +809,9 @@ def paired(fs, gs) -> np.ndarray:
     if len(gs) != len(fs) and len(gs) != 1:
         raise ValueError(f"paired needs equally many functions, got {len(fs)} and {len(gs)}")
     if len(fs) < PAIRED_SCALAR_ROWS:
-        fs, gs = _functions(fs), _functions(gs)
+        same = gs is fs
+        fs = _functions(fs)
+        gs = fs if same else _functions(gs)
         pairs = zip(fs, gs if len(gs) == len(fs) else gs * len(fs))
         return np.array([inner(f, g) for f, g in pairs], dtype=complex)
     f = _packed(fs)
@@ -943,11 +919,307 @@ def inner_quadrature(f: PiecewiseExpFunction, g: PiecewiseExpFunction,
 
 
 # ---------------------------------------------------------------------------
+# CPython's complex arithmetic, replayed on arrays
+# ---------------------------------------------------------------------------
+#
+# The kernels and the array builders give every value the bits the scalar
+# code gives it.  numpy's complex product and quotient round differently
+# from CPython's (through 3.11), so both are spelled out in real float64
+# operations, which numpy rounds exactly as C does.  A float operand of a
+# complex operation is the complex (x, 0.0), as CPython promotes it.
+
+#: Re z above which ``cmath.exp`` takes exp(Re z - 1) * e for its modulus
+#: (from 708.4 on), where numpy's complex exp takes exp(Re z)
+EXP_SCALED = 708.0
+
+
+def _mul(ar, ai, br, bi):
+    """CPython's complex product (ar + i ai) * (br + i bi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi):
+    """CPython's complex quotient (ar + i ai) / (br + i bi), Smith's method
+    as ``_Py_c_quot`` writes it, for a divisor that is not zero; a NaN part
+    of the divisor gives NaN, as there."""
+    br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
+    by_re = abs(br) >= abs(bi)
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+                np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+class _Faults:
+    """The first error each of n points raised, in the order the scalar
+    code raises them: a point keeps the first error noted for it."""
+
+    def __init__(self, n: int):
+        self.errors: list[Exception | None] = [None] * n
+        self.failed = np.zeros(n, dtype=bool)
+
+    def note(self, where, kind: type, *args) -> None:
+        """Note ``kind(*args)`` at the points of the mask ``where`` that
+        have no error yet."""
+        fresh = where & ~self.failed
+        if fresh.any():
+            for i in np.flatnonzero(np.broadcast_to(fresh, self.failed.shape)).tolist():
+                self.errors[i] = kind(*args)
+            self.failed |= fresh
+
+
+def _split(c: complex) -> tuple[float, float]:
+    return c.real, c.imag
+
+
+class SplitComplex:
+    """Complex values held as two float arrays, ``re`` and ``im``, whose sum,
+    difference and product with each other and with Python numbers give
+    every element the bits CPython's complex arithmetic gives it; a number
+    operand is promoted to complex as CPython promotes it."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def _parts(x) -> tuple:
+        return (x.re, x.im) if isinstance(x, SplitComplex) else _split(complex(x))
+
+    def __add__(self, other):
+        re, im = self._parts(other)
+        return SplitComplex(self.re + re, self.im + im)
+
+    def __radd__(self, other):
+        re, im = self._parts(other)
+        return SplitComplex(re + self.re, im + self.im)
+
+    def __sub__(self, other):
+        re, im = self._parts(other)
+        return SplitComplex(self.re - re, self.im - im)
+
+    def __rsub__(self, other):
+        re, im = self._parts(other)
+        return SplitComplex(re - self.re, im - self.im)
+
+    def __mul__(self, other):
+        return SplitComplex(*_mul(self.re, self.im, *self._parts(other)))
+
+    def __rmul__(self, other):
+        return SplitComplex(*_mul(*self._parts(other), self.re, self.im))
+
+    def __truediv__(self, other):
+        return SplitComplex(*_quot(self.re, self.im, *self._parts(other)))
+
+
+def _not_finite(*parts) -> np.ndarray:
+    finite = True
+    for x in parts:
+        finite = finite & np.isfinite(x)
+    return ~finite
+
+
+def _exp(re, im, faults: _Faults, where=True):
+    """``cmath.exp`` of each point's re + i im, split.
+
+    numpy's complex exp takes exp(re) * (cos(im), sin(im)) as ``cmath.exp``
+    does where re <= EXP_SCALED and both parts are finite; every other
+    point goes through ``cmath.exp`` itself, and the error it raises there
+    is noted for the point where ``where`` holds, its value then NaN.
+    """
+    z = np.empty(faults.failed.shape, dtype=complex)
+    z.real, z.imag = re, im
+    with np.errstate(all="ignore"):  # where np.exp overflows, cmath.exp decides
+        out = np.exp(z)
+    odd = ~((z.real <= EXP_SCALED) & np.isfinite(z.real) & np.isfinite(z.imag))
+    for i in np.flatnonzero(odd).tolist():
+        try:
+            out[i] = cmath.exp(z[i])
+        except (OverflowError, ValueError) as exc:
+            out[i] = complex(math.nan, math.nan)
+            faults.note(where & (np.arange(z.size) == i), type(exc), *exc.args)
+    return out.real, out.imag
+
+
+def _power(x: float, n: int, faults: _Faults, where):
+    """``x ** n`` as Python takes it, or NaN with its error noted where
+    ``where`` holds."""
+    try:
+        return x ** n
+    except OverflowError as exc:
+        faults.note(where, type(exc), *exc.args)
+        return math.nan
+
+
+# ---------------------------------------------------------------------------
+# term tables: the canonical rows of a batch, one per point
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """The canonical rows of functions built at the points of a batch.
+
+    ``parts`` is the (7, count, width) float array of the parts (coeff_re,
+    coeff_im, lo, hi, exp_re, exp_im, power) of their terms, row i for
+    point i, with zeros in the slots that hold no term; ``faults`` holds the
+    first error the scalar build raised at each point.  A failed point's
+    row holds whatever the arrays computed and is never read as a row.
+    """
+
+    parts: np.ndarray
+    faults: _Faults
+
+    @classmethod
+    def empty(cls, n: int) -> "TermTable":
+        """Rows of the zero function at n points."""
+        return cls(np.zeros((7, n, 0)), _Faults(n))
+
+    @classmethod
+    def single(cls, coeff, lo, hi, exponent) -> "TermTable":
+        """One term (coeff, lo, hi, exponent, 0) per row, as ``canonical_row``
+        makes it of that term alone: its coefficient 0j + coeff, no term
+        where that is zero, and a point whose coefficient or exponent is not
+        finite failed, as ExpTerm fails it.  coeff and
+        exponent are split pairs; the exponent's parts are arrays over the
+        points, the other parts numbers or such arrays."""
+        faults = _Faults(np.shape(exponent[0])[0])
+        faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
+        re, im = 0.0 + coeff[0], 0.0 + coeff[1]
+        on = (re != 0) | (im != 0)
+        return cls(np.where(on, np.array(np.broadcast_arrays(re, im, lo, hi, *exponent, 0.0)),
+                            0.0)[:, :, None], faults)
+
+    def columns(self) -> np.ndarray:
+        """The rows as columns of :func:`canonical_terms`, a slot holding a
+        term where its coefficient is not zero."""
+        on = (self.parts[0] != 0) | (self.parts[1] != 0)
+        return np.concatenate((self.parts, on[None]))
+
+    def function(self, i: int) -> "PiecewiseExpFunction":
+        """The function of row i, or the error its build raised, raised."""
+        error = self.faults.errors[i]
+        if error is not None:
+            raise error
+        return PiecewiseExpFunction.from_row(tuple(
+            (complex(cr, ci), lo, hi, complex(er, ei), int(power))
+            for cr, ci, lo, hi, er, ei, power in zip(*self.parts[:, i].tolist())
+            if cr != 0 or ci != 0))
+
+    def origin_limits(self) -> np.ndarray:
+        """The one-sided limits at 0 of each row, as ``limit(0.0, side)``
+        takes them: entry [side, part, row] with side 0 the left limit, 1
+        the right one, and part 0 real, 1 imaginary."""
+        return _origin_limits(self.parts)
+
+    def plus_term(self, coeff, lo: float, hi: float, exponent) -> "TermTable":
+        """Each row with the term (coeff, lo, hi, exponent, 0) appended, as
+        ``canonical_row`` makes it of the row's terms and that one, a point
+        whose coeff or exponent is not finite failed, as ExpTerm fails it;
+        coeff and exponent are split pairs of numbers or arrays."""
+        self.faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
+        term = _columns([(*coeff, lo, hi, *exponent, 0, True)], self.faults.failed.size)
+        return canonical_terms(np.concatenate((self.columns(), term), axis=2), self.faults)
+
+    def pack(self) -> tuple[PackedFunctions, list]:
+        """The rows as one pack, a failed point's row empty, and each
+        point's error or None."""
+        return (pack_terms(*np.where(self.faults.failed[:, None], 0.0, self.parts)),
+                self.faults.errors)
+
+
+def _columns(slots, n: int) -> np.ndarray:
+    """Terms as the (8, n, len(slots)) columns of :func:`canonical_terms`:
+    each slot is (coeff_re, coeff_im, lo, hi, exp_re, exp_im, power, on),
+    each part a number or an array over the n points, ``on`` where a point
+    holds the term."""
+    cols = np.empty((8, n, len(slots)))
+    for s, slot in enumerate(slots):
+        for col, value in zip(cols, slot):
+            col[:, s] = value
+    return cols
+
+
+def canonical_terms(cols: np.ndarray, faults: _Faults) -> TermTable:
+    """The canonical row at each point of the terms in ``cols``, as
+    ``canonical_row`` makes it of the row's tuples.
+
+    ``cols`` holds the slots of :func:`_columns`, in term order.  Terms of
+    one (lo, hi, exponent, power), compared by value, merge into the first,
+    whose bits they keep, their coefficients summed from 0j in term order;
+    an exact-zero sum is dropped and one that is not finite fails its point
+    with ExpTerm's message; the rest are stable-sorted by (lo, hi,
+    exponent, power).
+    """
+    n, count = cols.shape[1:]
+    on = cols[7] != 0
+    kind = cols[2:7]
+    same = (kind[:, :, :, None] == kind[:, :, None, :]).all(axis=0)
+    same &= on[:, :, None] & on[:, None, :]
+    # each term's first term of its kind, point by point
+    first = same.argmax(axis=1) if count else np.zeros((n, 0), dtype=np.intp)
+    acc = np.zeros((2, n, count))
+    points = np.arange(n)
+    values = np.where(on, cols[:2], 0.0)
+    for t in range(count):  # each sum from 0j, in term order
+        acc[:, points, first[:, t]] += values[:, :, t]
+    kept = on & (first == np.arange(count)) & (acc != 0).any(axis=0)
+    faults.note((kept & _not_finite(*acc)).any(axis=1), ValueError, _NOT_FINITE)
+    width = int(kept.sum(axis=1).max(initial=0))
+    order = np.lexsort((*kind[::-1], ~kept), axis=-1)[:, :width]
+    points = points[:, None]
+    return TermTable(np.where(kept[points, order],
+                              np.concatenate((acc, kind))[:, points, order], 0.0), faults)
+
+
+def by_half_plane(z, build) -> TermTable:
+    """The term table of ``build(points, upper)`` for the points of z in the
+    upper and in the lower half plane, its rows in the order of z.  Array
+    warnings are silenced: a value that overflows fails its point as the
+    scalar code fails it, or is never read."""
+    z = np.asarray(z, dtype=complex).ravel()
+    halves = []
+    with np.errstate(all="ignore"):
+        for upper in (True, False):
+            at = np.flatnonzero((z.imag > 0) == upper)
+            if at.size:
+                halves.append((at, build(z[at], upper)))
+    if len(halves) == 1:
+        return halves[0][1]  # every point in one half plane, in order
+    width = max((t.parts.shape[2] for _, t in halves), default=0)
+    out = TermTable(np.zeros((7, z.size, width)), _Faults(z.size))
+    for at, t in halves:
+        out.parts[:, at, :t.parts.shape[2]] = t.parts
+        out.faults.failed[at] = t.faults.failed
+        for i, error in zip(at.tolist(), t.faults.errors):
+            out.faults.errors[i] = error
+    return out
+
+
+def _origin_limits(parts) -> np.ndarray:
+    """``limit(0.0, "-")`` and ``limit(0.0, "+")`` of each row of the term
+    parts (coeff_re, coeff_im, lo, hi, exp_re, exp_im, power), as entries
+    [side, part, row].  At the origin ``x0**power`` is 1.0 for power 0 and
+    0.0 otherwise, and ``cmath.exp(exponent * x0)`` is exactly (1.0, the
+    imaginary part of ``exponent * 0.0``)."""
+    cr, ci, lo, hi, er, ei, power = parts
+    c = _mul(cr, ci, np.where(power == 0, 1.0, 0.0), 0.0)
+    c = np.array(_mul(*c, 1.0, er * 0.0 + ei * 0.0))
+    on = np.array([(lo < 0.0) & (0.0 <= hi), (lo <= 0.0) & (0.0 < hi)])[:, None]
+    out = np.zeros((2, 2, cr.shape[0]))  # each sum from 0j, in row order
+    for p in range(cr.shape[1]):
+        np.add(out, c[:, :, p], out=out, where=on[..., p])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the free resolvent
 # ---------------------------------------------------------------------------
 
 
-def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunction:
+def free_resolvent(z, gamma: PiecewiseExpFunction):
     """Resolvent of the free momentum operator applied to gamma.
 
     Returns g = (i d/dx - z)^(-1) gamma for non-real z, computed per term:
@@ -957,55 +1229,99 @@ def free_resolvent(z: complex, gamma: PiecewiseExpFunction) -> PiecewiseExpFunct
 
     The result is again piecewise exponential; a resonant term (input
     exponent equal to -iz on a finite interval) raises the monomial power by
-    one instead of leaving the algebra.  Each output term is checked as
+    one instead of leaving the algebra.  For one point z the result is a
+    :class:`PiecewiseExpFunction`; for a 1-D array of points it is the
+    :class:`TermTable` of their rows, each with the error its point raised.
+    Either way every point goes through the one array build,
+    :func:`half_plane_resolvent`.  Not memoised.
+    """
+    if np.ndim(z) == 0:
+        return free_resolvent([complex(z)], gamma).function(0)
+    z = np.asarray(z, dtype=complex)
+    if (z.imag == 0).any():
+        raise ValueError("resolvent requires non-real z")
+    return by_half_plane(z, lambda points, upper: half_plane_resolvent(points, upper, gamma))
+
+
+def half_plane_resolvent(z: np.ndarray, upper: bool, gamma: PiecewiseExpFunction) -> TermTable:
+    """The rows of ``free_resolvent(z_i, gamma)`` at points z all in the
+    upper half plane or all in the lower one.
+
+    The build replays the scalar arithmetic of the formula term by term,
+    bit for bit, for every point at once.  Each output term is checked as
     ExpTerm checks it (only finiteness can fail here: the intervals come
     from gamma's terms and their complements, and each homogeneous term
-    decays on the side where it is kept) and the terms are merged by
-    ``canonical_row``, without an object per term.  Not memoised.
+    decays on the side where it is kept), the terms are merged as
+    ``canonical_row`` merges them, and each point keeps the first error the
+    scalar build would raise there.  Array warnings must be silenced by the
+    caller, as :func:`by_half_plane` does.
     """
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("resolvent requires non-real z")
-    upper = z.imag > 0
-    ez = -1j * z  # exponent of the homogeneous solution exp(-izx)
-    out: list[tuple] = []
-
+    faults = _Faults(z.size)
+    ez = _mul(-0.0, -1.0, z.real, z.imag)  # -1j * z, the exponent of exp(-izx)
+    iz = _mul(0.0, 1.0, z.real, z.imag)
+    slots = []
     for coeff, lo, hi, exponent, k in gamma.row:
-        u = 1j * z + exponent
-        # a resonant term (degenerate u, coeffs None) keeps the input's
-        # exponent so cancellations against gamma stay exact at the term level
-        coeffs = _antiderivative_coeffs(k, u)
+        ur, ui = iz[0] + exponent.real, iz[1] + exponent.imag  # u = 1j * z + exponent
+        size = np.hypot(ur, ui)  # abs(u), which raises where hypot overflows
+        too_large = np.isinf(size)
+        if too_large.any():
+            faults.note(too_large & np.isfinite(ur) & np.isfinite(ui), OverflowError,
+                        "absolute value too large")
+        # a resonant term (degenerate u) keeps the input's exponent so
+        # cancellations against gamma stay exact at the term level
+        flat = size < DEGENERATE_EXPONENT_TOL
+        live = ~flat
+        c, fall, coeffs = _quot(1.0, 0.0, ur, ui), 1.0, []  # _antiderivative_coeffs
+        for j in range(k + 1):
+            coeffs.append(_mul((-1) ** j * fall, 0.0, *c))
+            if j < k:
+                fall *= k - j
+                c = _quot(*c, ur, ui)
+
+        def antiderivative(x):
+            # _antiderivative at x; its float value on a degenerate u as (v, 0.0)
+            v = _power(x, k + 1, faults, flat) / (k + 1)
+            pr = pi = 0.0  # the sum p, from 0j
+            for j, (cr, ci) in enumerate(coeffs):
+                tr, ti = _mul(cr, ci, _power(x, k - j, faults, live), 0.0)
+                pr, pi = pr + tr, pi + ti
+            ar, ai = _mul(*_exp(*_mul(ur, ui, x, 0.0), faults, live), pr, pi)
+            return np.where(flat, v, ar), np.where(flat, 0.0, ai)
+
+        # the output terms, then ExpTerm's check of each, in the order the
+        # scalar build appends them: one error text, so one note
+        terms = []
+        i_coeff = _split(1j * coeff)
         if upper:
             # Re u < 0 is guaranteed at an infinite right end
-            Gb = 0j if hi == POS_INF else _antiderivative(k, u, coeffs, hi)
+            gb = (0.0, 0.0) if hi == POS_INF else antiderivative(hi)
             # left of the support: a pure multiple of exp(-izx)
             if lo != NEG_INF:
-                c = 1j * coeff * (Gb - _antiderivative(k, u, coeffs, lo))
-                if c != 0:
-                    out.append(row_term(c, NEG_INF, lo, ez))
+                a = antiderivative(lo)
+                c = _mul(*i_coeff, gb[0] - a[0], gb[1] - a[1])
+                terms.append((*c, NEG_INF, lo, *ez, 0, (c[0] != 0) | (c[1] != 0)))
             # on the support: a homogeneous part plus the particular part
-            homogeneous = 1j * coeff * Gb
+            homogeneous = _mul(*i_coeff, *gb)
         else:
             # Re u > 0 is guaranteed at an infinite left end
-            Ga = 0j if lo == NEG_INF else _antiderivative(k, u, coeffs, lo)
+            ga = (0.0, 0.0) if lo == NEG_INF else antiderivative(lo)
             if hi != POS_INF:
-                c = -1j * coeff * (_antiderivative(k, u, coeffs, hi) - Ga)
-                if c != 0:
-                    out.append(row_term(c, hi, POS_INF, ez))
-            homogeneous = 1j * coeff * Ga
+                a = antiderivative(hi)
+                c = _mul(*_split(-1j * coeff), a[0] - ga[0], a[1] - ga[1])
+                terms.append((*c, hi, POS_INF, *ez, 0, (c[0] != 0) | (c[1] != 0)))
+            homogeneous = _mul(*i_coeff, *ga)
         sign = -1j * coeff
-
-        if coeffs is None:
-            if homogeneous != 0:
-                out.append(row_term(homogeneous, lo, hi, exponent))
-            out.append(row_term(sign / (k + 1), lo, hi, exponent, k + 1))
-        else:
-            if homogeneous != 0:
-                out.append(row_term(homogeneous, lo, hi, ez))
-            for j, c in enumerate(coeffs):
-                out.append(row_term(sign * c, lo, hi, exponent, k - j))
-
-    return PiecewiseExpFunction.from_row(canonical_row(out))
+        terms.append((*homogeneous, lo, hi, np.where(flat, exponent.real, ez[0]),
+                      np.where(flat, exponent.imag, ez[1]), 0,
+                      (homogeneous[0] != 0) | (homogeneous[1] != 0)))
+        terms.append((*_split(sign / (k + 1)), lo, hi, exponent.real, exponent.imag, k + 1,
+                      flat))
+        terms += [(*_mul(*_split(sign), *cj), lo, hi, exponent.real, exponent.imag, k - j, live)
+                  for j, cj in enumerate(coeffs)]
+        faults.note(np.any([t[7] & _not_finite(*t[:2], *t[4:6]) for t in terms], axis=0),
+                    ValueError, _NOT_FINITE)
+        slots += terms
+    return canonical_terms(_columns(slots, z.size), faults)
 
 
 def resolvent_residual(z: complex, gamma: PiecewiseExpFunction,

@@ -25,15 +25,18 @@ from . import matops
 from .expfun import (
     NEG_INF,
     POS_INF,
+    PackedFunctions,
     PiecewiseExpFunction,
-    canonical_row,
+    TermTable,
+    _mul,
+    _quot,
+    by_half_plane,
     coefficient_distance,
-    free_resolvent,
     gram,
+    half_plane_resolvent,
     inner,
     norm,
     pack,
-    row_term,
 )
 from .scalars import format_complex
 from .tolerances import BOUNDARY_CONDITION_TOL, DECOMPOSE_SINGULAR_TOL, SERIES_TAIL_TOL, TWIST_TOL
@@ -57,13 +60,12 @@ def free_part(f: PiecewiseExpFunction) -> PiecewiseExpFunction:
     return 1j * f.derivative(jump_ok_at=(0.0,))
 
 
-def _defect_exponential(coeff: complex, z: complex) -> tuple:
-    """The term coeff * exp(-izx) on (-inf, 0) for Im z > 0, on (0, inf) for
-    Im z < 0; it decays on its half line."""
-    lo, hi = (NEG_INF, 0.0) if z.imag > 0 else (0.0, POS_INF)
-    return row_term(complex(coeff), lo, hi, -1j * complex(z))
-
-
+def _plus_decaying(table: TermTable, coeff, z: np.ndarray, upper: bool) -> TermTable:
+    """Each row of ``table`` plus coeff * exp(-izx) on (-inf, 0) for points
+    z of the upper half plane, on (0, inf) for the lower one; the term
+    decays on its half line.  coeff is a split pair."""
+    lo, hi = (NEG_INF, 0.0) if upper else (0.0, POS_INF)
+    return table.plus_term(coeff, lo, hi, _mul(-0.0, -1.0, z.real, z.imag))  # -1j * z
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +93,18 @@ class MomentumModel:
             witness=(_half_line(1.0, 1.0, "-"), _half_line(1.0, -1.0, "+")),
         )
         object.__setattr__(self, "triplet", trip)
-        object.__setattr__(self, "defects", DefectFamily.pointwise(self._defect, trip))
+        object.__setattr__(self, "defects", DefectFamily(self._defect, trip))
 
     @staticmethod
-    def _defect(z: complex) -> PiecewiseExpFunction:
-        return PiecewiseExpFunction.from_row(canonical_row((_defect_exponential(1.0, z),)))
+    def _defect(zs) -> tuple[PackedFunctions, list]:
+        """The defect vectors exp(-izx) at the non-real points zs, on
+        (-inf, 0) for Im z > 0 and on (0, inf) for Im z < 0, one row each,
+        and each point's error or None."""
+        z = np.asarray(zs, dtype=complex)
+        upper = z.imag > 0
+        return TermTable.single((1.0, 0.0), np.where(upper, NEG_INF, 0.0),
+                                np.where(upper, 0.0, POS_INF),
+                                _mul(-0.0, -1.0, z.real, z.imag)).pack()  # -1j * z
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -423,7 +432,7 @@ class NonlocalModel:
         # the family holds the case and the potential, not the model, so a
         # dropped model is freed without the cyclic collector
         build = functools.partial(self._defect, case, gamma)
-        object.__setattr__(self, "defects", DefectFamily.pointwise(build, trip))
+        object.__setattr__(self, "defects", DefectFamily(build, trip))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -439,17 +448,24 @@ class NonlocalModel:
         return free + coupling * self.gamma
 
     @staticmethod
-    def _defect(case: str, gamma: PiecewiseExpFunction, z: complex) -> PiecewiseExpFunction:
-        g = free_resolvent(z, gamma) if not gamma.is_zero else gamma
-        g0 = (g.limit(0.0, "+") + g.limit(0.0, "-")) / 2
-        # g - 2 (1 + g0) bump (case I) or g +- bump (case II) in one merge;
-        # a merge starts from 0j, erasing zero signs, so the bits are the same
-        if case == "I":
-            coeff = -2 * (1 + g0)
-        else:
-            coeff = 1.0 if z.imag > 0 else -1.0
-        return PiecewiseExpFunction.from_row(
-            canonical_row(g.row + (_defect_exponential(coeff, z),)))
+    def _defect(case: str, gamma: PiecewiseExpFunction, zs) -> tuple[PackedFunctions, list]:
+        """The defect vectors at the non-real points zs, one row each, and
+        each point's error or None: with g the resolvent of the potential
+        and g0 the mean of its one-sided limits at 0, g - 2 (1 + g0) bump
+        (case I) or g +- bump (case II), bump = exp(-izx) on its half line,
+        merged as one ``canonical_row`` of g's row and the bump term."""
+        def half(z, upper):
+            g = half_plane_resolvent(z, upper, gamma) if not gamma.is_zero \
+                else TermTable.empty(z.size)
+            minus, plus = g.origin_limits()
+            g0 = _quot(*(plus + minus), 2.0, 0.0)  # (g(0+) + g(0-)) / 2
+            if case == "I":
+                coeff = _mul(-2.0, 0.0, 1.0 + g0[0], 0.0 + g0[1])  # -2 * (1 + g0)
+            else:
+                coeff = (1.0 if upper else -1.0, 0.0)
+            return _plus_decaying(g, coeff, z, upper)
+
+        return by_half_plane(zs, half).pack()
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

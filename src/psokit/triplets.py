@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .expfun import (PackedFunctions, PiecewiseExpFunction, inner, join, norms, origin_limits,
-                     pack, paired, select)
+from .expfun import (PackedFunctions, PiecewiseExpFunction, SplitComplex, inner, join, norms,
+                     origin_limits, pack, paired, select)
 from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
                          GREEN_TOL, SURJECTIVITY_TOL)
 
@@ -50,9 +50,11 @@ class BoundaryFunctional:
         return self.combine(f.limit(0.0, "-"), f.limit(0.0, "+"),
                             [ip(f, h) for _, h in self.pairings])
 
-    def combine(self, minus: complex, plus: complex, pairings) -> complex:
+    def combine(self, minus, plus, pairings):
         """The value on a function f with f(0-) = minus, f(0+) = plus and the
-        inner products (f, h_k), in the order of ``self.pairings``."""
+        inner products (f, h_k), in the order of ``self.pairings``: complex
+        numbers, or :class:`~psokit.expfun.SplitComplex` arrays over many
+        functions."""
         val = 0j
         if self.left:
             val += self.left * minus
@@ -105,9 +107,9 @@ class BoundaryTriplet:
 
 
 def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex]]:
-    """(gamma_plus(f), gamma_minus(f)) of each function f in fs, bit for bit;
-    fs is a list of functions, or their :func:`~psokit.expfun.pack` form or
-    a pack slice.
+    """(gamma_plus(f), gamma_minus(f)) of each function f in fs, as Python
+    complex values, bit for bit; fs is a list of functions, or their
+    :func:`~psokit.expfun.pack` form or a pack slice.
 
     When both maps are boundary functionals they are evaluated together:
     each f's one-sided limits at the origin are taken once, and each
@@ -118,13 +120,27 @@ def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex
     maps = (triplet.gamma_plus, triplet.gamma_minus)
     if not all(isinstance(m, BoundaryFunctional) for m in maps):
         fs = fs.functions() if isinstance(fs, PackedFunctions) else fs
-        return [(triplet.gamma_plus(f), triplet.gamma_minus(f)) for f in fs]
+        return [(complex(triplet.gamma_plus(f)), complex(triplet.gamma_minus(f))) for f in fs]
     hs = list({id(h): h for m in maps for _, h in m.pairings}.values())
     column = {id(h): j for j, h in enumerate(hs)}
     plan = [(m, [column[id(h)] for _, h in m.pairings]) for m in maps]
-    ips = zip(*(paired(fs, [h]).tolist() for h in hs)) if hs else [()] * len(fs)
-    return [tuple([m.combine(minus, plus, [ip[j] for j in columns]) for m, columns in plan])
-            for minus, plus, ip in zip(*origin_limits(fs), ips)]
+    ips = [paired(fs, [h]) for h in hs]
+    if isinstance(fs, PackedFunctions):
+        # every function at once; what overflows is inf or NaN, as in
+        # Python's complex arithmetic, without a warning
+        with np.errstate(all="ignore"):
+            minus, plus = origin_limits(fs)
+            ips = [SplitComplex(ip.real, ip.imag) for ip in ips]
+            images = []
+            for m, columns in plan:
+                image = np.empty(len(fs), dtype=complex)
+                image.real, image.imag = SplitComplex._parts(
+                    m.combine(minus, plus, [ips[j] for j in columns]))
+                images.append(image.tolist())  # Python complex values, bit for bit
+        return list(zip(*images))
+    ips = list(zip(*(ip.tolist() for ip in ips))) or [()] * len(fs)
+    return [tuple([m.combine(f.limit(0.0, "-"), f.limit(0.0, "+"), [ip[j] for j in columns])
+                   for m, columns in plan]) for f, ip in zip(fs, ips)]
 
 
 def each_point(fn: Callable, points) -> list:
@@ -173,7 +189,7 @@ class DefectFamily:
     ``build(zs)`` builds the vectors at a list of non-real points as one
     :class:`~psokit.expfun.PackedFunctions`, a row per point, and returns
     it with the exception each point raised, or None; a failed point's row
-    holds no term.  The family keeps the pack of every batch it builds and
+    holds no term, and a build that raises fails every point of its batch.  The family keeps the pack of every batch it builds and
     ``_cache``, the (pack, row) of each point's vector.  Norms come from
     one ``norms`` call and images from one ``boundary_images`` call per
     batch of points, each on a slice of the packs, and are cached beside
@@ -222,7 +238,10 @@ class DefectFamily:
         built = [z for z in zs if z.imag != 0]
         rows: dict[complex, tuple | Exception] = {}
         if built:
-            packed, errors = self._build(built)
+            try:
+                packed, errors = self._build(built)
+            except Exception as exc:  # a builder that raises fails its whole batch
+                packed, errors = None, [exc] * len(built)
             for i, (z, error) in enumerate(zip(built, errors)):
                 rows[z] = (packed, i) if error is None else error
         return [rows[z] if z.imag != 0
@@ -236,10 +255,9 @@ class DefectFamily:
     def _slice(refs, scales=None) -> PackedFunctions:
         """The rows ``refs``, (pack, row) pairs, as one slice: rows of
         several packs are taken from their join."""
-        packs = list({id(p): p for p, _ in refs}.values())
-        start = dict(zip(map(id, packs), itertools.accumulate(map(len, packs[:-1]), initial=0)))
-        return select(functools.reduce(join, packs), [start[id(p)] + r for p, r in refs],
-                      scales)
+        packs = list(dict.fromkeys(p for p, _ in refs))  # a pack hashes by identity
+        start = dict(zip(packs, itertools.accumulate(map(len, packs[:-1]), initial=0)))
+        return select(functools.reduce(join, packs), [start[p] + r for p, r in refs], scales)
 
     def _on_rows(self, compute: Callable[[PackedFunctions], list]) -> Callable[[list], list]:
         """``compute``, a map from a slice of the packs to entries, as a map
@@ -253,7 +271,8 @@ class DefectFamily:
 
     def vectors_at(self, points) -> list:
         """The vector at each point, as a function wrapping its row."""
-        return self._on_rows(PackedFunctions.functions)(points)
+        return [ref if isinstance(ref, Exception) else ref[0].functions([ref[1]])[0]
+                for ref in self._rows_at(points)]
 
     def domain_errors_at(self, points) -> list:
         """Per point, the error of its vector, or the error
@@ -275,8 +294,7 @@ class DefectFamily:
         """(gamma_plus, gamma_minus) of the vector at each point, mapped in
         that order, as Python complex values."""
         return self._fill(self._images, points, self._on_rows(
-            lambda packed: [(complex(gp), complex(gm))
-                            for gp, gm in boundary_images(self._triplet, packed)]))
+            functools.partial(boundary_images, self._triplet)))
 
     @staticmethod
     def _one(table: dict, batch: Callable[[list], list], z: complex):

@@ -78,9 +78,10 @@ def test_a_fresh_family_builds_each_vector_through_the_models_defect(monkeypatch
         return defect(*args)
 
     monkeypatch.setattr(model_class, "_defect", staticmethod(counted))
-    vectors = make().defects.vectors_at([1j, 2 - 1j, -1j])
-    assert calls == [1j, 2 - 1j, -1j]
-    assert all(isinstance(f, PiecewiseExpFunction) for f in vectors)
+    vectors = make().defects.vectors_at([1j, 2 - 1j, 3.0, -1j])
+    # one call for the batch, with its non-real points
+    assert calls == [[1j, 2 - 1j, -1j]]
+    assert all(isinstance(f, PiecewiseExpFunction) for f in vectors[:2] + vectors[3:])
 
 
 @pytest.mark.parametrize("make", MODELS)

@@ -822,6 +822,76 @@ def test_resolvent_is_continuous():
             )
 
 
+def test_a_batch_of_points_holds_the_one_point_resolvents_row_by_row():
+    gamma = (PiecewiseExpFunction.single(0.5 - 1j, -1.5, 2.0, complex(0.3, 1.0), 1)
+             + half_line_right(2.0, complex(-1.0, 0.5)))
+    # both half planes, a resonant point of the finite piece, and one whose
+    # exponential overflows
+    zs = [1j, 0.5 - 2j, complex(1.0, 0.3), -3 + 0.1j, complex(-1.0, -0.3), 1e3j]
+    table = free_resolvent(zs, gamma)
+    for i, z in enumerate(zs):
+        try:
+            want = free_resolvent(z, gamma).row
+        except OverflowError as exc:
+            assert type(table.faults.errors[i]) is OverflowError
+            assert str(table.faults.errors[i]) == str(exc)
+            continue
+        assert table.function(i).row == want
+    with pytest.raises(ValueError, match="non-real"):
+        free_resolvent([1j, 2.0], gamma)
+
+
+# -- CPython's complex arithmetic, replayed on arrays ----------------------------------
+
+
+def part_hex(pair):
+    return tuple(float(x).hex() for x in pair)
+
+
+#: zeros of both signs and magnitudes from 1e-300 to 1e300 of both signs
+replay_part_st = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.tuples(replay_part_st, replay_part_st), st.tuples(replay_part_st, replay_part_st))
+def test_the_product_and_quotient_replays_equal_cpython_bit_for_bit(a, b):
+    x, y, s = complex(*a), complex(*b), b[0]
+
+    def arrays(*parts):
+        return [np.array([p]) for p in parts]
+
+    with np.errstate(all="ignore"):
+        # complex by complex, and a float operand as CPython promotes it
+        pairs = [(expfun._mul(*arrays(*a, *b)), x * y),
+                 (expfun._mul(*arrays(*a, s, 0.0)), x * s),
+                 (expfun._mul(*arrays(s, 0.0, *a)), s * x)]
+    if y != 0:
+        pairs.append((expfun._quot(*arrays(*a, *b)), x / y))
+    if s != 0:
+        pairs.append((expfun._quot(*arrays(*a, s, 0.0)), x / s))
+    if x != 0:
+        pairs.append((expfun._quot(*arrays(s, 0.0, *a)), s / x))
+    for got, want in pairs:
+        assert part_hex(v[0] for v in got) == part_hex((want.real, want.imag))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(700.0, 710.0), st.floats(-800.0, 700.0)),
+       st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, -1e-310])))
+def test_the_exp_replay_equals_cmath_exp_and_keeps_its_error(re, im):
+    faults = expfun._Faults(1)
+    got = expfun._exp(np.array([re]), np.array([im]), faults)
+    try:
+        want = cmath.exp(complex(re, im))
+    except OverflowError as exc:
+        error = faults.errors[0]
+        assert type(error) is OverflowError and str(error) == str(exc) == "math range error"
+        return
+    assert not faults.failed[0]
+    assert part_hex(v[0] for v in got) == part_hex((want.real, want.imag))
+
+
 # -- serialization ------------------------------------------------------------
 
 

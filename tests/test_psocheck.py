@@ -537,6 +537,30 @@ def test_orthogonality_scan_evaluates_a_closed_form_per_kind_pair(monkeypatch, m
     assert closed_forms["calls"] == expected
 
 
+def test_a_dense_scan_pair_packs_each_batch_once_and_builds_no_function(monkeypatch):
+    model = NonlocalModel("II", 1)
+    packed, wrapped = [], []
+    pack_terms, from_row = expfun.pack_terms, vars(expfun.PiecewiseExpFunction)["from_row"]
+
+    def counted_pack(*parts):
+        packed.append(len(parts[0]))
+        return pack_terms(*parts)
+
+    def counted_wrap(cls, row):
+        wrapped.append(row)
+        return from_row.__func__(cls, row)
+
+    monkeypatch.setattr(expfun, "pack_terms", counted_pack)
+    monkeypatch.setattr(expfun.PiecewiseExpFunction, "from_row", classmethod(counted_wrap))
+    assert orthogonality_scan(model, DENSE_GRID).verdict == "fail"
+    assert constancy_scan(model, DENSE_GRID).verdict == "fail"
+    # the family's one batch of 620 vectors, and the potential, which the
+    # images pair with each upper vector; norms, the scaled halves and the
+    # images read slices of the batch's pack, and no vector becomes a function
+    assert packed == [620, 1]
+    assert wrapped == []
+
+
 def test_a_dense_orthogonality_scan_keeps_its_temporaries_small():
     model = NonlocalModel("II", 1)
     orthogonality_scan(model, DENSE_GRID)  # builds and caches the vectors and norms

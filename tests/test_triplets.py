@@ -367,12 +367,13 @@ def counting_family(fail_at=()):
     """A momentum family whose builder records each z it is called with and
     raises at the points of ``fail_at``."""
     calls = []
+    model = MomentumModel()
 
     def build(z):
         calls.append(z)
         if z in fail_at:
             raise RuntimeError(f"synthetic construction failure at {z}")
-        return MomentumModel._defect(z)
+        return model.defects(z)
 
     return DefectFamily.pointwise(build, MomentumModel().triplet), calls
 
