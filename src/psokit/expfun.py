@@ -27,6 +27,7 @@ bit for bit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -530,9 +531,10 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 #
 # The integral of a pair of terms depends only on their kinds, (exponent,
 # lo, hi, power), and families of functions share kinds heavily: every
-# defect vector of a nonlocal model carries the potential's term.  So
-# ``pack`` stores a table of the distinct kinds, told apart bit for bit,
-# and an index into it per term; ``gram`` evaluates the closed form once
+# defect vector of a nonlocal model carries the potential's term.  So a
+# pack builds, on first use by a kernel, a table of the distinct kinds of
+# its terms, told apart bit for bit, and an index into it per term; ``gram``
+# evaluates the closed form once
 # per call for each overlapping pair of kinds of its two packs, in
 # Python, and leaves each entry only a gather, two complex products and
 # the accumulation.  Those per-entry steps run GRAM_BLOCK rows of the output
@@ -556,33 +558,53 @@ class PackedFunctions:
     """Functions as padded (count, width) arrays of their terms.
 
     Row i holds the terms of function i in their canonical order; a slot
-    that holds no term holds a padding term with coefficient zero on the
-    empty interval [0, 0].  Coefficients are stored per term, split into
-    real and imaginary parts.  The rest of a term is its kind: exponent,
-    lo, hi and power.  ``kinds`` is the table (lo, hi, exp_re, exp_im,
-    power) of the distinct kinds, and ``kind[i, p]`` indexes it.  Kinds are
-    told apart bit for bit, so -0.0 and 0.0 are different kinds.  Kind 0 is
-    the padding kind, and every other kind of the table is used by a slot.
+    that holds no term holds a padding term, every part zero, so its
+    coefficient is zero and its interval [0, 0] empty.  Each part of the
+    terms has its own array: the coefficient split into real and imaginary
+    parts, lo, hi, the exponent split likewise, and the power.  The rest of
+    a term besides its coefficient is its kind; ``kinds`` is the table
+    (lo, hi, exp_re, exp_im, power) of the distinct kinds of the slots, the
+    padding kind first, and ``kind[i, p]`` indexes it.  Kinds are told apart
+    bit for bit, so -0.0 and 0.0 are different kinds.  The table is built
+    when a kernel first asks for it, so a pack read only row by row, or
+    only at the origin, never builds one.
     """
 
     coeff_re: np.ndarray
     coeff_im: np.ndarray
-    kind: np.ndarray
-    kinds: tuple[np.ndarray, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    exp_re: np.ndarray
+    exp_im: np.ndarray
+    power: np.ndarray
 
     def __len__(self) -> int:
-        return self.kind.shape[0]
+        return self.coeff_re.shape[0]
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return (self.coeff_re, self.coeff_im, self.lo, self.hi, self.exp_re, self.exp_im,
+                self.power)
+
+    @functools.cached_property
+    def _table(self) -> tuple:
+        return _kind_table(*(np.ravel(x) for x in self.parts[2:]))
+
+    @property
+    def kinds(self) -> tuple[np.ndarray, ...]:
+        return self._table[0]
+
+    @property
+    def kind(self) -> np.ndarray:
+        return self._table[1].reshape(self.coeff_re.shape)
 
     def rows(self, at=None) -> list[tuple]:
         """The canonical rows of the functions at the row indices ``at`` (of
         all of them by default), with the bits the pack holds."""
         at = slice(None) if at is None else np.asarray(at, dtype=np.intp)
-        kind = self.kind[at]
-        parts = [x.tolist() for x in (self.coeff_re[at], self.coeff_im[at],
-                                      *(column[kind] for column in self.kinds))]
         return [tuple((complex(cr, ci), lo, hi, complex(er, ei), power)
-                      for cr, ci, lo, hi, er, ei, power, k in zip(*row, kinds) if k)
-                for *row, kinds in zip(*parts, kind.tolist())]
+                      for cr, ci, lo, hi, er, ei, power in zip(*row) if cr != 0 or ci != 0)
+                for row in zip(*(x[at].tolist() for x in self.parts))]
 
     def functions(self, at=None) -> list["PiecewiseExpFunction"]:
         """The functions at the row indices ``at``, each wrapping its row."""
@@ -620,14 +642,13 @@ def pack_terms(coeff_re, coeff_im, lo, hi, exp_re, exp_im, power) -> PackedFunct
     """The pack of functions given as (count, width) arrays of the parts of
     their terms, each row in canonical order, with zeros in every part of a
     slot that holds no term."""
-    kinds, kind = _kind_table(*(np.ravel(x) for x in (lo, hi, exp_re, exp_im, power)))
-    return PackedFunctions(np.asarray(coeff_re, dtype=float), np.asarray(coeff_im, dtype=float),
-                           kind.reshape(np.shape(coeff_re)), kinds)
+    return PackedFunctions(*(np.asarray(x, dtype=float) for x in
+                             (coeff_re, coeff_im, lo, hi, exp_re, exp_im)),
+                           np.asarray(power, dtype=np.int64))
 
 
 def pack(fs, scales=None) -> PackedFunctions:
-    """Pack functions for :func:`gram` and :func:`paired`, with the table of
-    their term kinds.
+    """Pack functions for :func:`gram` and :func:`paired`.
 
     With ``scales``, row i holds ``scales[i] * fs[i]`` with the coefficients
     that product would have, without building it: a coefficient that is not
@@ -662,53 +683,55 @@ def select(f: PackedFunctions, rows, scales=None) -> PackedFunctions:
 
     Each coefficient is multiplied as ``complex(scale) * coeff``, then added
     to 0j as ``canonical_row`` merges it; one that is not finite is rejected
-    as ``pack`` rejects it, and one that is exactly zero becomes padding.
-    The kind table keeps the kinds the rows use, so a kernel takes no
-    closed form for a kind the rows never meet, and trailing slots that hold
-    no term in any row are cut.
+    as ``pack`` rejects it, and a term whose coefficient is exactly zero
+    becomes padding.  Trailing slots that hold no term in any row are cut.
+    The slice builds its own kind table, of the kinds its rows use, so a
+    kernel takes no closed form for a kind the rows never meet.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    if scales is None and np.array_equal(rows, np.arange(len(f))):
+    if scales is None and rows.size == len(f) and (rows == np.arange(rows.size)).all():
         return f  # every row, in order: the pack itself
-    re, im, kind = f.coeff_re[rows], f.coeff_im[rows], f.kind[rows]
+    parts = [x[rows] for x in f.parts]
     if scales is not None:
+        term = (parts[0] != 0) | (parts[1] != 0)
         scale = np.asarray(scales, dtype=float)[:, None]
         with np.errstate(all="ignore"):  # a product that overflows is rejected below
-            re, im = _mul(scale, 0.0, re, im)
+            re, im = _mul(scale, 0.0, parts[0], parts[1])
         re, im = 0.0 + re, 0.0 + im
-        term = kind != 0
         if not (np.isfinite(re[term]).all() and np.isfinite(im[term]).all()):
             raise ValueError(_NOT_FINITE)
-        kind = np.where((re == 0) & (im == 0), 0, kind)
-    used = np.zeros(f.kinds[0].size, dtype=bool)
-    used[0] = True
-    used[kind] = True
-    width = int(np.flatnonzero(kind.any(axis=0))[-1]) + 1 if kind.any() else 0
-    renumber = np.cumsum(used) - 1
-    return PackedFunctions(re[:, :width], im[:, :width], renumber[kind[:, :width]],
-                           tuple(column[used] for column in f.kinds))
+        held = (re != 0) | (im != 0)
+        parts = [np.where(held, x, 0) for x in (re, im, *parts[2:])]
+    held = (parts[0] != 0) | (parts[1] != 0)
+    width = int(np.flatnonzero(held.any(axis=0))[-1]) + 1 if held.any() else 0
+    sliced = PackedFunctions(*(x[:, :width] for x in parts))
+    if "_table" in vars(f):
+        # f's table, cut to the kinds the slice uses, spares the slice a sort
+        kind = np.where(held, f.kind[rows], 0)[:, :width]
+        used = np.zeros(f.kinds[0].size, dtype=bool)
+        used[0] = True
+        used[kind] = True
+        vars(sliced)["_table"] = (tuple(column[used] for column in f.kinds),
+                                  (np.cumsum(used) - 1)[kind].ravel())
+    return sliced
 
 
 def join(f: PackedFunctions, g: PackedFunctions) -> PackedFunctions:
-    """The rows of f, then those of g, as one pack; f's kinds keep their
-    indices and g's kinds join the table unless f has them."""
-    kinds, at = _kind_table(*(np.concatenate((a, b)) for a, b in zip(f.kinds, g.kinds)))
-    n, width = len(f), max(f.kind.shape[1], g.kind.shape[1])
+    """The rows of f, then those of g, as one pack."""
+    n, width = len(f), max(f.coeff_re.shape[1], g.coeff_re.shape[1])
     parts = []
-    for a, b in ((f.coeff_re, g.coeff_re), (f.coeff_im, g.coeff_im),
-                 (f.kind, at[f.kinds[0].size + g.kind])):
+    for a, b in zip(f.parts, g.parts):
         both = np.zeros((n + len(g), width), dtype=a.dtype)
         both[:n, :a.shape[1]] = a
         both[n:, :b.shape[1]] = b
         parts.append(both)
-    return PackedFunctions(*parts, kinds)
+    return PackedFunctions(*parts)
 
 
 def origin_limits(f: PackedFunctions) -> tuple["SplitComplex", "SplitComplex"]:
     """``[h.limit(0.0, "-") for h in fs]`` and the same from the right, bit
     for bit, for the functions fs packed in f."""
-    minus, plus = _origin_limits((f.coeff_re, f.coeff_im,
-                                  *(column[f.kind] for column in f.kinds)))
+    minus, plus = _origin_limits(f.parts)
     return SplitComplex(*minus), SplitComplex(*plus)
 
 
@@ -1087,10 +1110,11 @@ class TermTable:
         points, the other parts numbers or such arrays."""
         faults = _Faults(np.shape(exponent[0])[0])
         faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
-        re, im = 0.0 + coeff[0], 0.0 + coeff[1]
-        on = (re != 0) | (im != 0)
-        return cls(np.where(on, np.array(np.broadcast_arrays(re, im, lo, hi, *exponent, 0.0)),
-                            0.0)[:, :, None], faults)
+        parts = np.zeros((7, faults.failed.size, 1))
+        for part, value in zip(parts, (0.0 + coeff[0], 0.0 + coeff[1], lo, hi, *exponent)):
+            part[:, 0] = value
+        on = (parts[0] != 0) | (parts[1] != 0)
+        return cls(np.where(on, parts, 0.0), faults)
 
     def columns(self) -> np.ndarray:
         """The rows as columns of :func:`canonical_terms`, a slot holding a

@@ -242,8 +242,8 @@ class DefectFamily:
                 packed, errors = self._build(built)
             except Exception as exc:  # a builder that raises fails its whole batch
                 packed, errors = None, [exc] * len(built)
-            for i, (z, error) in enumerate(zip(built, errors)):
-                rows[z] = (packed, i) if error is None else error
+            rows = {z: (packed, i) if error is None else error
+                    for i, (z, error) in enumerate(zip(built, errors))}
         return [rows[z] if z.imag != 0
                 else ValueError("defect vectors exist only for non-real z") for z in zs]
 
@@ -330,7 +330,7 @@ def maximal_domain_errors(packed: PackedFunctions) -> list:
     """Per packed function, the error ``require_maximal_domain`` raises on
     it, or None.  Only a function with a finite breakpoint away from the
     origin can fail, so only those are read back and checked."""
-    lo, hi = (column[packed.kind] for column in packed.kinds[:2])
+    lo, hi = packed.lo, packed.hi
     # the padding interval [0, 0] sits at the origin
     away = ((lo != 0) & np.isfinite(lo)) | ((hi != 0) & np.isfinite(hi))
     errors: list = [None] * len(packed)
