@@ -997,44 +997,54 @@ def _split(c: complex) -> tuple[float, float]:
 
 
 class SplitComplex:
-    """Complex values held as two float arrays, ``re`` and ``im``, whose sum,
-    difference and product with each other and with Python numbers give
-    every element the bits CPython's complex arithmetic gives it; a number
-    operand is promoted to complex as CPython promotes it."""
+    """Complex values held as two float arrays, ``real`` and ``imag``, whose
+    sum, difference, product and quotient with each other and with Python
+    numbers give every element the bits CPython's complex arithmetic gives
+    it; a number operand is promoted to complex as CPython promotes it."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re, im):
-        self.re, self.im = re, im
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
 
     @staticmethod
     def _parts(x) -> tuple:
-        return (x.re, x.im) if isinstance(x, SplitComplex) else _split(complex(x))
+        return (x.real, x.imag) if isinstance(x, SplitComplex) else _split(complex(x))
 
     def __add__(self, other):
         re, im = self._parts(other)
-        return SplitComplex(self.re + re, self.im + im)
+        return SplitComplex(self.real + re, self.imag + im)
 
     def __radd__(self, other):
         re, im = self._parts(other)
-        return SplitComplex(re + self.re, im + self.im)
+        return SplitComplex(re + self.real, im + self.imag)
 
     def __sub__(self, other):
         re, im = self._parts(other)
-        return SplitComplex(self.re - re, self.im - im)
+        return SplitComplex(self.real - re, self.imag - im)
 
     def __rsub__(self, other):
         re, im = self._parts(other)
-        return SplitComplex(re - self.re, im - self.im)
+        return SplitComplex(re - self.real, im - self.imag)
 
     def __mul__(self, other):
-        return SplitComplex(*_mul(self.re, self.im, *self._parts(other)))
+        return SplitComplex(*_mul(self.real, self.imag, *self._parts(other)))
 
     def __rmul__(self, other):
-        return SplitComplex(*_mul(*self._parts(other), self.re, self.im))
+        return SplitComplex(*_mul(*self._parts(other), self.real, self.imag))
 
     def __truediv__(self, other):
-        return SplitComplex(*_quot(self.re, self.im, *self._parts(other)))
+        return SplitComplex(*_quot(self.real, self.imag, *self._parts(other)))
+
+    def __rtruediv__(self, other):
+        return SplitComplex(*_quot(*self._parts(other), self.real, self.imag))
+
+    @staticmethod
+    def nonzero(x):
+        """Where x, a SplitComplex or a number, is not 0, as ``x != 0``
+        tells it: NaN is not 0."""
+        re, im = SplitComplex._parts(x)
+        return (re != 0) | (im != 0)
 
 
 def _not_finite(*parts) -> np.ndarray:
@@ -1044,8 +1054,8 @@ def _not_finite(*parts) -> np.ndarray:
     return ~finite
 
 
-def _exp(re, im, faults: _Faults, where=True):
-    """``cmath.exp`` of each point's re + i im, split.
+def _exp(w: "SplitComplex", faults: _Faults, where=True) -> "SplitComplex":
+    """``cmath.exp`` of each point's value of w.
 
     numpy's complex exp takes exp(re) * (cos(im), sin(im)) as ``cmath.exp``
     does where re <= EXP_SCALED and both parts are finite; every other
@@ -1053,7 +1063,7 @@ def _exp(re, im, faults: _Faults, where=True):
     is noted for the point where ``where`` holds, its value then NaN.
     """
     z = np.empty(faults.failed.shape, dtype=complex)
-    z.real, z.imag = re, im
+    z.real, z.imag = w.real, w.imag
     with np.errstate(all="ignore"):  # where np.exp overflows, cmath.exp decides
         out = np.exp(z)
     odd = ~((z.real <= EXP_SCALED) & np.isfinite(z.real) & np.isfinite(z.imag))
@@ -1063,7 +1073,7 @@ def _exp(re, im, faults: _Faults, where=True):
         except (OverflowError, ValueError) as exc:
             out[i] = complex(math.nan, math.nan)
             faults.note(where & (np.arange(z.size) == i), type(exc), *exc.args)
-    return out.real, out.imag
+    return SplitComplex(out.real, out.imag)
 
 
 def _power(x: float, n: int, faults: _Faults, where):
@@ -1108,6 +1118,7 @@ class TermTable:
         finite failed, as ExpTerm fails it.  coeff and
         exponent are split pairs; the exponent's parts are arrays over the
         points, the other parts numbers or such arrays."""
+        coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
         faults = _Faults(np.shape(exponent[0])[0])
         faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
         parts = np.zeros((7, faults.failed.size, 1))
@@ -1142,7 +1153,8 @@ class TermTable:
         """Each row with the term (coeff, lo, hi, exponent, 0) appended, as
         ``canonical_row`` makes it of the row's terms and that one, a point
         whose coeff or exponent is not finite failed, as ExpTerm fails it;
-        coeff and exponent are split pairs of numbers or arrays."""
+        coeff and exponent are numbers or :class:`SplitComplex` arrays."""
+        coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
         self.faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
         term = _columns([(*coeff, lo, hi, *exponent, 0, True)], self.faults.failed.size)
         return canonical_terms(np.concatenate((self.columns(), term), axis=2), self.faults)
@@ -1281,71 +1293,71 @@ def half_plane_resolvent(z: np.ndarray, upper: bool, gamma: PiecewiseExpFunction
     caller, as :func:`by_half_plane` does.
     """
     faults = _Faults(z.size)
-    ez = _mul(-0.0, -1.0, z.real, z.imag)  # -1j * z, the exponent of exp(-izx)
-    iz = _mul(0.0, 1.0, z.real, z.imag)
+    z = SplitComplex(z.real, z.imag)
+    ez = -1j * z  # exponent of the homogeneous solution exp(-izx)
     slots = []
     for coeff, lo, hi, exponent, k in gamma.row:
-        ur, ui = iz[0] + exponent.real, iz[1] + exponent.imag  # u = 1j * z + exponent
-        size = np.hypot(ur, ui)  # abs(u), which raises where hypot overflows
+        u = 1j * z + exponent
+        size = np.hypot(u.real, u.imag)  # abs(u), which raises where hypot overflows
         too_large = np.isinf(size)
         if too_large.any():
-            faults.note(too_large & np.isfinite(ur) & np.isfinite(ui), OverflowError,
+            faults.note(too_large & np.isfinite(u.real) & np.isfinite(u.imag), OverflowError,
                         "absolute value too large")
         # a resonant term (degenerate u) keeps the input's exponent so
         # cancellations against gamma stay exact at the term level
         flat = size < DEGENERATE_EXPONENT_TOL
         live = ~flat
-        c, fall, coeffs = _quot(1.0, 0.0, ur, ui), 1.0, []  # _antiderivative_coeffs
+        coeffs, c, fall = [], 1.0 / u, 1.0  # _antiderivative_coeffs(k, u)
         for j in range(k + 1):
-            coeffs.append(_mul((-1) ** j * fall, 0.0, *c))
+            coeffs.append((-1) ** j * fall * c)
             if j < k:
                 fall *= k - j
-                c = _quot(*c, ur, ui)
+                c /= u
 
         def antiderivative(x):
-            # _antiderivative at x; its float value on a degenerate u as (v, 0.0)
-            v = _power(x, k + 1, faults, flat) / (k + 1)
-            pr = pi = 0.0  # the sum p, from 0j
-            for j, (cr, ci) in enumerate(coeffs):
-                tr, ti = _mul(cr, ci, _power(x, k - j, faults, live), 0.0)
-                pr, pi = pr + tr, pi + ti
-            ar, ai = _mul(*_exp(*_mul(ur, ui, x, 0.0), faults, live), pr, pi)
-            return np.where(flat, v, ar), np.where(flat, 0.0, ai)
+            # _antiderivative(k, u, coeffs, x); its float value at a
+            # degenerate u is taken as complex(value, 0.0)
+            p = 0j
+            for j, c in enumerate(coeffs):
+                p += c * _power(x, k - j, faults, live)
+            value = _exp(u * x, faults, live) * p
+            flat_value = _power(x, k + 1, faults, flat) / (k + 1)
+            return SplitComplex(np.where(flat, flat_value, value.real),
+                                np.where(flat, 0.0, value.imag))
 
-        # the output terms, then ExpTerm's check of each, in the order the
-        # scalar build appends them: one error text, so one note
+        # the output terms, (coeff, lo, hi, exponent, power, where held), in
+        # the order the scalar build appends them
         terms = []
-        i_coeff = _split(1j * coeff)
         if upper:
             # Re u < 0 is guaranteed at an infinite right end
-            gb = (0.0, 0.0) if hi == POS_INF else antiderivative(hi)
+            Gb = 0j if hi == POS_INF else antiderivative(hi)
             # left of the support: a pure multiple of exp(-izx)
             if lo != NEG_INF:
-                a = antiderivative(lo)
-                c = _mul(*i_coeff, gb[0] - a[0], gb[1] - a[1])
-                terms.append((*c, NEG_INF, lo, *ez, 0, (c[0] != 0) | (c[1] != 0)))
+                c = 1j * coeff * (Gb - antiderivative(lo))
+                terms.append((c, NEG_INF, lo, ez, 0, SplitComplex.nonzero(c)))
             # on the support: a homogeneous part plus the particular part
-            homogeneous = _mul(*i_coeff, *gb)
+            homogeneous = 1j * coeff * Gb
         else:
             # Re u > 0 is guaranteed at an infinite left end
-            ga = (0.0, 0.0) if lo == NEG_INF else antiderivative(lo)
+            Ga = 0j if lo == NEG_INF else antiderivative(lo)
             if hi != POS_INF:
-                a = antiderivative(hi)
-                c = _mul(*_split(-1j * coeff), a[0] - ga[0], a[1] - ga[1])
-                terms.append((*c, hi, POS_INF, *ez, 0, (c[0] != 0) | (c[1] != 0)))
-            homogeneous = _mul(*i_coeff, *ga)
+                c = -1j * coeff * (antiderivative(hi) - Ga)
+                terms.append((c, hi, POS_INF, ez, 0, SplitComplex.nonzero(c)))
+            homogeneous = 1j * coeff * Ga
         sign = -1j * coeff
-        terms.append((*homogeneous, lo, hi, np.where(flat, exponent.real, ez[0]),
-                      np.where(flat, exponent.imag, ez[1]), 0,
-                      (homogeneous[0] != 0) | (homogeneous[1] != 0)))
-        terms.append((*_split(sign / (k + 1)), lo, hi, exponent.real, exponent.imag, k + 1,
-                      flat))
-        terms += [(*_mul(*_split(sign), *cj), lo, hi, exponent.real, exponent.imag, k - j, live)
-                  for j, cj in enumerate(coeffs)]
-        faults.note(np.any([t[7] & _not_finite(*t[:2], *t[4:6]) for t in terms], axis=0),
+        terms.append((homogeneous, lo, hi,
+                      SplitComplex(np.where(flat, exponent.real, ez.real),
+                                   np.where(flat, exponent.imag, ez.imag)),
+                      0, SplitComplex.nonzero(homogeneous)))
+        terms.append((sign / (k + 1), lo, hi, exponent, k + 1, flat))
+        terms += [(sign * c, lo, hi, exponent, k - j, live) for j, c in enumerate(coeffs)]
+        # ExpTerm's check of each term: one error text, so one note
+        parts = [(*SplitComplex._parts(c), lo, hi, *SplitComplex._parts(e), power, on)
+                 for c, lo, hi, e, power, on in terms]
+        faults.note(np.any([t[7] & _not_finite(*t[:2], *t[4:6]) for t in parts], axis=0),
                     ValueError, _NOT_FINITE)
-        slots += terms
-    return canonical_terms(_columns(slots, z.size), faults)
+        slots += parts
+    return canonical_terms(_columns(slots, faults.failed.size), faults)
 
 
 def resolvent_residual(z: complex, gamma: PiecewiseExpFunction,

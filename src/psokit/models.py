@@ -27,9 +27,8 @@ from .expfun import (
     POS_INF,
     PackedFunctions,
     PiecewiseExpFunction,
+    SplitComplex,
     TermTable,
-    _mul,
-    _quot,
     by_half_plane,
     coefficient_distance,
     gram,
@@ -63,9 +62,9 @@ def free_part(f: PiecewiseExpFunction) -> PiecewiseExpFunction:
 def _plus_decaying(table: TermTable, coeff, z: np.ndarray, upper: bool) -> TermTable:
     """Each row of ``table`` plus coeff * exp(-izx) on (-inf, 0) for points
     z of the upper half plane, on (0, inf) for the lower one; the term
-    decays on its half line.  coeff is a split pair."""
+    decays on its half line.  coeff is a number or a SplitComplex."""
     lo, hi = (NEG_INF, 0.0) if upper else (0.0, POS_INF)
-    return table.plus_term(coeff, lo, hi, _mul(-0.0, -1.0, z.real, z.imag))  # -1j * z
+    return table.plus_term(coeff, lo, hi, -1j * SplitComplex(z.real, z.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +101,8 @@ class MomentumModel:
         and each point's error or None."""
         z = np.asarray(zs, dtype=complex)
         upper = z.imag > 0
-        return TermTable.single((1.0, 0.0), np.where(upper, NEG_INF, 0.0),
-                                np.where(upper, 0.0, POS_INF),
-                                _mul(-0.0, -1.0, z.real, z.imag)).pack()  # -1j * z
+        return TermTable.single(1.0, np.where(upper, NEG_INF, 0.0), np.where(upper, 0.0, POS_INF),
+                                -1j * SplitComplex(z.real, z.imag)).pack()
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -457,12 +455,9 @@ class NonlocalModel:
         def half(z, upper):
             g = half_plane_resolvent(z, upper, gamma) if not gamma.is_zero \
                 else TermTable.empty(z.size)
-            minus, plus = g.origin_limits()
-            g0 = _quot(*(plus + minus), 2.0, 0.0)  # (g(0+) + g(0-)) / 2
-            if case == "I":
-                coeff = _mul(-2.0, 0.0, 1.0 + g0[0], 0.0 + g0[1])  # -2 * (1 + g0)
-            else:
-                coeff = (1.0 if upper else -1.0, 0.0)
+            minus, plus = (SplitComplex(*side) for side in g.origin_limits())
+            g0 = (plus + minus) / 2
+            coeff = -2 * (1 + g0) if case == "I" else (1.0 if upper else -1.0)
             return _plus_decaying(g, coeff, z, upper)
 
         return by_half_plane(zs, half).pack()

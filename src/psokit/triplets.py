@@ -133,9 +133,9 @@ def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex
             ips = [SplitComplex(ip.real, ip.imag) for ip in ips]
             images = []
             for m, columns in plan:
+                value = m.combine(minus, plus, [ips[j] for j in columns])
                 image = np.empty(len(fs), dtype=complex)
-                image.real, image.imag = SplitComplex._parts(
-                    m.combine(minus, plus, [ips[j] for j in columns]))
+                image.real, image.imag = value.real, value.imag
                 images.append(image.tolist())  # Python complex values, bit for bit
         return list(zip(*images))
     ips = list(zip(*(ip.tolist() for ip in ips))) or [()] * len(fs)
@@ -189,13 +189,14 @@ class DefectFamily:
     ``build(zs)`` builds the vectors at a list of non-real points as one
     :class:`~psokit.expfun.PackedFunctions`, a row per point, and returns
     it with the exception each point raised, or None; a failed point's row
-    holds no term, and a build that raises fails every point of its batch.  The family keeps the pack of every batch it builds and
-    ``_cache``, the (pack, row) of each point's vector.  Norms come from
-    one ``norms`` call and images from one ``boundary_images`` call per
-    batch of points, each on a slice of the packs, and are cached beside
-    the rows; a vector becomes a :class:`PiecewiseExpFunction` only when one
-    is asked for.  A failed point keeps no entry, so it is built again, and
-    fails again, whenever it is asked for.
+    holds no term, and a build that raises fails every point of its batch.
+    The family keeps the pack of every batch it builds and ``_cache``, the
+    (pack, row) of each point's vector.  Norms come from one ``norms`` call
+    and images from one ``boundary_images`` call per batch of points, each
+    on a slice of the packs, and are cached beside the rows; a vector
+    becomes a :class:`PiecewiseExpFunction` only when one is asked for.  A
+    failed point keeps no entry, so it is built again, and fails again,
+    whenever it is asked for.
 
     The ``*_at(points)`` methods return per point a value or the exception
     that stands for it; the call, ``norm`` and ``images`` raise it.
