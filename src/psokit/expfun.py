@@ -16,12 +16,14 @@ and check only the new coefficient.
 A function holds its terms as one *row*: tuples of the raw values, merged
 and sorted, with no object per term; ``terms`` gives ExpTerm views of it.
 
-All values are Python complex scalars; numpy enters for vectorized
-pointwise evaluation inside the quadrature oracle and for the batched
-kernels, ``gram`` (all pairs of two lists) and ``paired`` (row by row),
-which pack many functions into arrays, take their integrals from the same
-closed form as the scalar inner product and reproduce that inner product
-bit for bit.
+A function's values are Python complex scalars; numpy enters for
+vectorized pointwise evaluation inside the quadrature oracle, for the
+batched kernels, ``gram`` (all pairs of two lists) and ``paired`` (row by
+row), which read functions packed into arrays, take their integrals from
+the same closed form as the scalar inner product and reproduce that inner
+product bit for bit, and for the array builds of the free resolvent, which
+fill the rows of a whole batch of points at once, each bit for bit the row
+the scalar formula gives.
 """
 
 from __future__ import annotations
