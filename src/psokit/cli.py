@@ -278,10 +278,8 @@ def _run_wandering(model, grid, params):
 
 def _run_cayley_identity(model, grid, params):
     rng = np.random.default_rng(20240602)
-    residuals = []
-    for _ in range(10):
-        x = rng.normal(size=model.d) + 1j * rng.normal(size=model.d)
-        residuals.append(models.shift_cayley_identity(model, x))
+    xs = [rng.normal(size=model.d) + 1j * rng.normal(size=model.d) for _ in range(10)]
+    residuals = models.shift_cayley_identity(model, xs)
     return _threshold_result("cayley_identity", residuals, CAYLEY_IDENTITY_TOL,
                              "10 random vectors")
 

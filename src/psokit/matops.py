@@ -8,13 +8,13 @@ detection for a unitary, and a shared relative singularity test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .tolerances import (CONTRACTION_BOUND, HERMITIAN_TOL, KREIN_DENOMINATOR_TOL, KREIN_TOL,
-                         ORTHONORMAL_TOL, RANK_TOL, SINGULARITY_TOL, UNITARY_TOL)
+from .tolerances import (CAYLEY_SOLVE_TOL, CONTRACTION_BOUND, HERMITIAN_TOL, KREIN_DENOMINATOR_TOL,
+                         KREIN_TOL, ORTHONORMAL_TOL, RANK_TOL, SINGULARITY_TOL, UNITARY_TOL)
 
 
 def require_finite(m: np.ndarray) -> np.ndarray:
@@ -81,18 +81,39 @@ def cayley(a) -> np.ndarray:
 
 
 def inverse_cayley(u) -> np.ndarray:
-    """A = i(U + I)(U - I)^(-1) for unitary U without eigenvalue 1."""
+    """A = i(U + I)(U - I)^(-1) for unitary U without eigenvalue 1.
+
+    The solve X = (U - I)^(-1)(U + I) = I + 2(U - I)^(-1) comes first: the
+    smallest singular value of U - I is at least 2 / ||X - I||_F, and where
+    that bound clears UNITARY_TOL + CAYLEY_SOLVE_TOL, A = iX is returned
+    without an SVD.  The allowance keeps the computed bound below that sum
+    wherever the singular value is at most UNITARY_TOL and the solve's
+    backward error is under half the allowance.  Otherwise (a small bound,
+    an X that is not finite, or a solve that raised) the SVD decides, as if
+    the solve had not been run.
+    """
     u = _as_matrix(u)
     eye = np.eye(u.shape[0])
     udef = u.conj().T @ u - eye
     if _exceeds(udef, UNITARY_TOL):
         raise ValueError(f"matrix is not unitary: ||U*U - I|| = {opnorm(udef):.3e}")
-    smin = min_singular_value(u - eye)
+    shifted = u - eye
+    try:
+        x = np.linalg.solve(shifted, u + eye)
+    except np.linalg.LinAlgError as exc:
+        x, failed = None, exc
+    else:
+        # 2 / ||X - I||_F > tol, written without a division; a NaN fails
+        if np.linalg.norm(x - eye) * (UNITARY_TOL + CAYLEY_SOLVE_TOL) < 2:
+            return 1j * x
+    smin = min_singular_value(shifted)
     if smin <= UNITARY_TOL:
         raise ValueError(
             f"U has (numerically) the eigenvalue 1: min sv of U - I is {smin:.3e}"
         )
-    return 1j * np.linalg.solve(u - eye, u + eye)
+    if x is None:
+        raise failed
+    return 1j * x
 
 
 @dataclass(frozen=True)
@@ -107,6 +128,7 @@ class KreinBlockOperator:
     k12: np.ndarray
     k21: np.ndarray
     k22: np.ndarray
+    _defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = [_as_matrix(b) for b in (self.k11, self.k12, self.k21, self.k22)]
@@ -115,9 +137,11 @@ class KreinBlockOperator:
             raise ValueError("all four blocks must be square with equal size")
         for name, b in zip(("k11", "k12", "k21", "k22"), blocks):
             object.__setattr__(self, name, b)
-        res = self.krein_defect()
+        k, j = self.matrix, _fundamental_symmetry(m)
+        res = max(opnorm(k.conj().T @ j @ k - j), opnorm(k @ j @ k.conj().T - j))
         if res > KREIN_TOL:
             raise ValueError(f"block operator is not Krein unitary: defect {res:.3e}")
+        object.__setattr__(self, "_defect", res)
 
     @property
     def m(self) -> int:
@@ -142,12 +166,8 @@ class KreinBlockOperator:
         return cls(eye, zero, zero, eye)
 
     def krein_defect(self) -> float:
-        k = self.matrix
-        j = _fundamental_symmetry(self.m)
-        return max(
-            opnorm(k.conj().T @ j @ k - j),
-            opnorm(k @ j @ k.conj().T - j),
-        )
+        """max(||K*JK - J||, ||KJK* - J||), as the constructor measured it."""
+        return self._defect
 
     def compose(self, other: "KreinBlockOperator") -> "KreinBlockOperator":
         """Block product self @ other (apply other first)."""

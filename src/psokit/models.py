@@ -359,11 +359,19 @@ def shift_orthogonality_defect(model: ShiftModel, z: complex,
     return float(abs(np.vdot(e0, v)) / np.linalg.norm(v))
 
 
-def shift_cayley_identity(model: ShiftModel, x) -> float:
-    """Residual of (A - iI)(U - I)x = 2ix, exact in the Cayley calculus."""
+def shift_cayley_identity(model: ShiftModel, x) -> float | np.ndarray:
+    """Residual of (A - iI)(U - I)x = 2ix, exact in the Cayley calculus.
+
+    x is one vector, or an (n, d) stack of them with one residual each; the
+    two matrices are formed once per call, and each vector goes through its
+    own two matrix-vector products.
+    """
     x = np.asarray(x, dtype=complex)
-    u = (model.u - np.eye(model.d)) @ x
-    return float(np.linalg.norm((model.a - 1j * np.eye(model.d)) @ u - 2j * x))
+    eye = np.eye(model.d)
+    shifted, resolvent = model.u - eye, model.a - 1j * eye
+    residuals = np.array([np.linalg.norm(resolvent @ (shifted @ v) - 2j * v)
+                          for v in np.atleast_2d(x)])
+    return float(residuals[0]) if x.ndim == 1 else residuals
 
 
 def shift_wandering_report(model: ShiftModel):

@@ -5,6 +5,8 @@ tolerance names the verdict rule that reads it: psocheck._verdict or cli._thresh
 CONTRACTION_BOUND = 1 + 1e-10  # largest ||Z|| of a contraction, absolute; also theta in classify
 HERMITIAN_TOL = 1e-12  # ||A - A*|| of a hermitian A in cayley, absolute
 UNITARY_TOL = 1e-10  # ||U*U - I|| and the min sv of U - I in inverse_cayley, absolute
+# inverse_cayley skips the SVD of U - I where 2/||X - I||_F, X its solve, exceeds UNITARY_TOL
+CAYLEY_SOLVE_TOL = 1e-10  # + this: it covers the solve's backward error up to half of it, absolute
 KREIN_TOL = 1e-10  # ||K*JK - J|| and ||KJK* - J|| of a Krein-unitary K, absolute
 KREIN_DENOMINATOR_TOL = 1e-12  # min sv of K11 + K12 Z in interspherical, absolute
 ORTHONORMAL_TOL = 1e-12  # ||V*V - I|| of a SubspaceBasis, absolute

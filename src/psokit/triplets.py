@@ -194,9 +194,9 @@ class DefectFamily:
     (pack, row) of each point's vector.  Norms come from one ``norms`` call
     and images from one ``boundary_images`` call per batch of points, each
     on a slice of the packs, and are cached beside the rows; a vector
-    becomes a :class:`PiecewiseExpFunction` only when one is asked for.  A
-    failed point keeps no entry, so it is built again, and fails again,
-    whenever it is asked for.
+    becomes a :class:`PiecewiseExpFunction` when one is first asked for,
+    and that function is cached too.  A failed point keeps no entry, so it
+    is built again, and fails again, whenever it is asked for.
 
     The ``*_at(points)`` methods return per point a value or the exception
     that stands for it; the call, ``norm`` and ``images`` raise it.
@@ -207,6 +207,7 @@ class DefectFamily:
         self._build = build
         self._triplet = triplet
         self._cache: dict[complex, tuple[PackedFunctions, int]] = {}
+        self._vectors: dict[complex, PiecewiseExpFunction] = {}
         self._norms: dict[complex, float] = {}
         self._images: dict[complex, tuple[complex, complex]] = {}
 
@@ -271,9 +272,11 @@ class DefectFamily:
         return step
 
     def vectors_at(self, points) -> list:
-        """The vector at each point, as a function wrapping its row."""
-        return [ref if isinstance(ref, Exception) else ref[0].functions([ref[1]])[0]
-                for ref in self._rows_at(points)]
+        """The vector at each point, as a function wrapping its row; each row
+        becomes a function once."""
+        return self._fill(self._vectors, points, lambda zs: [
+            ref if isinstance(ref, Exception) else ref[0].functions([ref[1]])[0]
+            for ref in self._rows_at(zs)])
 
     def domain_errors_at(self, points) -> list:
         """Per point, the error of its vector, or the error

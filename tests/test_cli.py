@@ -235,6 +235,53 @@ def counted_calls(calls, name, fn):
     return wrapper
 
 
+def svd_calls(monkeypatch):
+    """A Counter of the SVD-taking matops calls made from here on."""
+    calls = Counter()
+    for name in ("min_singular_value", "opnorm", "is_singular"):
+        monkeypatch.setattr(matops, name, counted_calls(calls, name, getattr(matops, name)))
+    return calls
+
+
+def test_the_svds_of_a_shift_op_and_a_mobius_op_are_pinned(monkeypatch):
+    calls = svd_calls(monkeypatch)
+    report = cli.run_scenario_obj({
+        "name": "shift", "model": {"kind": "shift", "d": 192},
+        "checks": ["wandering", "cayley_identity"]})
+    assert [c["verdict"] for c in report["checks"]] == ["pass", "pass"]
+    # the wandering check's stacked opnorm; before the Cayley solve stood in
+    # for the eigenvalue-1 SVD: {"min_singular_value": 1, "opnorm": 1}
+    assert calls == {"opnorm": 1}
+    calls.clear()
+    report = cli.run_scenario_obj({
+        "name": "mobius", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
+        "checks": ["mobius"]})
+    assert report["checks"][0]["verdict"] == "pass"
+    # S(mu) twice, the Krein defect's two norms once (in the constructor),
+    # and the stacked map's contraction norm and denominator test; before
+    # krein_defect() kept the constructor's value:
+    # {"is_singular": 2, "opnorm": 5, "min_singular_value": 1}
+    assert calls == {"is_singular": 2, "opnorm": 3, "min_singular_value": 1}
+
+
+def test_a_mobius_op_turns_each_defect_vector_into_a_function_once(monkeypatch):
+    rows = []
+    functions = expfun.PackedFunctions.functions
+
+    def counted(self, at=None):
+        rows.append(len(self) if at is None else len(at))
+        return functions(self, at)
+
+    monkeypatch.setattr(expfun.PackedFunctions, "functions", counted)
+    model = cli.build_model({"kind": "nonlocal", "case": "I", "alpha": "1"})
+    assert cli._run_mobius(model, psocheck.Grid.default(), {}).verdict == "pass"
+    # the vectors at mu and conj(mu), once each, read by both defect_triplet
+    # and change_of_basis (4 rows when each read built its own function),
+    # and the two one-row norm batches, which pair by the scalar inner
+    assert list(model.defects._vectors) == [1j, -1j]
+    assert sum(rows) == 4
+
+
 @pytest.mark.parametrize("expand_at, raise_at, note", [
     (None, (5, 0), "ValueError: no theta at lambda 5"),
     (2, (5, 1), "ValueError: ||Z|| = 2.000000 exceeds 1"),

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psokit import matops
 from psokit.tolerances import HERMITIAN_TOL, UNITARY_TOL
@@ -62,6 +64,100 @@ def test_cayley_rejects_non_hermitian():
 def test_inverse_cayley_rejects_eigenvalue_one():
     with pytest.raises(ValueError, match="eigenvalue 1"):
         inverse_cayley(np.eye(3))
+
+
+def inverse_cayley_by_svd(u):
+    """inverse_cayley as it was before the solve stood in for the SVD: the
+    smallest singular value of U - I decides, then the solve runs."""
+    u = matops._as_matrix(u)
+    eye = np.eye(u.shape[0])
+    udef = u.conj().T @ u - eye
+    if matops._exceeds(udef, UNITARY_TOL):
+        raise ValueError(f"matrix is not unitary: ||U*U - I|| = {opnorm(udef):.3e}")
+    smin = matops.min_singular_value(u - eye)
+    if smin <= UNITARY_TOL:
+        raise ValueError(
+            f"U has (numerically) the eigenvalue 1: min sv of U - I is {smin:.3e}"
+        )
+    return 1j * np.linalg.solve(u - eye, u + eye)
+
+
+def hex_entries(a):
+    return [float.hex(x) for x in np.asarray(a).view(float).ravel().tolist()]
+
+
+def outcome(fn, u):
+    """The entries of fn(u) by float.hex, or the type and text of its error."""
+    try:
+        return hex_entries(fn(u))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("d", [8, 192])
+def test_inverse_cayley_of_a_twisted_shift_takes_no_svd(monkeypatch, d):
+    u = twisted_shift(d)
+    expected = hex_entries(inverse_cayley_by_svd(u))
+    calls = []
+    for name in ("min_singular_value", "opnorm", "is_singular"):
+        monkeypatch.setattr(matops, name, counted_calls(calls, name, getattr(matops, name)))
+    assert hex_entries(inverse_cayley(u)) == expected
+    # before the solve stood in for it: ["min_singular_value"]
+    assert calls == []
+
+
+def counted_calls(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("u, value", [
+    (np.eye(3), "0.000e+00"),
+    # U - I = diag(0, -2, -1 + i): its LU has an exact zero pivot
+    (np.diag([1, -1, 1j]), "0.000e+00"),
+    # the untwisted cyclic shift fixes the all-ones vector
+    (twisted_shift(6, twist=1.0), None),
+], ids=["identity", "diagonal", "cyclic-shift"])
+def test_an_eigenvalue_1_keeps_its_error_text_and_value(u, value):
+    with pytest.raises(ValueError, match="eigenvalue 1") as raised:
+        inverse_cayley(u)
+    assert outcome(inverse_cayley, u) == outcome(inverse_cayley_by_svd, u)
+    if value is not None:
+        assert str(raised.value).endswith(f"min sv of U - I is {value}")
+
+
+@st.composite
+def unitaries_near_eigenvalue_1(draw):
+    """Q diag(e^(i theta)) Q* for a random unitary Q; with a distance drawn,
+    one eigenvalue sits that far from 1 and the others anywhere."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    angles = rng.uniform(-np.pi, np.pi, size=n)
+    exponent = draw(st.none() | st.floats(6, 14))
+    if exponent is not None:
+        angles[0] = draw(st.sampled_from([-1, 1])) * 10.0 ** -exponent
+    return (q * np.exp(1j * angles)) @ q.conj().T
+
+
+@settings(max_examples=400, deadline=None)
+@given(unitaries_near_eigenvalue_1())
+def test_inverse_cayley_equals_the_svd_version_bit_for_bit_or_by_its_error(u):
+    assert outcome(inverse_cayley, u) == outcome(inverse_cayley_by_svd, u)
+
+
+def test_the_solve_bound_is_not_taken_below_the_tolerance_plus_its_allowance(monkeypatch):
+    # one eigenvalue 1.5e-10 from 1: the SVD clears U - I, the bound
+    # 2 / ||X - I||_F does not clear UNITARY_TOL + CAYLEY_SOLVE_TOL
+    u = np.diag([np.exp(1.5e-10j), -1, 1j])
+    calls = []
+    monkeypatch.setattr(matops, "min_singular_value", counted_calls(
+        calls, "min_singular_value", matops.min_singular_value))
+    got = inverse_cayley(u)
+    assert calls == ["min_singular_value"]
+    assert hex_entries(got) == hex_entries(inverse_cayley_by_svd(u))
 
 
 def test_inverse_cayley_of_twisted_shift_is_hermitian():
@@ -148,6 +244,18 @@ def test_hyperbolic_fixture():
 def test_krein_unitarity_required():
     with pytest.raises(ValueError, match="Krein"):
         KreinBlockOperator([[2.0]], [[0.0]], [[0.0]], [[1.0]])
+
+
+def test_the_krein_defect_is_the_one_the_constructor_measured(monkeypatch):
+    k = random_krein_unitary(2, np.random.default_rng(9))
+    j = np.diag([1.0, 1.0, -1.0, -1.0])
+    m = k.matrix
+    expected = max(opnorm(m.conj().T @ j @ m - j), opnorm(m @ j @ m.conj().T - j))
+    calls = []
+    monkeypatch.setattr(matops, "opnorm", counted_calls(calls, "opnorm", opnorm))
+    assert float.hex(k.krein_defect()) == float.hex(expected)
+    # before the constructor kept it: ["opnorm", "opnorm"]
+    assert calls == []
 
 
 def test_random_krein_unitary_properties():

@@ -244,6 +244,29 @@ def test_shift_cayley_identity():
         assert shift_cayley_identity(big, x) <= 1e-11
 
 
+def cayley_identity_of_one_vector(model, x):
+    """The residual of one vector, as shift_cayley_identity computed it
+    before it took a stack."""
+    x = np.asarray(x, dtype=complex)
+    u = (model.u - np.eye(model.d)) @ x
+    return float(np.linalg.norm((model.a - 1j * np.eye(model.d)) @ u - 2j * x))
+
+
+@pytest.mark.parametrize("d", [4, 8, 33, 192])
+def test_a_stacked_cayley_identity_is_the_per_vector_residual_bit_for_bit(d):
+    model = ShiftModel(d)
+    rng = np.random.default_rng(d)
+    xs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(6)] + [np.zeros(d)]
+    expected = [float.hex(cayley_identity_of_one_vector(model, x)) for x in xs]
+    stacked = shift_cayley_identity(model, xs)
+    assert stacked.shape == (len(xs),)
+    assert [float.hex(r) for r in stacked.tolist()] == expected
+    alone = [shift_cayley_identity(model, x) for x in xs]
+    assert all(type(r) is float for r in alone)
+    assert [float.hex(r) for r in alone] == expected
+    assert expected[-1] == float.hex(0.0)
+
+
 def test_shift_wandering_report():
     model = ShiftModel(d=8)
     report = shift_wandering_report(model)
