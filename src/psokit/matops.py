@@ -103,7 +103,7 @@ def inverse_cayley(u) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         x, failed = None, exc
     else:
-        # 2 / ||X - I||_F > tol, written without a division; a NaN fails
+        # the bound 2 / ||X - I||_F clears the sum, tested without a division; a NaN fails
         if np.linalg.norm(x - eye) * (UNITARY_TOL + CAYLEY_SOLVE_TOL) < 2:
             return 1j * x
     smin = min_singular_value(shifted)

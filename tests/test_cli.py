@@ -235,16 +235,10 @@ def counted_calls(calls, name, fn):
     return wrapper
 
 
-def svd_calls(monkeypatch):
-    """A Counter of the SVD-taking matops calls made from here on."""
+def test_the_svds_of_a_shift_op_and_a_mobius_op_are_pinned(monkeypatch):
     calls = Counter()
     for name in ("min_singular_value", "opnorm", "is_singular"):
         monkeypatch.setattr(matops, name, counted_calls(calls, name, getattr(matops, name)))
-    return calls
-
-
-def test_the_svds_of_a_shift_op_and_a_mobius_op_are_pinned(monkeypatch):
-    calls = svd_calls(monkeypatch)
     report = cli.run_scenario_obj({
         "name": "shift", "model": {"kind": "shift", "d": 192},
         "checks": ["wandering", "cayley_identity"]})

@@ -94,6 +94,13 @@ def outcome(fn, u):
         return type(exc).__name__, str(exc)
 
 
+def counted_calls(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("d", [8, 192])
 def test_inverse_cayley_of_a_twisted_shift_takes_no_svd(monkeypatch, d):
     u = twisted_shift(d)
@@ -104,13 +111,6 @@ def test_inverse_cayley_of_a_twisted_shift_takes_no_svd(monkeypatch, d):
     assert hex_entries(inverse_cayley(u)) == expected
     # before the solve stood in for it: ["min_singular_value"]
     assert calls == []
-
-
-def counted_calls(calls, name, fn):
-    def wrapper(*args, **kwargs):
-        calls.append(name)
-        return fn(*args, **kwargs)
-    return wrapper
 
 
 @pytest.mark.parametrize("u, value", [
