@@ -411,45 +411,46 @@ class PiecewiseExpFunction:
 # ---------------------------------------------------------------------------
 
 
-def _antiderivative_coeffs(k: int, u: complex) -> list[complex] | None:
+def _antiderivative_coeffs(k: int, u):
     """Coefficients c_j of the antiderivative exp(u*x) * sum_j c_j * x**(k-j)
-    of x**k * exp(u*x).
-
-    None for a degenerate exponent (|u| below DEGENERATE_EXPONENT_TOL): it is
-    treated as exactly zero, which avoids catastrophic cancellation, and the
-    antiderivative is x**(k+1) / (k+1).
-    """
-    if abs(u) < DEGENERATE_EXPONENT_TOL:
-        return None
+    of x**k * exp(u*x), for u a complex number or a :class:`SplitComplex`
+    array of them."""
     coeffs = []
     c = 1.0 / u
     fall = 1.0
     for j in range(k + 1):
         coeffs.append((-1) ** j * fall * c)
-        fall *= k - j
-        c /= u
+        if j < k:
+            fall *= k - j
+            c /= u
     return coeffs
 
 
-def _antiderivative(k: int, u: complex, coeffs: list[complex] | None,
-                    x: float) -> complex:
+def _antiderivative(k: int, u, coeffs, x: float, exp=cmath.exp, power=pow):
     """Value at finite x of the antiderivative of x**k * exp(u*x), with
-    ``coeffs = _antiderivative_coeffs(k, u)``."""
+    ``coeffs = _antiderivative_coeffs(k, u)``, or None for a degenerate u,
+    whose antiderivative is x**(k+1) / (k+1).
+
+    ``exp(w)`` and ``power(x, n)`` take exp(w) and x**n; an array build
+    passes ones that note the error each point raises.
+    """
     if coeffs is None:
-        return x ** (k + 1) / (k + 1)
+        return power(x, k + 1) / (k + 1)
     p = 0j
     for j, c in enumerate(coeffs):
-        p += c * x ** (k - j)
-    return cmath.exp(u * x) * p
+        p += c * power(x, k - j)
+    return exp(u * x) * p
 
 
 def _closed_form(k: int, u: complex, a: float, b: float) -> complex:
     """Integral of x**k * exp(u*x) over [a, b] in closed form, evaluated.
 
-    A degenerate exponent can only arise on a finite interval for
+    An exponent with |u| below DEGENERATE_EXPONENT_TOL is degenerate: it is
+    treated as exactly zero, which avoids catastrophic cancellation.  A
+    degenerate exponent can only arise on a finite interval for
     square-integrable terms.
     """
-    coeffs = _antiderivative_coeffs(k, u)
+    coeffs = None if abs(u) < DEGENERATE_EXPONENT_TOL else _antiderivative_coeffs(k, u)
     if coeffs is None and (a == NEG_INF or b == POS_INF):
         raise ValueError("divergent integral: zero exponent on infinite interval")
     if b == POS_INF:
@@ -561,10 +562,11 @@ class PackedFunctions:
 
     Row i holds the terms of function i in their canonical order; a slot
     that holds no term holds a padding term, every part zero, so its
-    coefficient is zero and its interval [0, 0] empty.  Each part of the
-    terms has its own array: the coefficient split into real and imaginary
-    parts, lo, hi, the exponent split likewise, and the power.  The rest of
-    a term besides its coefficient is its kind; ``kinds`` is the table
+    coefficient is zero and its interval [0, 0] empty.  ``parts`` is the
+    (7, count, width) float array of the parts of the terms: the
+    coefficient split into real and imaginary parts, lo, hi, the exponent
+    split likewise, and the power, each also under its own name.  The rest
+    of a term besides its coefficient is its kind; ``kinds`` is the table
     (lo, hi, exp_re, exp_im, power) of the distinct kinds of the slots, the
     padding kind first, and ``kind[i, p]`` indexes it.  Kinds are told apart
     bit for bit, so -0.0 and 0.0 are different kinds.  The table is built
@@ -572,25 +574,22 @@ class PackedFunctions:
     only at the origin, never builds one.
     """
 
-    coeff_re: np.ndarray
-    coeff_im: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    exp_re: np.ndarray
-    exp_im: np.ndarray
-    power: np.ndarray
+    parts: np.ndarray
+
+    coeff_re = property(lambda self: self.parts[0])
+    coeff_im = property(lambda self: self.parts[1])
+    lo = property(lambda self: self.parts[2])
+    hi = property(lambda self: self.parts[3])
+    exp_re = property(lambda self: self.parts[4])
+    exp_im = property(lambda self: self.parts[5])
+    power = property(lambda self: self.parts[6])
 
     def __len__(self) -> int:
-        return self.coeff_re.shape[0]
-
-    @property
-    def parts(self) -> tuple[np.ndarray, ...]:
-        return (self.coeff_re, self.coeff_im, self.lo, self.hi, self.exp_re, self.exp_im,
-                self.power)
+        return self.parts.shape[1]
 
     @functools.cached_property
     def _table(self) -> tuple:
-        return _kind_table(*(np.ravel(x) for x in self.parts[2:]))
+        return _kind_table(*self.parts[2:].reshape(5, -1))
 
     @property
     def kinds(self) -> tuple[np.ndarray, ...]:
@@ -598,15 +597,15 @@ class PackedFunctions:
 
     @property
     def kind(self) -> np.ndarray:
-        return self._table[1].reshape(self.coeff_re.shape)
+        return self._table[1].reshape(self.parts.shape[1:])
 
     def rows(self, at=None) -> list[tuple]:
         """The canonical rows of the functions at the row indices ``at`` (of
         all of them by default), with the bits the pack holds."""
-        at = slice(None) if at is None else np.asarray(at, dtype=np.intp)
+        parts = self.parts if at is None else self.parts[:, np.asarray(at, dtype=np.intp)]
         return [tuple((complex(cr, ci), lo, hi, complex(er, ei), power)
                       for cr, ci, lo, hi, er, ei, power in zip(*row) if cr != 0 or ci != 0)
-                for row in zip(*(x[at].tolist() for x in self.parts))]
+                for row in zip(*parts[:6].tolist(), parts[6].astype(np.int64).tolist())]
 
     def functions(self, at=None) -> list["PiecewiseExpFunction"]:
         """The functions at the row indices ``at``, each wrapping its row."""
@@ -644,69 +643,51 @@ def pack_terms(coeff_re, coeff_im, lo, hi, exp_re, exp_im, power) -> PackedFunct
     """The pack of functions given as (count, width) arrays of the parts of
     their terms, each row in canonical order, with zeros in every part of a
     slot that holds no term."""
-    return PackedFunctions(*(np.asarray(x, dtype=float) for x in
-                             (coeff_re, coeff_im, lo, hi, exp_re, exp_im)),
-                           np.asarray(power, dtype=np.int64))
+    return PackedFunctions(np.array([coeff_re, coeff_im, lo, hi, exp_re, exp_im, power],
+                                    dtype=float))
 
 
-def pack(fs, scales=None) -> PackedFunctions:
-    """Pack functions for :func:`gram` and :func:`paired`.
-
-    With ``scales``, row i holds ``scales[i] * fs[i]`` with the coefficients
-    that product would have, without building it: a coefficient that is not
-    finite is rejected as :class:`ExpTerm` rejects it, and one that is
-    exactly zero drops its term.
-    """
-    rows = []
-    for i, f in enumerate(fs):
-        terms = f.row
-        if scales is not None:
-            scale = complex(scales[i])
-            scaled = []
-            for coeff, lo, hi, exponent, power in terms:
-                coeff = 0j + _finite(scale * coeff)  # the merge of canonical_row
-                if coeff != 0:
-                    scaled.append((coeff, lo, hi, exponent, power))
-            terms = scaled
-        rows.append(terms)
+def pack(fs) -> PackedFunctions:
+    """Pack functions for :func:`gram` and :func:`paired`."""
+    rows = [f.row for f in fs]
     n = len(rows)
     width = max(map(len, rows), default=0)
     pad = ((0j, 0.0, 0.0, 0j, 0),)
     slots = [t for row in rows for t in (*row, *pad * (width - len(row)))]
     coeff, lo, hi, exponent, power = (
         np.array(column, dtype=dtype).reshape(n, width) for column, dtype in
-        zip(list(zip(*slots)) or [()] * 5, (complex, float, float, complex, np.int64)))
+        zip(list(zip(*slots)) or [()] * 5, (complex, float, float, complex, float)))
     return pack_terms(coeff.real, coeff.imag, lo, hi, exponent.real, exponent.imag, power)
 
 
 def select(f: PackedFunctions, rows, scales=None) -> PackedFunctions:
     """The rows ``rows`` of f as their own pack, bit for bit the pack that
-    :func:`pack` makes of those functions, with ``scales`` as it takes them.
+    :func:`pack` makes of those functions, each scaled by ``scales[i]`` if
+    given.
 
     Each coefficient is multiplied as ``complex(scale) * coeff``, then added
     to 0j as ``canonical_row`` merges it; one that is not finite is rejected
-    as ``pack`` rejects it, and a term whose coefficient is exactly zero
-    becomes padding.  Trailing slots that hold no term in any row are cut.
-    The slice builds its own kind table, of the kinds its rows use, so a
-    kernel takes no closed form for a kind the rows never meet.
+    as :class:`ExpTerm` rejects it, and a term whose coefficient is exactly
+    zero becomes padding.  Trailing slots that hold no term in any row are
+    cut.  The slice builds its own kind table, of the kinds its rows use, so
+    a kernel takes no closed form for a kind the rows never meet.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if scales is None and rows.size == len(f) and (rows == np.arange(rows.size)).all():
         return f  # every row, in order: the pack itself
-    parts = [x[rows] for x in f.parts]
+    parts = f.parts[:, rows]
     if scales is not None:
         term = (parts[0] != 0) | (parts[1] != 0)
         scale = np.asarray(scales, dtype=float)[:, None]
         with np.errstate(all="ignore"):  # a product that overflows is rejected below
             re, im = _mul(scale, 0.0, parts[0], parts[1])
-        re, im = 0.0 + re, 0.0 + im
-        if not (np.isfinite(re[term]).all() and np.isfinite(im[term]).all()):
+        parts[0], parts[1] = 0.0 + re, 0.0 + im
+        if not (np.isfinite(parts[0][term]).all() and np.isfinite(parts[1][term]).all()):
             raise ValueError(_NOT_FINITE)
-        held = (re != 0) | (im != 0)
-        parts = [np.where(held, x, 0) for x in (re, im, *parts[2:])]
+        parts = np.where((parts[0] != 0) | (parts[1] != 0), parts, 0.0)
     held = (parts[0] != 0) | (parts[1] != 0)
     width = int(np.flatnonzero(held.any(axis=0))[-1]) + 1 if held.any() else 0
-    sliced = PackedFunctions(*(x[:, :width] for x in parts))
+    sliced = PackedFunctions(parts[:, :, :width])
     if "_table" in vars(f):
         # f's table, cut to the kinds the slice uses, spares the slice a sort
         kind = np.where(held, f.kind[rows], 0)[:, :width]
@@ -720,21 +701,29 @@ def select(f: PackedFunctions, rows, scales=None) -> PackedFunctions:
 
 def join(f: PackedFunctions, g: PackedFunctions) -> PackedFunctions:
     """The rows of f, then those of g, as one pack."""
-    n, width = len(f), max(f.coeff_re.shape[1], g.coeff_re.shape[1])
-    parts = []
-    for a, b in zip(f.parts, g.parts):
-        both = np.zeros((n + len(g), width), dtype=a.dtype)
-        both[:n, :a.shape[1]] = a
-        both[n:, :b.shape[1]] = b
-        parts.append(both)
-    return PackedFunctions(*parts)
+    n, fw, gw = len(f), f.parts.shape[2], g.parts.shape[2]
+    both = np.zeros((7, n + len(g), max(fw, gw)))
+    both[:, :n, :fw] = f.parts
+    both[:, n:, :gw] = g.parts
+    return PackedFunctions(both)
 
 
 def origin_limits(f: PackedFunctions) -> tuple["SplitComplex", "SplitComplex"]:
     """``[h.limit(0.0, "-") for h in fs]`` and the same from the right, bit
-    for bit, for the functions fs packed in f."""
-    minus, plus = _origin_limits(f.parts)
-    return SplitComplex(*minus), SplitComplex(*plus)
+    for bit, for the functions fs packed in f.
+
+    At the origin ``x0**power`` is 1.0 for power 0 and 0.0 otherwise, and
+    ``cmath.exp(exponent * x0)`` is exactly (1.0, the imaginary part of
+    ``exponent * 0.0``).
+    """
+    cr, ci, lo, hi, er, ei, power = f.parts
+    c = _mul(cr, ci, np.where(power == 0, 1.0, 0.0), 0.0)
+    c = np.array(_mul(*c, 1.0, er * 0.0 + ei * 0.0))
+    on = np.array([(lo < 0.0) & (0.0 <= hi), (lo <= 0.0) & (0.0 < hi)])[:, None]
+    out = np.zeros((2, 2, len(f)))  # each sum from 0j, in row order
+    for p in range(cr.shape[1]):
+        np.add(out, c[:, :, p], out=out, where=on[..., p])
+    return SplitComplex(*out[0]), SplitComplex(*out[1])
 
 
 def _kind_integrals(f: PackedFunctions, g: PackedFunctions, a: np.ndarray,
@@ -795,7 +784,7 @@ def gram(fs, gs) -> np.ndarray:
     """
     f, g = _packed(fs), _packed(gs)
     out = np.zeros((len(f), len(g)), dtype=complex)
-    g_conj_im = -g.coeff_im
+    g_re, g_conj_im = g.coeff_re, -g.coeff_im
     with np.errstate(all="ignore"):
         # the candidates include every overlapping pair of kinds
         flo, fhi, glo, ghi = f.kinds[0], f.kinds[1], g.kinds[0], g.kinds[1]
@@ -812,7 +801,7 @@ def gram(fs, gs) -> np.ndarray:
             for p in range(fi.shape[1]):
                 for q in range(gi.shape[1]):
                     _accumulate(total_re, total_im, f_re[:, p, None], f_im[:, p, None],
-                                g.coeff_re[:, q], g_conj_im[:, q],
+                                g_re[:, q], g_conj_im[:, q],
                                 position.take(f_at[:, p, None] + gi[:, q]), ir, ii)
     return out
 
@@ -850,11 +839,11 @@ def paired(fs, gs) -> np.ndarray:
         candidates, at = np.unique(codes.ravel(), return_inverse=True)
         on, ir, ii = _kind_integrals(f, g, *np.divmod(candidates, n_g))
         position = (np.cumsum(on) * on)[at].reshape(codes.shape)
-        g_conj_im = -g.coeff_im
+        f_re, f_im, g_re, g_conj_im = f.coeff_re, f.coeff_im, g.coeff_re, -g.coeff_im
         for p in range(codes.shape[1]):
             for q in range(codes.shape[2]):
-                _accumulate(total_re, total_im, f.coeff_re[:, p], f.coeff_im[:, p],
-                            g.coeff_re[:, q], g_conj_im[:, q], position[:, p, q], ir, ii)
+                _accumulate(total_re, total_im, f_re[:, p], f_im[:, p],
+                            g_re[:, q], g_conj_im[:, q], position[:, p, q], ir, ii)
     return out
 
 
@@ -1089,83 +1078,46 @@ def _power(x: float, n: int, faults: _Faults, where):
 
 
 # ---------------------------------------------------------------------------
-# term tables: the canonical rows of a batch, one per point
+# array builds: the canonical rows of a batch, one per point
 # ---------------------------------------------------------------------------
+#
+# A build fills the pack of a batch, one row per point, and keeps in a
+# _Faults the first error the scalar build raises at each point; a failed
+# point's row holds whatever the arrays computed until the build's last
+# step, ``by_half_plane`` or ``single_terms``, empties it and makes the
+# batch's one pack, with ``pack_terms``.
 
 
-@dataclass(frozen=True, eq=False)
-class TermTable:
-    """The canonical rows of functions built at the points of a batch.
+def single_terms(coeff, lo, hi, exponent) -> tuple[PackedFunctions, list]:
+    """One term (coeff, lo, hi, exponent, 0) per row, as ``canonical_row``
+    makes it of that term alone, and each point's error or None: its
+    coefficient 0j + coeff, no term where that is zero, and a point whose
+    coefficient or exponent is not finite failed, as ExpTerm fails it.
+    coeff and exponent are numbers or :class:`SplitComplex` values; the
+    exponent's parts are arrays over the points, the other parts numbers or
+    such arrays."""
+    coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
+    faults = _Faults(np.shape(exponent[0])[0])
+    faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
+    parts = np.zeros((7, faults.failed.size, 1))
+    for part, value in zip(parts, (0.0 + coeff[0], 0.0 + coeff[1], lo, hi, *exponent)):
+        part[:, 0] = value
+    on = ((parts[0] != 0) | (parts[1] != 0)) & ~faults.failed[:, None]
+    return pack_terms(*np.where(on, parts, 0.0)), faults.errors
 
-    ``parts`` is the (7, count, width) float array of the parts (coeff_re,
-    coeff_im, lo, hi, exp_re, exp_im, power) of their terms, row i for
-    point i, with zeros in the slots that hold no term; ``faults`` holds the
-    first error the scalar build raised at each point.  A failed point's
-    row holds whatever the arrays computed and is never read as a row.
-    """
 
-    parts: np.ndarray
-    faults: _Faults
-
-    @classmethod
-    def empty(cls, n: int) -> "TermTable":
-        """Rows of the zero function at n points."""
-        return cls(np.zeros((7, n, 0)), _Faults(n))
-
-    @classmethod
-    def single(cls, coeff, lo, hi, exponent) -> "TermTable":
-        """One term (coeff, lo, hi, exponent, 0) per row, as ``canonical_row``
-        makes it of that term alone: its coefficient 0j + coeff, no term
-        where that is zero, and a point whose coefficient or exponent is not
-        finite failed, as ExpTerm fails it.  coeff and
-        exponent are split pairs; the exponent's parts are arrays over the
-        points, the other parts numbers or such arrays."""
-        coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
-        faults = _Faults(np.shape(exponent[0])[0])
-        faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
-        parts = np.zeros((7, faults.failed.size, 1))
-        for part, value in zip(parts, (0.0 + coeff[0], 0.0 + coeff[1], lo, hi, *exponent)):
-            part[:, 0] = value
-        on = (parts[0] != 0) | (parts[1] != 0)
-        return cls(np.where(on, parts, 0.0), faults)
-
-    def columns(self) -> np.ndarray:
-        """The rows as columns of :func:`canonical_terms`, a slot holding a
-        term where its coefficient is not zero."""
-        on = (self.parts[0] != 0) | (self.parts[1] != 0)
-        return np.concatenate((self.parts, on[None]))
-
-    def function(self, i: int) -> "PiecewiseExpFunction":
-        """The function of row i, or the error its build raised, raised."""
-        error = self.faults.errors[i]
-        if error is not None:
-            raise error
-        return PiecewiseExpFunction.from_row(tuple(
-            (complex(cr, ci), lo, hi, complex(er, ei), int(power))
-            for cr, ci, lo, hi, er, ei, power in zip(*self.parts[:, i].tolist())
-            if cr != 0 or ci != 0))
-
-    def origin_limits(self) -> np.ndarray:
-        """The one-sided limits at 0 of each row, as ``limit(0.0, side)``
-        takes them: entry [side, part, row] with side 0 the left limit, 1
-        the right one, and part 0 real, 1 imaginary."""
-        return _origin_limits(self.parts)
-
-    def plus_term(self, coeff, lo: float, hi: float, exponent) -> "TermTable":
-        """Each row with the term (coeff, lo, hi, exponent, 0) appended, as
-        ``canonical_row`` makes it of the row's terms and that one, a point
-        whose coeff or exponent is not finite failed, as ExpTerm fails it;
-        coeff and exponent are numbers or :class:`SplitComplex` arrays."""
-        coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
-        self.faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
-        term = _columns([(*coeff, lo, hi, *exponent, 0, True)], self.faults.failed.size)
-        return canonical_terms(np.concatenate((self.columns(), term), axis=2), self.faults)
-
-    def pack(self) -> tuple[PackedFunctions, list]:
-        """The rows as one pack, a failed point's row empty, and each
-        point's error or None."""
-        return (pack_terms(*np.where(self.faults.failed[:, None], 0.0, self.parts)),
-                self.faults.errors)
+def plus_term(f: PackedFunctions, faults: _Faults, coeff, lo: float, hi: float,
+              exponent) -> PackedFunctions:
+    """Each row of f with the term (coeff, lo, hi, exponent, 0) appended, as
+    ``canonical_row`` makes it of the row's terms and that one; a point
+    whose coeff or exponent is not finite failed, as ExpTerm fails it.
+    coeff and exponent are numbers or :class:`SplitComplex` arrays."""
+    coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
+    faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
+    on = (f.coeff_re != 0) | (f.coeff_im != 0)
+    term = _columns([(*coeff, lo, hi, *exponent, 0, True)], len(f))
+    cols = np.concatenate((np.concatenate((f.parts, on[None])), term), axis=2)
+    return canonical_terms(cols, faults)
 
 
 def _columns(slots, n: int) -> np.ndarray:
@@ -1180,7 +1132,7 @@ def _columns(slots, n: int) -> np.ndarray:
     return cols
 
 
-def canonical_terms(cols: np.ndarray, faults: _Faults) -> TermTable:
+def canonical_terms(cols: np.ndarray, faults: _Faults) -> PackedFunctions:
     """The canonical row at each point of the terms in ``cols``, as
     ``canonical_row`` makes it of the row's tuples.
 
@@ -1192,12 +1144,13 @@ def canonical_terms(cols: np.ndarray, faults: _Faults) -> TermTable:
     exponent, power).
     """
     n, count = cols.shape[1:]
+    if not count:
+        return PackedFunctions(np.zeros((7, n, 0)))
     on = cols[7] != 0
     kind = cols[2:7]
     same = (kind[:, :, :, None] == kind[:, :, None, :]).all(axis=0)
     same &= on[:, :, None] & on[:, None, :]
-    # each term's first term of its kind, point by point
-    first = same.argmax(axis=1) if count else np.zeros((n, 0), dtype=np.intp)
+    first = same.argmax(axis=1)  # each term's first term of its kind, point by point
     acc = np.zeros((2, n, count))
     points = np.arange(n)
     values = np.where(on, cols[:2], 0.0)
@@ -1208,48 +1161,30 @@ def canonical_terms(cols: np.ndarray, faults: _Faults) -> TermTable:
     width = int(kept.sum(axis=1).max(initial=0))
     order = np.lexsort((*kind[::-1], ~kept), axis=-1)[:, :width]
     points = points[:, None]
-    return TermTable(np.where(kept[points, order],
-                              np.concatenate((acc, kind))[:, points, order], 0.0), faults)
+    return PackedFunctions(np.where(kept[points, order],
+                                    np.concatenate((acc, kind))[:, points, order], 0.0))
 
 
-def by_half_plane(z, build) -> TermTable:
-    """The term table of ``build(points, upper)`` for the points of z in the
-    upper and in the lower half plane, its rows in the order of z.  Array
-    warnings are silenced: a value that overflows fails its point as the
-    scalar code fails it, or is never read."""
+def by_half_plane(z, build) -> tuple[PackedFunctions, list]:
+    """The rows of ``build(points, upper)``, a pack and its _Faults, for the
+    points of z in the upper and in the lower half plane, as one pack in the
+    order of z, a failed point's row empty, and each point's error or None.
+    Array warnings are silenced: a value that overflows fails its point as
+    the scalar code fails it, or is never read."""
     z = np.asarray(z, dtype=complex).ravel()
     halves = []
     with np.errstate(all="ignore"):
         for upper in (True, False):
             at = np.flatnonzero((z.imag > 0) == upper)
             if at.size:
-                halves.append((at, build(z[at], upper)))
-    if len(halves) == 1:
-        return halves[0][1]  # every point in one half plane, in order
-    width = max((t.parts.shape[2] for _, t in halves), default=0)
-    out = TermTable(np.zeros((7, z.size, width)), _Faults(z.size))
-    for at, t in halves:
-        out.parts[:, at, :t.parts.shape[2]] = t.parts
-        out.faults.failed[at] = t.faults.failed
-        for i, error in zip(at.tolist(), t.faults.errors):
-            out.faults.errors[i] = error
-    return out
-
-
-def _origin_limits(parts) -> np.ndarray:
-    """``limit(0.0, "-")`` and ``limit(0.0, "+")`` of each row of the term
-    parts (coeff_re, coeff_im, lo, hi, exp_re, exp_im, power), as entries
-    [side, part, row].  At the origin ``x0**power`` is 1.0 for power 0 and
-    0.0 otherwise, and ``cmath.exp(exponent * x0)`` is exactly (1.0, the
-    imaginary part of ``exponent * 0.0``)."""
-    cr, ci, lo, hi, er, ei, power = parts
-    c = _mul(cr, ci, np.where(power == 0, 1.0, 0.0), 0.0)
-    c = np.array(_mul(*c, 1.0, er * 0.0 + ei * 0.0))
-    on = np.array([(lo < 0.0) & (0.0 <= hi), (lo <= 0.0) & (0.0 < hi)])[:, None]
-    out = np.zeros((2, 2, cr.shape[0]))  # each sum from 0j, in row order
-    for p in range(cr.shape[1]):
-        np.add(out, c[:, :, p], out=out, where=on[..., p])
-    return out
+                halves.append((at, *build(z[at], upper)))
+    parts = np.zeros((7, z.size, max((f.parts.shape[2] for _, f, _ in halves), default=0)))
+    errors = [None] * z.size
+    for at, f, faults in halves:
+        parts[:, at, :f.parts.shape[2]] = np.where(faults.failed[:, None], 0.0, f.parts)
+        for i, error in zip(at.tolist(), faults.errors):
+            errors[i] = error
+    return pack_terms(*parts), errors
 
 
 # ---------------------------------------------------------------------------
@@ -1269,30 +1204,37 @@ def free_resolvent(z, gamma: PiecewiseExpFunction):
     exponent equal to -iz on a finite interval) raises the monomial power by
     one instead of leaving the algebra.  For one point z the result is a
     :class:`PiecewiseExpFunction`; for a 1-D array of points it is the
-    :class:`TermTable` of their rows, each with the error its point raised.
-    Either way every point goes through the one array build,
-    :func:`half_plane_resolvent`.  Not memoised.
+    pack of their rows, a failed point's row empty, with the error each
+    point raised or None.  Either way every point goes through the one
+    array build, :func:`half_plane_resolvent`.  Not memoised.
     """
     if np.ndim(z) == 0:
-        return free_resolvent([complex(z)], gamma).function(0)
+        packed, errors = free_resolvent([complex(z)], gamma)
+        if errors[0] is not None:
+            raise errors[0]
+        return packed.functions()[0]
     z = np.asarray(z, dtype=complex)
     if (z.imag == 0).any():
         raise ValueError("resolvent requires non-real z")
     return by_half_plane(z, lambda points, upper: half_plane_resolvent(points, upper, gamma))
 
 
-def half_plane_resolvent(z: np.ndarray, upper: bool, gamma: PiecewiseExpFunction) -> TermTable:
+def half_plane_resolvent(z: np.ndarray, upper: bool,
+                         gamma: PiecewiseExpFunction) -> tuple[PackedFunctions, _Faults]:
     """The rows of ``free_resolvent(z_i, gamma)`` at points z all in the
-    upper half plane or all in the lower one.
+    upper half plane or all in the lower one, and each point's first error.
 
     The build replays the scalar arithmetic of the formula term by term,
-    bit for bit, for every point at once.  Each output term is checked as
-    ExpTerm checks it (only finiteness can fail here: the intervals come
-    from gamma's terms and their complements, and each homogeneous term
-    decays on the side where it is kept), the terms are merged as
-    ``canonical_row`` merges them, and each point keeps the first error the
-    scalar build would raise there.  Array warnings must be silenced by the
-    caller, as :func:`by_half_plane` does.
+    bit for bit, for every point at once: the antiderivative is the scalar
+    ``_antiderivative`` itself, on :class:`SplitComplex` values, with
+    ``_exp`` and ``_power`` noting the errors ``cmath.exp`` and ``pow``
+    raise.  Each output term is checked as ExpTerm checks it (only
+    finiteness can fail here: the intervals come from gamma's terms and
+    their complements, and each homogeneous term decays on the side where
+    it is kept), the terms are merged as ``canonical_row`` merges them, and
+    each point keeps the first error the scalar build would raise there.
+    Array warnings must be silenced by the caller, as :func:`by_half_plane`
+    does.
     """
     faults = _Faults(z.size)
     z = SplitComplex(z.real, z.imag)
@@ -1309,21 +1251,15 @@ def half_plane_resolvent(z: np.ndarray, upper: bool, gamma: PiecewiseExpFunction
         # cancellations against gamma stay exact at the term level
         flat = size < DEGENERATE_EXPONENT_TOL
         live = ~flat
-        coeffs, c, fall = [], 1.0 / u, 1.0  # _antiderivative_coeffs(k, u)
-        for j in range(k + 1):
-            coeffs.append((-1) ** j * fall * c)
-            if j < k:
-                fall *= k - j
-                c /= u
+        coeffs = _antiderivative_coeffs(k, u)
+        noting = [functools.partial(fn, faults=faults, where=live) for fn in (_exp, _power)]
+        flat_power = functools.partial(_power, faults=faults, where=flat)
 
         def antiderivative(x):
-            # _antiderivative(k, u, coeffs, x); its float value at a
-            # degenerate u is taken as complex(value, 0.0)
-            p = 0j
-            for j, c in enumerate(coeffs):
-                p += c * _power(x, k - j, faults, live)
-            value = _exp(u * x, faults, live) * p
-            flat_value = _power(x, k + 1, faults, flat) / (k + 1)
+            # both branches at every point; a degenerate u's float value is
+            # taken as complex(value, 0.0)
+            value = _antiderivative(k, u, coeffs, x, *noting)
+            flat_value = _antiderivative(k, u, None, x, power=flat_power)
             return SplitComplex(np.where(flat, flat_value, value.real),
                                 np.where(flat, 0.0, value.imag))
 
@@ -1359,7 +1295,7 @@ def half_plane_resolvent(z: np.ndarray, upper: bool, gamma: PiecewiseExpFunction
         faults.note(np.any([t[7] & _not_finite(*t[:2], *t[4:6]) for t in parts], axis=0),
                     ValueError, _NOT_FINITE)
         slots += parts
-    return canonical_terms(_columns(slots, faults.failed.size), faults)
+    return canonical_terms(_columns(slots, faults.failed.size), faults), faults
 
 
 def resolvent_residual(z: complex, gamma: PiecewiseExpFunction,

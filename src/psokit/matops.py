@@ -295,11 +295,12 @@ def wandering_check(u, basis: SubspaceBasis, n_max: int) -> WanderingReport:
     if _exceeds(u.conj().T @ u - np.eye(u.shape[0]), UNITARY_TOL):
         raise ValueError("U is not unitary")
     ell = basis.vectors
+    ell_h = ell.conj().T
     blocks = []
     current = ell
     for _ in range(n_max):
         current = u @ current
-        blocks.append(ell.conj().T @ current)
+        blocks.append(ell_h @ current)
     defects = opnorm(np.stack(blocks))
     over = np.flatnonzero(defects > SINGULARITY_TOL)
     first = int(over[0]) + 1 if over.size else None

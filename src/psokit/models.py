@@ -28,14 +28,16 @@ from .expfun import (
     PackedFunctions,
     PiecewiseExpFunction,
     SplitComplex,
-    TermTable,
     by_half_plane,
     coefficient_distance,
     gram,
     half_plane_resolvent,
     inner,
     norm,
+    origin_limits,
     pack,
+    plus_term,
+    single_terms,
 )
 from .scalars import format_complex
 from .tolerances import BOUNDARY_CONDITION_TOL, DECOMPOSE_SINGULAR_TOL, SERIES_TAIL_TOL, TWIST_TOL
@@ -57,14 +59,6 @@ def free_part(f: PiecewiseExpFunction) -> PiecewiseExpFunction:
     """i f', the free momentum operator on f, with a jump allowed at the
     origin; the models' maximal operators add their coupling to it."""
     return 1j * f.derivative(jump_ok_at=(0.0,))
-
-
-def _plus_decaying(table: TermTable, coeff, z: np.ndarray, upper: bool) -> TermTable:
-    """Each row of ``table`` plus coeff * exp(-izx) on (-inf, 0) for points
-    z of the upper half plane, on (0, inf) for the lower one; the term
-    decays on its half line.  coeff is a number or a SplitComplex."""
-    lo, hi = (NEG_INF, 0.0) if upper else (0.0, POS_INF)
-    return table.plus_term(coeff, lo, hi, -1j * SplitComplex(z.real, z.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +95,8 @@ class MomentumModel:
         and each point's error or None."""
         z = np.asarray(zs, dtype=complex)
         upper = z.imag > 0
-        return TermTable.single(1.0, np.where(upper, NEG_INF, 0.0), np.where(upper, 0.0, POS_INF),
-                                -1j * SplitComplex(z.real, z.imag)).pack()
+        return single_terms(1.0, np.where(upper, NEG_INF, 0.0), np.where(upper, 0.0, POS_INF),
+                            -1j * SplitComplex(z.real, z.imag))
 
     def adjoint_apply(self, f: PiecewiseExpFunction) -> PiecewiseExpFunction:
         return self.adjoint_from(f, free_part(f))
@@ -461,14 +455,15 @@ class NonlocalModel:
         (case I) or g +- bump (case II), bump = exp(-izx) on its half line,
         merged as one ``canonical_row`` of g's row and the bump term."""
         def half(z, upper):
-            g = half_plane_resolvent(z, upper, gamma) if not gamma.is_zero \
-                else TermTable.empty(z.size)
-            minus, plus = (SplitComplex(*side) for side in g.origin_limits())
+            g, faults = half_plane_resolvent(z, upper, gamma)
+            minus, plus = origin_limits(g)
             g0 = (plus + minus) / 2
             coeff = -2 * (1 + g0) if case == "I" else (1.0 if upper else -1.0)
-            return _plus_decaying(g, coeff, z, upper)
+            # the bump decays on its half line
+            lo, hi = (NEG_INF, 0.0) if upper else (0.0, POS_INF)
+            return plus_term(g, faults, coeff, lo, hi, -1j * SplitComplex(z.real, z.imag)), faults
 
-        return by_half_plane(zs, half).pack()
+        return by_half_plane(zs, half)
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

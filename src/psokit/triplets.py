@@ -27,7 +27,7 @@ import numpy as np
 
 from . import matops
 from .expfun import (PackedFunctions, PiecewiseExpFunction, SplitComplex, inner, join, norms,
-                     origin_limits, pack, paired, select)
+                     origin_limits, paired, select)
 from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
                          GREEN_TOL, SURJECTIVITY_TOL)
 
@@ -210,17 +210,6 @@ class DefectFamily:
         self._vectors: dict[complex, PiecewiseExpFunction] = {}
         self._norms: dict[complex, float] = {}
         self._images: dict[complex, tuple[complex, complex]] = {}
-
-    @classmethod
-    def pointwise(cls, fn: Callable[[complex], PiecewiseExpFunction],
-                  triplet: BoundaryTriplet) -> "DefectFamily":
-        """The family whose vector at z is the function ``fn(z)``; a batch
-        maps fn over its points and packs their vectors once."""
-        def build(zs):
-            fs = each_point(fn, zs)
-            errors = [f if isinstance(f, Exception) else None for f in fs]
-            return pack([PiecewiseExpFunction() if e else f for f, e in zip(fs, errors)]), errors
-        return cls(build, triplet)
 
     @staticmethod
     def _fill(table: dict, points, compute: Callable[[list], list]) -> list:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psokit import cli, expfun
@@ -383,12 +383,12 @@ def test_gram_of_scaled_functions_equals_inner_of_the_products():
     rng = np.random.default_rng(11)
     fs = [random_function(rng) for _ in range(6)] + [PiecewiseExpFunction.zero()]
     scales = [float(rng.uniform(0.1, 5.0)) for _ in fs]
-    g = gram(expfun.pack(fs, scales), fs)
+    g = gram(expfun.select(expfun.pack(fs), range(len(fs)), scales), fs)
     for a, f in enumerate(fs):
         for b, h in enumerate(fs):
             assert bits(g[a, b]) == bits(inner(scales[a] * f, h))
     with pytest.raises(ValueError, match="must be finite"):
-        expfun.pack(fs[:1], [1e308 * 1e10])
+        expfun.select(expfun.pack(fs[:1]), [0], [1e308 * 1e10])
 
 
 def test_gram_rejects_a_degenerate_exponent_on_a_half_line_as_inner_does():
@@ -751,6 +751,8 @@ def test_every_transform_equals_its_term_by_term_build_bit_for_bit(case):
 def test_resolvent_rejects_real_z():
     with pytest.raises(ValueError):
         free_resolvent(1.0, half_line_right())
+    with pytest.raises(ValueError, match="non-real"):
+        free_resolvent([1j, 2.0], half_line_right())
 
 
 def test_resolvent_of_zero_is_zero():
@@ -822,23 +824,53 @@ def test_resolvent_is_continuous():
             )
 
 
-def test_a_batch_of_points_holds_the_one_point_resolvents_row_by_row():
-    gamma = (PiecewiseExpFunction.single(0.5 - 1j, -1.5, 2.0, complex(0.3, 1.0), 1)
-             + half_line_right(2.0, complex(-1.0, 0.5)))
-    # both half planes, a resonant point of the finite piece, and one whose
-    # exponential overflows
-    zs = [1j, 0.5 - 2j, complex(1.0, 0.3), -3 + 0.1j, complex(-1.0, -0.3), 1e3j]
-    table = free_resolvent(zs, gamma)
-    for i, z in enumerate(zs):
-        try:
-            want = free_resolvent(z, gamma).row
-        except OverflowError as exc:
-            assert type(table.faults.errors[i]) is OverflowError
-            assert str(table.faults.errors[i]) == str(exc)
-            continue
-        assert table.function(i).row == want
-    with pytest.raises(ValueError, match="non-real"):
-        free_resolvent([1j, 2.0], gamma)
+@st.composite
+def resolvent_batch_st(draw):
+    """A potential of 1-3 terms, on half lines and on finite pieces, with
+    powers 0-2, and a batch of 1-8 non-real points of both half planes; the
+    batch may hold a point resonant with a finite piece (exponent -iz) and
+    one where an exponential overflows."""
+    terms, resonant = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        c, power, im = draw(complex_st), draw(st.integers(0, 2)), draw(st.floats(-3, 3))
+        end = draw(st.sampled_from([-1.5, -0.0, 0.0, 2.0]))
+        side = draw(st.integers(0, 2))
+        if side == 0:
+            terms.append(ExpTerm(c, NEG_INF, end, complex(draw(st.floats(0.25, 2)), im), power))
+        elif side == 1:
+            terms.append(ExpTerm(c, end, POS_INF, complex(-draw(st.floats(0.25, 2)), im), power))
+        else:
+            exponent = complex(draw(st.floats(-2, 2)), im)
+            terms.append(ExpTerm(c, end, end + draw(st.sampled_from([0.5, 3.0])), exponent,
+                                 power))
+            if exponent.real != 0:
+                resonant.append(1j * exponent)
+    point_st = st.builds(complex, st.floats(-5, 5),
+                         st.one_of(st.floats(0.1, 5), st.floats(-5, -0.1)))
+    zs = draw(st.lists(point_st, min_size=1, max_size=8))
+    for extra in (resonant[:1], [draw(st.sampled_from([1e3j, -1e3j]))]):
+        if extra and len(zs) < 8 and draw(st.booleans()):
+            zs.insert(draw(st.integers(0, len(zs))), extra[0])
+    return PiecewiseExpFunction(terms), zs
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolvent_batch_st())
+# both half planes, a resonant point of the finite piece, and one whose
+# exponential overflows
+@example((PiecewiseExpFunction.single(0.5 - 1j, -1.5, 2.0, complex(0.3, 1.0), 1)
+          + half_line_right(2.0, complex(-1.0, 0.5)),
+          [1j, 0.5 - 2j, complex(1.0, 0.3), -3 + 0.1j, complex(-1.0, -0.3), 1e3j]))
+def test_a_batch_of_points_holds_the_one_point_resolvents_row_by_row(case):
+    gamma, zs = case
+    packed, errors = free_resolvent(zs, gamma)
+    for z, f, error in zip(zs, packed.functions(), errors):
+        want = outcome(lambda: free_resolvent(z, gamma).terms)
+        if error is None:
+            assert outcome(lambda: f.terms) == want
+        else:
+            assert (type(error).__name__, str(error)) == want
+            assert f.is_zero  # a failed point's row holds no term
 
 
 # -- CPython's complex arithmetic, replayed on arrays ----------------------------------

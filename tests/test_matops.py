@@ -385,6 +385,31 @@ def test_wandering_invariant_under_unitary_conjugation():
     np.testing.assert_allclose(r1.defect_per_n, r2.defect_per_n, atol=1e-10)
 
 
+def loop_wandering_check(u, basis, n_max):
+    """wandering_check's defects and first violation as its loop took them
+    with L* formed anew for every n."""
+    ell, blocks, current = basis.vectors, [], basis.vectors
+    for _ in range(n_max):
+        current = u @ current
+        blocks.append(ell.conj().T @ current)
+    defects = opnorm(np.stack(blocks))
+    over = np.flatnonzero(defects > matops.SINGULARITY_TOL)
+    return int(over[0]) + 1 if over.size else None, defects.tolist()
+
+
+@pytest.mark.parametrize("d", [4, 8, 192])
+def test_wandering_check_equals_its_loop_with_l_star_formed_each_time(d):
+    rng = np.random.default_rng(d)
+    w, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = w @ twisted_shift(d) @ w.conj().T
+    # a two-dimensional basis that is not a set of coordinate vectors
+    basis = SubspaceBasis.span(w[:, :2] + 0.5 * w[:, 2:4])
+    report = wandering_check(u, basis, d + 2)
+    first, defects = loop_wandering_check(u, basis, d + 2)
+    assert report.first_violation == first
+    assert [v.hex() for v in report.defect_per_n] == [v.hex() for v in defects]
+
+
 def test_wandering_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         wandering_check(np.diag([0.5, 1.0]), SubspaceBasis.coordinate(2, 0), 2)

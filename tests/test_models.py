@@ -23,6 +23,7 @@ from psokit.expfun import (
     inner_quadrature,
     norm,
     pack,
+    select,
 )
 from psokit.models import (
     HaarSystem,
@@ -382,7 +383,8 @@ def object_resolvent(z, gamma):
     upper, ez, out = z.imag > 0, -1j * z, []
     for t in gamma.terms:
         u, k = 1j * z + t.exponent, t.power
-        coeffs = expfun._antiderivative_coeffs(k, u)
+        coeffs = (None if abs(u) < expfun.DEGENERATE_EXPONENT_TOL
+                  else expfun._antiderivative_coeffs(k, u))
 
         def antiderivative(x):
             return expfun._antiderivative(k, u, coeffs, x)
@@ -602,6 +604,22 @@ def test_the_table_rows_norms_and_images_match_the_reference_vectors(make, grid)
     assert got == [reference_entries(model, z) for z in points]
 
 
+@pytest.mark.parametrize("make", [MomentumModel, functools.partial(NonlocalModel, "I", 1),
+                                  functools.partial(NonlocalModel, "II", 2j)],
+                         ids=["momentum", "I(1)", "II(2i)"])
+def test_a_batch_build_packs_the_bits_of_its_one_point_vectors(make):
+    points = [*DENSE_GRID.lambdas_upper, *DENSE_GRID.lambdas_lower,
+              *NEAR_RESONANCE_GRID.lambdas_upper, *NEAR_RESONANCE_GRID.lambdas_lower]
+    packed, errors = make().defects._build(points)
+    assert errors == [None] * len(points)
+    # a fresh family builds each point as a batch of one
+    family = make().defects
+    want = pack([family(z) for z in points])
+    # compare bytes: all seven parts, signed zeros and last bits included
+    assert packed.parts.shape == want.parts.shape
+    assert packed.parts.tobytes() == want.parts.tobytes()
+
+
 # -- Haar system -------------------------------------------------------------------
 
 
@@ -649,8 +667,8 @@ def test_gram_of_normalized_defect_vectors_is_bit_identical(model):
     uppers = [complex(re, im) for re in range(-15, 16)
               for im in (0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10)]
     lowers = [z.conjugate() for z in uppers]
-    packed = [pack([model.defects(z) for z in zs],
-                   [1.0 / model.defects.norm(z) for z in zs]) for zs in (uppers, lowers)]
+    packed = [select(pack([model.defects(z) for z in zs]), range(len(zs)),
+                     [1.0 / model.defects.norm(z) for z in zs]) for zs in (uppers, lowers)]
     fs, gs = ([(1.0 / model.defects.norm(z)) * model.defects(z) for z in zs]
               for zs in (uppers, lowers))
     want = np.array([[inner(f, g) for g in gs] for f in fs])

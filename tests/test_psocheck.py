@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from families import pointwise_family
 
 from psokit import cli, expfun, matops, models, psocheck, triplets
 from psokit.expfun import inner
@@ -20,7 +21,7 @@ from psokit.psocheck import (
 )
 from psokit.scalars import format_complex
 from psokit.tolerances import PASS_CONSTANCY, PASS_INCLUSION, PASS_ORTHOGONALITY
-from psokit.triplets import BoundaryTriplet, DefectFamily
+from psokit.triplets import BoundaryTriplet
 
 SMALL_GRID = Grid.from_axes([-2.0, 0.0, 3.0], [0.5, 1.0, 5.0])
 DENSE_GRID = Grid.from_axes(range(-15, 16), (0.1, 0.2, 0.5, 1, 1.5, 2, 3, 5, 7, 10))
@@ -164,7 +165,7 @@ def test_certificate_scale_invariance():
     class Scaled:
         triplet = base.triplet
         adjoint_apply = staticmethod(base.adjoint_apply)
-        defects = DefectFamily.pointwise(lambda z: (3.7 - 1.2j) * base.defects(z), base.triplet)
+        defects = pointwise_family(lambda z: (3.7 - 1.2j) * base.defects(z), base.triplet)
 
         @staticmethod
         def describe():
@@ -189,7 +190,7 @@ def test_certificate_flags_criterion_disagreement():
         # constancy and inclusion still pass, orthogonality cannot
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
-        defects = DefectFamily.pointwise(
+        defects = pointwise_family(
             lambda z: mom.defects(z) if z.imag > 0 else mom.defects(z) + leak, mom.triplet)
 
         @staticmethod
@@ -214,7 +215,7 @@ def test_scan_reports_per_point_failures_and_continues():
     class Flaky:
         triplet = mom.triplet
         adjoint_apply = staticmethod(mom.adjoint_apply)
-        defects = DefectFamily.pointwise(flaky, mom.triplet)
+        defects = pointwise_family(flaky, mom.triplet)
 
         @staticmethod
         def describe():
@@ -242,7 +243,7 @@ def variant(base, name, defect=None, triplet=None):
             return name
 
     Variant.triplet = triplet or base.triplet
-    Variant.defects = DefectFamily.pointwise(defect or base.defects, Variant.triplet)
+    Variant.defects = pointwise_family(defect or base.defects, Variant.triplet)
     return Variant()
 
 

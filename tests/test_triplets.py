@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from families import pointwise_family
 
 from psokit import matops
 from psokit.expfun import (
@@ -14,7 +15,6 @@ from psokit.models import MomentumModel, NonlocalModel, random_maximal_domain_fu
 from psokit.triplets import (
     BoundaryFunctional,
     BoundaryTriplet,
-    DefectFamily,
     change_of_basis,
     char_function,
     char_value,
@@ -375,7 +375,7 @@ def counting_family(fail_at=()):
             raise RuntimeError(f"synthetic construction failure at {z}")
         return model.defects(z)
 
-    return DefectFamily.pointwise(build, MomentumModel().triplet), calls
+    return pointwise_family(build, MomentumModel().triplet), calls
 
 
 def test_a_point_asked_twice_in_one_batch_is_built_once():
