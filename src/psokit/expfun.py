@@ -565,8 +565,9 @@ class PackedFunctions:
     coefficient is zero and its interval [0, 0] empty.  ``parts`` is the
     (7, count, width) float array of the parts of the terms: the
     coefficient split into real and imaginary parts, lo, hi, the exponent
-    split likewise, and the power, each also under its own name.  The rest
-    of a term besides its coefficient is its kind; ``kinds`` is the table
+    split likewise, and the power; ``coeff_re``, ``coeff_im``, ``lo`` and
+    ``hi`` name the first four.  The rest of a term besides its
+    coefficient is its kind; ``kinds`` is the table
     (lo, hi, exp_re, exp_im, power) of the distinct kinds of the slots, the
     padding kind first, and ``kind[i, p]`` indexes it.  Kinds are told apart
     bit for bit, so -0.0 and 0.0 are different kinds.  The table is built
@@ -580,9 +581,6 @@ class PackedFunctions:
     coeff_im = property(lambda self: self.parts[1])
     lo = property(lambda self: self.parts[2])
     hi = property(lambda self: self.parts[3])
-    exp_re = property(lambda self: self.parts[4])
-    exp_im = property(lambda self: self.parts[5])
-    power = property(lambda self: self.parts[6])
 
     def __len__(self) -> int:
         return self.parts.shape[1]

@@ -854,7 +854,7 @@ def resolvent_batch_st(draw):
     return PiecewiseExpFunction(terms), zs
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(resolvent_batch_st())
 # both half planes, a resonant point of the finite piece, and one whose
 # exponential overflows
