@@ -980,6 +980,15 @@ class _Faults:
                 self.errors[i] = kind(*args)
             self.failed |= fresh
 
+    def absorb(self, other: "_Faults", where=True) -> None:
+        """Note the errors of ``other`` at the points of the mask ``where``
+        that have no error yet."""
+        if other.failed.any():
+            fresh = other.failed & where & ~self.failed
+            for i in np.flatnonzero(fresh).tolist():
+                self.errors[i] = other.errors[i]
+            self.failed |= fresh
+
 
 def _split(c: complex) -> tuple[float, float]:
     return c.real, c.imag
@@ -1027,6 +1036,13 @@ class SplitComplex:
 
     def __rtruediv__(self, other):
         return SplitComplex(*_quot(*self._parts(other), self.real, self.imag))
+
+    @staticmethod
+    def choose(mask, x, y) -> "SplitComplex":
+        """x where ``mask`` holds and y elsewhere; each a SplitComplex or a
+        number."""
+        (xr, xi), (yr, yi) = SplitComplex._parts(x), SplitComplex._parts(y)
+        return SplitComplex(np.where(mask, xr, yr), np.where(mask, xi, yi))
 
     @staticmethod
     def nonzero(x):
@@ -1082,7 +1098,7 @@ def _power(x: float, n: int, faults: _Faults, where):
 # A build fills the pack of a batch, one row per point, and keeps in a
 # _Faults the first error the scalar build raises at each point; a failed
 # point's row holds whatever the arrays computed until the build's last
-# step, ``by_half_plane`` or ``single_terms``, empties it and makes the
+# step, ``finish_batch`` or ``single_terms``, empties it and makes the
 # batch's one pack, with ``pack_terms``.
 
 
@@ -1104,12 +1120,12 @@ def single_terms(coeff, lo, hi, exponent) -> tuple[PackedFunctions, list]:
     return pack_terms(*np.where(on, parts, 0.0)), faults.errors
 
 
-def plus_term(f: PackedFunctions, faults: _Faults, coeff, lo: float, hi: float,
-              exponent) -> PackedFunctions:
+def plus_term(f: PackedFunctions, faults: _Faults, coeff, lo, hi, exponent) -> PackedFunctions:
     """Each row of f with the term (coeff, lo, hi, exponent, 0) appended, as
     ``canonical_row`` makes it of the row's terms and that one; a point
     whose coeff or exponent is not finite failed, as ExpTerm fails it.
-    coeff and exponent are numbers or :class:`SplitComplex` arrays."""
+    coeff and exponent are numbers or :class:`SplitComplex` arrays over the
+    points, lo and hi numbers or float arrays over them."""
     coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
     faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
     on = (f.coeff_re != 0) | (f.coeff_im != 0)
@@ -1163,26 +1179,10 @@ def canonical_terms(cols: np.ndarray, faults: _Faults) -> PackedFunctions:
                                     np.concatenate((acc, kind))[:, points, order], 0.0))
 
 
-def by_half_plane(z, build) -> tuple[PackedFunctions, list]:
-    """The rows of ``build(points, upper)``, a pack and its _Faults, for the
-    points of z in the upper and in the lower half plane, as one pack in the
-    order of z, a failed point's row empty, and each point's error or None.
-    Array warnings are silenced: a value that overflows fails its point as
-    the scalar code fails it, or is never read."""
-    z = np.asarray(z, dtype=complex).ravel()
-    halves = []
-    with np.errstate(all="ignore"):
-        for upper in (True, False):
-            at = np.flatnonzero((z.imag > 0) == upper)
-            if at.size:
-                halves.append((at, *build(z[at], upper)))
-    parts = np.zeros((7, z.size, max((f.parts.shape[2] for _, f, _ in halves), default=0)))
-    errors = [None] * z.size
-    for at, f, faults in halves:
-        parts[:, at, :f.parts.shape[2]] = np.where(faults.failed[:, None], 0.0, f.parts)
-        for i, error in zip(at.tolist(), faults.errors):
-            errors[i] = error
-    return pack_terms(*parts), errors
+def finish_batch(f: PackedFunctions, faults: _Faults) -> tuple[PackedFunctions, list]:
+    """The batch's one pack, f with each failed point's row emptied, and
+    each point's error or None."""
+    return pack_terms(*np.where(faults.failed[:, None], 0.0, f.parts)), faults.errors
 
 
 # ---------------------------------------------------------------------------
@@ -1203,38 +1203,49 @@ def free_resolvent(z, gamma: PiecewiseExpFunction):
     one instead of leaving the algebra.  For one point z the result is a
     :class:`PiecewiseExpFunction`; for a 1-D array of points it is the
     pack of their rows, a failed point's row empty, with the error each
-    point raised or None.  Either way every point goes through the one
-    array build, :func:`half_plane_resolvent`.  Not memoised.
+    point raised or None.  Either way every point, of both half planes,
+    goes through one pass of the array build, :func:`half_plane_resolvent`.
+    Not memoised.
     """
     if np.ndim(z) == 0:
         packed, errors = free_resolvent([complex(z)], gamma)
         if errors[0] is not None:
             raise errors[0]
         return packed.functions()[0]
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z, dtype=complex).ravel()
     if (z.imag == 0).any():
         raise ValueError("resolvent requires non-real z")
-    return by_half_plane(z, lambda points, upper: half_plane_resolvent(points, upper, gamma))
+    # a value that overflows fails its point as the scalar code fails it,
+    # or is never read
+    with np.errstate(all="ignore"):
+        return finish_batch(*half_plane_resolvent(z, z.imag > 0, gamma))
 
 
-def half_plane_resolvent(z: np.ndarray, upper: bool,
+def half_plane_resolvent(z: np.ndarray, upper: np.ndarray,
                          gamma: PiecewiseExpFunction) -> tuple[PackedFunctions, _Faults]:
-    """The rows of ``free_resolvent(z_i, gamma)`` at points z all in the
-    upper half plane or all in the lower one, and each point's first error.
+    """The rows of ``free_resolvent(z_i, gamma)`` at non-real points z, with
+    ``upper`` the mask of those in the upper half plane, and each point's
+    first error.
 
     The build replays the scalar arithmetic of the formula term by term,
     bit for bit, for every point at once: the antiderivative is the scalar
     ``_antiderivative`` itself, on :class:`SplitComplex` values, with
     ``_exp`` and ``_power`` noting the errors ``cmath.exp`` and ``pow``
-    raise.  Each output term is checked as ExpTerm checks it (only
-    finiteness can fail here: the intervals come from gamma's terms and
-    their complements, and each homogeneous term decays on the side where
-    it is kept), the terms are merged as ``canonical_row`` merges them, and
-    each point keeps the first error the scalar build would raise there.
-    Array warnings must be silenced by the caller, as :func:`by_half_plane`
-    does.
+    raise.  Both half planes go through one pass.  The antiderivative is
+    taken once at each finite end of a term, and a point's errors there are
+    noted in the order of its half plane: hi before lo in the upper one, lo
+    before hi in the lower one.  The term left of the support is held only
+    at upper points and the one right of it only at lower points; a slot
+    that no point holds is not built.  Each output term is checked as
+    ExpTerm checks it (only finiteness can fail here: the intervals come
+    from gamma's terms and their complements, and each homogeneous term
+    decays on the side where it is kept), the terms are merged as
+    ``canonical_row`` merges them, and each point keeps the first error the
+    scalar build would raise there.  Array warnings must be silenced by the
+    caller.
     """
     faults = _Faults(z.size)
+    lower = ~upper
     z = SplitComplex(z.real, z.imag)
     ez = -1j * z  # exponent of the homogeneous solution exp(-izx)
     slots = []
@@ -1250,41 +1261,41 @@ def half_plane_resolvent(z: np.ndarray, upper: bool,
         flat = size < DEGENERATE_EXPONENT_TOL
         live = ~flat
         coeffs = _antiderivative_coeffs(k, u)
-        noting = [functools.partial(fn, faults=faults, where=live) for fn in (_exp, _power)]
-        flat_power = functools.partial(_power, faults=faults, where=flat)
 
-        def antiderivative(x):
-            # both branches at every point; a degenerate u's float value is
-            # taken as complex(value, 0.0)
-            value = _antiderivative(k, u, coeffs, x, *noting)
-            flat_value = _antiderivative(k, u, None, x, power=flat_power)
-            return SplitComplex(np.where(flat, flat_value, value.real),
-                                np.where(flat, 0.0, value.imag))
+        def antiderivative(x, noted: _Faults):
+            # both branches at every point, their errors noted in ``noted``;
+            # a degenerate u's float value is taken as complex(value, 0.0)
+            value = _antiderivative(k, u, coeffs, x, *(
+                functools.partial(fn, faults=noted, where=live) for fn in (_exp, _power)))
+            flat_value = _antiderivative(k, u, None, x,
+                                         power=functools.partial(_power, faults=noted, where=flat))
+            return SplitComplex.choose(flat, flat_value, value)
 
+        # the antiderivative at each end, 0j at an infinite one (Re u < 0 is
+        # guaranteed at an infinite right end of an upper point, Re u > 0 at
+        # an infinite left end of a lower one); the errors at hi are noted
+        # apart, so an upper point keeps them before those at lo and a
+        # lower point after
+        at_hi = _Faults(faults.failed.size)
+        Gb = antiderivative(hi, at_hi) if hi != POS_INF else 0j
+        faults.absorb(at_hi, upper)
+        Ga = antiderivative(lo, faults) if lo != NEG_INF else 0j
+        faults.absorb(at_hi)
         # the output terms, (coeff, lo, hi, exponent, power, where held), in
         # the order the scalar build appends them
         terms = []
-        if upper:
-            # Re u < 0 is guaranteed at an infinite right end
-            Gb = 0j if hi == POS_INF else antiderivative(hi)
+        if lo != NEG_INF and upper.any():
             # left of the support: a pure multiple of exp(-izx)
-            if lo != NEG_INF:
-                c = 1j * coeff * (Gb - antiderivative(lo))
-                terms.append((c, NEG_INF, lo, ez, 0, SplitComplex.nonzero(c)))
-            # on the support: a homogeneous part plus the particular part
-            homogeneous = 1j * coeff * Gb
-        else:
-            # Re u > 0 is guaranteed at an infinite left end
-            Ga = 0j if lo == NEG_INF else antiderivative(lo)
-            if hi != POS_INF:
-                c = -1j * coeff * (antiderivative(hi) - Ga)
-                terms.append((c, hi, POS_INF, ez, 0, SplitComplex.nonzero(c)))
-            homogeneous = 1j * coeff * Ga
+            c = 1j * coeff * (Gb - Ga)
+            terms.append((c, NEG_INF, lo, ez, 0, upper & SplitComplex.nonzero(c)))
+        if hi != POS_INF and lower.any():
+            c = -1j * coeff * (Gb - Ga)
+            terms.append((c, hi, POS_INF, ez, 0, lower & SplitComplex.nonzero(c)))
+        # on the support: a homogeneous part plus the particular part
+        homogeneous = 1j * coeff * SplitComplex.choose(upper, Gb, Ga)
         sign = -1j * coeff
-        terms.append((homogeneous, lo, hi,
-                      SplitComplex(np.where(flat, exponent.real, ez.real),
-                                   np.where(flat, exponent.imag, ez.imag)),
-                      0, SplitComplex.nonzero(homogeneous)))
+        terms.append((homogeneous, lo, hi, SplitComplex.choose(flat, exponent, ez), 0,
+                      SplitComplex.nonzero(homogeneous)))
         terms.append((sign / (k + 1), lo, hi, exponent, k + 1, flat))
         terms += [(sign * c, lo, hi, exponent, k - j, live) for j, c in enumerate(coeffs)]
         # ExpTerm's check of each term: one error text, so one note
@@ -1292,7 +1303,7 @@ def half_plane_resolvent(z: np.ndarray, upper: bool,
                  for c, lo, hi, e, power, on in terms]
         faults.note(np.any([t[7] & _not_finite(*t[:2], *t[4:6]) for t in parts], axis=0),
                     ValueError, _NOT_FINITE)
-        slots += parts
+        slots += [t for t in parts if t[7].any()]
     return canonical_terms(_columns(slots, faults.failed.size), faults), faults
 
 

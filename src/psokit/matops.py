@@ -61,11 +61,13 @@ def min_singular_value(a) -> float | np.ndarray:
     return float(smin) if m.ndim == 2 else smin
 
 
-def is_singular(m, tol: float = SINGULARITY_TOL) -> bool:
-    """True iff the smallest singular value is below tol * (1 + ||m||)."""
-    m = _as_matrix(m)
+def is_singular(m, tol: float = SINGULARITY_TOL) -> bool | np.ndarray:
+    """True iff the smallest singular value is below tol * (1 + ||m||); for
+    a stack (ndim 3), one bool per matrix, from one SVD of the stack."""
+    m = _as_matrix(m, stacked=np.ndim(m) == 3)
     s = np.linalg.svd(m, compute_uv=False)
-    return bool(s[-1] <= tol * (1 + s[0]))
+    singular = s[..., -1] <= tol * (1 + s[..., 0])
+    return bool(singular) if m.ndim == 2 else singular
 
 
 def cayley(a) -> np.ndarray:

@@ -28,8 +28,8 @@ from .expfun import (
     PackedFunctions,
     PiecewiseExpFunction,
     SplitComplex,
-    by_half_plane,
     coefficient_distance,
+    finish_batch,
     gram,
     half_plane_resolvent,
     inner,
@@ -453,17 +453,21 @@ class NonlocalModel:
         each point's error or None: with g the resolvent of the potential
         and g0 the mean of its one-sided limits at 0, g - 2 (1 + g0) bump
         (case I) or g +- bump (case II), bump = exp(-izx) on its half line,
-        merged as one ``canonical_row`` of g's row and the bump term."""
-        def half(z, upper):
+        merged as one ``canonical_row`` of g's row and the bump term.  Both
+        half planes are built in one pass."""
+        z = np.asarray(zs, dtype=complex)
+        upper = z.imag > 0
+        # a value that overflows fails its point as the scalar code fails
+        # it, or is never read
+        with np.errstate(all="ignore"):
             g, faults = half_plane_resolvent(z, upper, gamma)
             minus, plus = origin_limits(g)
             g0 = (plus + minus) / 2
-            coeff = -2 * (1 + g0) if case == "I" else (1.0 if upper else -1.0)
+            coeff = -2 * (1 + g0) if case == "I" else SplitComplex(np.where(upper, 1.0, -1.0), 0.0)
             # the bump decays on its half line
-            lo, hi = (NEG_INF, 0.0) if upper else (0.0, POS_INF)
-            return plus_term(g, faults, coeff, lo, hi, -1j * SplitComplex(z.real, z.imag)), faults
-
-        return by_half_plane(zs, half)
+            bump = plus_term(g, faults, coeff, np.where(upper, NEG_INF, 0.0),
+                             np.where(upper, 0.0, POS_INF), -1j * SplitComplex(z.real, z.imag))
+        return finish_batch(bump, faults)
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

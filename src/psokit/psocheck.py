@@ -269,8 +269,10 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     The coefficients are linear in the native images (gamma_plus(f),
     gamma_minus(f)), so each upper and each conjugate point is mapped once:
     the upper images are the right-hand sides and S(mu)'s first column, the
-    conjugate ones its second, and one stacked solve covers every regular
-    S(mu).  A singular S(mu) fails every pair at that mu.  Failures keep the
+    conjugate ones its second.  One stacked singularity test, as
+    ``triplets.system_errors`` takes it, covers every S(mu) that is
+    reached, and one stacked solve every regular one.  An S(mu) that is
+    singular or not finite fails every pair at that mu.  Failures keep the
     precedence and text of ``decompose``: lambda-side construction errors
     (the norm of f included), then mu-side errors, then errors of the
     boundary maps on f, then the singularity of S(mu).  A pair whose
@@ -279,7 +281,6 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     """
     grid = grid or Grid.default()
     lams = grid.lambdas_upper
-    labels = [format_complex(lam) for lam in lams]
     conjs = [lam.conjugate() for lam in lams]
     family = model.defects
     all_norms = family.norms_at([*lams, *conjs])  # one batch for both half planes
@@ -297,43 +298,44 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     conj, conj_errors = native_images(model, conjs)
 
     # per mu: the norm at conj(mu), then, mapping f_mu before f_conj(mu) as
-    # decompose does, the first mapping error and the singularity of S(mu)
+    # decompose does, the first mapping error and the singularity of S(mu),
+    # tested for every mu that gets that far at once
     systems = np.stack([rhs.T, conj.T], axis=2)
     n_conj = np.ones(len(lams))
     mu_failures: dict[int, str] = {}
     mu_errors = [late.get(i) or conj_errors.get(i) for i in range(len(lams))]
-    singular: dict[int, Exception] = {}
+    tested = []
     for i, n in enumerate(all_norms[len(lams):]):
         if isinstance(n, Exception):
-            mu_failures[i] = f"mu={labels[i]}: {n}"
+            mu_failures[i] = f"mu={format_complex(lams[i])}: {n}"
             continue
         n_conj[i] = n
         if mu_errors[i] is None:
-            try:
-                triplets.require_regular_system(systems[i])
-            except Exception as exc:
-                singular[i] = exc
-    regular = [i for i in range(len(lams)) if i not in mu_failures
-               and mu_errors[i] is None and i not in singular]
+            tested.append(i)
+    singular = {i: exc for i, exc in zip(tested, triplets.system_errors(systems[tested]))
+                if exc is not None}
+    regular = [i for i in tested if i not in singular]
     coeffs = np.full((len(lams), 2, len(lams)), np.nan, dtype=complex)  # mu, (a, b), lambda
     coeffs[regular] = np.linalg.solve(systems[regular], rhs)
     failed = ~np.isfinite(coeffs).all(axis=1)
     failed[:, [*early, *late]] = True
 
     failures = []
-    for i in range(len(lams)):
+    for i in np.flatnonzero(failed.any(axis=1)).tolist():  # a failed mu fails its whole row
         if i in mu_failures:
             failures.append(mu_failures[i])
             continue
-        for j in np.flatnonzero(failed[i]):
+        for j in np.flatnonzero(failed[i]).tolist():
             exc = (early.get(j) or mu_errors[i] or late.get(j) or singular.get(i)
                    or ValueError("coefficient and exponent must be finite"))
-            failures.append(f"lambda={labels[j]}, mu={labels[i]}: {exc}")
+            failures.append(
+                f"lambda={format_complex(lams[j])}, mu={format_complex(lams[i])}: {exc}")
     # hypot is abs() of a complex bit for bit; np.abs is not
     vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * n_conj[:, None] / norms
-    return _scan_result("inclusion", vals, PASS_INCLUSION,
-                        lambda mu, lam: f"lambda={labels[lam]}, mu={labels[mu]}",
-                        failures, excluded=failed, what="coefficient")
+    return _scan_result(
+        "inclusion", vals, PASS_INCLUSION,
+        lambda mu, lam: f"lambda={format_complex(lams[lam])}, mu={format_complex(lams[mu])}",
+        failures, excluded=failed, what="coefficient")
 
 
 def pso_certificate(model, grid: Grid | None = None) -> Certificate:

@@ -392,10 +392,35 @@ def char_value(lam: complex, gp: complex, gm: complex) -> complex:
     return theta
 
 
+_SINGULAR_SYSTEM = "decomposition system is singular for this mu"
+
+
+def system_errors(systems: np.ndarray) -> list:
+    """Per S(mu) of a stack of them, the images of the defect vectors at mu,
+    conj(mu): None for a regular one, else the error it is rejected with.
+
+    A matrix that is not finite is rejected by ``matops.require_finite``;
+    the others are tested by one stacked ``matops.is_singular`` call, or,
+    if that raises, each alone, so one matrix cannot fail the others.
+    """
+    finite = np.isfinite(systems).all(axis=(1, 2))
+    tested = np.flatnonzero(finite).tolist()
+    singular = iter(_batch(
+        lambda at: matops.is_singular(systems[at], DECOMPOSE_SINGULAR_TOL).tolist(), tested)
+        if tested else ())
+    errors = []
+    for system, ok in zip(systems, finite.tolist()):
+        entry = next(singular) if ok else each_point(matops.require_finite, [system])[0]
+        if entry is True:
+            entry = ValueError(_SINGULAR_SYSTEM)
+        errors.append(entry if isinstance(entry, Exception) else None)
+    return errors
+
+
 def require_regular_system(system: np.ndarray) -> None:
     """Reject a singular S(mu), the images of the defect vectors at mu, conj(mu)."""
     if matops.is_singular(system, DECOMPOSE_SINGULAR_TOL):
-        raise ValueError("decomposition system is singular for this mu")
+        raise ValueError(_SINGULAR_SYSTEM)
 
 
 def decompose(model, f: PiecewiseExpFunction, mu: complex

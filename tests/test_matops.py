@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psokit import matops
-from psokit.tolerances import HERMITIAN_TOL, UNITARY_TOL
+from psokit.tolerances import (DECOMPOSE_SINGULAR_TOL, HERMITIAN_TOL, SINGULARITY_TOL,
+                               UNITARY_TOL)
 from psokit.matops import (
     KreinBlockOperator,
     SubspaceBasis,
@@ -422,6 +423,44 @@ def test_is_singular_fixtures():
     assert is_singular([[0.0]])
     assert not is_singular(np.eye(2))
     assert is_singular([[1.0, 0.0], [0.0, 1e-14]], tol=1e-10)
+
+
+entry_st = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def singularity_stack_st(draw):
+    """A stack of 1-6 matrices, all 2x2 or all 3x3: each has random entries
+    or is exactly singular (a zero row, or a column 0, 1 or 2 times another,
+    an exact multiple), and is scaled by a power of ten from 1e-150 to
+    1e150."""
+    d = draw(st.sampled_from([2, 3]))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = np.array(draw(st.lists(entry_st, min_size=d * d, max_size=d * d)),
+                     dtype=complex).reshape(d, d)
+        kind = draw(st.sampled_from(["random", "zero-row", "multiple-column"]))
+        if kind == "zero-row":
+            m[draw(st.integers(0, d - 1))] = 0
+        elif kind == "multiple-column":
+            m[:, 1] = draw(st.sampled_from([0.0, 1.0, 2.0])) * m[:, 0]
+        stack.append(m * 10.0 ** draw(st.sampled_from([-150, -8, 0, 8, 150])))
+    return np.array(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(singularity_stack_st(),
+       st.sampled_from([SINGULARITY_TOL, DECOMPOSE_SINGULAR_TOL, 1e-3]))
+def test_a_stacked_singularity_test_equals_the_test_of_each_matrix(stack, tol):
+    got = is_singular(stack, tol)
+    assert got.shape == (len(stack),) and got.dtype == bool
+    assert got.tolist() == [is_singular(m, tol) for m in stack]
+
+
+def test_a_stack_with_an_entry_that_is_not_finite_is_rejected():
+    stack = np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        is_singular(stack)
 
 
 def test_subspace_basis_validation():

@@ -450,6 +450,24 @@ def test_the_resolvent_rows_are_bit_identical_to_the_object_build(case):
     assert term_bits(free_resolvent, z, gamma) == term_bits(object_resolvent, z, gamma)
 
 
+def test_each_point_of_a_batch_keeps_the_first_error_of_its_half_plane():
+    # on [-1e200, 1] an upper point takes the antiderivative at 1 first,
+    # where exp(u) overflows, and a lower point that at -1e200 first, where
+    # (-1e200)**2 overflows
+    gamma = PiecewiseExpFunction.single(1.0, -1e200, 1.0, 800.0, 2)
+    zs = [1j, -1j, 2 + 0.5j, -3 - 0.5j, -1j, 1j]
+    packed, errors = free_resolvent(zs, gamma)
+    want = []
+    for z in zs:
+        with pytest.raises(OverflowError) as info:
+            object_resolvent(z, gamma)
+        want.append(failure(info.value))
+    assert [failure(e) for e in errors] == want
+    assert {text for _, text in want} == {"math range error",
+                                          "(34, 'Numerical result out of range')"}
+    assert not packed.parts.any()
+
+
 def reference_defect(model, z):
     """The defect vector as g - 2 (1 + g0) bump (case I) or g +- bump (case II)."""
     g = object_resolvent(z, model.gamma) if not model.gamma.is_zero \
@@ -604,20 +622,60 @@ def test_the_table_rows_norms_and_images_match_the_reference_vectors(make, grid)
     assert got == [reference_entries(model, z) for z in points]
 
 
-@pytest.mark.parametrize("make", [MomentumModel, functools.partial(NonlocalModel, "I", 1),
-                                  functools.partial(NonlocalModel, "II", 2j)],
-                         ids=["momentum", "I(1)", "II(2i)"])
-def test_a_batch_build_packs_the_bits_of_its_one_point_vectors(make):
-    points = [*DENSE_GRID.lambdas_upper, *DENSE_GRID.lambdas_lower,
-              *NEAR_RESONANCE_GRID.lambdas_upper, *NEAR_RESONANCE_GRID.lambdas_lower]
-    packed, errors = make().defects._build(points)
-    assert errors == [None] * len(points)
-    # a fresh family builds each point as a batch of one
+#: the points of both half planes in turn: the resonant points i (case II)
+#: and -i (case I), -i twice, and three points where abs(iz - 1) and
+#: abs(iz + 1) overflow
+INTERLEAVED = [1j, -1j, complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308),
+               *(z for pair in zip(DENSE_GRID.lambdas_upper[::7], DENSE_GRID.lambdas_lower[::5])
+                 for z in pair),
+               complex(-1.5e308, -1.5e308), 2j, -1j]
+
+
+def one_point_builds(make, points):
+    """The pack of the vectors a fresh family builds at the points, each as
+    a batch of one, a failed point's row empty, and each point's error as
+    (type, text) or None."""
     family = make().defects
-    want = pack([family(z) for z in points])
-    # compare bytes: all seven parts, signed zeros and last bits included
-    assert packed.parts.shape == want.parts.shape
-    assert packed.parts.tobytes() == want.parts.tobytes()
+    fs, errors = [], []
+    for z in points:
+        try:
+            fs.append(family(z))
+            errors.append(None)
+        except Exception as exc:
+            fs.append(PiecewiseExpFunction.zero())
+            errors.append(failure(exc))
+    return pack(fs), errors
+
+
+@pytest.mark.parametrize("make", [MomentumModel, functools.partial(NonlocalModel, "I", 1),
+                                  functools.partial(NonlocalModel, "I", 4j),
+                                  functools.partial(NonlocalModel, "II", 2j)],
+                         ids=["momentum", "I(1)", "I(4i)", "II(2i)"])
+def test_a_batch_build_packs_the_bits_of_its_one_point_vectors(make):
+    halves = [*DENSE_GRID.lambdas_upper, *DENSE_GRID.lambdas_lower,
+              *NEAR_RESONANCE_GRID.lambdas_upper, *NEAR_RESONANCE_GRID.lambdas_lower]
+    for points in (halves, INTERLEAVED):
+        packed, errors = make().defects._build(points)
+        want, want_errors = one_point_builds(make, points)
+        assert [None if e is None else failure(e) for e in errors] == want_errors
+        # compare bytes: all seven parts, signed zeros and last bits
+        # included; slots past the widest one-point row hold padding only
+        width = want.parts.shape[2]
+        assert packed.parts.shape[:2] == want.parts.shape[:2]
+        assert packed.parts[:, :, :width].tobytes() == want.parts.tobytes()
+        assert not packed.parts[:, :, width:].any()
+
+
+def test_the_interleaved_batch_meets_resonance_and_overflow():
+    for make, resonant in ((functools.partial(NonlocalModel, "I", 1), -1j),
+                           (functools.partial(NonlocalModel, "II", 2j), 1j)):
+        packed, errors = make().defects._build(INTERLEAVED)
+        failed = {z for z, e in zip(INTERLEAVED, errors) if e is not None}
+        assert failed == {complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308),
+                          complex(-1.5e308, -1.5e308)}
+        # the resonant vector holds the monomial x exp(-izx) of the flat term
+        powers = packed.parts[6][INTERLEAVED.index(resonant)]
+        assert 1.0 in powers.tolist()
 
 
 # -- Haar system -------------------------------------------------------------------

@@ -20,7 +20,8 @@ from psokit.psocheck import (
     pso_certificate,
 )
 from psokit.scalars import format_complex
-from psokit.tolerances import PASS_CONSTANCY, PASS_INCLUSION, PASS_ORTHOGONALITY
+from psokit.tolerances import (DECOMPOSE_SINGULAR_TOL, PASS_CONSTANCY, PASS_INCLUSION,
+                               PASS_ORTHOGONALITY)
 from psokit.triplets import BoundaryTriplet
 
 SMALL_GRID = Grid.from_axes([-2.0, 0.0, 3.0], [0.5, 1.0, 5.0])
@@ -623,7 +624,8 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     inclusion_scan(model, Grid.default())
     assert calls["decompose"] == 0
-    assert calls["is_singular"] == 66
+    # every S(mu) in one stacked singularity test, not one test per mu
+    assert calls["is_singular"] == 1
     # every regular S(mu) in one stacked solve, not one solve per mu
     assert calls["solve"] == 1
     # pairs whose coefficients are not finite fail without a decompose
@@ -631,6 +633,132 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     assert calls["decompose"] == 0
     assert sum("coefficient and exponent must be finite" in f
                for f in result.failures) == 8
+
+
+def looped_inclusion_scan(model, grid):
+    """Reference: inclusion_scan as it tested each S(mu) with its own
+    singularity test, one SVD per mu, and walked every mu row for failures."""
+    lams = grid.lambdas_upper
+    labels = [format_complex(lam) for lam in lams]
+    conjs = [lam.conjugate() for lam in lams]
+    family = model.defects
+    all_norms = family.norms_at([*lams, *conjs])
+    early = {}
+    norms = np.ones(len(lams))
+    for j, domain_error in enumerate(family.domain_errors_at(lams)):
+        try:
+            if domain_error:
+                raise domain_error
+            norms[j] = triplets.unwrap(all_norms[j])
+        except Exception as exc:
+            early[j] = exc
+    rhs, late = psocheck.native_images(model, lams)
+    conj, conj_errors = psocheck.native_images(model, conjs)
+    systems = np.stack([rhs.T, conj.T], axis=2)
+    n_conj = np.ones(len(lams))
+    mu_failures = {}
+    mu_errors = [late.get(i) or conj_errors.get(i) for i in range(len(lams))]
+    singular = {}
+    for i, n in enumerate(all_norms[len(lams):]):
+        if isinstance(n, Exception):
+            mu_failures[i] = f"mu={labels[i]}: {n}"
+            continue
+        n_conj[i] = n
+        if mu_errors[i] is None:
+            try:
+                if matops.is_singular(systems[i], DECOMPOSE_SINGULAR_TOL):
+                    raise ValueError("decomposition system is singular for this mu")
+            except Exception as exc:
+                singular[i] = exc
+    regular = [i for i in range(len(lams)) if i not in mu_failures
+               and mu_errors[i] is None and i not in singular]
+    coeffs = np.full((len(lams), 2, len(lams)), np.nan, dtype=complex)
+    coeffs[regular] = np.linalg.solve(systems[regular], rhs)
+    failed = ~np.isfinite(coeffs).all(axis=1)
+    failed[:, [*early, *late]] = True
+    failures = []
+    for i in range(len(lams)):
+        if i in mu_failures:
+            failures.append(mu_failures[i])
+            continue
+        for j in np.flatnonzero(failed[i]):
+            exc = (early.get(j) or mu_errors[i] or late.get(j) or singular.get(i)
+                   or ValueError("coefficient and exponent must be finite"))
+            failures.append(f"lambda={labels[j]}, mu={labels[i]}: {exc}")
+    vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * n_conj[:, None] / norms
+    return psocheck._scan_result("inclusion", vals, PASS_INCLUSION,
+                                 lambda mu, lam: f"lambda={labels[lam]}, mu={labels[mu]}",
+                                 failures, excluded=failed, what="coefficient")
+
+
+def zero_column_model():
+    """I(1) with both boundary maps 0 on the defect vector at 3 - i, so S(3 + i)
+    has a zero column: exactly singular."""
+    base = NonlocalModel("I", 1)
+    bad = base.defects(3 - 1j)
+
+    def gamma(native):
+        return lambda f, inner_product=None: 0j if f == bad else native(f)
+
+    trip = BoundaryTriplet(gamma(base.triplet.gamma_minus), gamma(base.triplet.gamma_plus),
+                           base.triplet.witness)
+    return variant(base, "zero-column", triplet=trip)
+
+
+def scan_outcome(result):
+    # repr compares residuals bit for bit and NaN equal to NaN
+    return result.verdict, repr(result.max_residual), result.witness, result.failures
+
+
+@pytest.mark.parametrize("make", [degenerate_model, nan_boundary_model, zero_column_model,
+                                  lambda: NonlocalModel("I", 1), lambda: NonlocalModel("II", 2j)],
+                         ids=["degenerate", "nan-boundary", "zero-column", "I(1)", "II(2i)"])
+@pytest.mark.parametrize("grid", [SMALL_GRID, Grid.default()], ids=["small", "default"])
+def test_the_stacked_singularity_test_fails_each_mu_as_the_loop_did(make, grid):
+    got, want = inclusion_scan(make(), grid), looped_inclusion_scan(make(), grid)
+    assert scan_outcome(got) == scan_outcome(want)
+
+
+def test_each_failing_system_keeps_its_own_text():
+    texts = {"nan-boundary": "matrix entries must be finite",
+             "zero-column": "decomposition system is singular for this mu"}
+    for make, text in zip((nan_boundary_model, zero_column_model), texts.values()):
+        result = inclusion_scan(make(), SMALL_GRID)
+        mine = [f for f in result.failures if f.endswith(text)]
+        # S(3 + i) fails its own mu, every lambda of it, and no other mu
+        assert mine == [f"lambda={format_complex(lam)}, mu=3+1i: {text}"
+                        for lam in SMALL_GRID.lambdas_upper]
+        assert result.verdict != "pass"
+
+
+def test_an_svd_that_raises_on_one_system_fails_only_that_mu(monkeypatch):
+    model = NonlocalModel("I", 1)
+    mu = 3 + 1j
+    target = np.array([model.defects.images(mu), model.defects.images(mu.conjugate())]).T
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, **kwargs):
+        stack = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
+        if any(np.array_equal(m, target) for m in stack):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    calls = Counter()
+    is_singular = matops.is_singular
+
+    def counted(*args, **kwargs):
+        calls["is_singular"] += 1
+        return is_singular(*args, **kwargs)
+
+    monkeypatch.setattr(matops, "is_singular", counted)
+    got = inclusion_scan(model, SMALL_GRID)
+    # the stack raised, so each of the 9 systems was tested alone
+    assert calls["is_singular"] == 1 + 9
+    assert scan_outcome(got) == scan_outcome(looped_inclusion_scan(model, SMALL_GRID))
+    assert got.failures == tuple(f"lambda={format_complex(lam)}, mu=3+1i: SVD did not converge"
+                                 for lam in SMALL_GRID.lambdas_upper)
+    assert got.verdict != "pass"
 
 
 def test_inclusion_scan_maps_each_upper_and_conjugate_vector_once(monkeypatch):

@@ -13,8 +13,12 @@ return (failed points not counted); the packs made from terms, calls of
 through it), and the rows they hold; the ``ExpTerm`` validations
 (``__post_init__`` runs), the ``PiecewiseExpFunction.__init__`` runs and
 the scalar ``expfun.inner`` calls, under every name a module imported it
-as.  The counts depend on no timing and no hardware.  The modules under
-``bench/`` are imported, never modified.
+as; the calls of the three matops functions that take an SVD
+(``is_singular``, ``min_singular_value`` and ``opnorm``) and the matrices
+passed to them, a stack counting each of its matrices; and the passes of
+the resolvent's array build, ``expfun.half_plane_resolvent``.  The counts
+depend on no timing and no hardware.  The modules under ``bench/`` are
+imported, never modified.
 
     python3 tools/closed_form_counts.py
 """
@@ -31,12 +35,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 
-from psokit import expfun, models, psocheck, triplets  # noqa: E402
+import numpy as np  # noqa: E402
+
+from psokit import expfun, matops, models, psocheck, triplets  # noqa: E402
 
 SEED = 7
 PASSES = ("first", "second")
 #: modules that hold a name for expfun.inner
 INNER_NAMES = (expfun, triplets, models, psocheck)
+#: the matops functions that take an SVD of each matrix they are given
+SVD_FUNCTIONS = ("is_singular", "min_singular_value", "opnorm")
 
 
 def _patch(patches):
@@ -81,6 +89,15 @@ def main() -> None:
         counts["packed rows"] += len(parts[0])
         return pack_terms(*parts)
 
+    def counted_svd(fn):
+        def wrapper(a, *args, **kwargs):
+            counts["svd calls"] += 1
+            counts["svd matrices"] += int(np.prod(np.shape(a)[:-2], dtype=int))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    resolvent = expfun.half_plane_resolvent
+
     undo = _patch([
         (expfun, "_poly_exp_integral", counted_memo),
         (expfun, "_closed_form", counted_raw),
@@ -90,10 +107,14 @@ def main() -> None:
         (expfun, "pack_terms", counted_pack),
         *((module, "inner", counted("inner", inner)) for module in INNER_NAMES
           if getattr(module, "inner", None) is inner),
+        *((matops, name, counted_svd(getattr(matops, name))) for name in SVD_FUNCTIONS),
+        *((module, "half_plane_resolvent", counted("passes", resolvent))
+          for module in (expfun, models) if hasattr(module, "half_plane_resolvent")),
     ])
     try:
         columns = {"vectors": 12, "packs": 10, "packed rows": 17, "validations": 16,
-                   "inits": 10, "inner": 10}
+                   "inits": 10, "inner": 10, "svd calls": 14, "svd matrices": 17,
+                   "passes": 12}
         print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
               + "".join(f"{name + '/op':>{w}}" for name, w in columns.items()))
         for workload in workloads.WORKLOADS:
