@@ -1215,8 +1215,6 @@ def free_resolvent(z, gamma: PiecewiseExpFunction):
     z = np.asarray(z, dtype=complex).ravel()
     if (z.imag == 0).any():
         raise ValueError("resolvent requires non-real z")
-    # a value that overflows fails its point as the scalar code fails it,
-    # or is never read
     with np.errstate(all="ignore"):
         return finish_batch(*half_plane_resolvent(z, z.imag > 0, gamma))
 
@@ -1241,8 +1239,9 @@ def half_plane_resolvent(z: np.ndarray, upper: np.ndarray,
     from gamma's terms and their complements, and each homogeneous term
     decays on the side where it is kept), the terms are merged as
     ``canonical_row`` merges them, and each point keeps the first error the
-    scalar build would raise there.  Array warnings must be silenced by the
-    caller.
+    scalar build would raise there.  A value that overflows fails its point
+    as the scalar code fails it, or is never read, so the caller silences
+    array warnings.
     """
     faults = _Faults(z.size)
     lower = ~upper

@@ -17,10 +17,14 @@ from .tolerances import (CAYLEY_SOLVE_TOL, CONTRACTION_BOUND, HERMITIAN_TOL, KRE
                          KREIN_TOL, ORTHONORMAL_TOL, RANK_TOL, SINGULARITY_TOL, UNITARY_TOL)
 
 
+#: the error text of a matrix with an entry that is not finite
+NOT_FINITE = "matrix entries must be finite"
+
+
 def require_finite(m: np.ndarray) -> np.ndarray:
     """m, a complex array, unless one of its entries is not finite."""
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(NOT_FINITE)
     return m
 
 

@@ -457,8 +457,7 @@ class NonlocalModel:
         half planes are built in one pass."""
         z = np.asarray(zs, dtype=complex)
         upper = z.imag > 0
-        # a value that overflows fails its point as the scalar code fails
-        # it, or is never read
+        # overflow fails a point, as in half_plane_resolvent
         with np.errstate(all="ignore"):
             g, faults = half_plane_resolvent(z, upper, gamma)
             minus, plus = origin_limits(g)

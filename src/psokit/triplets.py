@@ -399,21 +399,21 @@ def system_errors(systems: np.ndarray) -> list:
     """Per S(mu) of a stack of them, the images of the defect vectors at mu,
     conj(mu): None for a regular one, else the error it is rejected with.
 
-    A matrix that is not finite is rejected by ``matops.require_finite``;
+    A matrix that is not finite gets ``matops.require_finite``'s error;
     the others are tested by one stacked ``matops.is_singular`` call, or,
     if that raises, each alone, so one matrix cannot fail the others.
     """
     finite = np.isfinite(systems).all(axis=(1, 2))
     tested = np.flatnonzero(finite).tolist()
-    singular = iter(_batch(
-        lambda at: matops.is_singular(systems[at], DECOMPOSE_SINGULAR_TOL).tolist(), tested)
-        if tested else ())
-    errors = []
-    for system, ok in zip(systems, finite.tolist()):
-        entry = next(singular) if ok else each_point(matops.require_finite, [system])[0]
-        if entry is True:
-            entry = ValueError(_SINGULAR_SYSTEM)
-        errors.append(entry if isinstance(entry, Exception) else None)
+    errors = [None if ok else ValueError(matops.NOT_FINITE) for ok in finite.tolist()]
+    if tested:
+        singular = _batch(lambda at: matops.is_singular(systems[at],
+                                                        DECOMPOSE_SINGULAR_TOL).tolist(), tested)
+        for i, entry in zip(tested, singular):
+            if isinstance(entry, Exception):
+                errors[i] = entry
+            elif entry:
+                errors[i] = ValueError(_SINGULAR_SYSTEM)
     return errors
 
 

@@ -658,12 +658,9 @@ def test_a_batch_build_packs_the_bits_of_its_one_point_vectors(make):
         packed, errors = make().defects._build(points)
         want, want_errors = one_point_builds(make, points)
         assert [None if e is None else failure(e) for e in errors] == want_errors
-        # compare bytes: all seven parts, signed zeros and last bits
-        # included; slots past the widest one-point row hold padding only
-        width = want.parts.shape[2]
-        assert packed.parts.shape[:2] == want.parts.shape[:2]
-        assert packed.parts[:, :, :width].tobytes() == want.parts.tobytes()
-        assert not packed.parts[:, :, width:].any()
+        # compare bytes: all seven parts, signed zeros and last bits included
+        assert packed.parts.shape == want.parts.shape
+        assert packed.parts.tobytes() == want.parts.tobytes()
 
 
 def test_the_interleaved_batch_meets_resonance_and_overflow():
