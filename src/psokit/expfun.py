@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -60,7 +61,7 @@ class ExpTerm:
 
     Invariants guarantee square integrability: an infinite left end needs
     ``Re(exponent) > 0`` and an infinite right end needs ``Re(exponent) < 0``.
-    The constructor validates the term.
+    The constructor validates the term with :func:`_term`.
     """
 
     coeff: complex
@@ -70,45 +71,38 @@ class ExpTerm:
     power: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "exponent", complex(self.exponent))
-        if self.power != int(self.power) or self.power < 0:
-            raise ValueError(f"power must be a nonnegative integer, got {self.power}")
-        object.__setattr__(self, "power", int(self.power))
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-        if not (cmath.isfinite(self.coeff) and cmath.isfinite(self.exponent)):
-            raise ValueError(_NOT_FINITE)
-        if self.lo == NEG_INF and self.exponent.real <= 0:
-            raise ValueError(
-                f"term exp({self.exponent}*x) on ({self.lo}, {self.hi}] is not "
-                "square integrable: need Re(exponent) > 0 at -inf"
-            )
-        if self.hi == POS_INF and self.exponent.real >= 0:
-            raise ValueError(
-                f"term exp({self.exponent}*x) on [{self.lo}, {self.hi}) is not "
-                "square integrable: need Re(exponent) < 0 at +inf"
-            )
+        for name, value in zip(("coeff", "lo", "hi", "exponent", "power"), _term(*self)):
+            object.__setattr__(self, name, value)
 
     def __iter__(self):
         """The raw values (coeff, lo, hi, exponent, power): a term unpacks as
         the term tuples of a row do."""
         return iter((self.coeff, self.lo, self.hi, self.exponent, self.power))
 
-    @staticmethod
-    def _unchecked(coeff, lo, hi, exponent, power) -> "ExpTerm":
-        """A term of values already validated, built without the checks."""
-        term = object.__new__(ExpTerm)
-        # field by field, in field order: copying __dict__ would give each
-        # term its own dict
-        object.__setattr__(term, "coeff", coeff)
-        object.__setattr__(term, "lo", lo)
-        object.__setattr__(term, "hi", hi)
-        object.__setattr__(term, "exponent", exponent)
-        object.__setattr__(term, "power", power)
-        return term
+
+def _term(coeff, lo, hi, exponent, power=0) -> tuple:
+    """The raw term (coeff, lo, hi, exponent, power) as a row holds it:
+    complex, float, float, complex, int, checked as :class:`ExpTerm` states
+    its invariants.  The one validator of a term."""
+    coeff, lo, hi, exponent = complex(coeff), float(lo), float(hi), complex(exponent)
+    if not (isinstance(power, numbers.Real) and math.isfinite(power) and power >= 0
+            and power == int(power)):
+        raise ValueError(f"power must be a nonnegative integer, got {power!r}")
+    if not lo < hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if not (cmath.isfinite(coeff) and cmath.isfinite(exponent)):
+        raise ValueError(_NOT_FINITE)
+    if lo == NEG_INF and exponent.real <= 0:
+        raise ValueError(
+            f"term exp({exponent}*x) on ({lo}, {hi}] is not "
+            "square integrable: need Re(exponent) > 0 at -inf"
+        )
+    if hi == POS_INF and exponent.real >= 0:
+        raise ValueError(
+            f"term exp({exponent}*x) on [{lo}, {hi}) is not "
+            "square integrable: need Re(exponent) < 0 at +inf"
+        )
+    return coeff, lo, hi, exponent, int(power)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ class PiecewiseExpFunction:
     """Finite sum of terms, held as one canonical row; the zero function has
     no terms.
 
-    Construction validates each raw term as an :class:`ExpTerm` and
+    Construction validates each raw term with :func:`_term` and
     canonicalizes: terms of one (lo, hi, exponent, power) merge into the
     kind of the first and exact-zero coefficients are dropped, so equal
     functions built the same way compare equal term by term.
@@ -169,13 +163,12 @@ class PiecewiseExpFunction:
     row: tuple = ()
 
     def __init__(self, terms=()):
-        object.__setattr__(self, "row", canonical_row(
-            t if isinstance(t, ExpTerm) else ExpTerm(*t) for t in terms))
+        object.__setattr__(self, "row", canonical_row(_term(*t) for t in terms))
 
     @property
     def terms(self) -> tuple[ExpTerm, ...]:
         """The terms of the row as ExpTerms, built on each read."""
-        return tuple(ExpTerm._unchecked(*t) for t in self.row)
+        return tuple(ExpTerm(*t) for t in self.row)
 
     # -- constructors ------------------------------------------------------
 
@@ -193,7 +186,7 @@ class PiecewiseExpFunction:
 
     @classmethod
     def single(cls, coeff, lo, hi, exponent, power=0) -> "PiecewiseExpFunction":
-        return cls((ExpTerm(coeff, lo, hi, exponent, power),))
+        return cls(((coeff, lo, hi, exponent, power),))
 
     @classmethod
     def indicator(cls, lo, hi, coeff=1.0) -> "PiecewiseExpFunction":
@@ -232,7 +225,7 @@ class PiecewiseExpFunction:
     def conjugate(self) -> "PiecewiseExpFunction":
         """Complex conjugate (x stays real, so only coeff and exponent flip)."""
         return PiecewiseExpFunction(
-            ExpTerm(coeff.conjugate(), lo, hi, exponent.conjugate(), power)
+            (coeff.conjugate(), lo, hi, exponent.conjugate(), power)
             for coeff, lo, hi, exponent, power in self.row
         )
 
@@ -244,7 +237,7 @@ class PiecewiseExpFunction:
         for coeff, t_lo, t_hi, exponent, power in self.row:
             a, b = max(t_lo, lo), min(t_hi, hi)
             if a < b:
-                out.append(ExpTerm(coeff, a, b, exponent, power))
+                out.append((coeff, a, b, exponent, power))
         return PiecewiseExpFunction(out)
 
     # -- transforms --------------------------------------------------------
@@ -258,7 +251,7 @@ class PiecewiseExpFunction:
             # (x - y)**k expands into monomials in x
             for j in range(power + 1):
                 c = base * math.comb(power, j) * (-y) ** (power - j)
-                out.append(ExpTerm(c, lo + y, hi + y, exponent, j))
+                out.append((c, lo + y, hi + y, exponent, j))
         return PiecewiseExpFunction(out)
 
     def scale(self, a: float) -> "PiecewiseExpFunction":
@@ -268,7 +261,7 @@ class PiecewiseExpFunction:
             raise ValueError("scaling factor must be positive")
         root = math.sqrt(a)
         return PiecewiseExpFunction(
-            ExpTerm(root * coeff * a**power, lo / a, hi / a, a * exponent, power)
+            (root * coeff * a**power, lo / a, hi / a, a * exponent, power)
             for coeff, lo, hi, exponent, power in self.row
         )
 
@@ -280,7 +273,7 @@ class PiecewiseExpFunction:
         """x -> exp(-i*t*x) * f(x); shifts every exponent by -i*t."""
         shift = -1j * float(t)
         return PiecewiseExpFunction(
-            ExpTerm(coeff, lo, hi, exponent + shift, power)
+            (coeff, lo, hi, exponent + shift, power)
             for coeff, lo, hi, exponent, power in self.row
         )
 
@@ -301,9 +294,9 @@ class PiecewiseExpFunction:
         out = []
         for coeff, lo, hi, exponent, power in self.row:
             if power > 0:
-                out.append(ExpTerm(coeff * power, lo, hi, exponent, power - 1))
+                out.append((coeff * power, lo, hi, exponent, power - 1))
             if exponent != 0:
-                out.append(ExpTerm(coeff * exponent, lo, hi, exponent, power))
+                out.append((coeff * exponent, lo, hi, exponent, power))
         return PiecewiseExpFunction(out)
 
     # -- pointwise structure -----------------------------------------------
@@ -395,12 +388,12 @@ class PiecewiseExpFunction:
             return float(v)
 
         return cls(
-            ExpTerm(
+            (
                 complex(d["coeff_re"], d["coeff_im"]),
                 dec(d["lo"]),
                 dec(d["hi"]),
                 complex(d["exp_re"], d["exp_im"]),
-                int(d.get("power", 0)),
+                d.get("power", 0),
             )
             for d in obj
         )
@@ -1099,7 +1092,11 @@ def _power(x: float, n: int, faults: _Faults, where):
 # _Faults the first error the scalar build raises at each point; a failed
 # point's row holds whatever the arrays computed until the build's last
 # step, ``finish_batch`` or ``single_terms``, empties it and makes the
-# batch's one pack, with ``pack_terms``.
+# batch's one pack, with ``pack_terms``.  A build of several terms collects
+# them as the unmerged slots of ``_columns`` and merges them once, by
+# ``canonical_terms``; ``single_terms`` fills a row of one term directly,
+# since a merge of one slot costs the momentum build about three times its
+# whole time (34 -> 107 us at one point, 38 -> 154 us at 66).
 
 
 def single_terms(coeff, lo, hi, exponent) -> tuple[PackedFunctions, list]:
@@ -1118,20 +1115,6 @@ def single_terms(coeff, lo, hi, exponent) -> tuple[PackedFunctions, list]:
         part[:, 0] = value
     on = ((parts[0] != 0) | (parts[1] != 0)) & ~faults.failed[:, None]
     return pack_terms(*np.where(on, parts, 0.0)), faults.errors
-
-
-def plus_term(f: PackedFunctions, faults: _Faults, coeff, lo, hi, exponent) -> PackedFunctions:
-    """Each row of f with the term (coeff, lo, hi, exponent, 0) appended, as
-    ``canonical_row`` makes it of the row's terms and that one; a point
-    whose coeff or exponent is not finite failed, as ExpTerm fails it.
-    coeff and exponent are numbers or :class:`SplitComplex` arrays over the
-    points, lo and hi numbers or float arrays over them."""
-    coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
-    faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
-    on = (f.coeff_re != 0) | (f.coeff_im != 0)
-    term = _columns([(*coeff, lo, hi, *exponent, 0, True)], len(f))
-    cols = np.concatenate((np.concatenate((f.parts, on[None])), term), axis=2)
-    return canonical_terms(cols, faults)
 
 
 def _columns(slots, n: int) -> np.ndarray:
@@ -1204,8 +1187,9 @@ def free_resolvent(z, gamma: PiecewiseExpFunction):
     :class:`PiecewiseExpFunction`; for a 1-D array of points it is the
     pack of their rows, a failed point's row empty, with the error each
     point raised or None.  Either way every point, of both half planes,
-    goes through one pass of the array build, :func:`half_plane_resolvent`.
-    Not memoised.
+    goes through one pass of the array build, :func:`half_plane_resolvent`,
+    whose terms are merged by one :func:`canonical_terms` call.  Not
+    memoised.
     """
     if np.ndim(z) == 0:
         packed, errors = free_resolvent([complex(z)], gamma)
@@ -1216,14 +1200,15 @@ def free_resolvent(z, gamma: PiecewiseExpFunction):
     if (z.imag == 0).any():
         raise ValueError("resolvent requires non-real z")
     with np.errstate(all="ignore"):
-        return finish_batch(*half_plane_resolvent(z, z.imag > 0, gamma))
+        cols, faults = half_plane_resolvent(z, z.imag > 0, gamma)
+        return finish_batch(canonical_terms(cols, faults), faults)
 
 
 def half_plane_resolvent(z: np.ndarray, upper: np.ndarray,
-                         gamma: PiecewiseExpFunction) -> tuple[PackedFunctions, _Faults]:
-    """The rows of ``free_resolvent(z_i, gamma)`` at non-real points z, with
-    ``upper`` the mask of those in the upper half plane, and each point's
-    first error.
+                         gamma: PiecewiseExpFunction) -> tuple[np.ndarray, _Faults]:
+    """The terms of ``free_resolvent(z_i, gamma)`` at non-real points z,
+    unmerged, as the slots of :func:`_columns`, with ``upper`` the mask of
+    those in the upper half plane, and each point's first error.
 
     The build replays the scalar arithmetic of the formula term by term,
     bit for bit, for every point at once: the antiderivative is the scalar
@@ -1237,11 +1222,11 @@ def half_plane_resolvent(z: np.ndarray, upper: np.ndarray,
     that no point holds is not built.  Each output term is checked as
     ExpTerm checks it (only finiteness can fail here: the intervals come
     from gamma's terms and their complements, and each homogeneous term
-    decays on the side where it is kept), the terms are merged as
-    ``canonical_row`` merges them, and each point keeps the first error the
-    scalar build would raise there.  A value that overflows fails its point
-    as the scalar code fails it, or is never read, so the caller silences
-    array warnings.
+    decays on the side where it is kept), and each point keeps the first
+    error the scalar build would raise there before the merge;
+    :func:`canonical_terms` of the slots gives the rows.  A value that
+    overflows fails its point as the scalar code fails it, or is never
+    read, so the caller silences array warnings.
     """
     faults = _Faults(z.size)
     lower = ~upper
@@ -1303,7 +1288,7 @@ def half_plane_resolvent(z: np.ndarray, upper: np.ndarray,
         faults.note(np.any([t[7] & _not_finite(*t[:2], *t[4:6]) for t in parts], axis=0),
                     ValueError, _NOT_FINITE)
         slots += [t for t in parts if t[7].any()]
-    return canonical_terms(_columns(slots, faults.failed.size), faults), faults
+    return _columns(slots, faults.failed.size), faults
 
 
 def resolvent_residual(z: complex, gamma: PiecewiseExpFunction,

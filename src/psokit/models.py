@@ -23,11 +23,15 @@ import numpy as np
 
 from . import matops
 from .expfun import (
+    _NOT_FINITE,
     NEG_INF,
     POS_INF,
     PackedFunctions,
     PiecewiseExpFunction,
     SplitComplex,
+    _columns,
+    _not_finite,
+    canonical_terms,
     coefficient_distance,
     finish_batch,
     gram,
@@ -36,7 +40,6 @@ from .expfun import (
     norm,
     origin_limits,
     pack,
-    plus_term,
     single_terms,
 )
 from .scalars import format_complex
@@ -453,20 +456,30 @@ class NonlocalModel:
         each point's error or None: with g the resolvent of the potential
         and g0 the mean of its one-sided limits at 0, g - 2 (1 + g0) bump
         (case I) or g +- bump (case II), bump = exp(-izx) on its half line,
-        merged as one ``canonical_row`` of g's row and the bump term.  Both
-        half planes are built in one pass."""
+        merged as one ``canonical_row`` of g's terms and the bump term.  Both
+        half planes are built in one pass, and merged by one
+        ``canonical_terms`` call."""
         z = np.asarray(zs, dtype=complex)
         upper = z.imag > 0
         # overflow fails a point, as in half_plane_resolvent
         with np.errstate(all="ignore"):
             g, faults = half_plane_resolvent(z, upper, gamma)
-            minus, plus = origin_limits(g)
+            # g0 from g's unmerged terms has the bits the merged row gives it:
+            # the potential is one term on a half line, or zero, so on each
+            # side of the origin at most two of the terms are nonzero at 0,
+            # of different kinds, and a sum of two terms from 0j does not
+            # depend on their order
+            minus, plus = origin_limits(PackedFunctions(np.where(g[7] != 0, g[:7], 0.0)))
             g0 = (plus + minus) / 2
-            coeff = -2 * (1 + g0) if case == "I" else SplitComplex(np.where(upper, 1.0, -1.0), 0.0)
-            # the bump decays on its half line
-            bump = plus_term(g, faults, coeff, np.where(upper, NEG_INF, 0.0),
-                             np.where(upper, 0.0, POS_INF), -1j * SplitComplex(z.real, z.imag))
-        return finish_batch(bump, faults)
+            coeff = SplitComplex._parts(-2 * (1 + g0) if case == "I"
+                                        else SplitComplex(np.where(upper, 1.0, -1.0), 0.0))
+            ez = -1j * SplitComplex(z.real, z.imag)
+            # ExpTerm's check of the bump, which decays on its half line
+            faults.note(_not_finite(*coeff, ez.real, ez.imag), ValueError, _NOT_FINITE)
+            bump = _columns([(*coeff, np.where(upper, NEG_INF, 0.0), np.where(upper, 0.0, POS_INF),
+                              ez.real, ez.imag, 0, True)], z.size)
+            merged = canonical_terms(np.concatenate((g, bump), axis=2), faults)
+        return finish_batch(merged, faults)
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

@@ -36,19 +36,16 @@ from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_J
 class BoundaryFunctional:
     """Linear functional c_- f(0-) + c_+ f(0+) + sum_k w_k (f, h_k).
 
-    This covers every boundary map appearing in the concrete models.  The
-    optional ``inner_product`` argument of the call swaps in an alternative
-    inner product (the quadrature oracle) for the pairing part.
+    This covers every boundary map appearing in the concrete models.
     """
 
     left: complex = 0j
     right: complex = 0j
     pairings: tuple[tuple[complex, PiecewiseExpFunction], ...] = ()
 
-    def __call__(self, f: PiecewiseExpFunction, inner_product=None) -> complex:
-        ip = inner if inner_product is None else inner_product
+    def __call__(self, f: PiecewiseExpFunction) -> complex:
         return self.combine(f.limit(0.0, "-"), f.limit(0.0, "+"),
-                            [ip(f, h) for _, h in self.pairings])
+                            [inner(f, h) for _, h in self.pairings])
 
     def combine(self, minus, plus, pairings):
         """The value on a function f with f(0-) = minus, f(0+) = plus and the
@@ -364,18 +361,14 @@ def green_defects(triplet: BoundaryTriplet, fs, tfs, gs, tgs) -> list[float]:
     return out
 
 
-def char_function(triplet: BoundaryTriplet, defects: DefectFamily,
-                  lam: complex, inner_product=None) -> complex:
+def char_function(triplet: BoundaryTriplet, defects: DefectFamily, lam: complex) -> complex:
     """Characteristic function value gamma_minus / gamma_plus on the defect
-    vector at lam in the upper half plane; a strict contraction there.  Only
-    a reference: production evaluates theta through char_value."""
+    vector at lam in the upper half plane; a strict contraction there.  The
+    path production takes: ``char_value`` of the vector's boundary images."""
     lam = complex(lam)
     if lam.imag <= 0:
         raise ValueError("characteristic function is evaluated on the upper half plane")
-    f = defects(lam)
-    gp = triplet.gamma_plus(f, inner_product) if inner_product else triplet.gamma_plus(f)
-    gm = triplet.gamma_minus(f, inner_product) if inner_product else triplet.gamma_minus(f)
-    return char_value(lam, gp, gm)
+    return char_value(lam, *boundary_images(triplet, [defects(lam)])[0])
 
 
 def char_value(lam: complex, gp: complex, gm: complex) -> complex:
@@ -475,9 +468,7 @@ def defect_triplet(model, mu: complex) -> BoundaryTriplet:
         return [scale * n_up * x for x in a], [scale * n_dn * x for x in b]
 
     def coordinate(row):
-        def gamma(f, inner_product=None):
-            if inner_product is not None:
-                raise ValueError("defect triplets evaluate in closed form only")
+        def gamma(f):
             require_maximal_domain(f)
             return from_native(model.triplet.images(f))[row][0]
         return gamma

@@ -92,6 +92,19 @@ def test_tuple_terms_are_fully_validated(term, message):
         PiecewiseExpFunction([ExpTerm(1.0, 0.0, 1.0, 2.0), term])
 
 
+@pytest.mark.parametrize("power", [1.5, -1, float("inf"), float("nan"), "2"],
+                         ids=["fractional", "negative", "inf", "nan", "string"])
+def test_a_power_that_is_not_a_nonnegative_integer_is_rejected_everywhere(power):
+    message = "power must be a nonnegative integer, got "
+    with pytest.raises(ValueError, match=message):
+        ExpTerm(1.0, 0.0, 1.0, 0.0, power)
+    # the JSON form carries the power as given: not truncated, not parsed
+    obj = [{"coeff_re": 1.0, "coeff_im": 0.0, "lo": 0.0, "hi": 1.0,
+            "exp_re": 0.0, "exp_im": 0.0, "power": power}]
+    with pytest.raises(ValueError, match=message):
+        PiecewiseExpFunction.from_json_obj(obj)
+
+
 def test_merged_negated_and_scaled_terms_equal_fully_built_ones():
     f = PiecewiseExpFunction([(1.5, -1.0, 1.0, 2j, 1), (-0.5, NEG_INF, 0.0, 1 + 1j),
                               (0.25, -1.0, 1.0, 2j, 1)])

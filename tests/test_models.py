@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psokit import expfun
+from psokit import expfun, models
 from psokit.expfun import (
     NEG_INF,
     POS_INF,
@@ -517,6 +517,11 @@ defect_point_st = st.builds(
 @example("I", 1e308j, 0.1j)
 @example("I", 1.7e308, complex(-0.0, -0.1))
 @example("II", 1.7e308, 0.1j)
+# the resonant points, where the flat monomial sits beside the origin
+@example("I", 1, -1j)
+@example("II", 2j, 1j)
+# no potential and a point that is not finite: only the bump's check fails it
+@example("I", 0, complex(math.inf, 1.0))
 def test_defect_vectors_are_bit_identical_to_the_algebra_expression(case, alpha, z):
     model = NonlocalModel(case, alpha)
     assert (term_bits(defect_alone, model.case, model.gamma, z)
@@ -537,14 +542,14 @@ def test_a_dense_defect_family_builds_no_term_object_and_runs_no_constructor(
         monkeypatch, case, alpha):
     calls = {"validations": 0, "canonicalisations": 0}
 
-    def counted(name, method):
-        def wrapper(self, *args):
+    def counted(name, fn):
+        def wrapper(*args):
             calls[name] += 1
-            return method(self, *args)
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ExpTerm, "__post_init__",
-                        counted("validations", ExpTerm.__post_init__))
+    # the one term validator, which an ExpTerm runs too
+    monkeypatch.setattr(expfun, "_term", counted("validations", expfun._term))
     monkeypatch.setattr(PiecewiseExpFunction, "__init__",
                         counted("canonicalisations", PiecewiseExpFunction.__init__))
     model = NonlocalModel(case, alpha)
@@ -661,6 +666,28 @@ def test_a_batch_build_packs_the_bits_of_its_one_point_vectors(make):
         # compare bytes: all seven parts, signed zeros and last bits included
         assert packed.parts.shape == want.parts.shape
         assert packed.parts.tobytes() == want.parts.tobytes()
+
+
+@pytest.mark.parametrize("make", [functools.partial(NonlocalModel, "I", 1),
+                                  functools.partial(NonlocalModel, "I", 4j),
+                                  functools.partial(NonlocalModel, "II", 2j),
+                                  functools.partial(NonlocalModel, "II", 0)],
+                         ids=["I(1)", "I(4i)", "II(2i)", "II(0)"])
+def test_a_nonlocal_build_merges_its_terms_once_per_batch(monkeypatch, make):
+    merged = []
+    canonical_terms = expfun.canonical_terms
+
+    def counted(cols, faults):
+        merged.append(cols.shape[1])
+        return canonical_terms(cols, faults)
+
+    for module in (expfun, models):
+        monkeypatch.setattr(module, "canonical_terms", counted)
+    dense = [*DENSE_GRID.lambdas_upper, *DENSE_GRID.lambdas_lower]
+    for points in (dense, INTERLEAVED):
+        merged.clear()
+        make().defects._build(points)
+        assert merged == [len(points)]
 
 
 def test_the_interleaved_batch_meets_resonance_and_overflow():

@@ -265,12 +265,12 @@ def double_fault_model():
     mom = MomentumModel()
     f_mu, f_conj = mom.defects(1j), mom.defects(-1j)
 
-    def gamma_minus(f, inner_product=None):
+    def gamma_minus(f):
         if f == f_mu:
             raise ValueError("no gamma_minus on f_mu")
         return mom.triplet.gamma_minus(f)
 
-    def gamma_plus(f, inner_product=None):
+    def gamma_plus(f):
         if f == f_conj:
             raise ValueError("no gamma_plus on f_conj(mu)")
         return mom.triplet.gamma_plus(f)
@@ -296,7 +296,7 @@ def gamma_raising_model():
     mom = MomentumModel()
     bad = mom.defects(1j)
 
-    def gamma_plus(f, inner_product=None):
+    def gamma_plus(f):
         if f == bad:
             raise ValueError("no boundary value on this vector")
         return mom.triplet.gamma_plus(f)
@@ -309,7 +309,7 @@ def nan_boundary_model(base=None):
     base = base or NonlocalModel("I", 1)
     bad = base.defects(3 + 1j)
 
-    def gamma_plus(f, inner_product=None):
+    def gamma_plus(f):
         return complex("nan") if f == bad else base.triplet.gamma_plus(f)
 
     trip = BoundaryTriplet(base.triplet.gamma_minus, gamma_plus, base.triplet.witness)
@@ -698,7 +698,7 @@ def zero_column_model():
     bad = base.defects(3 - 1j)
 
     def gamma(native):
-        return lambda f, inner_product=None: 0j if f == bad else native(f)
+        return lambda f: 0j if f == bad else native(f)
 
     trip = BoundaryTriplet(gamma(base.triplet.gamma_minus), gamma(base.triplet.gamma_plus),
                            base.triplet.witness)

@@ -12,6 +12,7 @@ from psokit.expfun import (
     inner_quadrature,
 )
 from psokit.models import MomentumModel, NonlocalModel, random_maximal_domain_function
+from psokit.psocheck import Grid
 from psokit.triplets import (
     BoundaryFunctional,
     BoundaryTriplet,
@@ -113,8 +114,11 @@ def test_nonlocal_theta_at_i():
 
 def test_nonlocal_theta_quadrature_route():
     model = NonlocalModel("I", 1.0)
-    quad = lambda f, g: inner_quadrature(f, g, 1e-9)
-    th = char_function(model.triplet, model.defects, 1j, inner_product=quad)
+    f = model.defects(1j)
+    gp, gm = (m.combine(f.limit(0.0, "-"), f.limit(0.0, "+"),
+                        [inner_quadrature(f, h, 1e-9) for _, h in m.pairings])
+              for m in (model.triplet.gamma_plus, model.triplet.gamma_minus))
+    th = char_value(1j, gp, gm)
     assert th == pytest.approx((-33 - 64j) / 305, abs=1e-7)
 
 
@@ -344,6 +348,26 @@ def test_shared_native_images_give_both_char_functions_bit_for_bit(make):
         assert repr(char_value(lam, gp, gm)) == repr(char_function(t2, model.defects, lam))
 
 
+@pytest.mark.parametrize("make", DEFECT_TRIPLET_MODELS.values(), ids=DEFECT_TRIPLET_MODELS)
+def test_char_function_is_char_value_of_the_images_and_the_old_ratio(make):
+    model = make()
+    native = model.triplet
+    # a symmetric-form pair whose conversion is the native triplet again,
+    # with other weights, and a triplet whose maps are not functionals
+    inv_sqrt2 = 1 / math.sqrt(2)
+    g1 = inv_sqrt2 * (native.gamma_plus + native.gamma_minus)
+    g0 = (-1j * inv_sqrt2) * (native.gamma_plus + (-1.0) * native.gamma_minus)
+    others = [triplet_convert(g0, g1, model), defect_triplet(model, 1 + 2j)]
+    for lam in Grid.default().lambdas_upper:
+        # repr compares bit for bit
+        assert repr(char_function(native, model.defects, lam)) == \
+            repr(char_value(lam, *model.defects.images(lam)))
+        f = model.defects(lam)
+        for trip in others:
+            assert repr(char_function(trip, model.defects, lam)) == \
+                repr(trip.gamma_minus(f) / trip.gamma_plus(f))
+
+
 def test_a_defect_vector_norm_that_overflows_is_an_error():
     model = NonlocalModel("II", 1.2e154)
     # normalizing by an infinite norm would give the zero vector
@@ -441,7 +465,7 @@ def test_images_maps_each_function_by_both_maps_before_the_next():
     calls = []
 
     def recording(name):
-        def gamma(h, inner_product=None):
+        def gamma(h):
             calls.append((name, "f" if h is f else "g"))
             return complex(len(calls))
         return gamma

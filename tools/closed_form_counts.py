@@ -10,13 +10,14 @@ is emptied before each workload's first pass, so that pass starts cold.
 Then, per op of the pass: the defect vectors the ``DefectFamily`` builders
 return (failed points not counted); the packs made from terms, calls of
 ``expfun.pack_terms`` (``pack`` and the defect builders make every pack
-through it), and the rows they hold; the ``ExpTerm`` validations
-(``__post_init__`` runs), the ``PiecewiseExpFunction.__init__`` runs and
-the scalar ``expfun.inner`` calls, under every name a module imported it
+through it), and the rows they hold; the term validations (calls of
+``expfun._term``, the one validator, which an ``ExpTerm`` runs too), the
+``PiecewiseExpFunction.__init__`` runs and the scalar ``expfun.inner`` calls, under every name a module imported it
 as; the calls of the three matops functions that take an SVD
 (``is_singular``, ``min_singular_value`` and ``opnorm``) and the matrices
-passed to them, a stack counting each of its matrices; and the passes of
-the resolvent's array build, ``expfun.half_plane_resolvent``.  The counts
+passed to them, a stack counting each of its matrices; the passes of the
+resolvent's array build, ``expfun.half_plane_resolvent``; and the merges
+of a build's terms, calls of ``expfun.canonical_terms``.  The counts
 depend on no timing and no hardware.  The modules under ``bench/`` are
 imported, never modified.
 
@@ -59,7 +60,7 @@ def main() -> None:
     counts: Counter = Counter()
     keys: set[bytes] = set()
     memo, raw, inner = expfun._poly_exp_integral, expfun._closed_form, expfun.inner
-    validate = expfun.ExpTerm.__post_init__
+    validate = expfun._term
     init = expfun.PiecewiseExpFunction.__init__
     build_rows = triplets.DefectFamily._build_rows
     pack_terms = expfun.pack_terms
@@ -96,12 +97,12 @@ def main() -> None:
             return fn(a, *args, **kwargs)
         return wrapper
 
-    resolvent = expfun.half_plane_resolvent
+    resolvent, merge = expfun.half_plane_resolvent, expfun.canonical_terms
 
     undo = _patch([
         (expfun, "_poly_exp_integral", counted_memo),
         (expfun, "_closed_form", counted_raw),
-        (expfun.ExpTerm, "__post_init__", counted("validations", validate)),
+        (expfun, "_term", counted("validations", validate)),
         (expfun.PiecewiseExpFunction, "__init__", counted("inits", init)),
         (triplets.DefectFamily, "_build_rows", counted_build),
         (expfun, "pack_terms", counted_pack),
@@ -110,13 +111,17 @@ def main() -> None:
         *((matops, name, counted_svd(getattr(matops, name))) for name in SVD_FUNCTIONS),
         *((module, "half_plane_resolvent", counted("passes", resolvent))
           for module in (expfun, models) if hasattr(module, "half_plane_resolvent")),
+        *((module, "canonical_terms", counted("merges", merge))
+          for module in (expfun, models) if hasattr(module, "canonical_terms")),
     ])
     try:
-        columns = {"vectors": 12, "packs": 10, "packed rows": 17, "validations": 16,
-                   "inits": 10, "inner": 10, "svd calls": 14, "svd matrices": 17,
-                   "passes": 12}
+        # name: (width, decimals)
+        columns = {"vectors": (12, 1), "packs": (10, 1), "packed rows": (17, 1),
+                   "validations": (16, 1), "inits": (10, 1), "inner": (10, 1),
+                   "svd calls": (14, 1), "svd matrices": (17, 1), "passes": (12, 1),
+                   "merges": (12, 2)}
         print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
-              + "".join(f"{name + '/op':>{w}}" for name, w in columns.items()))
+              + "".join(f"{name + '/op':>{w}}" for name, (w, _) in columns.items()))
         for workload in workloads.WORKLOADS:
             ops = workloads.generate(workload, SEED)
             expfun._closed_forms.clear()
@@ -127,8 +132,8 @@ def main() -> None:
                     workloads.run_op(op)
                 print(f"{workload:<14}{name:<8}{counts['calls']:>9,}"
                       f"{len(keys):>10,}{counts['evaluations']:>8,}"
-                      + "".join(f"{counts[key] / len(ops):>{w},.1f}"
-                                for key, w in columns.items()))
+                      + "".join(f"{counts[key] / len(ops):>{w},.{d}f}"
+                                for key, (w, d) in columns.items()))
     finally:
         _patch(undo)
 
