@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from . import __version__, matops, models, psocheck, triplets
+from . import __version__, expfun, matops, models, psocheck, triplets
 from .scalars import format_complex, parse_complex
 from .tolerances import CAYLEY_IDENTITY_TOL, GRAM_TOL, GREEN_TOL, MOBIUS_TOL, SINGULARITY_TOL
 
@@ -206,8 +206,10 @@ def _threshold_result(check_id, residuals, tolerance, witness):
 @functools.cache
 def _green_pairs():
     """The 20 seeded random maximal-domain pairs of the green check, each
-    function with its free part i f'.  None of this depends on the model, so
-    one process builds, checks and differentiates them once, on first use."""
+    function with its free part i f', and the pack of their 40 functions,
+    first functions then second.  None of this depends on the model, so one
+    process builds, checks, differentiates and packs them once, on first
+    use; the pack keeps its kind table once a kernel has built it."""
     rng = np.random.default_rng(20240601)
 
     def prepared():
@@ -215,15 +217,18 @@ def _green_pairs():
         triplets.require_maximal_domain(f)
         return f, models.free_part(f)
 
-    return tuple((prepared(), prepared()) for _ in range(20))
+    pairs = tuple((prepared(), prepared()) for _ in range(20))
+    packed = expfun.pack([f for (f, _), _ in pairs] + [g for _, (g, _) in pairs])
+    packed.parts.flags.writeable = False  # shared by every green check
+    return pairs, packed
 
 
 def _run_green(model, grid, params):
-    pairs = _green_pairs()
+    pairs, packed = _green_pairs()
     fs, gs = [f for (f, _), _ in pairs], [g for _, (g, _) in pairs]
     residuals = triplets.green_defects(
         model.triplet, fs, [model.adjoint_from(f, df) for (f, df), _ in pairs],
-        gs, [model.adjoint_from(g, dg) for _, (g, dg) in pairs])
+        gs, [model.adjoint_from(g, dg) for _, (g, dg) in pairs], packed)
     return _threshold_result("green", residuals, GREEN_TOL, "20 seeded random pairs")
 
 

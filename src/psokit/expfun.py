@@ -489,8 +489,10 @@ def inner(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> complex:
     total = 0j
     for f_coeff, f_lo, f_hi, f_exp, f_power in f.row:
         for g_coeff, g_lo, g_hi, g_exp, g_power in g.row:
-            lo = max(f_lo, g_lo)
-            hi = min(f_hi, g_hi)
+            # the operand max(f_lo, g_lo) and min(f_hi, g_hi) return, ties,
+            # signed zeros and NaN alike, without the builtin calls
+            lo = g_lo if g_lo > f_lo else f_lo
+            hi = g_hi if g_hi < f_hi else f_hi
             if lo >= hi:
                 continue
             u = f_exp + g_exp.conjugate()
@@ -542,10 +544,12 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 GRAM_BLOCK = 24
 
 #: ``paired`` evaluates fewer rows than this by the scalar ``inner``: its
-#: kernel costs about 150 us however few the rows, one scalar inner product
-#: of a defect vector 3-7 us.  At 32 rows both took about 0.2 ms for the
-#: norms of nonlocal defect vectors on a 2-vCPU x86-64 host, and the kernel
-#: already won for their boundary pairings.
+#: kernel costs about 150-350 us however few the rows, packing included, one
+#: scalar inner product of a nonlocal defect vector 1.5-4.5 us (2-vCPU
+#: x86-64 host, BLAS 1 thread, timeit minima).  The value was set where both
+#: took about 0.2 ms for 32 norms.  Since ``inner`` takes its overlaps
+#: without the builtin max and min, 32 norms take the scalar path about
+#: 0.05-0.09 ms and the kernel 0.2-0.4 ms, and the two meet near 128 rows.
 PAIRED_SCALAR_ROWS = 32
 
 

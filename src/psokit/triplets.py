@@ -343,16 +343,20 @@ def green_residual(triplet: BoundaryTriplet, model, f: PiecewiseExpFunction,
     return green_defects(triplet, [f], [tf], [g], [tg])[0]
 
 
-def green_defects(triplet: BoundaryTriplet, fs, tfs, gs, tgs) -> list[float]:
+def green_defects(triplet: BoundaryTriplet, fs, tfs, gs, tgs,
+                  packed: PackedFunctions | None = None) -> list[float]:
     """Defect of the Green identity on each pair (fs[k], gs[k]), given
     tfs[k] = T fs[k] and tgs[k] = T gs[k]; the caller has checked that all
     lie in the maximal domain.
 
     The inner products (T f, g) and (f, T g) take one ``paired`` call each,
-    and all the boundary values one ``boundary_images`` call.
+    and all the boundary values one ``boundary_images`` call, on
+    ``packed`` if given: the :func:`~psokit.expfun.pack` of ``[*fs, *gs]``,
+    which a caller checking many models on the same functions keeps.
+    ``boundary_images`` maps a pack bit for bit as it maps the list.
     """
     lhs = [a - b for a, b in zip(paired(tfs, gs).tolist(), paired(fs, tgs).tolist())]
-    images = boundary_images(triplet, [*fs, *gs])
+    images = boundary_images(triplet, [*fs, *gs] if packed is None else packed)
     out = []
     for k, value in enumerate(lhs):
         (gpf, gmf), (gpg, gmg) = images[k], images[len(lhs) + k]

@@ -315,12 +315,28 @@ def test_green_builds_its_random_pairs_once_per_process(monkeypatch):
         calls, "checked", triplets.require_maximal_domain))
     monkeypatch.setattr(models.PiecewiseExpFunction, "derivative", counted_calls(
         calls, "differentiated", models.PiecewiseExpFunction.derivative))
+    packed_rows, pack_terms = [], expfun.pack_terms
+    monkeypatch.setattr(expfun, "pack_terms",
+                        lambda *parts: packed_rows.append(len(parts[0])) or pack_terms(*parts))
+    monkeypatch.setattr(expfun, "_kind_table", counted_calls(
+        calls, "kind tables", expfun._kind_table))
     cli._green_pairs.cache_clear()
     scenario = {"name": "green", "model": {"kind": "momentum"}, "checks": ["green"]}
     first, second = (cli.run_scenario_obj(scenario)["checks"][0] for _ in range(2))
     assert calls == {"built": 40, "checked": 40, "differentiated": 40}
     assert first["verdict"] == "pass"
     assert repr(first["max_residual"]) == repr(second["max_residual"])
+    # the 40 functions are packed with the pairs, once; momentum maps no
+    # pairing, so its checks pack nothing more and build no kind table
+    assert packed_rows == [40]
+    scenario["model"] = {"kind": "nonlocal", "case": "I", "alpha": "1"}
+    for n in (1, 2):
+        assert cli.run_scenario_obj(scenario)["checks"][0]["verdict"] == "pass"
+        # each nonlocal check packs only its potential, one row, and builds
+        # that pack's kind table; the 40 functions' table is built once
+        assert packed_rows == [40] + [1] * n
+        assert calls["kind tables"] == 1 + n
+    assert calls["built"] == calls["checked"] == calls["differentiated"] == 40
 
 
 @pytest.mark.parametrize("spec", [

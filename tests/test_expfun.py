@@ -352,6 +352,62 @@ def test_paired_equals_inner_bit_for_bit(pairs):
         assert [bits(v) for v in got.tolist()] == want * count
 
 
+def inner_by_builtins(f, g):
+    """``inner`` with its overlap taken by the builtin ``max`` and ``min``,
+    kept as the reference whose bits ``inner`` must return."""
+    total = 0j
+    for f_coeff, f_lo, f_hi, f_exp, f_power in f.row:
+        for g_coeff, g_lo, g_hi, g_exp, g_power in g.row:
+            lo = max(f_lo, g_lo)
+            hi = min(f_hi, g_hi)
+            if lo >= hi:
+                continue
+            u = f_exp + g_exp.conjugate()
+            total += (
+                f_coeff
+                * g_coeff.conjugate()
+                * expfun._poly_exp_integral(f_power + g_power, u, lo, hi)
+            )
+    return total
+
+
+#: ends that pieces share, with zeros of both signs, so that overlaps meet
+#: in ties of equal and of signed-zero ends
+INNER_ENDS = (NEG_INF, -1.5, -0.0, 0.0, 0.5, POS_INF)
+INNER_INTERVALS = tuple((a, b) for a in INNER_ENDS for b in INNER_ENDS
+                        if a < b and (a, b) != (NEG_INF, POS_INF))
+#: exponents of finite pieces, among them zeros of both signs and tiny ones,
+#: whose pairs integrate as degenerate, to a float
+INNER_FINITE_EXPONENTS = (0j, complex(-0.0, -0.0), complex(0.5, -2.0), 1.5j,
+                          complex(-3e-15, 4e-15), complex(4e-15, -0.0))
+
+
+@st.composite
+def inner_functions_st(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo, hi = draw(st.sampled_from(INNER_INTERVALS))
+        if lo == NEG_INF:
+            s = complex(draw(st.sampled_from(GRAM_DECAY)), draw(st.sampled_from(GRAM_EXP_IM)))
+        elif hi == POS_INF:
+            s = complex(-draw(st.sampled_from(GRAM_DECAY)), draw(st.sampled_from(GRAM_EXP_IM)))
+        else:
+            s = draw(st.sampled_from(INNER_FINITE_EXPONENTS))
+        terms.append(ExpTerm(draw(PAIRED_COEFFS), lo, hi, s, draw(st.integers(0, 2))))
+    return PiecewiseExpFunction(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner_functions_st(), inner_functions_st())
+@example(PiecewiseExpFunction.single(1.0, -1.5, -0.0, 0j),  # a degenerate integral
+         PiecewiseExpFunction.single(2j, -1.5, 0.0, complex(-0.0, -0.0)))
+@example(PiecewiseExpFunction.single(1.0, -1.5, -0.0, 0j),  # ends meet as -0.0 and 0.0
+         PiecewiseExpFunction.single(1.0, 0.0, 0.5, 0j))
+def test_inner_equals_the_builtin_max_min_loop_bit_for_bit(f, g):
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert bits(inner(a, b)) == bits(inner_by_builtins(a, b))
+
+
 def test_paired_takes_the_kernel_from_paired_scalar_rows_on(monkeypatch):
     fs = block_family(np.random.default_rng(24), expfun.PAIRED_SCALAR_ROWS + 1)
     h = fs[1]

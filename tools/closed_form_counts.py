@@ -10,7 +10,9 @@ is emptied before each workload's first pass, so that pass starts cold.
 Then, per op of the pass: the defect vectors the ``DefectFamily`` builders
 return (failed points not counted); the packs made from terms, calls of
 ``expfun.pack_terms`` (``pack`` and the defect builders make every pack
-through it), and the rows they hold; the term validations (calls of
+through it), and the rows they hold; the kind tables built for the kernels,
+calls of ``expfun._kind_table`` (a pack builds its table once, on first use;
+a ``select`` slice cuts its parent's); the term validations (calls of
 ``expfun._term``, the one validator, which an ``ExpTerm`` runs too), the
 ``PiecewiseExpFunction.__init__`` runs and the scalar ``expfun.inner`` calls, under every name a module imported it
 as; the calls of the three matops functions that take an SVD
@@ -63,7 +65,7 @@ def main() -> None:
     validate = expfun._term
     init = expfun.PiecewiseExpFunction.__init__
     build_rows = triplets.DefectFamily._build_rows
-    pack_terms = expfun.pack_terms
+    pack_terms, kind_table = expfun.pack_terms, expfun._kind_table
 
     def counted_memo(k, u, a, b):
         counts["calls"] += 1
@@ -106,6 +108,7 @@ def main() -> None:
         (expfun.PiecewiseExpFunction, "__init__", counted("inits", init)),
         (triplets.DefectFamily, "_build_rows", counted_build),
         (expfun, "pack_terms", counted_pack),
+        (expfun, "_kind_table", counted("kind tables", kind_table)),
         *((module, "inner", counted("inner", inner)) for module in INNER_NAMES
           if getattr(module, "inner", None) is inner),
         *((matops, name, counted_svd(getattr(matops, name))) for name in SVD_FUNCTIONS),
@@ -117,9 +120,9 @@ def main() -> None:
     try:
         # name: (width, decimals)
         columns = {"vectors": (12, 1), "packs": (10, 1), "packed rows": (17, 1),
-                   "validations": (16, 1), "inits": (10, 1), "inner": (10, 1),
-                   "svd calls": (14, 1), "svd matrices": (17, 1), "passes": (12, 1),
-                   "merges": (12, 2)}
+                   "kind tables": (17, 1), "validations": (16, 1), "inits": (10, 1),
+                   "inner": (10, 1), "svd calls": (14, 1), "svd matrices": (17, 1),
+                   "passes": (12, 1), "merges": (12, 2)}
         print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
               + "".join(f"{name + '/op':>{w}}" for name, (w, _) in columns.items()))
         for workload in workloads.WORKLOADS:
