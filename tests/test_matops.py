@@ -247,6 +247,13 @@ def test_krein_unitarity_required():
         KreinBlockOperator([[2.0]], [[0.0]], [[0.0]], [[1.0]])
 
 
+@pytest.mark.parametrize("k", [[[1e160, 0], [0, 1]], [[1e200, 0], [0, 1e200]]])
+def test_a_krein_defect_that_overflows_is_rejected(k):
+    # the products overflow, so the defect is NaN, which must fail closed
+    with pytest.raises(ValueError, match="not Krein unitary: defect nan"):
+        KreinBlockOperator.from_matrix(k)
+
+
 def test_the_krein_defect_is_the_one_the_constructor_measured(monkeypatch):
     k = random_krein_unitary(2, np.random.default_rng(9))
     j = np.diag([1.0, 1.0, -1.0, -1.0])
