@@ -245,13 +245,10 @@ def test_hyperbolic_fixture():
 def test_krein_unitarity_required():
     with pytest.raises(ValueError, match="Krein"):
         KreinBlockOperator([[2.0]], [[0.0]], [[0.0]], [[1.0]])
-
-
-@pytest.mark.parametrize("k", [[[1e160, 0], [0, 1]], [[1e200, 0], [0, 1e200]]])
-def test_a_krein_defect_that_overflows_is_rejected(k):
     # the products overflow, so the defect is NaN, which must fail closed
-    with pytest.raises(ValueError, match="not Krein unitary: defect nan"):
-        KreinBlockOperator.from_matrix(k)
+    for k in ([[1e160, 0], [0, 1]], [[1e200, 0], [0, 1e200]]):
+        with pytest.raises(ValueError, match="not Krein unitary: defect nan"):
+            KreinBlockOperator.from_matrix(k)
 
 
 def test_the_krein_defect_is_the_one_the_constructor_measured(monkeypatch):

@@ -2,7 +2,7 @@
 
 Writes the momentum, nonlocal-I-4i, shift and haar scenarios of
 ``tests/test_golden_reports.py`` to a temporary directory, then starts
-``python -m psokit run <scenario>`` on each, ``--runs`` times, taking the
+``python -m psokit run <scenario>`` on each, ``RUNS`` times, taking the
 scenarios in turn within each round.  A bare ``python -c "import psokit.cli"``
 takes its turn in each round as well.  For each row it prints the median and
 quartiles of the wall time from spawn to exit, and the median of the child's
@@ -15,7 +15,7 @@ them in the same rounds, alternating the tree that goes first, so that two
 trees can be compared on one machine under the same load.  Without one it
 measures the tree it is in.  Uses the standard library only.
 
-    python3 tools/cold_start.py [--runs N] [TREE ...]
+    python3 tools/cold_start.py [TREE ...]
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 NAMES = ("momentum", "nonlocal-I-4i", "shift", "haar")
 IMPORT_ROW = "import psokit.cli"
+RUNS = 7  # timed runs per row
 
 
 def _env(tree: Path) -> dict:
@@ -85,7 +86,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", type=Path, default=[ROOT],
                         help="source trees to measure (default: this one)")
-    parser.add_argument("--runs", type=int, default=7, help="runs per row (default 7)")
     args = parser.parse_args()
     trees = [t.resolve() for t in args.trees]
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,14 +93,14 @@ def main() -> None:
         jobs = {IMPORT_ROW: ["-c", "import psokit.cli"]}
         jobs.update((name, ["-m", "psokit", "run", str(path)]) for name, path in paths.items())
         samples = {(tree, row): [] for tree in trees for row in jobs}
-        for i in range(-1, args.runs):  # round -1 fills the bytecode caches, untimed
+        for i in range(-1, RUNS):  # round -1 fills the bytecode caches, untimed
             order = trees if i % 2 == 0 else trees[::-1]
             for row, argv in jobs.items():
                 for tree in order:
                     sample = _timed(argv, _env(tree))
                     if i >= 0:
                         samples[tree, row].append(sample)
-    print(f"{len(trees)} tree(s), {args.runs} runs per row; wall ms median [quartiles], "
+    print(f"{len(trees)} tree(s), {RUNS} runs per row; wall ms median [quartiles], "
           f"max RSS MB median")
     for tree in trees:
         print(f"\n{tree}")
