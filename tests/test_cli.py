@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psokit import cli, expfun, matops, models, psocheck, triplets
 from psokit.triplets import BoundaryTriplet
@@ -144,6 +146,81 @@ def test_raising_defect_family_exits_2(tmp_path, capsys, monkeypatch):
     assert all(c["grid_failures"] for c in report["checks"][:3])
     # nothing was evaluated, so no residual may read as a perfect 0.0
     assert all(math.isnan(c["max_residual"]) for c in report["checks"])
+
+
+FAULT_MODELS = {"momentum": {"kind": "momentum"},
+                "I(4i)": {"kind": "nonlocal", "case": "I", "alpha": "4i"},
+                "II(2i)": {"kind": "nonlocal", "case": "II", "alpha": "2i"}}
+FAULT_CHECKS = ["orthogonality", "constancy", "inclusion", "pso", "mobius"]
+
+
+def run_with_fault(spec, check, fault, at=None, pick=0):
+    """The report of one check of the model ``spec`` on a 2 x 2 grid, with
+    ``fault`` injected at call ``at`` (none if None) of what it patches, and
+    the number of those calls.
+
+    Faults: ``antiderivative-nan`` and ``antiderivative-inf`` make
+    ``expfun._antiderivative`` return that value (calls whose branch no
+    point takes are not counted: an array build takes the degenerate and the
+    other branch at every point and keeps each only where it applies);
+    ``raise`` makes the model's ``_defect`` raise; ``nan``, ``inf`` and
+    ``-inf`` put that value into the coefficient or exponent part ``pick``
+    of a term that ``_defect``'s pack holds (calls whose pack holds no term
+    are not counted).
+    """
+    cls = models.MomentumModel if spec["kind"] == "momentum" else models.NonlocalModel
+    calls = 0
+
+    def due(counted=True):
+        nonlocal calls
+        calls += bool(counted)
+        return bool(counted) and calls - 1 == at
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expfun, "_closed_forms", {})  # no closed form kept between runs
+        if fault.startswith("antiderivative"):
+            antiderivative, bad = expfun._antiderivative, complex(fault.split("-")[1])
+
+            def patched(k, u, coeffs, *args, **kwargs):
+                value = antiderivative(k, u, coeffs, *args, **kwargs)
+                degenerate = np.hypot(u.real, u.imag) < expfun.DEGENERATE_EXPONENT_TOL
+                return bad if due(np.any(degenerate == (coeffs is None))) else value
+
+            mp.setattr(expfun, "_antiderivative", patched)
+        else:
+            build = cls._defect
+
+            def patched(*args):
+                packed, errors = build(*args)
+                held = np.flatnonzero((packed.coeff_re != 0) | (packed.coeff_im != 0))
+                if due(fault == "raise" or held.size > 0):
+                    if fault == "raise":
+                        raise RuntimeError("injected fault")
+                    part = (0, 1, 4, 5)[pick % 4]
+                    packed.parts[part].flat[held[pick // 4 % held.size]] = float(fault)
+                return packed, errors
+
+            mp.setattr(cls, "_defect", staticmethod(patched))
+        report = cli.run_scenario_obj({"name": "fault", "model": spec, "checks": [check],
+                                       "grid": {"re": [-1, 1], "im": [0.5, 2]}})
+    return report, calls
+
+
+@pytest.mark.parametrize("model, check, fault", [
+    (model, check, fault) for model in FAULT_MODELS for check in FAULT_CHECKS
+    for fault in ("antiderivative-nan", "antiderivative-inf", "raise", "nan", "inf", "-inf")
+    # momentum's constancy check takes no closed form
+    if not (model == "momentum" and check == "constancy" and fault.startswith("anti"))])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(at=st.integers(0, 10**6), pick=st.integers(0, 10**6))
+def test_a_fault_injected_into_a_build_never_passes(model, check, fault, at, pick):
+    spec = FAULT_MODELS[model]
+    _, calls = run_with_fault(spec, check, fault)
+    assert calls > 0
+    report, _ = run_with_fault(spec, check, fault, at % calls, pick)
+    verdict = report["checks"][0]["verdict"]
+    assert verdict != "pass"
+    assert cli.report_exit_code(report) == (2 if verdict == "error" else 1)
 
 
 def test_an_overflowing_defect_norm_is_an_error_not_a_perfect_pairing(tmp_path, capsys):
