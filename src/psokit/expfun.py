@@ -23,7 +23,10 @@ row), which read functions packed into arrays, take their integrals from
 the same closed form as the scalar inner product and reproduce that inner
 product bit for bit, and for the array builds of the free resolvent, which
 fill the rows of a whole batch of points at once, each bit for bit the row
-the scalar formula gives.
+the scalar formula gives.  An array build fails a point by one rule, where
+the scalar formula raises: a term the point holds, unmerged or merged, has
+a coefficient or exponent part that is not finite, or the modulus of a
+resolvent exponent iz + s overflows; the point's error names the term.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scalars import format_complex
 from .tolerances import DEGENERATE_EXPONENT_TOL, JUMP_TOL, QUADRATURE_TOL, TAIL_CUTOFF
 
 NEG_INF = float("-inf")
@@ -425,7 +429,7 @@ def _antiderivative(k: int, u, coeffs, x: float, exp=cmath.exp, power=pow):
     whose antiderivative is x**(k+1) / (k+1).
 
     ``exp(w)`` and ``power(x, n)`` take exp(w) and x**n; an array build
-    passes ones that note the error each point raises.
+    passes ones that give a value that is not finite where these raise.
     """
     if coeffs is None:
         return power(x, k + 1) / (k + 1)
@@ -960,33 +964,6 @@ def _quot(ar, ai, br, bi):
                 np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-class _Faults:
-    """The first error each of n points raised, in the order the scalar
-    code raises them: a point keeps the first error noted for it."""
-
-    def __init__(self, n: int):
-        self.errors: list[Exception | None] = [None] * n
-        self.failed = np.zeros(n, dtype=bool)
-
-    def note(self, where, kind: type, *args) -> None:
-        """Note ``kind(*args)`` at the points of the mask ``where`` that
-        have no error yet."""
-        fresh = where & ~self.failed
-        if fresh.any():
-            for i in np.flatnonzero(np.broadcast_to(fresh, self.failed.shape)).tolist():
-                self.errors[i] = kind(*args)
-            self.failed |= fresh
-
-    def absorb(self, other: "_Faults", where=True) -> None:
-        """Note the errors of ``other`` at the points of the mask ``where``
-        that have no error yet."""
-        if other.failed.any():
-            fresh = other.failed & where & ~self.failed
-            for i in np.flatnonzero(fresh).tolist():
-                self.errors[i] = other.errors[i]
-            self.failed |= fresh
-
-
 def _split(c: complex) -> tuple[float, float]:
     return c.real, c.imag
 
@@ -1049,76 +1026,67 @@ class SplitComplex:
         return (re != 0) | (im != 0)
 
 
-def _not_finite(*parts) -> np.ndarray:
-    finite = True
-    for x in parts:
-        finite = finite & np.isfinite(x)
-    return ~finite
-
-
-def _exp(w: "SplitComplex", faults: _Faults, where=True) -> "SplitComplex":
-    """``cmath.exp`` of each point's value of w.
+def _exp(w: "SplitComplex") -> "SplitComplex":
+    """``cmath.exp`` of each value of w, or NaN where that raises.
 
     numpy's complex exp takes exp(re) * (cos(im), sin(im)) as ``cmath.exp``
-    does where re <= EXP_SCALED and both parts are finite; every other
-    point goes through ``cmath.exp`` itself, and the error it raises there
-    is noted for the point where ``where`` holds, its value then NaN.
+    does where re <= EXP_SCALED and both parts are finite; every other value
+    goes through ``cmath.exp`` itself.
     """
-    z = np.empty(faults.failed.shape, dtype=complex)
+    z = np.empty(np.shape(w.real), dtype=complex)
     z.real, z.imag = w.real, w.imag
-    with np.errstate(all="ignore"):  # where np.exp overflows, cmath.exp decides
-        out = np.exp(z)
-    odd = ~((z.real <= EXP_SCALED) & np.isfinite(z.real) & np.isfinite(z.imag))
-    for i in np.flatnonzero(odd).tolist():
+    out = np.exp(z)  # where np.exp overflows, cmath.exp decides
+    for i in np.flatnonzero(~((z.real <= EXP_SCALED) & np.isfinite(z.real)
+                              & np.isfinite(z.imag))).tolist():
         try:
             out[i] = cmath.exp(z[i])
-        except (OverflowError, ValueError) as exc:
+        except (OverflowError, ValueError):
             out[i] = complex(math.nan, math.nan)
-            faults.note(where & (np.arange(z.size) == i), type(exc), *exc.args)
     return SplitComplex(out.real, out.imag)
 
 
-def _power(x: float, n: int, faults: _Faults, where):
-    """``x ** n`` as Python takes it, or NaN with its error noted where
-    ``where`` holds."""
+def _power(x: float, n: int) -> float:
+    """``x ** n`` as Python takes it, or inf where that overflows."""
     try:
         return x ** n
-    except OverflowError as exc:
-        faults.note(where, type(exc), *exc.args)
-        return math.nan
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
 # array builds: the canonical rows of a batch, one per point
 # ---------------------------------------------------------------------------
 #
-# A build fills the pack of a batch, one row per point, and keeps in a
-# _Faults the first error the scalar build raises at each point; a failed
-# point's row holds whatever the arrays computed until the build's last
-# step, ``finish_batch`` or ``single_terms``, empties it and makes the
-# batch's one pack, with ``pack_terms``.  A build of several terms collects
-# them as the unmerged slots of ``_columns`` and merges them once, by
-# ``canonical_terms``; ``single_terms`` fills a row of one term directly,
-# since a merge of one slot costs the momentum build about three times its
-# whole time (34 -> 107 us at one point, 38 -> 154 us at 66).
+# A build fills the pack of a batch, one row per point.  A build of several
+# terms collects them as the unmerged slots of ``_columns`` and merges them
+# once, by ``canonical_terms``; ``single_terms`` fills a row of one term
+# directly, since a merge of one slot costs the momentum build about three
+# times its whole time (34 -> 107 us at one point, 38 -> 154 us at 66).
+# Every build ends with one classification, ``finish_batch``, by one rule:
+# a point fails where a term it holds, unmerged or merged, has a
+# coefficient or exponent part that is not finite, or where the modulus of
+# a resolvent exponent iz + s overflows.  Those are the points where the
+# scalar build raises: an exp or a power that overflows gives a value that
+# is not finite, and every value a point computes feeds a term it holds.
+# A failed point's row is emptied, and its error names the term.
+
+_TERM_NOT_FINITE = "term on [{lo}, {hi}] with exponent {exponent}: " \
+                   "coefficient or exponent is not finite"
+_MODULUS_OVERFLOWS = "term on [{lo}, {hi}] with exponent {exponent}: " \
+                     "the modulus of iz + exponent overflows"
 
 
 def single_terms(coeff, lo, hi, exponent) -> tuple[PackedFunctions, list]:
     """One term (coeff, lo, hi, exponent, 0) per row, as ``canonical_row``
-    makes it of that term alone, and each point's error or None: its
-    coefficient 0j + coeff, no term where that is zero, and a point whose
-    coefficient or exponent is not finite failed, as ExpTerm fails it.
-    coeff and exponent are numbers or :class:`SplitComplex` values; the
-    exponent's parts are arrays over the points, the other parts numbers or
-    such arrays."""
-    coeff, exponent = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
-    faults = _Faults(np.shape(exponent[0])[0])
-    faults.note(_not_finite(*coeff, *exponent), ValueError, _NOT_FINITE)
-    parts = np.zeros((7, faults.failed.size, 1))
-    for part, value in zip(parts, (0.0 + coeff[0], 0.0 + coeff[1], lo, hi, *exponent)):
-        part[:, 0] = value
-    on = ((parts[0] != 0) | (parts[1] != 0)) & ~faults.failed[:, None]
-    return pack_terms(*np.where(on, parts, 0.0)), faults.errors
+    makes it of that term alone, and each point's error or None, by
+    :func:`finish_batch`: its coefficient 0j + coeff, and no term where
+    that is zero.  coeff and exponent are numbers or :class:`SplitComplex`
+    values; the exponent's parts are arrays over the points, the other
+    parts numbers or such arrays."""
+    (cr, ci), (er, ei) = SplitComplex._parts(coeff), SplitComplex._parts(exponent)
+    cols = _columns([(0.0 + cr, 0.0 + ci, lo, hi, er, ei, 0, True)], np.shape(er)[0])
+    return finish_batch(cols, PackedFunctions(np.where((cols[0] != 0) | (cols[1] != 0),
+                                                       cols[:7], 0.0)))
 
 
 def _columns(slots, n: int) -> np.ndarray:
@@ -1133,16 +1101,16 @@ def _columns(slots, n: int) -> np.ndarray:
     return cols
 
 
-def canonical_terms(cols: np.ndarray, faults: _Faults) -> PackedFunctions:
+def canonical_terms(cols: np.ndarray) -> PackedFunctions:
     """The canonical row at each point of the terms in ``cols``, as
     ``canonical_row`` makes it of the row's tuples.
 
     ``cols`` holds the slots of :func:`_columns`, in term order.  Terms of
     one (lo, hi, exponent, power), compared by value, merge into the first,
     whose bits they keep, their coefficients summed from 0j in term order;
-    an exact-zero sum is dropped and one that is not finite fails its point
-    with ExpTerm's message; the rest are stable-sorted by (lo, hi,
-    exponent, power).
+    an exact-zero sum is dropped, and one that is not finite is kept for
+    :func:`finish_batch` to fail its point; the rest are stable-sorted by
+    (lo, hi, exponent, power).
     """
     n, count = cols.shape[1:]
     if not count:
@@ -1158,7 +1126,6 @@ def canonical_terms(cols: np.ndarray, faults: _Faults) -> PackedFunctions:
     for t in range(count):  # each sum from 0j, in term order
         acc[:, points, first[:, t]] += values[:, :, t]
     kept = on & (first == np.arange(count)) & (acc != 0).any(axis=0)
-    faults.note((kept & _not_finite(*acc)).any(axis=1), ValueError, _NOT_FINITE)
     width = int(kept.sum(axis=1).max(initial=0))
     order = np.lexsort((*kind[::-1], ~kept), axis=-1)[:, :width]
     points = points[:, None]
@@ -1166,10 +1133,36 @@ def canonical_terms(cols: np.ndarray, faults: _Faults) -> PackedFunctions:
                                     np.concatenate((acc, kind))[:, points, order], 0.0))
 
 
-def finish_batch(f: PackedFunctions, faults: _Faults) -> tuple[PackedFunctions, list]:
-    """The batch's one pack, f with each failed point's row emptied, and
-    each point's error or None."""
-    return pack_terms(*np.where(faults.failed[:, None], 0.0, f.parts)), faults.errors
+def finish_batch(cols: np.ndarray, merged: PackedFunctions,
+                 overflow: np.ndarray | None = None) -> tuple[PackedFunctions, list]:
+    """The batch's one pack, ``merged`` with each failed point's row
+    emptied, and each point's error or None: the one classification of the
+    array builds.
+
+    A point fails where a slot of ``cols`` it holds, an unmerged term, or
+    a term of ``merged``, their canonical row, has a coefficient or
+    exponent part that is not finite.  It also fails where it holds a slot
+    of ``overflow``: the terms of a potential, each held where the modulus
+    of its resolvent exponent iz + s overflows.  The error is a ValueError
+    that names the first such term, looked for in ``overflow``, then
+    ``cols``, then ``merged``.
+    """
+    def not_finite(parts):  # per slot: a coefficient or exponent part is not finite
+        return ~np.isfinite(parts[[0, 1, 4, 5]]).all(axis=0)
+
+    causes = [(cols, _TERM_NOT_FINITE, (cols[7] != 0) & not_finite(cols)),
+              (merged.parts, _TERM_NOT_FINITE, not_finite(merged.parts))]
+    if overflow is not None:
+        causes.insert(0, (overflow, _MODULUS_OVERFLOWS, overflow[7] != 0))
+    failed = np.zeros(len(merged), dtype=bool)
+    errors: list = [None] * len(merged)
+    for parts, text, bad in causes:
+        for i in np.flatnonzero(bad.any(axis=1) & ~failed).tolist():
+            lo, hi, re, im = parts[2:6, i, bad[i].argmax()].tolist()
+            errors[i] = ValueError(text.format(lo=format_complex(lo), hi=format_complex(hi),
+                                               exponent=format_complex(complex(re, im))))
+        failed |= bad.any(axis=1)
+    return pack_terms(*np.where(failed[:, None], 0.0, merged.parts)), errors
 
 
 # ---------------------------------------------------------------------------
@@ -1189,8 +1182,8 @@ def free_resolvent(z, gamma: PiecewiseExpFunction):
     exponent equal to -iz on a finite interval) raises the monomial power by
     one instead of leaving the algebra.  For one point z the result is a
     :class:`PiecewiseExpFunction`; for a 1-D array of points it is the
-    pack of their rows, a failed point's row empty, with the error each
-    point raised or None.  Either way every point, of both half planes,
+    pack of their rows, with each point's error or None, by the rule of
+    :func:`finish_batch`.  Either way every point, of both half planes,
     goes through one pass of the array build, :func:`half_plane_resolvent`,
     whose terms are merged by one :func:`canonical_terms` call.  Not
     memoised.
@@ -1204,71 +1197,58 @@ def free_resolvent(z, gamma: PiecewiseExpFunction):
     if (z.imag == 0).any():
         raise ValueError("resolvent requires non-real z")
     with np.errstate(all="ignore"):
-        cols, faults = half_plane_resolvent(z, z.imag > 0, gamma)
-        return finish_batch(canonical_terms(cols, faults), faults)
+        cols, overflow = half_plane_resolvent(z, z.imag > 0, gamma)
+        return finish_batch(cols, canonical_terms(cols), overflow)
 
 
 def half_plane_resolvent(z: np.ndarray, upper: np.ndarray,
-                         gamma: PiecewiseExpFunction) -> tuple[np.ndarray, _Faults]:
+                         gamma: PiecewiseExpFunction) -> tuple[np.ndarray, np.ndarray]:
     """The terms of ``free_resolvent(z_i, gamma)`` at non-real points z,
     unmerged, as the slots of :func:`_columns`, with ``upper`` the mask of
-    those in the upper half plane, and each point's first error.
+    those in the upper half plane, and the ``overflow`` slots of
+    :func:`finish_batch`: gamma's terms, each held where its u = iz + s is
+    finite and its modulus overflows, where the scalar ``abs(u)`` raises.
 
     The build replays the scalar arithmetic of the formula term by term,
     bit for bit, for every point at once: the antiderivative is the scalar
     ``_antiderivative`` itself, on :class:`SplitComplex` values, with
-    ``_exp`` and ``_power`` noting the errors ``cmath.exp`` and ``pow``
-    raise.  Both half planes go through one pass.  The antiderivative is
-    taken once at each finite end of a term, and a point's errors there are
-    noted in the order of its half plane: hi before lo in the upper one, lo
-    before hi in the lower one.  The term left of the support is held only
-    at upper points and the one right of it only at lower points; a slot
-    that no point holds is not built.  Each output term is checked as
-    ExpTerm checks it (only finiteness can fail here: the intervals come
-    from gamma's terms and their complements, and each homogeneous term
-    decays on the side where it is kept), and each point keeps the first
-    error the scalar build would raise there before the merge;
-    :func:`canonical_terms` of the slots gives the rows.  A value that
-    overflows fails its point as the scalar code fails it, or is never
-    read, so the caller silences array warnings.
+    ``_exp`` and ``_power``, which give a value that is not finite where
+    ``cmath.exp`` and ``pow`` raise.  Both half planes go through one pass,
+    and both branches of the antiderivative, degenerate or not, are taken
+    at each finite end of a term for every point, each kept where it
+    applies.  The term left of the support is held only at upper points and
+    the one right of it only at lower points; a slot that no point holds is
+    not built.  Of ExpTerm's checks of a term only finiteness can fail
+    here, which :func:`finish_batch` applies: the intervals come from
+    gamma's terms and their complements, and each homogeneous term decays
+    on the side where it is kept.  A value that overflows fails its point
+    or is never read, so the caller silences array warnings.
     """
-    faults = _Faults(z.size)
     lower = ~upper
     z = SplitComplex(z.real, z.imag)
     ez = -1j * z  # exponent of the homogeneous solution exp(-izx)
-    slots = []
+    slots, overflow = [], []
     for coeff, lo, hi, exponent, k in gamma.row:
         u = 1j * z + exponent
-        size = np.hypot(u.real, u.imag)  # abs(u), which raises where hypot overflows
-        too_large = np.isinf(size)
-        if too_large.any():
-            faults.note(too_large & np.isfinite(u.real) & np.isfinite(u.imag), OverflowError,
-                        "absolute value too large")
+        size = np.hypot(u.real, u.imag)  # abs(u)
+        overflow.append((*_split(coeff), lo, hi, *_split(exponent), k,
+                         np.isinf(size) & np.isfinite(u.real) & np.isfinite(u.imag)))
         # a resonant term (degenerate u) keeps the input's exponent so
         # cancellations against gamma stay exact at the term level
         flat = size < DEGENERATE_EXPONENT_TOL
         live = ~flat
         coeffs = _antiderivative_coeffs(k, u)
 
-        def antiderivative(x, noted: _Faults):
-            # both branches at every point, their errors noted in ``noted``;
+        def antiderivative(x):
             # a degenerate u's float value is taken as complex(value, 0.0)
-            value = _antiderivative(k, u, coeffs, x, *(
-                functools.partial(fn, faults=noted, where=live) for fn in (_exp, _power)))
-            flat_value = _antiderivative(k, u, None, x,
-                                         power=functools.partial(_power, faults=noted, where=flat))
-            return SplitComplex.choose(flat, flat_value, value)
+            return SplitComplex.choose(flat, _antiderivative(k, u, None, x, power=_power),
+                                       _antiderivative(k, u, coeffs, x, _exp, _power))
 
         # the antiderivative at each end, 0j at an infinite one (Re u < 0 is
         # guaranteed at an infinite right end of an upper point, Re u > 0 at
-        # an infinite left end of a lower one); the errors at hi are noted
-        # apart, so an upper point keeps them before those at lo and a
-        # lower point after
-        at_hi = _Faults(faults.failed.size)
-        Gb = antiderivative(hi, at_hi) if hi != POS_INF else 0j
-        faults.absorb(at_hi, upper)
-        Ga = antiderivative(lo, faults) if lo != NEG_INF else 0j
-        faults.absorb(at_hi)
+        # an infinite left end of a lower one)
+        Gb = antiderivative(hi) if hi != POS_INF else 0j
+        Ga = antiderivative(lo) if lo != NEG_INF else 0j
         # the output terms, (coeff, lo, hi, exponent, power, where held), in
         # the order the scalar build appends them
         terms = []
@@ -1286,13 +1266,9 @@ def half_plane_resolvent(z: np.ndarray, upper: np.ndarray,
                       SplitComplex.nonzero(homogeneous)))
         terms.append((sign / (k + 1), lo, hi, exponent, k + 1, flat))
         terms += [(sign * c, lo, hi, exponent, k - j, live) for j, c in enumerate(coeffs)]
-        # ExpTerm's check of each term: one error text, so one note
-        parts = [(*SplitComplex._parts(c), lo, hi, *SplitComplex._parts(e), power, on)
-                 for c, lo, hi, e, power, on in terms]
-        faults.note(np.any([t[7] & _not_finite(*t[:2], *t[4:6]) for t in parts], axis=0),
-                    ValueError, _NOT_FINITE)
-        slots += [t for t in parts if t[7].any()]
-    return _columns(slots, faults.failed.size), faults
+        slots += [(*SplitComplex._parts(c), lo, hi, *SplitComplex._parts(e), power, on)
+                  for c, lo, hi, e, power, on in terms if on.any()]
+    return _columns(slots, upper.size), _columns(overflow, upper.size)
 
 
 def resolvent_residual(z: complex, gamma: PiecewiseExpFunction,

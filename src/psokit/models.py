@@ -23,14 +23,13 @@ import numpy as np
 
 from . import matops
 from .expfun import (
-    _NOT_FINITE,
     NEG_INF,
     POS_INF,
     PackedFunctions,
     PiecewiseExpFunction,
     SplitComplex,
     _columns,
-    _not_finite,
+    canonical_row,
     canonical_terms,
     coefficient_distance,
     finish_batch,
@@ -443,12 +442,14 @@ class NonlocalModel:
     def adjoint_from(self, f: PiecewiseExpFunction,
                      free: PiecewiseExpFunction) -> PiecewiseExpFunction:
         """T f from f and its free part ``free_part(f)``: the coupling term
-        added to the free part."""
+        added to the free part, the two merged as one ``canonical_row``."""
         if self.case == "I":
             coupling = (f.limit(0.0, "+") + f.limit(0.0, "-")) / 2
         else:
             coupling = f.limit(0.0, "+") - f.limit(0.0, "-")
-        return free + coupling * self.gamma
+        return PiecewiseExpFunction.from_row(canonical_row(free.row + tuple(
+            (coupling * coeff, lo, hi, exponent, power)
+            for coeff, lo, hi, exponent, power in self.gamma.row)))
 
     @staticmethod
     def _defect(case: str, gamma: PiecewiseExpFunction, zs) -> tuple[PackedFunctions, list]:
@@ -457,13 +458,13 @@ class NonlocalModel:
         and g0 the mean of its one-sided limits at 0, g - 2 (1 + g0) bump
         (case I) or g +- bump (case II), bump = exp(-izx) on its half line,
         merged as one ``canonical_row`` of g's terms and the bump term.  Both
-        half planes are built in one pass, and merged by one
-        ``canonical_terms`` call."""
+        half planes are built in one pass, merged by one ``canonical_terms``
+        call and classified by one ``finish_batch`` call."""
         z = np.asarray(zs, dtype=complex)
         upper = z.imag > 0
-        # overflow fails a point, as in half_plane_resolvent
+        # a value that overflows fails its point, as in half_plane_resolvent
         with np.errstate(all="ignore"):
-            g, faults = half_plane_resolvent(z, upper, gamma)
+            g, overflow = half_plane_resolvent(z, upper, gamma)
             # g0 from g's unmerged terms has the bits the merged row gives it:
             # the potential is one term on a half line, or zero, so on each
             # side of the origin at most two of the terms are nonzero at 0,
@@ -474,12 +475,11 @@ class NonlocalModel:
             coeff = SplitComplex._parts(-2 * (1 + g0) if case == "I"
                                         else SplitComplex(np.where(upper, 1.0, -1.0), 0.0))
             ez = -1j * SplitComplex(z.real, z.imag)
-            # ExpTerm's check of the bump, which decays on its half line
-            faults.note(_not_finite(*coeff, ez.real, ez.imag), ValueError, _NOT_FINITE)
+            # the bump, which decays on its half line, is held at every point
             bump = _columns([(*coeff, np.where(upper, NEG_INF, 0.0), np.where(upper, 0.0, POS_INF),
                               ez.real, ez.imag, 0, True)], z.size)
-            merged = canonical_terms(np.concatenate((g, bump), axis=2), faults)
-        return finish_batch(merged, faults)
+            cols = np.concatenate((g, bump), axis=2)
+            return finish_batch(cols, canonical_terms(cols), overflow)
 
     def describe(self) -> str:
         return f"nonlocal-{self.case}(alpha={format_complex(self.alpha)})"

@@ -240,6 +240,36 @@ def test_an_overflowing_defect_norm_is_an_error_not_a_perfect_pairing(tmp_path, 
     assert record["grid_failures"] == ["lambda=-1+0.2i: defect vector norm is not finite"]
 
 
+def constancy_failures(model, grid):
+    """The grid failures of a constancy check, which must be an error."""
+    report = cli.run_scenario_obj({"name": "build-failure", "model": model,
+                                   "checks": ["constancy"], "grid": grid})
+    assert cli.report_exit_code(report) == 2
+    return report["checks"][0]["grid_failures"]
+
+
+def test_a_point_whose_resolvent_exponent_overflows_names_the_potential_term():
+    # |iz - 1| overflows at z = 1.5e308 + 1.5e308i, where the potential's
+    # term of case I is exp(-x) on (0, inf)
+    assert constancy_failures({"kind": "nonlocal", "case": "I", "alpha": "1"},
+                              {"re": [1.5e308], "im": [1.5e308]}) == [
+        "lambda=1.5e+308+1.5e+308i: term on [0, inf] with exponent -1: "
+        "the modulus of iz + exponent overflows"]
+
+
+def test_a_point_whose_exponential_overflows_names_the_term_it_makes(monkeypatch):
+    # on a potential exp(800x) on [0, 1], exp(u) overflows at 1 for the
+    # point i, so the term left of the support, exp(x) on (-inf, 0), is not
+    # finite
+    build = models.NonlocalModel._defect
+    potential = expfun.PiecewiseExpFunction.single(1.0, 0.0, 1.0, 800.0)
+    monkeypatch.setattr(models.NonlocalModel, "_defect",
+                        staticmethod(lambda case, gamma, zs: build(case, potential, zs)))
+    assert constancy_failures({"kind": "nonlocal", "case": "I", "alpha": "1"},
+                              {"re": [0], "im": [1]}) == [
+        "lambda=1i: term on [-inf, 0] with exponent 1: coefficient or exponent is not finite"]
+
+
 def test_non_finite_residuals_are_errors(tmp_path, capsys):
     # every theta and every Green residual of this coupling overflows to NaN
     path = write_scenario(tmp_path, {

@@ -980,16 +980,13 @@ def test_the_product_and_quotient_replays_equal_cpython_bit_for_bit(a, b):
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.floats(700.0, 710.0), st.floats(-800.0, 700.0)),
        st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, -1e-310])))
-def test_the_exp_replay_equals_cmath_exp_and_keeps_its_error(re, im):
-    faults = expfun._Faults(1)
-    got = expfun._exp(expfun.SplitComplex(np.array([re]), np.array([im])), faults)
+def test_the_exp_replay_equals_cmath_exp_and_is_nan_where_it_raises(re, im):
+    with np.errstate(all="ignore"):  # as every array build runs it
+        got = expfun._exp(expfun.SplitComplex(np.array([re]), np.array([im])))
     try:
         want = cmath.exp(complex(re, im))
-    except OverflowError as exc:
-        error = faults.errors[0]
-        assert type(error) is OverflowError and str(error) == str(exc) == "math range error"
-        return
-    assert not faults.failed[0]
+    except OverflowError:
+        want = complex(math.nan, math.nan)  # not finite, so the point fails
     assert part_hex((got.real[0], got.imag[0])) == part_hex((want.real, want.imag))
 
 

@@ -2,6 +2,7 @@ import cmath
 import functools
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -359,6 +360,22 @@ def test_nonlocal_defect_normalized():
     assert norm((1.0 / model.defects.norm(1j)) * model.defects(1j)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_the_nonlocal_adjoint_merges_once_with_the_bits_of_the_function_algebra(case):
+    # couplings of every zero sign, the Phillips points, and ones whose
+    # coupling term overflows or whose sum with the free part does
+    rng = np.random.default_rng(20240601)
+    fs = [models.random_maximal_domain_function(rng) for _ in range(20)]
+    for alpha in (0, -0.0, complex(-0.0, -0.0), 4j, 2j, 1, 1e200, 1.2e154, 1.7e308):
+        model = NonlocalModel(case, alpha)
+        for f in fs:
+            free = models.free_part(f)
+            coupling = ((f.limit(0.0, "+") + f.limit(0.0, "-")) / 2 if case == "I"
+                        else f.limit(0.0, "+") - f.limit(0.0, "-"))
+            assert (term_bits(model.adjoint_from, f, free)
+                    == term_bits(lambda: free + coupling * model.gamma))
+
+
 @pytest.mark.parametrize("make", [MomentumModel, lambda: NonlocalModel("I", 1)],
                          ids=["momentum", "I(1)"])
 def test_a_dropped_model_is_freed_without_the_cyclic_collector(make):
@@ -447,24 +464,25 @@ def resolvent_case_st(draw):
 @given(resolvent_case_st())
 def test_the_resolvent_rows_are_bit_identical_to_the_object_build(case):
     z, gamma = case
-    assert term_bits(free_resolvent, z, gamma) == term_bits(object_resolvent, z, gamma)
+    assert term_bits(free_resolvent, z, gamma) == reference_bits(object_resolvent, z, gamma)
 
 
-def test_each_point_of_a_batch_keeps_the_first_error_of_its_half_plane():
-    # on [-1e200, 1] an upper point takes the antiderivative at 1 first,
-    # where exp(u) overflows, and a lower point that at -1e200 first, where
-    # (-1e200)**2 overflows
+def test_a_batch_fails_each_point_where_the_object_build_raises():
+    # on [-1e200, 1] the antiderivative overflows at both ends, exp(u) at 1
+    # and (-1e200)**2 at -1e200, so the first term an upper point holds, left
+    # of the support, and the first a lower point holds, right of it, are
+    # not finite
     gamma = PiecewiseExpFunction.single(1.0, -1e200, 1.0, 800.0, 2)
     zs = [1j, -1j, 2 + 0.5j, -3 - 0.5j, -1j, 1j]
-    packed, errors = free_resolvent(zs, gamma)
-    want = []
     for z in zs:
-        with pytest.raises(OverflowError) as info:
+        with pytest.raises(OverflowError):
             object_resolvent(z, gamma)
-        want.append(failure(info.value))
-    assert [failure(e) for e in errors] == want
-    assert {text for _, text in want} == {"math range error",
-                                          "(34, 'Numerical result out of range')"}
+    packed, errors = free_resolvent(zs, gamma)
+    left, right = "term on [-inf, -1e+200] with exponent {}", "term on [1, inf] with exponent {}"
+    assert [failure(e) for e in errors] == [
+        ("ValueError", f"{where.format(exponent)}: coefficient or exponent is not finite")
+        for where, exponent in ((left, "1"), (right, "-1"), (left, "0.5-2i"),
+                                (right, "-0.5+3i"), (right, "-1"), (left, "1"))]
     assert not packed.parts.any()
 
 
@@ -479,12 +497,40 @@ def reference_defect(model, z):
     return g + bump if z.imag > 0 else g - bump
 
 
+#: the error of a point that an array build fails: the term, named by its
+#: interval and exponent, and the cause
+BUILD_FAILURE = re.compile(r"term on \[\S+, \S+\] with exponent \S+: (coefficient or exponent "
+                           r"is not finite|the modulus of iz \+ exponent overflows)")
+
+
+FAILED = "failed"
+
+
+def build_failure(exc):
+    """FAILED for an error that names a term and a cause, as the array
+    builds' errors do, else the type and text of the error."""
+    if type(exc) is ValueError and BUILD_FAILURE.fullmatch(str(exc)):
+        return FAILED
+    return failure(exc)
+
+
 def term_bits(build, *args):
-    """Every part of every term as float.hex, or the error raised instead."""
+    """Every part of every term as float.hex, or the ``build_failure`` of
+    the error raised instead."""
     try:
         f = build(*args)
     except (ValueError, OverflowError) as exc:
-        return type(exc).__name__, str(exc)
+        return build_failure(exc)
+    return row_bits(f)
+
+
+def reference_bits(build, *args):
+    """Every part of every term as float.hex, or FAILED if the object build
+    raises, whatever its error."""
+    try:
+        f = build(*args)
+    except (ValueError, OverflowError):
+        return FAILED
     return row_bits(f)
 
 
@@ -525,7 +571,7 @@ defect_point_st = st.builds(
 def test_defect_vectors_are_bit_identical_to_the_algebra_expression(case, alpha, z):
     model = NonlocalModel(case, alpha)
     assert (term_bits(defect_alone, model.case, model.gamma, z)
-            == term_bits(reference_defect, model, z))
+            == reference_bits(reference_defect, model, z))
 
 
 def defect_alone(case, gamma, z):
@@ -592,11 +638,12 @@ def failure(exc):
 def reference_entries(model, z):
     """The bits of the defect vector at z, its norm by ``expfun.norm`` and
     its images by the boundary functionals, each on the object built from
-    the algebra expression, or the failure that stands for it."""
+    the algebra expression, or the failure that stands for it: FAILED for
+    all three where the build raises."""
     try:
         f = reference_vector(model, z)
-    except (ValueError, OverflowError) as exc:
-        return (failure(exc),) * 3
+    except (ValueError, OverflowError):
+        return (FAILED,) * 3
     n = norm(f)
     if not math.isfinite(n):
         n = failure(ValueError("defect vector norm is not finite"))
@@ -619,7 +666,7 @@ def test_the_table_rows_norms_and_images_match_the_reference_vectors(make, grid)
     model = make()
     points = [*grid.lambdas_upper, *grid.lambdas_lower]
     family = model.defects
-    got = [tuple(failure(e) if isinstance(e, Exception) else bits(e) for e, bits in
+    got = [tuple(build_failure(e) if isinstance(e, Exception) else bits(e) for e, bits in
                  zip(entries, (row_bits, float.hex,
                                lambda v: [b for z in v for b in (z.real.hex(), z.imag.hex())])))
            for entries in zip(family.vectors_at(points), family.norms_at(points),
@@ -677,9 +724,9 @@ def test_a_nonlocal_build_merges_its_terms_once_per_batch(monkeypatch, make):
     merged = []
     canonical_terms = expfun.canonical_terms
 
-    def counted(cols, faults):
+    def counted(cols):
         merged.append(cols.shape[1])
-        return canonical_terms(cols, faults)
+        return canonical_terms(cols)
 
     for module in (expfun, models):
         monkeypatch.setattr(module, "canonical_terms", counted)
@@ -693,10 +740,15 @@ def test_a_nonlocal_build_merges_its_terms_once_per_batch(monkeypatch, make):
 def test_the_interleaved_batch_meets_resonance_and_overflow():
     for make, resonant in ((functools.partial(NonlocalModel, "I", 1), -1j),
                            (functools.partial(NonlocalModel, "II", 2j), 1j)):
-        packed, errors = make().defects._build(INTERLEAVED)
+        model = make()
+        packed, errors = model.defects._build(INTERLEAVED)
         failed = {z for z, e in zip(INTERLEAVED, errors) if e is not None}
         assert failed == {complex(1.5e308, 1.5e308), complex(1.5e308, -1.5e308),
                           complex(-1.5e308, -1.5e308)}
+        # the points where the object build raises
+        assert failed == {z for z in INTERLEAVED
+                          if reference_bits(reference_defect, model, z) == FAILED}
+        assert {build_failure(e) for e in errors if e is not None} == {FAILED}
         # the resonant vector holds the monomial x exp(-izx) of the flat term
         powers = packed.parts[6][INTERLEAVED.index(resonant)]
         assert 1.0 in powers.tolist()
