@@ -1070,10 +1070,9 @@ def _power(x: float, n: int) -> float:
 # is not finite, and every value a point computes feeds a term it holds.
 # A failed point's row is emptied, and its error names the term.
 
-_TERM_NOT_FINITE = "term on [{lo}, {hi}] with exponent {exponent}: " \
-                   "coefficient or exponent is not finite"
-_MODULUS_OVERFLOWS = "term on [{lo}, {hi}] with exponent {exponent}: " \
-                     "the modulus of iz + exponent overflows"
+_TERM = "term on [{lo}, {hi}] with exponent {exponent}: "
+_TERM_NOT_FINITE = _TERM + "coefficient or exponent is not finite"
+_MODULUS_OVERFLOWS = _TERM + "the modulus of iz + exponent overflows"
 
 
 def single_terms(coeff, lo, hi, exponent) -> tuple[PackedFunctions, list]:
