@@ -154,6 +154,32 @@ FAULT_MODELS = {"momentum": {"kind": "momentum"},
 FAULT_CHECKS = ["orthogonality", "constancy", "inclusion", "pso", "mobius"]
 
 
+# the functions a fault is injected into, by fault prefix: every module
+# attribute that binds one, and the checks that call it
+FAULT_TARGETS = {
+    "paired": ([(expfun, "paired"), (triplets, "paired")], FAULT_CHECKS),
+    "gram": ([(psocheck, "gram")], ["orthogonality", "pso"]),
+    "boundary_images": ([(triplets, "boundary_images")],
+                        ["constancy", "inclusion", "pso", "mobius"]),
+    "is_singular": ([(matops, "is_singular")], ["inclusion", "pso", "mobius"]),
+    "solve": ([(np.linalg, "solve")], ["inclusion", "pso"]),
+    "interspherical": ([(matops, "interspherical")], ["mobius"]),
+}
+
+
+def with_nan(value, pick):
+    """``value`` with its entry ``pick`` (modulo its size) NaN: an array or
+    a scalar, or a list of (gamma_plus, gamma_minus) pairs; a bool becomes
+    a float, so its other entries keep their truth."""
+    if isinstance(value, list):
+        flat = [x for pair in value for x in pair]
+        flat[pick % len(flat)] = complex("nan")
+        return list(zip(flat[::2], flat[1::2]))
+    out = np.array(value, dtype=complex if np.iscomplexobj(value) else float)
+    out.flat[pick % out.size] = np.nan
+    return out if out.ndim else out.item()
+
+
 def run_with_fault(spec, check, fault, at=None, pick=0):
     """The report of one check of the model ``spec`` on a 2 x 2 grid, with
     ``fault`` injected at call ``at`` (none if None) of what it patches, and
@@ -166,7 +192,12 @@ def run_with_fault(spec, check, fault, at=None, pick=0):
     ``raise`` makes the model's ``_defect`` raise; ``nan``, ``inf`` and
     ``-inf`` put that value into the coefficient or exponent part ``pick``
     of a term that ``_defect``'s pack holds (calls whose pack holds no term
-    are not counted).
+    are not counted).  ``<target>-raise`` makes a function of
+    ``FAULT_TARGETS`` raise from call ``at`` on, since a batch that raises
+    once is taken again point by point, and ``<target>-nan`` makes entry
+    ``pick`` of what it returns NaN (calls that return nothing are not
+    counted); the ``solve`` target counts only stacked solves, which only
+    the inclusion scan takes.
     """
     cls = models.MomentumModel if spec["kind"] == "momentum" else models.NonlocalModel
     calls = 0
@@ -178,7 +209,25 @@ def run_with_fault(spec, check, fault, at=None, pick=0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expfun, "_closed_forms", {})  # no closed form kept between runs
-        if fault.startswith("antiderivative"):
+        target, _, how = fault.rpartition("-")
+        if target in FAULT_TARGETS:
+            bindings, _ = FAULT_TARGETS[target]
+            original = getattr(*bindings[0])
+
+            def patched(*args, **kwargs):
+                if target == "solve" and np.ndim(args[0]) != 3:
+                    return original(*args, **kwargs)
+                if how == "raise":
+                    due()
+                    if at is not None and calls > at:
+                        raise RuntimeError("injected fault")
+                    return original(*args, **kwargs)
+                value = original(*args, **kwargs)
+                return with_nan(value, pick) if due(np.size(value) > 0) else value
+
+            for owner, name in bindings:
+                mp.setattr(owner, name, patched)
+        elif fault.startswith("antiderivative"):
             antiderivative, bad = expfun._antiderivative, complex(fault.split("-")[1])
 
             def patched(k, u, coeffs, *args, **kwargs):
@@ -206,11 +255,21 @@ def run_with_fault(spec, check, fault, at=None, pick=0):
     return report, calls
 
 
+BUILD_FAULTS = ("antiderivative-nan", "antiderivative-inf", "raise", "nan", "inf", "-inf")
+
+
+def faults_of(check):
+    """The build faults and the faults of every target that ``check`` calls."""
+    return BUILD_FAULTS + tuple(f"{target}-{how}" for target, (_, checks) in FAULT_TARGETS.items()
+                                if check in checks for how in ("raise", "nan"))
+
+
 @pytest.mark.parametrize("model, check, fault", [
     (model, check, fault) for model in FAULT_MODELS for check in FAULT_CHECKS
-    for fault in ("antiderivative-nan", "antiderivative-inf", "raise", "nan", "inf", "-inf")
-    # momentum's constancy check takes no closed form
-    if not (model == "momentum" and check == "constancy" and fault.startswith("anti"))])
+    for fault in faults_of(check)
+    # momentum's constancy check takes no closed form and pairs nothing
+    if not (model == "momentum" and check == "constancy"
+            and fault.startswith(("antiderivative", "paired")))])
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(at=st.integers(0, 10**6), pick=st.integers(0, 10**6))
 def test_a_fault_injected_into_a_build_never_passes(model, check, fault, at, pick):
