@@ -241,24 +241,16 @@ def _run_mobius(model, grid, params):
     natives, errors = psocheck.native_images(model, grid.lambdas_upper)
     domain_errors = model.defects.domain_errors_at(grid.lambdas_upper)
     gps, gms = t2.from_native(natives)
-    th1, th2, held = [], [], None
+    # the first failing lambda raises its own error before any theta_1 is mapped
+    th1, th2 = [], []
     for j, lam in enumerate(grid.lambdas_upper):
-        try:
-            if j in errors:
-                raise errors[j]
-            theta = triplets.char_value(lam, *natives[:, j].tolist())
-            if domain_errors[j]:
-                raise domain_errors[j]
-            th2.append(triplets.char_value(lam, gps[j], gms[j]))
-        except Exception as exc:
-            held = exc  # raised below unless the map of an earlier lambda fails
-            break
-        th1.append(theta)
-    # the first failing lambda decides, and its own error comes before the
-    # map of its theta_1, as when each lambda was mapped on its own
+        if errors[j]:
+            raise errors[j]
+        th1.append(triplets.char_value(lam, *natives[:, j].tolist()))
+        if domain_errors[j]:
+            raise domain_errors[j]
+        th2.append(triplets.char_value(lam, gps[j], gms[j]))
     mapped = matops.interspherical(k, np.reshape(th1, (-1, 1, 1)))
-    if held is not None:
-        raise held
     residuals += [abs(b - a) for a, b in zip(mapped[:, 0, 0].tolist(), th2)]
     # the Krein defect comes first, so a worst index i > 0 names lambda i - 1
     i = int(np.argmax(residuals))

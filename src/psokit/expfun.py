@@ -547,13 +547,13 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 #: 310 x 310 Gram peaks at about 1 MB of temporaries beside its result
 GRAM_BLOCK = 24
 
-#: ``paired`` evaluates fewer rows than this by the scalar ``inner``: its
-#: kernel costs about 150-350 us however few the rows, packing included, one
-#: scalar inner product of a nonlocal defect vector 1.5-4.5 us (2-vCPU
-#: x86-64 host, BLAS 1 thread, timeit minima).  The value was set where both
-#: took about 0.2 ms for 32 norms.  Since ``inner`` takes its overlaps
-#: without the builtin max and min, 32 norms take the scalar path about
-#: 0.05-0.09 ms and the kernel 0.2-0.4 ms, and the two meet near 128 rows.
+#: ``paired`` evaluates fewer rows than this by the scalar ``inner``.  For
+#: the norms of nonlocal defect vectors (2-vCPU x86-64 host, BLAS 1 thread,
+#: timeit minima) the faster path depends on the input: on a fresh pack
+#: slice, whose rows the scalar path first reads back as functions, the
+#: scalar loop is ahead at 32 rows (0.13 against 0.16 ms) and the kernel
+#: from 64 (0.20 against 0.25 ms); on a list of functions the scalar loop
+#: is ahead through 256 rows (0.63 against 0.98 ms).
 PAIRED_SCALAR_ROWS = 32
 
 

@@ -186,11 +186,6 @@ def _fundamental_symmetry(m: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in a 1-d mask; its length if there is none."""
-    return int(np.argmax(mask)) if mask.any() else len(mask)
-
-
 def interspherical(k: KreinBlockOperator, z) -> np.ndarray | complex:
     """Linear fractional transform (K21 + K22 Z)(K11 + K12 Z)^(-1).
 
@@ -199,26 +194,23 @@ def interspherical(k: KreinBlockOperator, z) -> np.ndarray | complex:
     for every Krein-unitary K, so a singular denominator signals a broken K
     and is rejected.  A scalar z is accepted and a scalar is returned.  A
     stack of contractions, shape (n, m, m), is mapped element by element
-    into a stack; the first element that fails raises the error it raises
-    alone.
+    into a stack.  It is rejected if any entry is not finite, else if any
+    element is not a contraction (the first is named), else if any
+    denominator is singular.
     """
     zs = np.atleast_2d(np.asarray(z, dtype=complex))
     if zs.ndim > 3 or zs.shape[-2:] != (k.m, k.m):
         raise ValueError(f"contraction has shape {zs.shape}, expected {(k.m, k.m)}")
     stack = zs.reshape(-1, k.m, k.m)
-    # each check sizes only the elements before the first one an earlier
-    # check rejects, so the first failing element raises its own error
-    n_finite = _first(~np.isfinite(stack).all(axis=(1, 2)))
-    norms = opnorm(stack[:n_finite])
-    n_contracting = _first(norms > CONTRACTION_BOUND)
-    den = k.k11 + k.k12 @ stack[:n_contracting]
-    n_regular = _first(min_singular_value(den) <= KREIN_DENOMINATOR_TOL)
-    if n_regular < n_contracting:
-        raise ValueError("K11 + K12 Z is numerically singular; K is not Krein unitary")
-    if n_contracting < n_finite:
-        raise ValueError(f"||Z|| = {norms[n_contracting]:.6f} exceeds 1")
-    if n_finite < len(stack):
+    if not np.isfinite(stack).all():
         raise ValueError("contraction entries must be finite")
+    norms = opnorm(stack)
+    over = np.flatnonzero(norms > CONTRACTION_BOUND)
+    if over.size:
+        raise ValueError(f"||Z|| = {norms[over[0]]:.6f} exceeds 1")
+    den = k.k11 + k.k12 @ stack
+    if (min_singular_value(den) <= KREIN_DENOMINATOR_TOL).any():
+        raise ValueError("K11 + K12 Z is numerically singular; K is not Krein unitary")
     out = (k.k21 + k.k22 @ stack) @ np.linalg.inv(den)
     if zs.ndim == 3:
         return out

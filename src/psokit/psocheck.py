@@ -192,15 +192,29 @@ def _per_point(points, label: str, entries, failures: list[str], fn=None):
 
 def native_images(model, points):
     """Native images of the defect vectors at ``points``, 2 x n with row 0
-    gamma_plus and a failed column zero, and each failed column's error."""
+    gamma_plus and a failed column zero, and per point its error or None."""
     images = np.zeros((2, len(points)), dtype=complex)
-    errors: dict[int, Exception] = {}
+    errors: list[Exception | None] = []
     for j, entry in enumerate(model.defects.images_at(points)):
         if isinstance(entry, Exception):
-            errors[j] = entry
+            errors.append(entry)
         else:
             images[:, j] = entry
+            errors.append(None)
     return images, errors
+
+
+def _failed(points, label: str, *entries) -> dict[int, str]:
+    """The index of each point with an exception among its ``entries``
+    (lists over the points), and the failure text of its first one,
+    ``<label>=<point>: <error>``."""
+    failed = {}
+    for i, row in enumerate(zip(*entries)):
+        for exc in row:
+            if isinstance(exc, Exception):
+                failed[i] = f"{label}={format_complex(points[i])}: {exc}"
+                break
+    return failed
 
 
 def char_values(model, lams):
@@ -270,72 +284,44 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     gamma_minus(f)), so each upper and each conjugate point is mapped once:
     the upper images are the right-hand sides and S(mu)'s first column, the
     conjugate ones its second.  One stacked singularity test, as
-    ``triplets.system_errors`` takes it, covers every S(mu) that is
-    reached, and one stacked solve every regular one.  An S(mu) that is
-    singular or not finite fails every pair at that mu.  Failures keep the
-    precedence and text of ``decompose``: lambda-side construction errors
-    (the norm of f included), then mu-side errors, then errors of the
-    boundary maps on f, then the singularity of S(mu).  A pair whose
-    coefficients are not finite fails as ``decompose`` fails on it: its
-    defect vectors cannot be scaled by them.
+    ``triplets.system_errors`` takes it, covers every S(mu), and one stacked
+    solve every regular one.  A lambda fails by its own vector: its build,
+    maximal domain, norm or images raised, or its images are not finite.  A
+    mu fails by the vectors at mu and conj(mu) (their images, and the norm
+    at conj(mu)) or by S(mu): not finite, singular, or an SVD that raised.
+    Each failed point is listed once per role, as ``lambda=<z>: <error>`` or
+    ``mu=<z>: <error>``, and fails its column or row; any other pair whose a
+    or b is not finite is a failed pair.
     """
     grid = grid or Grid.default()
     lams = grid.lambdas_upper
     conjs = [lam.conjugate() for lam in lams]
-    family = model.defects
-    all_norms = family.norms_at([*lams, *conjs])  # one batch for both half planes
-    # per lambda: the error before the boundary maps
-    early: dict[int, Exception] = {}
-    norms = np.ones(len(lams))
-    for j, domain_error in enumerate(family.domain_errors_at(lams)):
-        try:
-            if domain_error:
-                raise domain_error
-            norms[j] = triplets.unwrap(all_norms[j])
-        except Exception as exc:
-            early[j] = exc
-    rhs, late = native_images(model, lams)
+    n = len(lams)
+    norms = model.defects.norms_at([*lams, *conjs])  # one batch for both half planes
+    rhs, rhs_errors = native_images(model, lams)
     conj, conj_errors = native_images(model, conjs)
-
-    # per mu: the norm at conj(mu), then, mapping f_mu before f_conj(mu) as
-    # decompose does, the first mapping error and the singularity of S(mu),
-    # tested for every mu that gets that far at once
     systems = np.stack([rhs.T, conj.T], axis=2)
-    n_conj = np.ones(len(lams))
-    mu_failures: dict[int, str] = {}
-    mu_errors = [late.get(i) or conj_errors.get(i) for i in range(len(lams))]
-    tested = []
-    for i, n in enumerate(all_norms[len(lams):]):
-        if isinstance(n, Exception):
-            mu_failures[i] = f"mu={format_complex(lams[i])}: {n}"
-            continue
-        n_conj[i] = n
-        if mu_errors[i] is None:
-            tested.append(i)
-    singular = {i: exc for i, exc in zip(tested, triplets.system_errors(systems[tested]))
-                if exc is not None}
-    regular = [i for i in tested if i not in singular]
-    coeffs = np.full((len(lams), 2, len(lams)), np.nan, dtype=complex)  # mu, (a, b), lambda
+    not_finite = [None if ok else ValueError("boundary images are not finite")
+                  for ok in np.isfinite(rhs).all(axis=0).tolist()]
+    lam_failed = _failed(lams, "lambda", model.defects.domain_errors_at(lams), norms[:n],
+                         rhs_errors, not_finite)
+    mu_failed = _failed(lams, "mu", rhs_errors, norms[n:], conj_errors,
+                        triplets.system_errors(systems))
+    regular = [i for i in range(n) if i not in mu_failed]
+    coeffs = np.full((n, 2, n), np.nan, dtype=complex)  # mu, (a, b), lambda
     coeffs[regular] = np.linalg.solve(systems[regular], rhs)
-    failed = ~np.isfinite(coeffs).all(axis=1)
-    failed[:, [*early, *late]] = True
-
-    failures = []
-    for i in np.flatnonzero(failed.any(axis=1)).tolist():  # a failed mu fails its whole row
-        if i in mu_failures:
-            failures.append(mu_failures[i])
-            continue
-        for j in np.flatnonzero(failed[i]).tolist():
-            exc = (early.get(j) or mu_errors[i] or late.get(j) or singular.get(i)
-                   or ValueError("coefficient and exponent must be finite"))
-            failures.append(
-                f"lambda={format_complex(lams[j])}, mu={format_complex(lams[i])}: {exc}")
+    b = np.where(np.isfinite(coeffs[:, 0]), coeffs[:, 1], np.nan)  # a pair fails by a too
+    lam_norms = [1.0 if j in lam_failed else norms[j] for j in range(n)]
+    conj_norms = [1.0 if i in mu_failed else norms[n + i] for i in range(n)]
     # hypot is abs() of a complex bit for bit; np.abs is not
-    vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * n_conj[:, None] / norms
+    vals = np.hypot(b.real, b.imag) * np.array(conj_norms)[:, None] / np.array(lam_norms)
+    excluded = np.zeros((n, n), dtype=bool)
+    excluded[list(mu_failed)] = True
+    excluded[:, list(lam_failed)] = True
     return _scan_result(
         "inclusion", vals, PASS_INCLUSION,
         lambda mu, lam: f"lambda={format_complex(lams[lam])}, mu={format_complex(lams[mu])}",
-        failures, excluded=failed, what="coefficient")
+        [*lam_failed.values(), *mu_failed.values()], excluded=excluded, what="coefficient")
 
 
 def pso_certificate(model, grid: Grid | None = None) -> Certificate:

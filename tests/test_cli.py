@@ -444,14 +444,16 @@ def test_a_mobius_op_turns_each_defect_vector_into_a_function_once(monkeypatch):
 
 @pytest.mark.parametrize("expand_at, raise_at, note", [
     (None, (5, 0), "ValueError: no theta at lambda 5"),
-    (2, (5, 1), "ValueError: ||Z|| = 2.000000 exceeds 1"),
+    (2, (5, 1), "ValueError: no theta at lambda 5"),
     (5, (5, 1), "ValueError: no theta at lambda 5"),
     (None, (0, 0), "ValueError: no theta at lambda 0"),
     (None, (0, 1), "ValueError: no theta at lambda 0"),
+    (2, None, "ValueError: ||Z|| = 2.000000 exceeds 1"),
 ], ids=["theta-1-raises", "earlier-map-fails", "own-error-before-own-map",
-        "first-theta-1-raises", "first-theta-2-raises"])
+        "first-theta-1-raises", "first-theta-2-raises", "a-map-fails"])
 def test_mobius_reports_the_first_failing_lambda(monkeypatch, expand_at, raise_at, note):
-    # calls at one lambda: 0 gives theta_1, which is mapped, and 1 theta_2
+    # calls at one lambda: 0 gives theta_1, which is mapped, and 1 theta_2;
+    # every lambda's own error comes before the map of any theta_1
     lams = list(psocheck.Grid.default().lambdas_upper)
     calls = Counter()
     char_value = triplets.char_value

@@ -9,11 +9,14 @@ Regenerate ``golden_reports.json`` only for an intended change of output:
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from psokit import cli
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
+ORACLE_DIGEST = Path(__file__).resolve().parent.parent / "tools" / "oracle_digest.py"
 
 SMALL = {"re": [-1, 0, 2], "im": [0.5, 2]}
 PHILLIPS_CHECKS = ["orthogonality", "constancy", "inclusion", "pso", "green", "mobius"]
@@ -51,6 +54,14 @@ def test_reports_match_golden():
     assert [g["name"] for g in golden] == [s["name"] for s in SCENARIOS]
     for scenario, expected in zip(SCENARIOS, golden):
         assert golden_text(scenario) == expected["report"], scenario["name"]
+
+
+def test_the_benchmark_outcomes_keep_their_digest():
+    # the count and sha256 of every benchmark op's outcome text at two seeds;
+    # the tool imports bench/ and writes nothing there
+    run = subprocess.run([sys.executable, str(ORACLE_DIGEST)], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "430 8fa1218948f6824568d5a567b8b09834ea5a689bdc6dc51bcacce135aca95c76\n"
 
 
 def test_golden_set_covers_every_check_and_model_kind():

@@ -317,16 +317,24 @@ def test_a_stacked_transform_is_the_per_element_transform_bit_for_bit(m):
             assert repr(np.atleast_2d(one).tolist()) == repr(ref.tolist())
 
 
-def test_the_first_failing_element_of_a_stack_raises_its_own_error():
-    rng = np.random.default_rng(23)
-    k = random_krein_unitary(1, rng)
-    zs = random_contractions(rng, 6, 1)
+def test_a_stack_is_rejected_by_finiteness_then_contraction_then_denominator():
+    k = KreinBlockOperator.identity(1)
+    object.__setattr__(k, "k12", np.ones((1, 1)))  # broken: K11 + K12 Z = 1 + Z
+    zs = np.zeros((6, 1, 1), dtype=complex)
+    zs[1, 0, 0] = -1.0  # a contraction with a singular denominator
     zs[3, 0, 0] = 1.25
+    zs[4, 0, 0] = 1.5
     zs[5, 0, 0] = complex("nan")
-    with pytest.raises(ValueError, match=r"^\|\|Z\|\| = 1\.250000 exceeds 1$"):
-        interspherical(k, zs)
+    # an entry that is not finite anywhere comes first, then the first
+    # expansion, named, then any singular denominator
     with pytest.raises(ValueError, match="^contraction entries must be finite$"):
-        interspherical(k, zs[4:])
+        interspherical(k, zs)
+    with pytest.raises(ValueError, match=r"^\|\|Z\|\| = 1\.250000 exceeds 1$"):
+        interspherical(k, zs[:5])
+    with pytest.raises(ValueError, match="^K11 \\+ K12 Z is numerically singular; "
+                                         "K is not Krein unitary$"):
+        interspherical(k, zs[:3])
+    assert interspherical(k, zs[:1]).tolist() == [[[0j]]]
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex("inf"),

@@ -165,6 +165,30 @@ def test_similarity_rejects_bad_sample():
         similarity_conjugation_check([[2.0]], [[1.0]], [sample])
 
 
+def test_similarity_rejects_a_sample_whose_boundary_values_overflow():
+    # both one-sided limits overflow to inf, so the boundary defect is NaN,
+    # which read as a met condition and then as a perfect 0.0
+    huge = 0.9e308
+    sample = (left_exp(huge, 1.0) + left_exp(huge, 0.5)
+              + right_exp(huge, -1.0) + right_exp(huge, -0.5))
+    with pytest.raises(ValueError, match="^sample violates the T1 boundary condition by nan$"):
+        similarity_conjugation_check([[1.0]], [[1.0]], [sample])
+
+
+def test_similarity_keeps_a_nan_defect(monkeypatch):
+    rng = np.random.default_rng(7)
+    samples = [boundary_sample([[1.0]], rng) for _ in range(2)]
+    calls, norm = [], models.norm
+
+    def first_nan(f):
+        calls.append(f)
+        return math.nan if len(calls) == 1 else norm(f)
+
+    monkeypatch.setattr(models, "norm", first_nan)
+    # the builtin max dropped the first sample's NaN for the second's defect
+    assert math.isnan(similarity_conjugation_check([[1.0]], [[1.0]], samples))
+
+
 # -- Weyl commutation relation ---------------------------------------------------
 
 

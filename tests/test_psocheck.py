@@ -336,23 +336,42 @@ def test_mobius_names_a_non_finite_theta():
 
 
 def pairwise_inclusion(model, grid):
-    """Reference inclusion scan: one ``decompose`` per (lambda, mu) pair."""
-    worst, witness, failures, evaluated = 0.0, None, [], 0
-    for mu in grid.lambdas_upper:
+    """Reference inclusion scan: each point checked alone in each role, then
+    one ``decompose`` per (lambda, mu) pair of points that did not fail."""
+    lams, failures, lam_norms, conj_norms = grid.lambdas_upper, [], {}, {}
+    for lam in lams:
         try:
+            f = model.defects(lam)
+            triplets.require_maximal_domain(f)
+            norm = model.defects.norm(lam)
+            if not np.isfinite(model.triplet.images(f)).all():
+                raise ValueError("boundary images are not finite")
+            lam_norms[lam] = norm
+        except Exception as exc:
+            failures.append(f"lambda={format_complex(lam)}: {exc}")
+    for mu in lams:
+        try:
+            model.triplet.images(model.defects(mu))
             n_conj = model.defects.norm(mu.conjugate())
+            system = model.triplet.images(model.defects(mu), model.defects(mu.conjugate()))
+            triplets.require_regular_system(matops.require_finite(system))
+            conj_norms[mu] = n_conj
         except Exception as exc:
             failures.append(f"mu={format_complex(mu)}: {exc}")
-            continue
-        for lam in grid.lambdas_upper:
+    worst, witness, evaluated = 0.0, None, 0
+    for mu, n_conj in conj_norms.items():
+        for lam, norm in lam_norms.items():
             pair = f"lambda={format_complex(lam)}, mu={format_complex(mu)}"
             try:
                 _, b, _ = triplets.decompose(model, model.defects(lam), mu)
-            except Exception as exc:
-                failures.append(f"{pair}: {exc}")
+                val = abs(b) * n_conj / norm
+            except ValueError as exc:  # a or b is not finite, so f - a f_mu fails
+                assert str(exc) == "coefficient and exponent must be finite"
+                val = math.nan
+            if not math.isfinite(val):
+                failures.append(f"{pair}: coefficient is not finite")
                 continue
             evaluated += 1
-            val = abs(b) * n_conj / model.defects.norm(lam)
             if val > worst:
                 worst, witness = val, pair
     if not evaluated:
@@ -628,67 +647,56 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
     assert calls["is_singular"] == 1
     # every regular S(mu) in one stacked solve, not one solve per mu
     assert calls["solve"] == 1
-    # pairs whose coefficients are not finite fail without a decompose
+    # a point whose images are not finite fails without a decompose
     result = inclusion_scan(nan_boundary_model(), SMALL_GRID)
     assert calls["decompose"] == 0
-    assert sum("coefficient and exponent must be finite" in f
-               for f in result.failures) == 8
+    assert result.failures == ("lambda=3+1i: boundary images are not finite",
+                               "mu=3+1i: matrix entries must be finite")
 
 
 def looped_inclusion_scan(model, grid):
     """Reference: inclusion_scan as it tested each S(mu) with its own
-    singularity test, one SVD per mu, and walked every mu row for failures."""
+    singularity test, one SVD per mu, point by point."""
     lams = grid.lambdas_upper
+    n = len(lams)
     labels = [format_complex(lam) for lam in lams]
-    conjs = [lam.conjugate() for lam in lams]
     family = model.defects
-    all_norms = family.norms_at([*lams, *conjs])
-    early = {}
-    norms = np.ones(len(lams))
+    norms = family.norms_at([*lams, *(lam.conjugate() for lam in lams)])
+    rhs, rhs_errors = psocheck.native_images(model, lams)
+    conj, conj_errors = psocheck.native_images(model, [lam.conjugate() for lam in lams])
+    systems = np.stack([rhs.T, conj.T], axis=2)
+    failures, lam_norms, conj_norms, regular = [], np.ones(n), np.ones(n), []
+    excluded = np.zeros((n, n), dtype=bool)
     for j, domain_error in enumerate(family.domain_errors_at(lams)):
         try:
-            if domain_error:
-                raise domain_error
-            norms[j] = triplets.unwrap(all_norms[j])
+            for entry in (domain_error, norms[j], rhs_errors[j]):
+                if isinstance(entry, Exception):
+                    raise entry
+            if not np.isfinite(rhs[:, j]).all():
+                raise ValueError("boundary images are not finite")
+            lam_norms[j] = norms[j]
         except Exception as exc:
-            early[j] = exc
-    rhs, late = psocheck.native_images(model, lams)
-    conj, conj_errors = psocheck.native_images(model, conjs)
-    systems = np.stack([rhs.T, conj.T], axis=2)
-    n_conj = np.ones(len(lams))
-    mu_failures = {}
-    mu_errors = [late.get(i) or conj_errors.get(i) for i in range(len(lams))]
-    singular = {}
-    for i, n in enumerate(all_norms[len(lams):]):
-        if isinstance(n, Exception):
-            mu_failures[i] = f"mu={labels[i]}: {n}"
-            continue
-        n_conj[i] = n
-        if mu_errors[i] is None:
-            try:
-                if matops.is_singular(systems[i], DECOMPOSE_SINGULAR_TOL):
-                    raise ValueError("decomposition system is singular for this mu")
-            except Exception as exc:
-                singular[i] = exc
-    regular = [i for i in range(len(lams)) if i not in mu_failures
-               and mu_errors[i] is None and i not in singular]
-    coeffs = np.full((len(lams), 2, len(lams)), np.nan, dtype=complex)
+            failures.append(f"lambda={labels[j]}: {exc}")
+            excluded[:, j] = True
+    for i in range(n):
+        try:
+            for entry in (rhs_errors[i], norms[n + i], conj_errors[i]):
+                if isinstance(entry, Exception):
+                    raise entry
+            if matops.is_singular(matops.require_finite(systems[i]), DECOMPOSE_SINGULAR_TOL):
+                raise ValueError("decomposition system is singular for this mu")
+            conj_norms[i] = norms[n + i]
+            regular.append(i)
+        except Exception as exc:
+            failures.append(f"mu={labels[i]}: {exc}")
+            excluded[i] = True
+    coeffs = np.full((n, 2, n), np.nan, dtype=complex)
     coeffs[regular] = np.linalg.solve(systems[regular], rhs)
-    failed = ~np.isfinite(coeffs).all(axis=1)
-    failed[:, [*early, *late]] = True
-    failures = []
-    for i in range(len(lams)):
-        if i in mu_failures:
-            failures.append(mu_failures[i])
-            continue
-        for j in np.flatnonzero(failed[i]):
-            exc = (early.get(j) or mu_errors[i] or late.get(j) or singular.get(i)
-                   or ValueError("coefficient and exponent must be finite"))
-            failures.append(f"lambda={labels[j]}, mu={labels[i]}: {exc}")
-    vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * n_conj[:, None] / norms
+    coeffs[:, 1][~np.isfinite(coeffs[:, 0])] = np.nan
+    vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * conj_norms[:, None] / lam_norms
     return psocheck._scan_result("inclusion", vals, PASS_INCLUSION,
                                  lambda mu, lam: f"lambda={labels[lam]}, mu={labels[mu]}",
-                                 failures, excluded=failed, what="coefficient")
+                                 failures, excluded=excluded, what="coefficient")
 
 
 def zero_column_model():
@@ -719,15 +727,26 @@ def test_the_stacked_singularity_test_fails_each_mu_as_the_loop_did(make, grid):
     assert scan_outcome(got) == scan_outcome(want)
 
 
+@pytest.mark.parametrize("make, lines", [
+    (flaky_model, 5), (degenerate_model, 66), (nan_boundary_model, 2),
+    (gamma_raising_model, 2), (double_fault_model, 2), (raising_model, 132)],
+    ids=["flaky", "degenerate", "nan-boundary", "gamma-raising", "double-fault", "raising"])
+def test_each_failed_point_is_listed_once_per_role(make, lines):
+    # one line per failing pair made 259, 4356, 131, 131, 131 and 66
+    failures = inclusion_scan(make(), Grid.default()).failures
+    assert len(failures) == len(set(failures)) == lines
+    assert all(f.startswith(("lambda=", "mu=")) and ", mu=" not in f for f in failures)
+
+
 def test_each_failing_system_keeps_its_own_text():
-    texts = {"nan-boundary": "matrix entries must be finite",
-             "zero-column": "decomposition system is singular for this mu"}
-    for make, text in zip((nan_boundary_model, zero_column_model), texts.values()):
+    # S(3 + i) fails its own mu, listed once, and no other mu; the NaN image
+    # also fails the vector at 3 + i as a lambda
+    expected = {nan_boundary_model: ("lambda=3+1i: boundary images are not finite",
+                                     "mu=3+1i: matrix entries must be finite"),
+                zero_column_model: ("mu=3+1i: decomposition system is singular for this mu",)}
+    for make, failures in expected.items():
         result = inclusion_scan(make(), SMALL_GRID)
-        mine = [f for f in result.failures if f.endswith(text)]
-        # S(3 + i) fails its own mu, every lambda of it, and no other mu
-        assert mine == [f"lambda={format_complex(lam)}, mu=3+1i: {text}"
-                        for lam in SMALL_GRID.lambdas_upper]
+        assert result.failures == failures
         assert result.verdict != "pass"
 
 
@@ -756,8 +775,7 @@ def test_an_svd_that_raises_on_one_system_fails_only_that_mu(monkeypatch):
     # the stack raised, so each of the 9 systems was tested alone
     assert calls["is_singular"] == 1 + 9
     assert scan_outcome(got) == scan_outcome(looped_inclusion_scan(model, SMALL_GRID))
-    assert got.failures == tuple(f"lambda={format_complex(lam)}, mu=3+1i: SVD did not converge"
-                                 for lam in SMALL_GRID.lambdas_upper)
+    assert got.failures == ("mu=3+1i: SVD did not converge",)
     assert got.verdict != "pass"
 
 
@@ -817,9 +835,10 @@ def test_degenerate_triplet_is_an_error_not_a_pass():
     model = degenerate_model()
     result = inclusion_scan(model, SMALL_GRID)
     assert result.verdict == "error"
-    assert len(result.failures) == 81
-    assert all(f.endswith("decomposition system is singular for this mu")
-               for f in result.failures)
+    # every mu fails, once, and no lambda does
+    assert result.failures == tuple(
+        f"mu={format_complex(mu)}: decomposition system is singular for this mu"
+        for mu in SMALL_GRID.lambdas_upper)
     cert = pso_certificate(model, SMALL_GRID)
     assert cert.entry("orthogonality").verdict == "pass"
     assert cert.entry("constancy").verdict == "pass"
@@ -829,7 +848,8 @@ def test_degenerate_triplet_is_an_error_not_a_pass():
 def test_raising_defect_family_errors_every_check():
     cert = pso_certificate(raising_model(), SMALL_GRID)
     assert [c.verdict for c in cert.checks] == ["error"] * 3
-    assert [len(c.failures) for c in cert.checks] == [18, 9, 9]
+    # each point fails as a lambda and as a nu or mu, once each
+    assert [len(c.failures) for c in cert.checks] == [18, 9, 18]
     assert all(math.isnan(c.max_residual) and c.witness is None for c in cert.checks)
     assert cert.overall == "error"
 
@@ -848,7 +868,8 @@ def test_inclusion_scan_records_a_norm_that_overflows_as_failed_points():
     result = inclusion_scan(model, grid)
     assert result.verdict == "error" and math.isnan(result.max_residual)
     assert result.failures == (
-        "lambda=-1+0.2i, mu=-1+0.2i: defect vector norm is not finite",)
+        "lambda=-1+0.2i: defect vector norm is not finite",
+        "mu=-1+0.2i: decomposition system is singular for this mu")
     assert pso_certificate(model, grid).overall == "error"
 
 
