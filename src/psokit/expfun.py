@@ -548,12 +548,13 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 GRAM_BLOCK = 24
 
 #: ``paired`` evaluates fewer rows than this by the scalar ``inner``.  For
-#: the norms of nonlocal defect vectors (2-vCPU x86-64 host, BLAS 1 thread,
-#: timeit minima) the faster path depends on the input: on a fresh pack
-#: slice, whose rows the scalar path first reads back as functions, the
-#: scalar loop is ahead at 32 rows (0.13 against 0.16 ms) and the kernel
-#: from 64 (0.20 against 0.25 ms); on a list of functions the scalar loop
-#: is ahead through 256 rows (0.63 against 0.98 ms).
+#: the norms of I(1) defect vectors (2-vCPU x86-64 host, BLAS 1 thread,
+#: closed forms memoised, timeit minima of two runs) the faster path depends
+#: on the input: on a fresh pack slice, whose rows the scalar path first
+#: reads back as functions, the scalar loop is ahead at 32 rows (0.15
+#: against 0.18 ms) and the kernel from 64 (0.23 against 0.28 ms); on a
+#: list of functions the scalar loop is ahead through 256 rows (0.40
+#: against 0.62 ms).
 PAIRED_SCALAR_ROWS = 32
 
 

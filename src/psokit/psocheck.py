@@ -8,9 +8,10 @@ a symmetric restriction (constant characteristic function):
 * vanishing of the conjugate-defect coefficient when any upper defect
   vector is decomposed against a fixed upper point.
 
-Each scan builds one matrix of its residuals, with a mask of the entries it
-leaves out, and produces a pass / fail / inconclusive / error verdict from
-its worst entry, which names the witness.  Scans fail closed: a grid point
+Each scan hands the entries of its residual matrix to one blocked reducer,
+which finds the worst entry, the witness, from an estimate of every modulus
+and the exact modulus of the few entries that can be the worst; the verdict
+is pass / fail / inconclusive / error.  Scans fail closed: a grid point
 that could not be evaluated, or an entry that is not finite, caps a pass at
 inconclusive, and a scan that evaluated nothing reports error.
 The aggregate certificate additionally demands that the three verdicts
@@ -19,6 +20,7 @@ agree, which guards against implementation drift between the criteria.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +29,8 @@ from . import matops, triplets
 # inner stays bound here for bench/tracer.py, which rebinds every import of it
 from .expfun import gram, inner  # noqa: F401
 from .scalars import format_complex
-from .tolerances import (CONTRACTION_BOUND, FAIL_THRESHOLD, PASS_CONSTANCY, PASS_INCLUSION,
-                         PASS_ORTHOGONALITY)
+from .tolerances import (CONTRACTION_BOUND, FAIL_THRESHOLD, MODULUS_BAND_TOL, PASS_CONSTANCY,
+                         PASS_INCLUSION, PASS_ORTHOGONALITY)
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -135,39 +137,161 @@ def _verdict(max_residual: float, pass_tol: float, evaluated: int,
     return VERDICT_INCONCLUSIVE
 
 
-def _scan_result(check_id: str, residuals: np.ndarray, tolerance: float,
-                 name, failures: list[str], excluded: np.ndarray | None = None,
-                 what: str = "residual") -> CheckResult:
-    """The result of a scan whose entries are ``residuals``.
+#: entries of a residual matrix whose moduli the reducer estimates at once;
+#: a 66 x 66 default-grid matrix is one block
+SCAN_BLOCK = 16384
+#: a modulus estimate from this on may belong to an entry whose exact modulus
+#: overflows
+_NEAR_OVERFLOW = float(np.finfo(float).max) / 2
+#: absolute error of a rounding into the subnormal range, with margin
+_SUBNORMAL_ERROR = float(np.finfo(float).smallest_subnormal) * 16
+#: the smallest scale a block divides its parts by, so that its inverse is finite
+_SMALLEST_UNIT = 2.0 ** -1000
+#: absolute error, per unit of the block's scale, that a square lost to
+#: underflow leaves in an estimate, with margin
+_UNDERFLOW_ERROR = 2.0 ** -500
 
-    ``excluded`` masks the entries the scan leaves out: pairs it does not
-    compare, or entries whose failure it has already listed.  Every other
-    entry that is not finite is a failed entry too, listed as
-    ``<name(row, column)>: <what> is not finite``; the rest are evaluated.
-    The worst evaluated entry is the first strictly largest one in C order,
-    and ``name`` names it; nothing at or below 0 names a witness.  A scan
-    that evaluated nothing reports a NaN residual rather than the 0.0 it
-    started from, which would read as a perfect pass.
+
+@dataclass(frozen=True)
+class WorstEntry:
+    """What the reducer found: the kept entries that failed, in scan order,
+    the number evaluated, the worst modulus and the entry that has it."""
+
+    failed: tuple[tuple[int, int], ...]
+    evaluated: int
+    worst: float
+    witness: tuple[int, int] | None
+
+
+def worst_entry(shape, entries, *, by_column=False, pairs=False, scales=None) -> WorstEntry:
+    """The worst entry of a residual matrix of the given shape.
+
+    ``entries(rows, cols)`` returns the complex entries in the slices
+    ``rows`` x ``cols``; the reducer walks the rows in blocks of about
+    SCAN_BLOCK entries.  The modulus of an entry z is
+    ``np.hypot(z.real, z.imag)``, which gives the bits of ``abs(z)`` where
+    ``np.abs`` does not; with ``scales = (row_scale, col_scale)`` it is that
+    times ``row_scale[row] / col_scale[col]``, in this order.  Scan order is
+    row-major, or column-major with ``by_column``.  With ``pairs`` the
+    matrix is square and keeps only the entries above the diagonal, and
+    entry (j, i) must be -(entry (i, j)), as for the differences
+    v[i] - v[j]: a block takes the columns from its first row's diagonal on,
+    and the entries below the diagonal it covers repeat moduli of entries
+    above it that come first in scan order.
+
+    A kept entry fails if a part is not finite or its modulus overflows;
+    every other is evaluated.  The worst is the largest evaluated modulus,
+    the first in scan order where several tie, or 0.0 and no witness when
+    that is not positive; it is NaN when nothing was evaluated.
+
+    Each block estimates the moduli from the parts scaled by the block's
+    largest part, whose squares cannot overflow.  The estimate is within a
+    few units of roundoff of the exact modulus (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.1), apart from
+    an absolute error where a square or a result underflows, which the
+    block bounds.  So every entry that can be the worst has an estimate
+    within MODULUS_BAND_TOL, relative, plus that error, of the largest
+    estimate so far of an entry that cannot overflow; only the entries in
+    that band, and those whose estimate comes near the overflow, take the
+    exact modulus, one block at a time.
     """
-    left_out = ~np.isfinite(residuals)
-    if excluded is not None:
-        left_out &= ~excluded
-    failures = failures + [f"{name(*entry)}: {what} is not finite"
-                           for entry in np.argwhere(left_out).tolist()]
-    if excluded is not None:
-        left_out |= excluded
-    residuals[left_out] = np.nan  # in place: every scan passes a fresh matrix
-    evaluated = residuals.size - int(np.count_nonzero(left_out))
-    worst = float(np.fmax.reduce(residuals, axis=None, initial=0.0))
-    witness = None
-    if worst > 0:
-        first = int(np.argmax(residuals == worst))
-        witness = name(*np.unravel_index(first, residuals.shape))
-    if not evaluated:
-        worst = float("nan")
-    verdict = _verdict(worst, tolerance, evaluated, len(failures))
-    return CheckResult(check_id, verdict, worst, tolerance, witness,
-                       tuple(failures))
+    n_rows, n_cols = shape
+    kept_entries = n_rows * (n_rows - 1) // 2 if pairs else n_rows * n_cols
+    row_scale = col_scale = None
+    wide, near_overflow, subnormal_error = 1.0, _NEAR_OVERFLOW, 3 * _SUBNORMAL_ERROR
+    if scales is not None and kept_entries:
+        row_scale, col_scale = (np.asarray(x, dtype=float) for x in scales)
+        row_max, col_min, col_max = row_scale.max(), col_scale.min(), col_scale.max()
+        wide = float(row_max / col_min)  # the largest ratio of scales
+        # the exact formula may overflow before its division, at a smaller estimate
+        near_overflow /= float(max(1.0, col_max, col_max / row_scale.min()))
+        subnormal_error *= float(1 + (1 + row_max) / col_min)
+    order = (lambda r, c: c * n_rows + r) if by_column else (lambda r, c: r * n_cols + c)
+    failed = []
+    top = 0.0  # the largest estimate, less its error, of an entry that cannot overflow
+    worst, witness, first_key = 0.0, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = 0
+        while kept_entries and start < n_rows:
+            first = start + 1 if pairs else 0
+            if first >= n_cols:
+                break
+            stop = min(n_rows, start + max(1, SCAN_BLOCK // (n_cols - first)))
+            block = np.ascontiguousarray(entries(slice(start, stop), slice(first, n_cols)))
+            parts = block.view(float)  # re, im interleaved along each row
+            high, low = parts.max(), parts.min()
+            bad = None
+            if not math.isfinite(high - low):  # a part that is not finite, or a huge one
+                finite = np.isfinite(block.real) & np.isfinite(block.imag)
+                bad = ~finite
+                rows, cols = np.nonzero(bad)
+                rows, cols = rows + start, cols + first
+                keep = cols > rows if pairs else slice(None)
+                failed.append((rows[keep], cols[keep]))
+                block = np.where(finite, block, 0)
+                parts = block.view(float)
+                high, low = parts.max(), parts.min()
+            scale = max(high, -low)
+            if scale > 0:  # else every entry is 0
+                unit = max(scale, _SMALLEST_UNIT)  # 1 / unit is finite
+                squares = parts * (1.0 / unit)
+                squares *= squares
+                est = squares[:, 0::2] + squares[:, 1::2]
+                np.sqrt(est, out=est)
+                est *= unit
+                if row_scale is not None:
+                    est *= row_scale[start:stop, None]
+                    est /= col_scale[first:]
+                if bad is not None:
+                    est[bad] = np.nan  # never picked
+                error = subnormal_error + scale * wide * _UNDERFLOW_ERROR
+                largest = np.fmax.reduce(est, axis=None)
+                if not largest < near_overflow:
+                    largest = est[est < near_overflow].max(initial=0.0)
+                top = max(top, largest - error)
+                # the entries that can be the worst so far, and those near the overflow
+                at = np.flatnonzero(est >= top * (1 - MODULUS_BAND_TOL) - error)
+                rows, cols = np.divmod(at, est.shape[1])
+                rows += start
+                cols += first
+                values = block.ravel()[at]
+                moduli = np.hypot(values.real, values.imag)
+                if row_scale is not None:
+                    moduli = moduli * row_scale[rows] / col_scale[cols]
+                over = ~np.isfinite(moduli)
+                if over.any():
+                    lost = over & (cols > rows) if pairs else over
+                    failed.append((rows[lost], cols[lost]))
+                    rows, cols, moduli = rows[~over], cols[~over], moduli[~over]
+                best = moduli.max(initial=0.0)
+                if best > 0 and best >= worst:
+                    ties = np.flatnonzero(moduli == best)
+                    keys = order(rows[ties], cols[ties])
+                    at = ties[keys.argmin()]
+                    if best > worst or keys.min() < first_key:
+                        worst, witness, first_key = best, (rows[at], cols[at]), keys.min()
+            start = stop
+    failures = ()
+    if failed:
+        rows_failed, cols_failed = (np.concatenate(x) for x in zip(*failed))
+        ranked = np.argsort(order(rows_failed, cols_failed))
+        failures = tuple(zip(rows_failed[ranked].tolist(), cols_failed[ranked].tolist()))
+    evaluated = kept_entries - len(failures)
+    worst = float(worst) if evaluated else float("nan")
+    witness = witness and (int(witness[0]), int(witness[1]))
+    return WorstEntry(failures, evaluated, worst, witness)
+
+
+def _scan_result(check_id: str, tolerance: float, worst: WorstEntry, name,
+                 failures: list[str], what: str) -> CheckResult:
+    """The result of a scan whose residuals reduced to ``worst``; each
+    failed entry is listed as ``<name(row, column)>: <what> is not finite``
+    after the scan's own ``failures``."""
+    if worst.failed:
+        failures = failures + [f"{name(*entry)}: {what} is not finite" for entry in worst.failed]
+    witness = name(*worst.witness) if worst.witness else None
+    verdict = _verdict(worst.worst, tolerance, worst.evaluated, len(failures))
+    return CheckResult(check_id, verdict, worst.worst, tolerance, witness, tuple(failures))
 
 
 def _per_point(points, label: str, entries, failures: list[str], fn=None):
@@ -240,15 +364,16 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     norms = family.norms_at(grid.lambdas_upper + grid.lambdas_lower)  # one batch
     uppers, up_norms = _per_point(grid.lambdas_upper, "lambda", norms[:n_up], failures)
     lowers, down_norms = _per_point(grid.lambdas_lower, "nu", norms[n_up:], failures)
-    pairings = np.empty((0, 0))  # with no vector on one side there is nothing to pair
+    pairings = np.empty((0, 0), dtype=complex)  # with no vector on one side nothing pairs
     if uppers and lowers:
         up = family.packed_at(uppers, [1.0 / n for n in up_norms])
         down = family.packed_at(lowers, [1.0 / n for n in down_norms])
-        pairings = gram(up, down).T  # rows nu
+        pairings = gram(up, down)  # rows lambda
+    worst = worst_entry(pairings.shape, lambda rows, cols: pairings[rows, cols], by_column=True)
     return _scan_result(
-        "orthogonality", np.hypot(pairings.real, pairings.imag), PASS_ORTHOGONALITY,
-        lambda nu, lam: f"lambda={format_complex(uppers[lam])}, nu={format_complex(lowers[nu])}",
-        failures, what="pairing")
+        "orthogonality", PASS_ORTHOGONALITY, worst,
+        lambda lam, nu: f"lambda={format_complex(uppers[lam])}, nu={format_complex(lowers[nu])}",
+        failures, "pairing")
 
 
 def constancy_scan(model, grid: Grid | None = None) -> CheckResult:
@@ -262,13 +387,12 @@ def constancy_scan(model, grid: Grid | None = None) -> CheckResult:
     grid = grid or Grid.default()
     lams, values, failures = char_values(model, grid.lambdas_upper)
     v = np.array(values, dtype=complex)
-    with np.errstate(over="ignore"):  # an overflow is a deviation that is not finite
-        devs = v.real[:, None] - v.real
-        np.hypot(devs, v.imag[:, None] - v.imag, out=devs)  # abs(v_i - v_j), in place
+    worst = worst_entry((len(v), len(v)), lambda rows, cols: v[rows, None] - v[cols],
+                        pairs=True)  # v_i - v_j over the pairs i < j; an overflow fails it
     return _scan_result(
-        "constancy", devs, PASS_CONSTANCY,
+        "constancy", PASS_CONSTANCY, worst,
         lambda i, j: f"lambda={format_complex(lams[i])}, mu={format_complex(lams[j])}",
-        failures, excluded=np.tri(len(values), dtype=bool), what="deviation")  # pairs i < j
+        failures, "deviation")
 
 
 def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
@@ -290,8 +414,9 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     mu fails by the vectors at mu and conj(mu) (their images, and the norm
     at conj(mu)) or by S(mu): not finite, singular, or an SVD that raised.
     Each failed point is listed once per role, as ``lambda=<z>: <error>`` or
-    ``mu=<z>: <error>``, and fails its column or row; any other pair whose a
-    or b is not finite is a failed pair.
+    ``mu=<z>: <error>``, and its column or row is left out of the matrix of
+    |b| the scan reduces; any other pair whose a or b is not finite is a
+    failed pair.
     """
     grid = grid or Grid.default()
     lams = grid.lambdas_upper
@@ -308,20 +433,16 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     mu_failed = _failed(lams, "mu", rhs_errors, norms[n:], conj_errors,
                         triplets.system_errors(systems))
     regular = [i for i in range(n) if i not in mu_failed]
-    coeffs = np.full((n, 2, n), np.nan, dtype=complex)  # mu, (a, b), lambda
-    coeffs[regular] = np.linalg.solve(systems[regular], rhs)
-    b = np.where(np.isfinite(coeffs[:, 0]), coeffs[:, 1], np.nan)  # a pair fails by a too
-    lam_norms = [1.0 if j in lam_failed else norms[j] for j in range(n)]
-    conj_norms = [1.0 if i in mu_failed else norms[n + i] for i in range(n)]
-    # hypot is abs() of a complex bit for bit; np.abs is not
-    vals = np.hypot(b.real, b.imag) * np.array(conj_norms)[:, None] / np.array(lam_norms)
-    excluded = np.zeros((n, n), dtype=bool)
-    excluded[list(mu_failed)] = True
-    excluded[:, list(lam_failed)] = True
+    kept = [j for j in range(n) if j not in lam_failed]
+    a, b = np.linalg.solve(systems[regular], rhs)[:, :, kept].transpose(1, 0, 2)  # mu, lambda
+    b = np.where(np.isfinite(a), b, np.nan)  # a pair fails by a too
+    worst = worst_entry(b.shape, lambda rows, cols: b[rows, cols],
+                        scales=([norms[n + i] for i in regular], [norms[j] for j in kept]))
     return _scan_result(
-        "inclusion", vals, PASS_INCLUSION,
-        lambda mu, lam: f"lambda={format_complex(lams[lam])}, mu={format_complex(lams[mu])}",
-        [*lam_failed.values(), *mu_failed.values()], excluded=excluded, what="coefficient")
+        "inclusion", PASS_INCLUSION, worst,
+        lambda mu, lam: (f"lambda={format_complex(lams[kept[lam]])}, "
+                         f"mu={format_complex(lams[regular[mu]])}"),
+        [*lam_failed.values(), *mu_failed.values()], "coefficient")
 
 
 def pso_certificate(model, grid: Grid | None = None) -> Certificate:

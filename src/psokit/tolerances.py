@@ -37,6 +37,8 @@ PASS_ORTHOGONALITY = 1e-10  # normalized |(f_lam, f_nu)|, absolute (_verdict)
 PASS_CONSTANCY = 1e-8  # |theta(lam) - theta(mu)|, absolute (_verdict)
 PASS_INCLUSION = 1e-10  # normalized |b|, absolute (_verdict)
 FAIL_THRESHOLD = 1e-2  # worst residual from which a scan fails, absolute (_verdict)
+# band under the largest modulus estimate whose entries take their exact modulus, relative;
+MODULUS_BAND_TOL = 1e-12  # far above the estimate's few units of roundoff (worst_entry)
 
 # cli checks
 CAYLEY_IDENTITY_TOL = 1e-11  # ||(A - iI)(U - I)x - 2ix||, absolute (_threshold_result)

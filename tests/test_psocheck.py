@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from families import pointwise_family
 
 from psokit import cli, expfun, matops, models, psocheck, triplets
@@ -591,9 +593,11 @@ def test_a_dense_orthogonality_scan_keeps_its_temporaries_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 310 x 310 result takes 1.5 MB of the 2.5 MB; with a dense (kinds x
-    # kinds) table of the pairs' bounds and positions the scan peaks at 4.0 MB
-    assert peak <= 3_000_000
+    # the Gram kernel peaks at 2.5 MB, 1.5 MB of it the 310 x 310 result; the
+    # reducer's blocks then take 0.65 MB beside the result, and hypot on the
+    # whole result took 0.77 MB.  With a dense (kinds x kinds) table of the
+    # pairs' bounds and positions the scan peaked at 4.0 MB.
+    assert peak <= 2_900_000
 
 
 def test_a_dense_constancy_scan_keeps_its_temporaries_small():
@@ -605,9 +609,10 @@ def test_a_dense_constancy_scan_keeps_its_temporaries_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 310 x 310 deviations take 0.77 MB, twice that while hypot runs;
-    # a fresh hypot output instead of the in-place one peaks at 2.3 MB
-    assert peak <= 2_000_000
+    # the deviations of one block of SCAN_BLOCK pairs and their estimates
+    # peak at 1.2 MB; the whole 310 x 310 deviation matrix and its hypot,
+    # taken in place, peaked at 1.7 MB
+    assert peak <= 1_500_000
 
 
 def test_an_orthogonality_scan_whose_lower_vectors_all_fail_takes_no_gram(monkeypatch):
@@ -654,6 +659,28 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
                                "mu=3+1i: matrix entries must be finite")
 
 
+@pytest.mark.parametrize("model, moduli", [
+    (NonlocalModel("I", 4j), {"orthogonality": 7, "constancy": 0}),
+    (NonlocalModel("II", 1), {"orthogonality": 3, "constancy": 4}),
+], ids=["I(4i)", "II(1)"])
+def test_a_dense_scan_takes_the_exact_modulus_of_few_entries(monkeypatch, model, moduli):
+    for scan in (orthogonality_scan, constancy_scan):
+        scan(model, DENSE_GRID)  # builds and caches the vectors, norms and images
+    counted = Counter()
+    hypot = np.hypot
+
+    def counting(*args, **kwargs):
+        counted["moduli"] += np.broadcast(*args[:2]).size
+        return hypot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "hypot", counting)
+    for scan in (orthogonality_scan, constancy_scan):
+        counted.clear()
+        scan(model, DENSE_GRID)
+        # np.hypot on every entry of the 310 x 310 matrix took 96,100 per scan
+        assert counted["moduli"] == moduli[scan.__name__.split("_")[0]]
+
+
 def looped_inclusion_scan(model, grid):
     """Reference: inclusion_scan as it tested each S(mu) with its own
     singularity test, one SVD per mu, point by point."""
@@ -694,9 +721,9 @@ def looped_inclusion_scan(model, grid):
     coeffs[regular] = np.linalg.solve(systems[regular], rhs)
     coeffs[:, 1][~np.isfinite(coeffs[:, 0])] = np.nan
     vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * conj_norms[:, None] / lam_norms
-    return psocheck._scan_result("inclusion", vals, PASS_INCLUSION,
-                                 lambda mu, lam: f"lambda={labels[lam]}, mu={labels[mu]}",
-                                 failures, excluded=excluded, what="coefficient")
+    return matrix_scan_result("inclusion", vals, PASS_INCLUSION,
+                              lambda mu, lam: f"lambda={labels[lam]}, mu={labels[mu]}",
+                              failures, excluded=excluded, what="coefficient")[0]
 
 
 def zero_column_model():
@@ -925,6 +952,206 @@ def test_a_deviation_that_is_not_finite_is_a_failed_pair(monkeypatch):
     lams = [format_complex(lam) for lam in grid.lambdas_upper[:3]]
     assert result.failures == (f"lambda={lams[0]}, mu={lams[1]}: deviation is not finite",)
     assert result.verdict == "fail" and result.max_residual == 1e308
+
+
+# -- the worst-entry reducer ------------------------------------------------------------
+
+
+def matrix_scan_result(check_id, residuals, tolerance, name, failures, excluded=None,
+                       what="residual"):
+    """Reference worst-entry rule: the scans' rule when each formed its whole
+    matrix of moduli, ``np.hypot`` on every entry, in witness order.
+
+    ``excluded`` masks the entries the scan leaves out; every other entry
+    that is not finite is a failed entry; the worst evaluated entry is the
+    first strictly largest one in C order.  Returns the result and the
+    number of entries evaluated.
+    """
+    left_out = ~np.isfinite(residuals)
+    if excluded is not None:
+        left_out &= ~excluded
+    failures = failures + [f"{name(*entry)}: {what} is not finite"
+                           for entry in np.argwhere(left_out).tolist()]
+    if excluded is not None:
+        left_out |= excluded
+    residuals[left_out] = np.nan
+    evaluated = residuals.size - int(np.count_nonzero(left_out))
+    worst = float(np.fmax.reduce(residuals, axis=None, initial=0.0))
+    witness = None
+    if worst > 0:
+        first = int(np.argmax(residuals == worst))
+        witness = name(*np.unravel_index(first, residuals.shape))
+    if not evaluated:
+        worst = float("nan")
+    verdict = _verdict(worst, tolerance, evaluated, len(failures))
+    return psocheck.CheckResult(check_id, verdict, worst, tolerance, witness,
+                                tuple(failures)), evaluated
+
+
+#: parts of moduli 25 and 5 exactly, whose estimates differ in the last bits
+PYTHAGOREAN = ((15.0, 20.0), (20.0, 15.0), (7.0, 24.0), (24.0, 7.0), (25.0, 0.0), (0.0, 25.0),
+               (3.0, 4.0), (5.0, 0.0))
+
+
+def random_parts(rng, size, regime):
+    """The real and imaginary parts of ``size`` entries of one regime: a
+    spread of magnitudes from 1e-320 to 1e308, a pool of a few parts (exact
+    ties), parts a few units of roundoff apart, points of a circle (moduli a
+    few units apart, whose estimates order them otherwise), Pythagorean
+    parts times a power of two (exact ties of different parts), only zeros,
+    or only subnormals; signs and zeros of either sign mixed in."""
+    if regime == "circle":  # moduli a few units of roundoff apart, parts far apart
+        angle = rng.uniform(0, 2 * np.pi, size)
+        radius = 10.0 ** rng.uniform(-300, 300) * (1 + rng.integers(-2, 3, size) * 2.0 ** -52)
+        return radius * np.cos(angle), radius * np.sin(angle)
+    if regime == "pythagorean":
+        parts = np.array(PYTHAGOREAN)[rng.integers(len(PYTHAGOREAN), size=size)]
+        parts *= rng.choice([-1.0, 1.0], (size, 2)) * 2.0 ** rng.integers(-1070, 1020)
+        return parts[:, 0].copy(), parts[:, 1].copy()
+    return tuple(random_part(rng, size, regime) for _ in range(2))
+
+
+def random_part(rng, size, regime):
+    if regime == "zeros":
+        return rng.choice([0.0, -0.0], size)
+    if regime == "subnormal":  # a few to 2**52 units of the smallest subnormal
+        most = 2 ** int(rng.integers(1, 53))
+        return rng.integers(-most, most + 1, size) * np.finfo(float).smallest_subnormal
+    if regime == "close":
+        ulps = rng.integers(-4, 5, size) * np.finfo(float).eps
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300) * (1 + ulps)
+    low, high = sorted(rng.uniform(-320, 308.2, 2))
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(low, high, size)
+    if regime == "pool":
+        values = rng.choice(values[:rng.integers(1, 4)] if size else values, size)
+    values[rng.random(size) < 0.1] = rng.choice([0.0, -0.0])
+    return values
+
+
+def spoil(rng, re, im, share):
+    """Put a NaN, an inf or a part whose modulus overflows into about
+    ``share`` of the entries, in either part."""
+    for at in np.flatnonzero(rng.random(re.size) < share):
+        kind = rng.integers(4)
+        target = re if rng.integers(2) else im
+        if kind < 3:
+            target.flat[at] = (np.nan, np.inf, -np.inf)[kind]
+        else:
+            re.flat[at], im.flat[at] = 1.5e308, -1.5e308
+
+
+def complex_of(re, im):
+    """The complex array with these parts, an inf part kept as it is."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def reducer_case(seed, mode, shape, regime, share):
+    """The reference result and the reducer's, with the evaluated counts,
+    for one residual matrix of a scan mode: rows (row-major), columns
+    (orthogonality's transposed order), pairs (constancy's i < j of
+    differences of finite values) or scales (inclusion's norm scales, with
+    left-out rows and columns)."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "pairs":
+            values = random_parts(rng, rows, regime)
+            for part in values:  # values near the largest float, whose differences overflow
+                big = rng.random(rows) < share
+                part[big] = rng.choice([1e308, -1e308], np.count_nonzero(big))
+            re, im = (v[:, None] - v for v in values)
+            excluded = np.tri(rows, dtype=bool)
+            name = lambda i, j: f"{i},{j}"  # noqa: E731
+            got = psocheck.worst_entry((rows, rows), lambda r, c: complex_of(re, im)[r, c],
+                                       pairs=True)
+            want = matrix_scan_result("c", np.hypot(re, im), PASS_CONSTANCY, name, [],
+                                      excluded=excluded)
+        else:
+            re, im = (part.reshape(shape) for part in random_parts(rng, rows * cols, regime))
+            spoil(rng, re, im, share)
+            if mode == "scales":
+                lo, hi = sorted(rng.uniform(-300, 300, 2) if rng.integers(4) == 0
+                                else rng.uniform(-3, 3, 2))
+                row_scale, col_scale = (10.0 ** rng.uniform(lo, hi, n) for n in shape)
+                kept_rows = np.flatnonzero(rng.random(rows) < 0.8)
+                kept_cols = np.flatnonzero(rng.random(cols) < 0.8)
+                excluded = np.ones(shape, dtype=bool)
+                excluded[np.ix_(kept_rows, kept_cols)] = False
+                cut = np.ix_(kept_rows, kept_cols)
+                sub = complex_of(re[cut], im[cut])
+                got = psocheck.worst_entry(sub.shape, lambda r, c: sub[r, c],
+                                           scales=(row_scale[kept_rows], col_scale[kept_cols]))
+                at = lambda r, c: (int(kept_rows[r]), int(kept_cols[c]))  # noqa: E731
+                got = psocheck.WorstEntry(tuple(at(*entry) for entry in got.failed),
+                                          got.evaluated, got.worst,
+                                          got.witness and at(*got.witness))
+                name = lambda i, j: f"{i},{j}"  # noqa: E731
+                moduli = np.hypot(re, im) * np.where(excluded.all(axis=1), 1.0, row_scale)[:, None]
+                moduli /= np.where(excluded.all(axis=0), 1.0, col_scale)
+                want = matrix_scan_result("i", moduli, PASS_INCLUSION, name, [], excluded=excluded)
+            elif mode == "columns":
+                got = psocheck.worst_entry(shape, lambda r, c: complex_of(re, im)[r, c],
+                                           by_column=True)
+                name = lambda nu, lam: f"{lam},{nu}"  # noqa: E731
+                want = matrix_scan_result("o", np.hypot(re, im).T, PASS_ORTHOGONALITY, name, [])
+            else:
+                got = psocheck.worst_entry(shape, lambda r, c: complex_of(re, im)[r, c])
+                name = lambda i, j: f"{i},{j}"  # noqa: E731
+                want = matrix_scan_result("o", np.hypot(re, im), PASS_ORTHOGONALITY, name, [])
+    flip = (lambda r, c: name(c, r)) if mode == "columns" else name
+    result = psocheck._scan_result(want[0].check_id, want[0].tolerance, got, flip, [],
+                                   "residual")
+    return scan_outcome(want[0]) + (want[1],), scan_outcome(result) + (got.evaluated,)
+
+
+REDUCER_MODES = ("rows", "columns", "pairs", "scales")
+REDUCER_REGIMES = ("spread", "pool", "close", "circle", "pythagorean", "zeros", "subnormal")
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (1, 1), (66, 66), (310, 310), (7, 3)],
+                         ids=["0x4", "4x0", "1x1", "66x66", "310x310", "7x3"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(REDUCER_MODES),
+       regime=st.sampled_from(REDUCER_REGIMES), share=st.sampled_from([0.0, 0.0, 0.001, 0.2]))
+@example(seed=1, mode="pairs", regime="pool", share=0.0)
+@example(seed=2, mode="columns", regime="pool", share=0.0)
+@example(seed=3, mode="scales", regime="subnormal", share=0.2)
+@example(seed=4, mode="pairs", regime="spread", share=0.2)
+@example(seed=10, mode="scales", regime="spread", share=0.0)  # norm scales 1e-300 to 1e300
+def test_the_reducer_finds_what_the_whole_matrix_rule_finds(shape, seed, mode, regime, share):
+    if mode == "pairs":
+        shape = (shape[0], shape[0])
+    want, got = reducer_case(seed, mode, shape, regime, share)
+    assert got == want
+
+
+@pytest.mark.parametrize("by_column", [False, True], ids=["rows", "columns"])
+def test_a_tie_across_blocks_goes_to_the_first_entry_in_scan_order(by_column):
+    rows = psocheck.SCAN_BLOCK // 41 + 1  # the last row is a block of its own
+    entries = np.full((rows, 41), 0.5 + 0j)
+    entries[0, 5] = entries[rows - 1, 0] = 1j
+    got = psocheck.worst_entry(entries.shape, lambda r, c: entries[r, c], by_column=by_column)
+    first = (rows - 1, 0) if by_column else (0, 5)
+    assert got == psocheck.WorstEntry((), rows * 41, 1.0, first)
+
+
+@pytest.mark.parametrize("mode", REDUCER_MODES)
+def test_a_part_whose_modulus_overflows_stays_a_failed_entry(mode):
+    # finite parts (1.5e308, 1.5e308), whose modulus overflows, at (1, 2)
+    entries = np.zeros((3, 3), dtype=complex)
+    entries[1, 2], entries[2, 0] = complex(1.5e308, 1.5e308), 0.5
+    failed, witness = ((1, 2),), (2, 0)
+    if mode == "pairs":  # v_0 - v_2 and v_1 - v_2 overflow, and so do their mirrors
+        v = np.array([0, 0.5, complex(-1.3e308, -1.3e308)])
+        entries = v[:, None] - v
+        failed, witness = ((0, 2), (1, 2)), (0, 1)
+    got = psocheck.worst_entry((3, 3), lambda r, c: entries[r, c],
+                               by_column=mode == "columns", pairs=mode == "pairs",
+                               scales=(np.ones(3), np.ones(3)) if mode == "scales" else None)
+    assert got == psocheck.WorstEntry(failed, (3 if mode == "pairs" else 9) - len(failed), 0.5,
+                                      witness)
 
 
 # -- spectrum classification ----------------------------------------------------------

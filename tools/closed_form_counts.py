@@ -18,8 +18,10 @@ a ``select`` slice cuts its parent's); the term validations (calls of
 as; the calls of the three matops functions that take an SVD
 (``is_singular``, ``min_singular_value`` and ``opnorm``) and the matrices
 passed to them, a stack counting each of its matrices; the passes of the
-resolvent's array build, ``expfun.half_plane_resolvent``; and the merges
-of a build's terms, calls of ``expfun.canonical_terms``.  The counts
+resolvent's array build, ``expfun.half_plane_resolvent``; the merges
+of a build's terms, calls of ``expfun.canonical_terms``; and the exact
+moduli the scans take, the elements of the ``np.hypot`` calls made in
+``psocheck``.  The counts
 depend on no timing and no hardware.  The modules under ``bench/`` are
 imported, never modified.
 
@@ -48,6 +50,21 @@ PASSES = ("first", "second")
 INNER_NAMES = (expfun, triplets, models, psocheck)
 #: the matops functions that take an SVD of each matrix they are given
 SVD_FUNCTIONS = ("is_singular", "min_singular_value", "opnorm")
+
+
+class _CountedNumpy:
+    """numpy as a module sees it through this object, with ``np.hypot``
+    counting the elements it takes into ``counts["exact moduli"]``."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def hypot(self, *args, **kwargs):
+        self.counts["exact moduli"] += np.broadcast(*args[:2]).size
+        return np.hypot(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 def _patch(patches):
@@ -116,13 +133,14 @@ def main() -> None:
           for module in (expfun, models) if hasattr(module, "half_plane_resolvent")),
         *((module, "canonical_terms", counted("merges", merge))
           for module in (expfun, models) if hasattr(module, "canonical_terms")),
+        (psocheck, "np", _CountedNumpy(counts)),
     ])
     try:
         # name: (width, decimals)
         columns = {"vectors": (12, 1), "packs": (10, 1), "packed rows": (17, 1),
                    "kind tables": (17, 1), "validations": (16, 1), "inits": (10, 1),
                    "inner": (10, 1), "svd calls": (14, 1), "svd matrices": (17, 1),
-                   "passes": (12, 1), "merges": (12, 2)}
+                   "passes": (12, 1), "merges": (12, 2), "exact moduli": (19, 1)}
         print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
               + "".join(f"{name + '/op':>{w}}" for name, (w, _) in columns.items()))
         for workload in workloads.WORKLOADS:
