@@ -20,6 +20,7 @@ agree, which guards against implementation drift between the criteria.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -294,59 +295,51 @@ def _scan_result(check_id: str, tolerance: float, worst: WorstEntry, name,
     return CheckResult(check_id, verdict, worst.worst, tolerance, witness, tuple(failures))
 
 
-def _per_point(points, label: str, entries, failures: list[str], fn=None):
+def _errors_at(entries):
+    """The index of each entry that is an exception, in order."""
+    return itertools.compress(itertools.count(), map(triplets.is_error, entries))
+
+
+def _per_point(points, label: str, entries, failures: list[str]):
     """The points whose entry is a value, not an exception, and those
-    values, taken through ``fn(point, value)`` if given; every other point,
-    or one where ``fn`` raises, is left out and recorded as
+    values; every other point is left out and recorded as
     ``<label>=<point>: <error>``."""
-    kept, values = [], []
-    for z, entry in zip(points, entries):
-        if fn is not None and not isinstance(entry, Exception):
-            try:
-                entry = fn(z, entry)
-            except Exception as exc:
-                entry = exc
-        if isinstance(entry, Exception):
-            failures.append(f"{label}={format_complex(z)}: {entry}")
-            continue
-        kept.append(z)
-        values.append(entry)
-    return kept, values
+    failures.extend(f"{label}={format_complex(points[i])}: {entries[i]}"
+                    for i in _errors_at(entries))
+    kept = list(triplets.held(entries))
+    return list(itertools.compress(points, kept)), list(itertools.compress(entries, kept))
 
 
 def native_images(model, points):
     """Native images of the defect vectors at ``points``, 2 x n with row 0
     gamma_plus and a failed column zero, and per point its error or None."""
-    images = np.zeros((2, len(points)), dtype=complex)
-    errors: list[Exception | None] = []
-    for j, entry in enumerate(model.defects.images_at(points)):
-        if isinstance(entry, Exception):
-            errors.append(entry)
-        else:
-            images[:, j] = entry
-            errors.append(None)
-    return images, errors
+    entries = model.defects.images_at(points)
+    errors: list[Exception | None] = [None] * len(entries)
+    for i in list(_errors_at(entries)):
+        errors[i], entries[i] = entries[i], (0j, 0j)
+    return np.array(list(zip(*entries)) or [(), ()], dtype=complex), errors
 
 
 def _failed(points, label: str, *entries) -> dict[int, str]:
     """The index of each point with an exception among its ``entries``
-    (lists over the points), and the failure text of its first one,
-    ``<label>=<point>: <error>``."""
-    failed = {}
-    for i, row in enumerate(zip(*entries)):
-        for exc in row:
-            if isinstance(exc, Exception):
-                failed[i] = f"{label}={format_complex(points[i])}: {exc}"
-                break
-    return failed
+    (lists over the points), in order, and the failure text of its first
+    one, ``<label>=<point>: <error>``."""
+    failed: dict[int, str] = {}
+    for column in entries:
+        for i in _errors_at(column):
+            if i not in failed:
+                failed[i] = f"{label}={format_complex(points[i])}: {column[i]}"
+    return dict(sorted(failed.items()))
 
 
 def char_values(model, lams):
     """The points of ``lams`` with a finite characteristic function value,
     those values, and a failure text for every other point."""
     failures: list[str] = []
-    kept, values = _per_point(lams, "lambda", model.defects.images_at(lams), failures,
-                              lambda lam, images: triplets.char_value(lam, *images))
+    thetas = triplets.each_point(
+        lambda at: triplets.char_value(at[0], *triplets.unwrap(at[1])),
+        zip(lams, model.defects.images_at(lams)))
+    kept, values = _per_point(lams, "lambda", thetas, failures)
     return kept, values, failures
 
 
@@ -366,8 +359,8 @@ def orthogonality_scan(model, grid: Grid | None = None) -> CheckResult:
     lowers, down_norms = _per_point(grid.lambdas_lower, "nu", norms[n_up:], failures)
     pairings = np.empty((0, 0), dtype=complex)  # with no vector on one side nothing pairs
     if uppers and lowers:
-        up = family.packed_at(uppers, [1.0 / n for n in up_norms])
-        down = family.packed_at(lowers, [1.0 / n for n in down_norms])
+        up = family.packed_at(uppers, 1.0 / np.array(up_norms))
+        down = family.packed_at(lowers, 1.0 / np.array(down_norms))
         pairings = gram(up, down)  # rows lambda
     worst = worst_entry(pairings.shape, lambda rows, cols: pairings[rows, cols], by_column=True)
     return _scan_result(
@@ -405,9 +398,10 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     lambda-minor order.
 
     The coefficients are linear in the native images (gamma_plus(f),
-    gamma_minus(f)), so each upper and each conjugate point is mapped once:
-    the upper images are the right-hand sides and S(mu)'s first column, the
-    conjugate ones its second.  One stacked singularity test, as
+    gamma_minus(f)), so each upper and each conjugate point is mapped once,
+    all of them in one ``native_images`` batch: the upper images are the
+    right-hand sides and S(mu)'s first column, the conjugate ones its
+    second.  One stacked singularity test, as
     ``triplets.system_errors`` takes it, covers every S(mu), and one stacked
     solve every regular one.  A lambda fails by its own vector: its build,
     maximal domain, norm or images raised, or its images are not finite.  A
@@ -420,24 +414,25 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     """
     grid = grid or Grid.default()
     lams = grid.lambdas_upper
-    conjs = [lam.conjugate() for lam in lams]
-    n = len(lams)
-    norms = model.defects.norms_at([*lams, *conjs])  # one batch for both half planes
-    rhs, rhs_errors = native_images(model, lams)
-    conj, conj_errors = native_images(model, conjs)
-    systems = np.stack([rhs.T, conj.T], axis=2)
-    not_finite = [None if ok else ValueError("boundary images are not finite")
-                  for ok in np.isfinite(rhs).all(axis=0).tolist()]
+    n, points = len(lams), [*lams, *map(complex.conjugate, lams)]
+    norms = model.defects.norms_at(points)  # one batch for both half planes
+    native, errors = native_images(model, points)  # and one for their images
+    rhs, rhs_errors, conj_errors = native[:, :n], errors[:n], errors[n:]
+    systems = np.stack([rhs.T, native[:, n:].T], axis=2)
+    not_finite: list[Exception | None] = [None] * n
+    for j in np.flatnonzero(~np.isfinite(rhs).all(axis=0)).tolist():
+        not_finite[j] = ValueError("boundary images are not finite")
     lam_failed = _failed(lams, "lambda", model.defects.domain_errors_at(lams), norms[:n],
                          rhs_errors, not_finite)
     mu_failed = _failed(lams, "mu", rhs_errors, norms[n:], conj_errors,
                         triplets.system_errors(systems))
-    regular = [i for i in range(n) if i not in mu_failed]
-    kept = [j for j in range(n) if j not in lam_failed]
+    regular = list(itertools.filterfalse(mu_failed.__contains__, range(n)))
+    kept = list(itertools.filterfalse(lam_failed.__contains__, range(n)))
     a, b = np.linalg.solve(systems[regular], rhs)[:, :, kept].transpose(1, 0, 2)  # mu, lambda
     b = np.where(np.isfinite(a), b, np.nan)  # a pair fails by a too
     worst = worst_entry(b.shape, lambda rows, cols: b[rows, cols],
-                        scales=([norms[n + i] for i in regular], [norms[j] for j in kept]))
+                        scales=(list(map(norms[n:].__getitem__, regular)),
+                                list(map(norms.__getitem__, kept))))
     return _scan_result(
         "inclusion", PASS_INCLUSION, worst,
         lambda mu, lam: (f"lambda={format_complex(lams[kept[lam]])}, "
@@ -451,12 +446,18 @@ def pso_certificate(model, grid: Grid | None = None) -> Certificate:
     The criteria are provably equivalent, so a disagreement can only come
     from an implementation defect; it is surfaced as an inconclusive
     aggregate with the full set of entries attached.
+
+    Inclusion runs before constancy, so that its one batch maps the upper
+    and the conjugate vectors together and constancy reads the upper
+    images from the family's table: where no point fails, a certificate
+    maps each defect point once, in one ``boundary_images`` call.  The
+    records keep the order orthogonality, constancy, inclusion.
     """
     grid = grid or Grid.default()
     cert = Certificate(model_id=model.describe())
-    cert.checks.append(orthogonality_scan(model, grid))
-    cert.checks.append(constancy_scan(model, grid))
-    cert.checks.append(inclusion_scan(model, grid))
+    orthogonality = orthogonality_scan(model, grid)
+    inclusion = inclusion_scan(model, grid)
+    cert.checks += [orthogonality, constancy_scan(model, grid), inclusion]
     verdicts = [c.verdict for c in cert.checks]
     if len(set(verdicts)) > 1:
         detail = ", ".join(f"{c.check_id}={c.verdict}" for c in cert.checks)

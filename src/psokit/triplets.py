@@ -20,14 +20,15 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import matops
-from .expfun import (PackedFunctions, PiecewiseExpFunction, SplitComplex, inner, join, norms,
-                     origin_limits, paired, select)
+from .expfun import (PAIRED_SCALAR_ROWS, PackedFunctions, PiecewiseExpFunction, SplitComplex,
+                     inner, join, norms, origin_limits, pack, paired, select)
 from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
                          GREEN_TOL, SURJECTIVITY_TOL)
 
@@ -102,6 +103,20 @@ class BoundaryTriplet:
         if matops.is_singular(self.images(*self.witness), SURJECTIVITY_TOL):
             raise ValueError("boundary maps fail the surjectivity witness")
 
+    @functools.cached_property
+    def _pairings(self) -> tuple[list, list[tuple[PiecewiseExpFunction, PackedFunctions]]]:
+        """For maps that are both boundary functionals: each map with the
+        columns of its pairing functions among the distinct ones, and each
+        distinct pairing function h with its pack, made once per triplet,
+        so h's kind table is sorted once for every batch the triplet maps."""
+        maps = (self.gamma_plus, self.gamma_minus)
+        hs = list({id(h): h for m in maps for _, h in m.pairings}.values())
+        column = {id(h): j for j, h in enumerate(hs)}
+        pairings = [(h, pack([h])) for h in hs]
+        for _, packed in pairings:
+            packed.parts.flags.writeable = False  # shared by every batch
+        return [(m, [column[id(h)] for _, h in m.pairings]) for m in maps], pairings
+
 
 def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex]]:
     """(gamma_plus(f), gamma_minus(f)) of each function f in fs, as Python
@@ -111,17 +126,19 @@ def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex
     When both maps are boundary functionals they are evaluated together:
     each f's one-sided limits at the origin are taken once, and each
     distinct pairing function h is paired with every f by one ``paired``
-    call, so a pairing both maps share is taken once.  Other maps are
-    called on each f, gamma_plus first.
+    call, against the pack of h the triplet keeps, so a pairing both maps
+    share is taken once.  Other maps are called on each f, gamma_plus
+    first.
     """
     maps = (triplet.gamma_plus, triplet.gamma_minus)
     if not all(isinstance(m, BoundaryFunctional) for m in maps):
         fs = fs.functions() if isinstance(fs, PackedFunctions) else fs
         return [(complex(triplet.gamma_plus(f)), complex(triplet.gamma_minus(f))) for f in fs]
-    hs = list({id(h): h for m in maps for _, h in m.pairings}.values())
-    column = {id(h): j for j, h in enumerate(hs)}
-    plan = [(m, [column[id(h)] for _, h in m.pairings]) for m in maps]
-    ips = [paired(fs, [h]) for h in hs]
+    plan, pairings = triplet._pairings
+    # paired reads h as a function below PAIRED_SCALAR_ROWS rows of fs and
+    # as a pack from there on; each is given the form it reads
+    scalar = len(fs) < PAIRED_SCALAR_ROWS
+    ips = [paired(fs, [h] if scalar else packed) for h, packed in pairings]
     if isinstance(fs, PackedFunctions):
         # every function at once; what overflows is inf or NaN, as in
         # Python's complex arithmetic, without a warning
@@ -167,6 +184,17 @@ def unwrap(entry):
     return entry
 
 
+#: ``isinstance(entry, Exception)``, whether an entry of a batch stands for an
+#: error, as a builtin that ``map`` and ``itertools`` call at C speed
+is_error = Exception.__instancecheck__
+
+
+def held(entries):
+    """Per entry of a batch, whether it holds a value, not an exception, as
+    an iterator taken at C speed."""
+    return map(operator.not_, map(is_error, entries))
+
+
 def _norm_entry(n: float):
     """A defect vector's norm, or the error for one that cannot scale it:
     an overflowing norm would scale the vector to zero, which pairs
@@ -196,7 +224,10 @@ class DefectFamily:
     is built again, and fails again, whenever it is asked for.
 
     The ``*_at(points)`` methods return per point a value or the exception
-    that stands for it; the call, ``norm`` and ``images`` raise it.
+    that stands for it; the call, ``norm`` and ``images`` raise it.  Each
+    takes a fixed number of C-speed passes over its points (``map``,
+    ``zip``, ``itertools``); only a point that is computed or failed takes
+    a step in Python.
     """
 
     def __init__(self, build: Callable[[list], tuple[PackedFunctions, list]],
@@ -212,15 +243,12 @@ class DefectFamily:
     def _fill(table: dict, points, compute: Callable[[list], list]) -> list:
         """The entries of ``points`` in ``table``; the points not in it are
         computed by one ``compute`` call, and the values among them stored."""
-        zs = [complex(z) for z in points]
-        fresh = {}
-        missing = [z for z in dict.fromkeys(zs) if z not in table]
-        if missing:
-            for z, entry in zip(missing, compute(missing)):
-                fresh[z] = entry
-                if not isinstance(entry, Exception):
-                    table[z] = entry
-        return [table[z] if z in table else fresh[z] for z in zs]
+        zs = list(map(complex, points))
+        missing = list(dict.fromkeys(itertools.filterfalse(table.__contains__, zs)))
+        fresh = dict(zip(missing, compute(missing))) if missing else {}
+        table.update(itertools.compress(fresh.items(), held(fresh.values())))
+        # a point not in the table failed, and takes its error from fresh
+        return list(map(table.get, zs, map(fresh.get, zs)))
 
     def _build_rows(self, zs: list[complex]) -> list:
         built = [z for z in zs if z.imag != 0]
@@ -243,18 +271,24 @@ class DefectFamily:
     def _slice(refs, scales=None) -> PackedFunctions:
         """The rows ``refs``, (pack, row) pairs, as one slice: rows of
         several packs are taken from their join."""
-        packs = list(dict.fromkeys(p for p, _ in refs))  # a pack hashes by identity
-        start = dict(zip(packs, itertools.accumulate(map(len, packs[:-1]), initial=0)))
-        return select(functools.reduce(join, packs), [start[p] + r for p, r in refs], scales)
+        packs, rows = zip(*refs)
+        distinct = list(dict.fromkeys(packs))  # a pack hashes by identity
+        start = dict(zip(distinct, itertools.accumulate(map(len, distinct[:-1]), initial=0)))
+        return select(functools.reduce(join, distinct),
+                      list(map(operator.add, map(start.__getitem__, packs), rows)), scales)
 
     def _on_rows(self, compute: Callable[[PackedFunctions], list]) -> Callable[[list], list]:
         """``compute``, a map from a slice of the packs to entries, as a map
         from points: a point whose vector failed keeps its error."""
         def step(zs):
             refs = self._rows_at(zs)
-            good = [r for r in refs if not isinstance(r, Exception)]
-            done = iter(_batch(lambda at: compute(self._slice(at)), good) if good else ())
-            return [r if isinstance(r, Exception) else next(done) for r in refs]
+            built = list(held(refs))
+            entries = dict(enumerate(refs))  # by position: each built row's entry replaces it
+            good = list(itertools.compress(refs, built))
+            if good:
+                entries.update(zip(itertools.compress(itertools.count(), built),
+                                   _batch(lambda at: compute(self._slice(at)), good)))
+            return list(entries.values())
         return step
 
     def vectors_at(self, points) -> list:
@@ -272,13 +306,13 @@ class DefectFamily:
     def packed_at(self, points, scales=None) -> PackedFunctions:
         """The vectors at points whose vectors were built, as one slice,
         row i scaled by ``scales[i]`` as ``expfun.select`` scales."""
-        return self._slice([self._cache[complex(z)] for z in points], scales)
+        return self._slice(list(map(self._cache.__getitem__, map(complex, points))), scales)
 
     def norms_at(self, points) -> list:
         """The norm of the vector at each point; one that is zero or not
         finite is an error."""
         return self._fill(self._norms, points, self._on_rows(
-            lambda packed: [_norm_entry(n) for n in norms(packed)]))
+            lambda packed: list(map(_norm_entry, norms(packed)))))
 
     def images_at(self, points) -> list:
         """(gamma_plus, gamma_minus) of the vector at each point, mapped in

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from psokit import cli, expfun, matops, models, psocheck, triplets
 from psokit.triplets import BoundaryTriplet
 from psokit.scalars import format_complex, parse_complex
+from psokit.tolerances import (CAYLEY_IDENTITY_TOL, GRAM_TOL, GREEN_TOL, MOBIUS_TOL,
+                               SINGULARITY_TOL)
 
 
 # -- complex literal grammar ----------------------------------------------------
@@ -356,6 +358,45 @@ def test_threshold_result_fails_closed(residuals, verdict):
     result = cli._threshold_result("x", residuals, 1e-10, None)
     assert result.verdict == verdict
     assert repr(result.max_residual) == repr(float(np.max(residuals)))
+
+
+@pytest.mark.parametrize("tolerance", [GREEN_TOL, MOBIUS_TOL, GRAM_TOL, SINGULARITY_TOL,
+                                       CAYLEY_IDENTITY_TOL])
+def test_threshold_result_passes_at_its_tolerance_and_fails_one_float_above(tolerance):
+    at = cli._threshold_result("x", [0.0, tolerance], tolerance, None)
+    above = cli._threshold_result("x", [math.nextafter(tolerance, math.inf)], tolerance, None)
+    assert (at.verdict, above.verdict) == ("pass", "fail")
+
+
+NONLOCAL = {"kind": "nonlocal", "case": "I", "alpha": "1"}
+SHIFT = {"kind": "shift", "d": 8}
+#: check: (model, tolerance, (owner, name) of the residual source, and the
+#: source that gives every residual as r)
+THRESHOLD_CHECKS = {
+    "green": (NONLOCAL, GREEN_TOL, (triplets, "green_defects"),
+              lambda r: lambda *args: [r] * 20),
+    "mobius": (NONLOCAL, MOBIUS_TOL, (matops.KreinBlockOperator, "krein_defect"),
+               lambda r: lambda self: r),
+    "gram": ({"kind": "haar", "j_range": [-1, 1], "k_range": [-2, 2]}, GRAM_TOL,
+             (matops, "opnorm"), lambda r: lambda a: r),
+    "wandering": (SHIFT, SINGULARITY_TOL, (models, "shift_wandering_report"),
+                  lambda r: lambda model: matops.WanderingReport(8, (r,) * 7 + (1.0,))),
+    "cayley_identity": (SHIFT, CAYLEY_IDENTITY_TOL, (models, "shift_cayley_identity"),
+                        lambda r: lambda model, xs: [r] * len(xs)),
+}
+
+
+@pytest.mark.parametrize("check", THRESHOLD_CHECKS)
+def test_a_threshold_check_passes_at_its_tolerance_and_not_one_float_above(monkeypatch, check):
+    spec, tolerance, (owner, name), source = THRESHOLD_CHECKS[check]
+    verdicts = []
+    for residual in (tolerance, math.nextafter(tolerance, math.inf)):
+        monkeypatch.setattr(owner, name, source(residual))
+        (record,) = cli.run_scenario_obj({"name": check, "model": spec, "checks": [check],
+                                          "grid": {"re": [-1, 1], "im": [0.5, 2]}})["checks"]
+        assert record["max_residual"] == residual  # the source gives the worst residual
+        verdicts.append(record["verdict"])
+    assert verdicts == ["pass", "fail"]
 
 
 @pytest.mark.parametrize("defects,first", [

@@ -22,8 +22,8 @@ from psokit.psocheck import (
     pso_certificate,
 )
 from psokit.scalars import format_complex
-from psokit.tolerances import (DECOMPOSE_SINGULAR_TOL, PASS_CONSTANCY, PASS_INCLUSION,
-                               PASS_ORTHOGONALITY)
+from psokit.tolerances import (DECOMPOSE_SINGULAR_TOL, FAIL_THRESHOLD, PASS_CONSTANCY,
+                               PASS_INCLUSION, PASS_ORTHOGONALITY)
 from psokit.triplets import BoundaryTriplet
 
 SMALL_GRID = Grid.from_axes([-2.0, 0.0, 3.0], [0.5, 1.0, 5.0])
@@ -809,10 +809,11 @@ def test_an_svd_that_raises_on_one_system_fails_only_that_mu(monkeypatch):
 def test_inclusion_scan_maps_each_upper_and_conjugate_vector_once(monkeypatch):
     calls = count_boundary_maps(monkeypatch)
     inclusion_scan(NonlocalModel("I", 1), Grid.default())
-    # the rows of the 66 upper and the 66 conjugate vectors, one batch each;
-    # 264 functional calls, 2 per vector, before the rows were mapped as a
-    # batch, and mapping the upper vectors again for each S(mu) made 396
-    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 2, 132)
+    # the rows of the 66 upper and the 66 conjugate vectors in one batch (one
+    # batch each made 2); 264 functional calls, 2 per vector, before the rows
+    # were mapped as a batch, and mapping the upper vectors again for each
+    # S(mu) made 396
+    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 1, 132)
 
 
 @pytest.mark.parametrize("spec", [{"kind": "nonlocal", "case": "I", "alpha": "1"},
@@ -840,10 +841,23 @@ def test_mobius_maps_each_lambda_through_the_native_triplet_once(monkeypatch, sp
 def test_a_certificate_maps_each_defect_point_once(monkeypatch):
     calls = count_boundary_maps(monkeypatch)
     pso_certificate(NonlocalModel("I", 1), Grid.default())
-    # the rows of the 66 upper and the 66 conjugate vectors, one batch each
-    # (264 functional calls before); inclusion mapping the upper vectors
-    # again after constancy made 396
-    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 2, 132)
+    # the rows of the 66 upper and the 66 conjugate vectors in one batch,
+    # mapped by inclusion, whose images constancy reads; constancy's batch of
+    # the upper rows, then inclusion's of the conjugate ones, made 2 batches,
+    # 264 functional calls before them, and inclusion mapping the upper
+    # vectors again after constancy 396
+    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 1, 132)
+
+
+@pytest.mark.parametrize("make", EQUIVALENCE_MODELS.values(), ids=EQUIVALENCE_MODELS)
+def test_a_certificate_gives_each_scan_the_record_it_gives_alone(make):
+    # inclusion runs before constancy and maps both half planes in one batch;
+    # check by check, the records are those of each scan on a fresh model
+    cert = pso_certificate(make(), SMALL_GRID)
+    alone = [scan(make(), SMALL_GRID)
+             for scan in (orthogonality_scan, constancy_scan, inclusion_scan)]
+    assert [c.check_id for c in cert.checks] == ["orthogonality", "constancy", "inclusion"]
+    assert [scan_outcome(c) for c in cert.checks] == [scan_outcome(r) for r in alone]
 
 
 def test_mobius_reads_the_images_constancy_mapped(monkeypatch):
@@ -1154,6 +1168,28 @@ def test_a_part_whose_modulus_overflows_stays_a_failed_entry(mode):
                                       witness)
 
 
+# -- the scan verdict rule at its boundaries ---------------------------------------------
+
+
+@pytest.mark.parametrize("pass_tol", [PASS_ORTHOGONALITY, PASS_CONSTANCY, PASS_INCLUSION])
+@pytest.mark.parametrize("failed", [0, 3])
+def test_the_scan_verdict_at_each_boundary(pass_tol, failed):
+    capped = "inconclusive" if failed else "pass"  # a failed point caps a pass
+    table = [
+        (pass_tol, capped),
+        (math.nextafter(pass_tol, math.inf), "inconclusive"),
+        (math.nextafter(FAIL_THRESHOLD, -math.inf), "inconclusive"),
+        (FAIL_THRESHOLD, "fail"),
+        (0.05, "fail"),
+        (math.nan, "inconclusive"),
+        (math.inf, "fail"),
+        # a residual is a modulus, never negative; the rule reads -inf as
+        # below every tolerance
+        (-math.inf, capped),
+    ]
+    assert [(r, _verdict(r, pass_tol, 66, failed)) for r in dict(table)] == table
+
+
 # -- spectrum classification ----------------------------------------------------------
 
 
@@ -1165,6 +1201,12 @@ def test_classify_fixtures():
     theta = np.diag([0.5, 0.0])
     t = np.diag([2.0, 0.0])
     assert classify_spectrum(theta, t) == SpectrumClass.WHOLE_PLANE
+
+
+def test_classify_takes_the_adjoint_of_a_complex_theta():
+    # I - conj(0.5i) 2i = 0 is singular; without the conjugate, I - 0.5i 2i = 2
+    assert classify_spectrum(0.5j, 2j) == SpectrumClass.REAL_PLUS_LOWER
+    assert classify_spectrum(0.5j, 0.5j) == SpectrumClass.REAL_PLUS_UPPER
 
 
 def test_classify_rejects_expansive_theta():

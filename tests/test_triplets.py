@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from families import pointwise_family
 
-from psokit import matops
+from psokit import expfun, matops, triplets
 from psokit.expfun import (
     NEG_INF,
     POS_INF,
@@ -448,6 +449,37 @@ def test_defect_triplet_rejects_a_singular_system_at_construction():
                        BoundaryTriplet(trip.gamma_plus, trip.gamma_plus, trip.witness))
     with pytest.raises(ValueError, match="decomposition system is singular for this mu"):
         defect_triplet(model, 1j)
+
+
+def test_a_vanishing_gamma_plus_is_measured_against_gamma_minus():
+    # 1e-9 is far above BOUNDARY_SINGULAR_TOL alone, and vanishes beside 1e6
+    with pytest.raises(ValueError, match="gamma_plus vanishes"):
+        char_value(1j, 1e-9, 1e6)
+    assert char_value(1j, 1e-9, 1e-6) == 1e-6 / 1e-9
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_a_triplet_packs_each_pairing_function_once(monkeypatch, case):
+    model = NonlocalModel(case, 1)
+    points = Grid.from_axes(range(-4, 4), [0.5, 1.0, 2.0, 5.0]).lambdas_upper  # 32 rows
+    model.defects.norms_at(points)
+    packed = model.defects.packed_at(points)
+    calls = Counter()
+    pack = expfun.pack
+
+    def counted(fs):
+        calls["pack"] += 1
+        return pack(fs)
+
+    for module in (expfun, triplets):
+        monkeypatch.setattr(module, "pack", counted)
+    first = triplets.boundary_images(model.triplet, packed)
+    again = triplets.boundary_images(model.triplet, packed)
+    # both maps pair with the one potential, packed on the first batch only
+    assert calls["pack"] == 1
+    want = [(model.triplet.gamma_plus(f), model.triplet.gamma_minus(f))
+            for f in packed.functions()]
+    assert repr(first) == repr(again) == repr(want)
 
 
 def test_images_lists_gamma_plus_then_gamma_minus():

@@ -19,9 +19,13 @@ as; the calls of the three matops functions that take an SVD
 (``is_singular``, ``min_singular_value`` and ``opnorm``) and the matrices
 passed to them, a stack counting each of its matrices; the passes of the
 resolvent's array build, ``expfun.half_plane_resolvent``; the merges
-of a build's terms, calls of ``expfun.canonical_terms``; and the exact
+of a build's terms, calls of ``expfun.canonical_terms``; the exact
 moduli the scans take, the elements of the ``np.hypot`` calls made in
-``psocheck``.  The counts
+``psocheck``; the batches mapped through the boundary maps, calls of
+``triplets.boundary_images``, and the functions or rows they map; the
+pack slices, calls of ``expfun.select`` under every name it is imported
+as; and the table lookups of the defect families, calls of
+``triplets.DefectFamily._fill``.  The counts
 depend on no timing and no hardware.  The modules under ``bench/`` are
 imported, never modified.
 
@@ -30,6 +34,7 @@ imported, never modified.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
@@ -48,6 +53,8 @@ SEED = 7
 PASSES = ("first", "second")
 #: modules that hold a name for expfun.inner
 INNER_NAMES = (expfun, triplets, models, psocheck)
+#: modules that hold a name for expfun.select
+SELECT_NAMES = (expfun, triplets)
 #: the matops functions that take an SVD of each matrix they are given
 SVD_FUNCTIONS = ("is_singular", "min_singular_value", "opnorm")
 
@@ -68,8 +75,9 @@ class _CountedNumpy:
 
 
 def _patch(patches):
-    """Set each (owner, name, value) and return the list that undoes it."""
-    undo = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    """Set each (owner, name, value) and return the list that undoes it; a
+    static method is restored as one."""
+    undo = [(owner, name, inspect.getattr_static(owner, name)) for owner, name, _ in patches]
     for owner, name, value in patches:
         setattr(owner, name, value)
     return undo
@@ -83,6 +91,7 @@ def main() -> None:
     init = expfun.PiecewiseExpFunction.__init__
     build_rows = triplets.DefectFamily._build_rows
     pack_terms, kind_table = expfun.pack_terms, expfun._kind_table
+    images, select, fill = triplets.boundary_images, expfun.select, triplets.DefectFamily._fill
 
     def counted_memo(k, u, a, b):
         counts["calls"] += 1
@@ -109,6 +118,11 @@ def main() -> None:
         counts["packed rows"] += len(parts[0])
         return pack_terms(*parts)
 
+    def counted_images(triplet, fs):
+        counts["image batches"] += 1
+        counts["mapped rows"] += len(fs)
+        return images(triplet, fs)
+
     def counted_svd(fn):
         def wrapper(a, *args, **kwargs):
             counts["svd calls"] += 1
@@ -134,13 +148,19 @@ def main() -> None:
         *((module, "canonical_terms", counted("merges", merge))
           for module in (expfun, models) if hasattr(module, "canonical_terms")),
         (psocheck, "np", _CountedNumpy(counts)),
+        (triplets, "boundary_images", counted_images),
+        *((module, "select", counted("selects", select)) for module in SELECT_NAMES
+          if getattr(module, "select", None) is select),
+        (triplets.DefectFamily, "_fill", staticmethod(counted("fills", fill))),
     ])
     try:
         # name: (width, decimals)
         columns = {"vectors": (12, 1), "packs": (10, 1), "packed rows": (17, 1),
                    "kind tables": (17, 1), "validations": (16, 1), "inits": (10, 1),
                    "inner": (10, 1), "svd calls": (14, 1), "svd matrices": (17, 1),
-                   "passes": (12, 1), "merges": (12, 2), "exact moduli": (19, 1)}
+                   "passes": (12, 1), "merges": (12, 2), "exact moduli": (19, 1),
+                   "image batches": (19, 1), "mapped rows": (17, 1), "selects": (13, 1),
+                   "fills": (11, 1)}
         print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
               + "".join(f"{name + '/op':>{w}}" for name, (w, _) in columns.items()))
         for workload in workloads.WORKLOADS:
