@@ -3,7 +3,8 @@
 Cayley transforms between hermitian and unitary matrices, block operators
 that are unitary for the indefinite form [x, y] = (x0, y0) - (x1, y1),
 the induced linear fractional transform on contractions, wandering-subspace
-detection for a unitary, and a shared relative singularity test.
+detection for a unitary, a shared relative singularity test, and the
+closed-form solve and singularity test of the 2 x 2 systems S(mu).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expfun import _mul
 from .tolerances import (CAYLEY_SOLVE_TOL, CONTRACTION_BOUND, HERMITIAN_TOL, KREIN_DENOMINATOR_TOL,
                          KREIN_TOL, ORTHONORMAL_TOL, RANK_TOL, SINGULARITY_TOL, UNITARY_TOL)
 
@@ -71,6 +73,174 @@ def is_singular(m, tol: float = SINGULARITY_TOL) -> bool | np.ndarray:
     s = np.linalg.svd(m, compute_uv=False)
     singular = s[..., -1] <= tol * (1 + s[..., 0])
     return bool(singular) if m.ndim == 2 else singular
+
+
+# ---------------------------------------------------------------------------
+# 2 x 2 matrices in closed form
+# ---------------------------------------------------------------------------
+#
+# Every S(mu) of a defect-dimension-one triplet is 2 x 2.  Its solve and its
+# singularity test are written out in real float64 operations, elementwise
+# over a stack, which round alike on every host and SIMD level, where the
+# LAPACK calls and numpy's complex product do not; a stack of one matrix and
+# a matrix alone give the same bits.  Each matrix is scaled by the power of
+# two that brings its largest part into [0.5, 1), so no product of two
+# entries overflows, and the result is scaled back once.
+
+
+def _scaled_2x2(s):
+    """The parts of each matrix [[a, b], [c, d]] of the stack s, shape
+    (..., 2, 2), as the rows of an (8, m) array, (a.real, a.imag, b.real,
+    ..., d.imag), the m matrices in order, each scaled by 2**-e; and e, per
+    matrix the exponent of its largest part, 0 where a part is not finite."""
+    parts = np.ascontiguousarray(s, dtype=complex).reshape(-1, 4).view(float)
+    big = abs(parts).max(axis=1)
+    e = np.where(np.isfinite(big), np.frexp(big)[1], 0)
+    return np.ldexp(parts, -e[:, None]).T, e
+
+
+#: rows of ``_scaled_2x2``'s parts: those of (a, b), of (d, c), and of the
+#: adjugate [[d, -b], [-c, a]] with its signs
+_AB, _DC = [0, 1, 2, 3], [6, 7, 4, 5]
+_ADJUGATE = [6, 7, 2, 3, 4, 5, 0, 1]
+_ADJUGATE_SIGN = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
+#: a bound on the products of parts under which a row of a solve, a sum of
+#: two differences of two such products, cannot overflow
+_SAFE_PRODUCT = float(np.finfo(float).max) / 8
+
+
+def _det(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ad - bc from ``_scaled_2x2``'s parts, as CPython's complex arithmetic
+    takes it, a d and b c as one product of pairs."""
+    ab, dc = parts[_AB], parts[_DC]
+    re, im = _mul(ab[0::2], ab[1::2], dc[0::2], dc[1::2])
+    return re[0] - re[1], im[0] - im[1]
+
+
+def _scaled_singular_values(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smallest and the largest singular value of each matrix of the
+    stack s, shape (..., 2, 2), scaled by 2**-e, and e: smax from the
+    Frobenius norm F and |det| as smax**2 = (F**2 + sqrt(F**4 - 4 |det|**2))
+    / 2, then smin = |det| / smax.  A zero matrix has smin NaN."""
+    parts, e = _scaled_2x2(s)
+    with np.errstate(all="ignore"):
+        det_re, det_im = _det(parts)
+        absdet = np.sqrt(det_re * det_re + det_im * det_im)
+        square = parts * parts
+        entry = square[0::2] + square[1::2]
+        frob2 = (entry[0] + entry[1]) + (entry[2] + entry[3])
+        # (F**2 - 2|det|)(F**2 + 2|det|) = (smax**2 - smin**2)**2, negative only by rounding
+        twice = 2 * absdet
+        gap = np.sqrt(np.maximum((frob2 - twice) * (frob2 + twice), 0.0))
+        smax = np.sqrt((frob2 + gap) / 2)
+        return absdet / smax, smax, e
+
+
+def is_singular_2x2(s, tol: float) -> bool | np.ndarray:
+    """True iff the smallest singular value is at most tol * (1 + the
+    largest), the test of ``is_singular``, for a 2 x 2 matrix; for a stack,
+    shape (..., 2, 2), one bool per matrix.  A matrix whose singular values
+    are not finite, or NaN as a zero one's smallest, is singular.  The test
+    is taken on the scaled values, smin <= tol * (2**-e + smax), which
+    rounds as the unscaled test would where that does not overflow."""
+    smin, smax, e = _scaled_singular_values(s)
+    with np.errstate(all="ignore"):
+        singular = ~(smin > tol * (np.ldexp(1.0, -e) + smax))
+    return bool(singular[0]) if np.ndim(s) == 2 else singular.reshape(np.shape(s)[:-2])
+
+
+def _inverse_2x2(s) -> np.ndarray:
+    """adj(S) / det S of each matrix S of the stack s, shape (..., 2, 2), as
+    a (2, 4, m) array: the real, then the imaginary parts of its entries
+    (0, 0), (0, 1), (1, 0) and (1, 1), each over the m matrices in order."""
+    parts, e = _scaled_2x2(s)
+    with np.errstate(all="ignore"):
+        det_re, det_im = _det(parts)
+        # 1 / det, with det scaled so its squared modulus cannot underflow
+        g = np.frexp(np.maximum(abs(det_re), abs(det_im)))[1]
+        det = np.ldexp([det_re, -det_im], -g)
+        det /= det[0] * det[0] + det[1] * det[1]
+        adjugate = parts[_ADJUGATE] * _ADJUGATE_SIGN
+        return np.ldexp(_mul(adjugate[0::2], adjugate[1::2], det[0], det[1]), -e - g)
+
+
+#: (re, im) pairs times this, reversed, are (-im, re)
+_TURN = np.array([-1.0, 1.0])
+
+
+def _pairs(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (re, im) pairs of the complex ``columns``, shape (..., 2), and
+    the pairs (-im, re)."""
+    pairs = np.ascontiguousarray(columns).view(float).reshape(*np.shape(columns), 2)
+    return pairs, pairs[..., ::-1] * _TURN
+
+
+def _row(c: np.ndarray, pairs: np.ndarray, turned: np.ndarray) -> np.ndarray:
+    """c0 r0 + c1 r1 for a row (c0, c1) of ``_inverse_2x2``, c[:, t] the
+    parts of c_t, and the columns (r0, r1) as ``_pairs`` gives them; the
+    trailing axes of c and the columns broadcast together.
+
+    On (re, im) pairs a product c r is c.real (r.real, r.imag) + c.imag
+    (-r.imag, r.real), which rounds as CPython's complex product, so each
+    pass over the pairs takes both parts at once; the passes write to three
+    arrays, as a temporary per pass would cost more than the pass.
+    """
+    c = c[..., None]
+    x = np.multiply(c[0, 0], pairs[0])
+    term = np.multiply(c[0, 1], pairs[1])
+    product = np.multiply(c[1, 0], turned[0])
+    x += product
+    term += np.multiply(c[1, 1], turned[1], out=product)
+    x += term
+    return x.view(complex)[..., 0]
+
+
+def solve_2x2(s, rhs) -> np.ndarray:
+    """x with S x = r, by Cramer's rule, for each matrix S of the stack s,
+    shape (..., 2, 2), and each column r of rhs, shape (2,) or (2, n); x
+    has shape s.shape[:-2] + rhs.shape.
+
+    Per matrix the coefficients adj(S) / det S are formed once, so a row of
+    x is a rank-2 form in the columns.  Cramer's rule is forward stable for
+    n = 2 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., section 1.10.1).  A singular S gives NaN or inf, not an error.
+    """
+    inverse = _inverse_2x2(s)[..., None]  # a coefficient per matrix, across the columns
+    pairs, turned = _pairs(np.asarray(rhs, dtype=complex).reshape(2, -1))
+    x = np.empty((inverse.shape[2], 2, pairs.shape[1]), dtype=complex)
+    with np.errstate(all="ignore"):
+        x[:, 0] = _row(inverse[:, 0:2], pairs, turned)
+        x[:, 1] = _row(inverse[:, 2:4], pairs, turned)
+    return x.reshape(np.shape(s)[:-2] + np.shape(rhs))
+
+
+def second_unknown_2x2(s, rhs) -> np.ndarray:
+    """y[i, j], the second unknown of S_i x = r_j for the m matrices S_i of
+    the stack s, shape (m, 2, 2), and the n columns r_j of rhs, shape
+    (2, n), with the bits ``solve_2x2`` gives it, or NaN where the first
+    unknown is not finite: the second row of the solves, and of the first
+    only what can fail.
+
+    A row of a solve cannot overflow where every part of its coefficients
+    times every part of the column is at most _SAFE_PRODUCT.  So the first
+    unknown is computed only for the matrices and the columns whose largest
+    part, times the other side's largest, exceeds that or is NaN: for
+    finite images of a regular S(mu), none.
+    """
+    inverse = _inverse_2x2(s)
+    columns = np.asarray(rhs, dtype=complex)
+    pairs, turned = _pairs(columns)
+    with np.errstate(all="ignore"):
+        y = _row(inverse[:, 2:4, :, None], pairs, turned)
+        coeff_big = abs(inverse[:, :2]).max(axis=(0, 1))
+        column_big = abs(pairs).max(axis=(0, 2))
+        matrices = np.flatnonzero(~(coeff_big * column_big.max(initial=0) <= _SAFE_PRODUCT))
+        cols = np.flatnonzero(~(column_big * coeff_big.max(initial=0) <= _SAFE_PRODUCT))
+        if matrices.size and cols.size:
+            first = _row(inverse[:, :2, matrices, None], pairs[:, cols], turned[:, cols])
+            at = np.ix_(matrices, cols)
+            y[at] = np.where(np.isfinite(first.real) & np.isfinite(first.imag), y[at], np.nan)
+    return y
 
 
 def cayley(a) -> np.ndarray:

@@ -20,6 +20,7 @@ agree, which guards against implementation drift between the criteria.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -68,7 +69,10 @@ class Grid:
         object.__setattr__(self, "lambdas_lower", dn)
 
     @classmethod
+    @functools.cache
     def default(cls) -> "Grid":
+        """The grid of DEFAULT_RE x DEFAULT_IM, built once: a grid is
+        immutable."""
         return cls.from_axes(DEFAULT_RE, DEFAULT_IM)
 
     @classmethod
@@ -401,16 +405,18 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
     gamma_minus(f)), so each upper and each conjugate point is mapped once,
     all of them in one ``native_images`` batch: the upper images are the
     right-hand sides and S(mu)'s first column, the conjugate ones its
-    second.  One stacked singularity test, as
-    ``triplets.system_errors`` takes it, covers every S(mu), and one stacked
-    solve every regular one.  A lambda fails by its own vector: its build,
-    maximal domain, norm or images raised, or its images are not finite.  A
-    mu fails by the vectors at mu and conj(mu) (their images, and the norm
-    at conj(mu)) or by S(mu): not finite, singular, or an SVD that raised.
-    Each failed point is listed once per role, as ``lambda=<z>: <error>`` or
-    ``mu=<z>: <error>``, and its column or row is left out of the matrix of
-    |b| the scan reduces; any other pair whose a or b is not finite is a
-    failed pair.
+    second.  Every S(mu) is 2 x 2, and no S(mu) reaches LAPACK: one
+    closed-form singularity test of the stack, as ``triplets.system_errors``
+    takes it, covers every S(mu), and one ``matops.second_unknown_2x2`` call
+    gives b for every regular one, from coefficients formed once per S(mu),
+    with a taken only where it can fail to be finite.  A lambda fails by its
+    own vector: its build, maximal domain, norm or images raised, or its
+    images are not finite.  A mu fails by the vectors at mu and conj(mu)
+    (their images, and the norm at conj(mu)) or by S(mu): not finite or
+    singular.  Each failed point is listed once per role, as
+    ``lambda=<z>: <error>`` or ``mu=<z>: <error>``, and its column or row is
+    left out of the matrix of |b| the scan reduces; any other pair whose a
+    or b is not finite is a failed pair.
     """
     grid = grid or Grid.default()
     lams = grid.lambdas_upper
@@ -428,8 +434,8 @@ def inclusion_scan(model, grid: Grid | None = None) -> CheckResult:
                         triplets.system_errors(systems))
     regular = list(itertools.filterfalse(mu_failed.__contains__, range(n)))
     kept = list(itertools.filterfalse(lam_failed.__contains__, range(n)))
-    a, b = np.linalg.solve(systems[regular], rhs)[:, :, kept].transpose(1, 0, 2)  # mu, lambda
-    b = np.where(np.isfinite(a), b, np.nan)  # a pair fails by a too
+    # b for each pair, mu-major; a pair fails by a too, where b is NaN
+    b = matops.second_unknown_2x2(systems[regular], rhs[:, kept])
     worst = worst_entry(b.shape, lambda rows, cols: b[rows, cols],
                         scales=(list(map(norms[n:].__getitem__, regular)),
                                 list(map(norms.__getitem__, kept))))

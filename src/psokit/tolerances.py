@@ -22,7 +22,7 @@ QUADRATURE_TOL = 1e-10  # default rel_tol of inner_quadrature's refined pass, re
 
 # boundary triplets (triplets)
 BOUNDARY_SINGULAR_TOL = 1e-12  # |gamma_plus| in char_value, relative to 1 + |gamma_minus|
-DECOMPOSE_SINGULAR_TOL = 1e-12  # is_singular tol of S(mu), of change_of_basis and of T1 in models
+DECOMPOSE_SINGULAR_TOL = 1e-12  # S(mu)'s is_singular_2x2 tol, also change_of_basis's; T1's in models
 SURJECTIVITY_TOL = 1e-8  # is_singular tol of the surjectivity witness's boundary images
 DOMAIN_JUMP_TOL = 1e-12  # jump in the maximal domain, relative to 1 + coefficient norm
 GREEN_TOL = 1e-10  # Green identity defect, absolute; triplet_convert, green (_threshold_result)

@@ -430,28 +430,22 @@ def system_errors(systems: np.ndarray) -> list:
     """Per S(mu) of a stack of them, the images of the defect vectors at mu,
     conj(mu): None for a regular one, else the error it is rejected with.
 
-    A matrix that is not finite gets ``matops.require_finite``'s error;
-    the others are tested by one stacked ``matops.is_singular`` call, or,
-    if that raises, each alone, so one matrix cannot fail the others.
+    A matrix that is not finite gets ``matops.require_finite``'s error; the
+    others are tested by one ``matops.is_singular_2x2`` call on the stack,
+    in closed form, which tests each matrix by itself.
     """
-    finite = np.isfinite(systems).all(axis=(1, 2))
-    tested = np.flatnonzero(finite).tolist()
-    errors = [None if ok else ValueError(matops.NOT_FINITE) for ok in finite.tolist()]
-    if tested:
-        singular = _batch(lambda at: matops.is_singular(systems[at],
-                                                        DECOMPOSE_SINGULAR_TOL).tolist(), tested)
-        for i, entry in zip(tested, singular):
-            if isinstance(entry, Exception):
-                errors[i] = entry
-            elif entry:
-                errors[i] = ValueError(_SINGULAR_SYSTEM)
-    return errors
+    finite = np.isfinite(systems).all(axis=(1, 2)).tolist()
+    singular = matops.is_singular_2x2(systems, DECOMPOSE_SINGULAR_TOL).tolist()
+    return [None if ok and not bad else ValueError(_SINGULAR_SYSTEM if ok else matops.NOT_FINITE)
+            for ok, bad in zip(finite, singular)]
 
 
 def require_regular_system(system: np.ndarray) -> None:
-    """Reject a singular S(mu), the images of the defect vectors at mu, conj(mu)."""
-    if matops.is_singular(system, DECOMPOSE_SINGULAR_TOL):
-        raise ValueError(_SINGULAR_SYSTEM)
+    """Reject a singular S(mu), the images of the defect vectors at mu,
+    conj(mu), or one that is not finite, as ``system_errors`` does."""
+    error = system_errors(np.asarray(system)[None])[0]
+    if error:
+        raise error
 
 
 def decompose(model, f: PiecewiseExpFunction, mu: complex
@@ -461,7 +455,8 @@ def decompose(model, f: PiecewiseExpFunction, mu: complex
     Writes f = u + a f_mu + b f_conj(mu) with u in the minimal domain (both
     native boundary maps vanish on u) and returns (a, b, residual), the
     larger boundary value of the reassembled u.  Only a reference:
-    production takes (a, b) from inclusion_scan's stacked solve.
+    production takes b from inclusion_scan's ``matops.second_unknown_2x2``,
+    which gives it the bits ``matops.solve_2x2`` gives it here.
     """
     mu = complex(mu)
     if mu.imag <= 0:
@@ -472,7 +467,7 @@ def decompose(model, f: PiecewiseExpFunction, mu: complex
     system = model.triplet.images(fm, fmb)
     rhs = model.triplet.images(f)[:, 0]
     require_regular_system(system)
-    a, b = np.linalg.solve(system, rhs)
+    a, b = matops.solve_2x2(system, rhs)
     u = f - complex(a) * fm - complex(b) * fmb
     residual = max(abs(g) for g in model.triplet.images(u)[:, 0].tolist())
     return complex(a), complex(b), float(residual)
@@ -502,7 +497,7 @@ def defect_triplet(model, mu: complex) -> BoundaryTriplet:
 
     def from_native(native):
         # one solve for all columns; Python complex scaling keeps theta's bits
-        a, b = np.linalg.solve(system, native).tolist()
+        a, b = matops.solve_2x2(system, native).tolist()
         return [scale * n_up * x for x in a], [scale * n_dn * x for x in b]
 
     def coordinate(row):
@@ -559,11 +554,19 @@ def change_of_basis(t1: BoundaryTriplet, t2: BoundaryTriplet, model,
     K is computed from the boundary images of the defect vectors at mu and
     conj(mu), whose images span C^2 for any valid triplet; the pointwise
     relation theta_2 = Phi_K(theta_1) then holds on the whole upper half
-    plane.
+    plane.  A defect triplet maps both vectors' native images by one
+    ``from_native`` solve, of which it reads every entry; its coordinate
+    maps would take a solve per map and vector, and read half of each.
     """
     h = (model.defects(complex(mu)), model.defects(complex(mu).conjugate()))
-    m1, m2 = t1.images(*h), t2.images(*h)
-    if matops.is_singular(m1, DECOMPOSE_SINGULAR_TOL):
+    m1 = t1.images(*h)
+    if t2.from_native is None:
+        m2 = t2.images(*h)
+    else:
+        for f in h:
+            require_maximal_domain(f)
+        m2 = np.array(t2.from_native(model.triplet.images(*h)))
+    if matops.is_singular_2x2(matops.require_finite(m1), DECOMPOSE_SINGULAR_TOL):
         raise ValueError("defect images under the first triplet are rank deficient")
-    k = m2 @ np.linalg.inv(m1)
+    k = matops.solve_2x2(m1.T, m2.T).T  # K m1 = m2, solved by transposing
     return matops.KreinBlockOperator.from_matrix(k)

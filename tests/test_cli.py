@@ -157,14 +157,17 @@ FAULT_CHECKS = ["orthogonality", "constancy", "inclusion", "pso", "mobius"]
 
 
 # the functions a fault is injected into, by fault prefix: every module
-# attribute that binds one, and the checks that call it
+# attribute that binds one, and the checks that call it; ``is_singular`` and
+# ``solve`` are the closed-form 2 x 2 kernels that test and solve every S(mu),
+# and ``solve`` counts the calls of both its functions
 FAULT_TARGETS = {
     "paired": ([(expfun, "paired"), (triplets, "paired")], FAULT_CHECKS),
     "gram": ([(psocheck, "gram")], ["orthogonality", "pso"]),
     "boundary_images": ([(triplets, "boundary_images")],
                         ["constancy", "inclusion", "pso", "mobius"]),
-    "is_singular": ([(matops, "is_singular")], ["inclusion", "pso", "mobius"]),
-    "solve": ([(np.linalg, "solve")], ["inclusion", "pso"]),
+    "is_singular": ([(matops, "is_singular_2x2")], ["inclusion", "pso", "mobius"]),
+    "solve": ([(matops, "solve_2x2"), (matops, "second_unknown_2x2")],
+              ["inclusion", "pso", "mobius"]),
     "interspherical": ([(matops, "interspherical")], ["mobius"]),
 }
 
@@ -198,8 +201,7 @@ def run_with_fault(spec, check, fault, at=None, pick=0):
     ``FAULT_TARGETS`` raise from call ``at`` on, since a batch that raises
     once is taken again point by point, and ``<target>-nan`` makes entry
     ``pick`` of what it returns NaN (calls that return nothing are not
-    counted); the ``solve`` target counts only stacked solves, which only
-    the inclusion scan takes.
+    counted).
     """
     cls = models.MomentumModel if spec["kind"] == "momentum" else models.NonlocalModel
     calls = 0
@@ -214,21 +216,20 @@ def run_with_fault(spec, check, fault, at=None, pick=0):
         target, _, how = fault.rpartition("-")
         if target in FAULT_TARGETS:
             bindings, _ = FAULT_TARGETS[target]
-            original = getattr(*bindings[0])
 
-            def patched(*args, **kwargs):
-                if target == "solve" and np.ndim(args[0]) != 3:
-                    return original(*args, **kwargs)
-                if how == "raise":
-                    due()
-                    if at is not None and calls > at:
-                        raise RuntimeError("injected fault")
-                    return original(*args, **kwargs)
-                value = original(*args, **kwargs)
-                return with_nan(value, pick) if due(np.size(value) > 0) else value
+            def faulty(original):
+                def patched(*args, **kwargs):
+                    if how == "raise":
+                        due()
+                        if at is not None and calls > at:
+                            raise RuntimeError("injected fault")
+                        return original(*args, **kwargs)
+                    value = original(*args, **kwargs)
+                    return with_nan(value, pick) if due(np.size(value) > 0) else value
+                return patched
 
             for owner, name in bindings:
-                mp.setattr(owner, name, patched)
+                mp.setattr(owner, name, faulty(getattr(owner, name)))
         elif fault.startswith("antiderivative"):
             antiderivative, bad = expfun._antiderivative, complex(fault.split("-")[1])
 
@@ -426,13 +427,15 @@ def test_mobius_builds_the_defect_triplet_without_decompose(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(triplets, "decompose", counted("decompose", triplets.decompose))
-    monkeypatch.setattr(matops, "is_singular", counted("is_singular", matops.is_singular))
+    for name in ("is_singular", "is_singular_2x2"):
+        monkeypatch.setattr(matops, name, counted(name, getattr(matops, name)))
     report = cli.run_scenario_obj({
         "name": "mobius", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
         "checks": ["mobius"]})
     assert report["checks"][0]["verdict"] == "pass"
-    # one S(mu) test in defect_triplet, one in change_of_basis
-    assert (calls["decompose"], calls["is_singular"]) == (0, 2)
+    # one S(mu) test in defect_triplet, one in change_of_basis, both in
+    # closed form; each took an SVD through is_singular before
+    assert (calls["decompose"], calls["is_singular"], calls["is_singular_2x2"]) == (0, 0, 2)
 
 
 def counted_calls(calls, name, fn):
@@ -458,11 +461,12 @@ def test_the_svds_of_a_shift_op_and_a_mobius_op_are_pinned(monkeypatch):
         "name": "mobius", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
         "checks": ["mobius"]})
     assert report["checks"][0]["verdict"] == "pass"
-    # S(mu) twice, the Krein defect's two norms once (in the constructor),
-    # and the stacked map's contraction norm and denominator test; before
-    # krein_defect() kept the constructor's value:
+    # the Krein defect's two norms once (in the constructor), and the
+    # stacked map's contraction norm and denominator test; S(mu) took two
+    # SVDs, through is_singular, before its tests were taken in closed form,
+    # and before krein_defect() kept the constructor's value:
     # {"is_singular": 2, "opnorm": 5, "min_singular_value": 1}
-    assert calls == {"is_singular": 2, "opnorm": 3, "min_singular_value": 1}
+    assert calls == {"opnorm": 3, "min_singular_value": 1}
 
 
 def test_a_mobius_op_turns_each_defect_vector_into_a_function_once(monkeypatch):

@@ -61,7 +61,7 @@ def test_the_benchmark_outcomes_keep_their_digest():
     # the tool imports bench/ and writes nothing there
     run = subprocess.run([sys.executable, str(ORACLE_DIGEST)], capture_output=True,
                          text=True, check=True)
-    assert run.stdout == "430 8fa1218948f6824568d5a567b8b09834ea5a689bdc6dc51bcacce135aca95c76\n"
+    assert run.stdout == "430 b37487ee357f8e4fdbabb94e9dbb9fd5e7efc3787534bc3e51b2e42335bbe133\n"
 
 
 def test_golden_set_covers_every_check_and_model_kind():

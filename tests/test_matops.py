@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -473,6 +474,192 @@ def test_a_stack_with_an_entry_that_is_not_finite_is_rejected():
     stack = np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
         is_singular(stack)
+
+
+# -- closed-form 2 x 2 kernels, against exact Gaussian rationals ---------------
+#
+# Each float is a Fraction exactly, so the exact solve and the exact singular
+# values of a float matrix are Gaussian-rational arithmetic, with square roots
+# bracketed to 200 bits.
+
+Q = Fraction
+#: unit roundoff of float64
+UNIT = 2.0 ** -53
+#: the solve's stated bound: ||x - x_exact|| <= SOLVE_C * UNIT * cond(S) * ||x_exact||;
+#: the largest ratio over 3000 draws, scales 2**-900 to 2**900, was 1.43
+SOLVE_C = 8
+#: the band of the singular decision: it equals the exact one wherever
+#: |smin - tol (1 + smax)| exceeds BAND_C * UNIT * smax (exact values)
+BAND_C = 16
+
+
+def gaussian(z) -> tuple:
+    z = complex(z)
+    return Q(z.real), Q(z.imag)
+
+
+def g_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def g_sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def g_div(a, b):
+    d = b[0] ** 2 + b[1] ** 2
+    return (a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d
+
+
+def g_abs2(a):
+    return a[0] ** 2 + a[1] ** 2
+
+
+def exact_entries(s):
+    """a, b, c, d of the float matrix [[a, b], [c, d]], exactly, and det."""
+    a, b, c, d = (gaussian(s[i, j]) for i in (0, 1) for j in (0, 1))
+    return (a, b, c, d), g_sub(g_mul(a, d), g_mul(b, c))
+
+
+def exact_solve(s, r):
+    (a, b, c, d), det = exact_entries(s)
+    r0, r1 = gaussian(r[0]), gaussian(r[1])
+    return [g_div(g_sub(g_mul(d, r0), g_mul(b, r1)), det),
+            g_div(g_sub(g_mul(a, r1), g_mul(c, r0)), det)]
+
+
+def exact_condition(s) -> float:
+    """smax / smin of s, from t = 4 |det|**2 / F**4, a scale-free ratio."""
+    (a, b, c, d), det = exact_entries(s)
+    t = float(4 * g_abs2(det) / sum(g_abs2(x) for x in (a, b, c, d)) ** 2)
+    return (1 + math.sqrt(1 - t)) / math.sqrt(t)
+
+
+def sqrt_bracket(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Fractions lo <= sqrt(q) <= hi, 200 bits apart relative to sqrt(q)."""
+    if q == 0:
+        return q, q
+    root = math.isqrt(q.numerator * q.denominator * 4 ** 200)
+    den = q.denominator * 2 ** 200
+    return Q(root, den), Q(root + 1, den)
+
+
+def exact_singular_margin(s, tol) -> tuple[Fraction, Fraction, Fraction]:
+    """Brackets lo <= smin - tol (1 + smax) <= hi of s, exactly, and an upper
+    bound of smax."""
+    (a, b, c, d), det = exact_entries(s)
+    frob2, det2 = sum(g_abs2(x) for x in (a, b, c, d)), g_abs2(det)
+    det_lo, det_hi = sqrt_bracket(det2)
+    gap_lo, gap_hi = sqrt_bracket(frob2 ** 2 - 4 * det2)
+    smax_lo, smax_hi = sqrt_bracket((frob2 + gap_lo) / 2)[0], sqrt_bracket((frob2 + gap_hi) / 2)[1]
+    tol = Q(tol)
+    if smax_lo == 0:  # the zero matrix
+        return -tol, -tol, smax_hi
+    return det_lo / smax_hi - tol * (1 + smax_hi), det_hi / smax_lo - tol * (1 + smax_lo), smax_hi
+
+
+def random_system(rng, cond_exp: float, scale: int) -> np.ndarray:
+    """A complex 2 x 2 matrix of condition about 10**cond_exp: a rank-one
+    matrix plus a random one of relative size 10**-cond_exp, times
+    2**scale."""
+    u, v, g = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+               for shape in (2, 2, (2, 2)))
+    m = np.outer(u, v) + 10.0 ** -cond_exp * g
+    return np.ldexp(m.real, scale) + 1j * np.ldexp(m.imag, scale)
+
+
+def test_the_solve_is_within_its_stated_bound_of_the_exact_solution():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        scale = int(rng.choice([-900, -300, 0, 300, 900]))
+        s = random_system(rng, rng.uniform(0, 15), scale)
+        r = rng.normal(size=2) + 1j * rng.normal(size=2)
+        # the solution lies within 2**+-900 of 1
+        r = np.ldexp(r.real, scale) + 1j * np.ldexp(r.imag, scale) if scale else r
+        x, exact = matops.solve_2x2(s, r), exact_solve(s, r)
+        err2 = sum(g_abs2(g_sub(gaussian(xi), e)) for xi, e in zip(x, exact))
+        rel = math.sqrt(float(err2 / sum(g_abs2(e) for e in exact)))
+        assert rel <= SOLVE_C * UNIT * exact_condition(s)
+
+
+@pytest.mark.parametrize("tol", [DECOMPOSE_SINGULAR_TOL, SINGULARITY_TOL])
+def test_the_singular_decision_is_exact_outside_its_band(tol):
+    rng = np.random.default_rng(21)
+    decided = 0
+    for _ in range(400):
+        # a smallest singular value near tol (1 + the largest), on either side
+        scale = int(rng.choice([-900, -40, 0, 40, 900]))
+        smax = math.ldexp(rng.uniform(0.5, 4), scale)
+        smin = tol * (1 + smax) * (1 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-17, -1))
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        s = (u * [smax, min(smin, smax)]) @ v.conj().T
+        lo, hi, smax_hi = exact_singular_margin(s, tol)
+        band = BAND_C * Q(UNIT) * smax_hi
+        if lo > band or hi < -band:
+            decided += 1
+            assert matops.is_singular_2x2(s, tol) == (hi < 0)
+    assert decided > 100
+
+
+def test_a_matrix_far_from_the_threshold_is_decided_as_exactly():
+    rng = np.random.default_rng(22)
+    cases = [np.zeros((2, 2)), np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [[0, 1e-300], [0, 0]]]
+    for _ in range(200):
+        cases.append(random_system(rng, rng.uniform(0, 16), int(rng.choice([-900, 0, 900]))))
+    for s in cases:
+        s = np.asarray(s, dtype=complex)
+        lo, hi, smax_hi = exact_singular_margin(s, DECOMPOSE_SINGULAR_TOL)
+        band = BAND_C * Q(UNIT) * smax_hi
+        assert lo > band or hi < -band
+        assert matops.is_singular_2x2(s, DECOMPOSE_SINGULAR_TOL) == (hi < 0)
+
+
+def test_a_stack_and_each_system_alone_give_the_same_bits():
+    rng = np.random.default_rng(23)
+    stack = np.array([random_system(rng, k, e) for k, e in
+                      [(0, 0), (6, 0), (12, 900), (3, -900), (0, 40), (9, -40)]])
+    rhs = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    x = matops.solve_2x2(stack, rhs)
+    assert x.shape == (6, 2, 5)
+    scaled = matops._scaled_singular_values(stack)
+    for i, s in enumerate(stack):
+        assert matops.solve_2x2(s, rhs).tobytes() == x[i].tobytes()
+        for j in range(rhs.shape[1]):
+            assert matops.solve_2x2(s, rhs[:, j]).tobytes() == x[i, :, j].tobytes()
+            assert matops.solve_2x2(stack[i:i + 1], rhs[:, j:j + 1]).tobytes() == \
+                x[i:i + 1, :, j:j + 1].tobytes()
+        assert [x.tobytes() for x in matops._scaled_singular_values(s)] == \
+            [x[i:i + 1].tobytes() for x in scaled]
+        assert matops.is_singular_2x2(s, 1e-3) == matops.is_singular_2x2(stack, 1e-3)[i]
+    # the second unknown alone has the solve's bits
+    assert matops.second_unknown_2x2(stack, rhs).tobytes() == \
+        np.ascontiguousarray(x[:, 1]).tobytes()
+
+
+def test_the_second_unknown_is_nan_where_the_first_is_not_finite():
+    # x = (3e308, 1) overflows in its first unknown only
+    s = np.array([[[0.5, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    rhs = np.array([[1.5e308, 1.0], [1.0, 2.0]])
+    x = matops.solve_2x2(s, rhs)
+    assert np.isinf(x[0, 0, 0]) and x[0, 1, 0] == 1
+    y = matops.second_unknown_2x2(s, rhs)
+    assert np.isnan(y[0, 0])
+    assert y[0, 1] == x[0, 1, 1] and y[1].tolist() == x[1, 1].tolist()
+
+
+def test_the_2x2_kernels_neither_warn_nor_reach_lapack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    for name in ("solve", "inv", "svd", "det", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    stack = np.array([np.zeros((2, 2)), [[1e-300, 0], [0, 1e300]], [[np.nan, 0], [0, 1]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matops.is_singular_2x2(stack, DECOMPOSE_SINGULAR_TOL).tolist() == [True, True, True]
+        x = matops.solve_2x2(stack, [1.0, 1.0])
+    assert np.isnan(x[0]).all() and np.isnan(x[2]).all()
 
 
 def test_subspace_basis_validation():

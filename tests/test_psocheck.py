@@ -42,6 +42,12 @@ def test_default_grid_shape():
     assert 1j in grid.lambdas_upper and -1j in grid.lambdas_lower
 
 
+def test_the_default_grid_is_built_once():
+    # a grid is immutable, so every caller without a grid shares one
+    assert Grid.default() is Grid.default()
+    assert Grid.default() == Grid.from_axes(psocheck.DEFAULT_RE, psocheck.DEFAULT_IM)
+
+
 def test_grid_keeps_the_first_occurrence_of_each_point():
     grid = Grid((1j, 2 + 1j, complex(-0.0, 1.0), 1j), (complex(-0.0, -1.0), -1j))
     assert grid.lambdas_upper == (1j, 2 + 1j)
@@ -644,14 +650,20 @@ def test_inclusion_scan_solves_once_per_mu(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(triplets, "decompose", counted("decompose", triplets.decompose))
-    monkeypatch.setattr(matops, "is_singular", counted("is_singular", matops.is_singular))
-    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    for name in ("is_singular", "is_singular_2x2", "solve_2x2", "second_unknown_2x2"):
+        monkeypatch.setattr(matops, name, counted(name, getattr(matops, name)))
+    for name in ("solve", "inv", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     inclusion_scan(model, Grid.default())
     assert calls["decompose"] == 0
-    # every S(mu) in one stacked singularity test, not one test per mu
-    assert calls["is_singular"] == 1
-    # every regular S(mu) in one stacked solve, not one solve per mu
-    assert calls["solve"] == 1
+    # every S(mu) in one closed-form singularity test of the stack, not one
+    # test per mu; it was one stacked SVD, through is_singular
+    assert calls["is_singular_2x2"] == 1
+    # b of every regular S(mu) in one closed-form solve, not one solve per mu;
+    # it was one stacked np.linalg.solve of a and b
+    assert (calls["second_unknown_2x2"], calls["solve_2x2"]) == (1, 0)
+    # no S(mu) reaches LAPACK
+    assert calls["is_singular"] == calls["solve"] == calls["inv"] == calls["svd"] == 0
     # a point whose images are not finite fails without a decompose
     result = inclusion_scan(nan_boundary_model(), SMALL_GRID)
     assert calls["decompose"] == 0
@@ -718,7 +730,8 @@ def looped_inclusion_scan(model, grid):
             failures.append(f"mu={labels[i]}: {exc}")
             excluded[i] = True
     coeffs = np.full((n, 2, n), np.nan, dtype=complex)
-    coeffs[regular] = np.linalg.solve(systems[regular], rhs)
+    # the closed-form solve, whose bits, unlike LAPACK's, do not depend on the host
+    coeffs[regular] = matops.solve_2x2(systems[regular], rhs)
     coeffs[:, 1][~np.isfinite(coeffs[:, 0])] = np.nan
     vals = np.hypot(coeffs[:, 1].real, coeffs[:, 1].imag) * conj_norms[:, None] / lam_norms
     return matrix_scan_result("inclusion", vals, PASS_INCLUSION,
@@ -777,33 +790,26 @@ def test_each_failing_system_keeps_its_own_text():
         assert result.verdict != "pass"
 
 
-def test_an_svd_that_raises_on_one_system_fails_only_that_mu(monkeypatch):
+def test_a_nan_from_the_kernel_for_one_system_fails_only_that_mu(monkeypatch):
     model = NonlocalModel("I", 1)
     mu = 3 + 1j
     target = np.array([model.defects.images(mu), model.defects.images(mu.conjugate())]).T
-    svd = np.linalg.svd
+    clean = inclusion_scan(model, SMALL_GRID)
+    singular_values = matops._scaled_singular_values
 
-    def failing_svd(a, *args, **kwargs):
-        stack = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
-        if any(np.array_equal(m, target) for m in stack):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(a, *args, **kwargs)
+    def nan_for_target(s):
+        smin, smax, e = singular_values(s)
+        hit = (np.asarray(s) == target).all(axis=(-2, -1)).reshape(-1)
+        return np.where(hit, np.nan, smin), smax, e
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    calls = Counter()
-    is_singular = matops.is_singular
-
-    def counted(*args, **kwargs):
-        calls["is_singular"] += 1
-        return is_singular(*args, **kwargs)
-
-    monkeypatch.setattr(matops, "is_singular", counted)
+    monkeypatch.setattr(matops, "_scaled_singular_values", nan_for_target)
     got = inclusion_scan(model, SMALL_GRID)
-    # the stack raised, so each of the 9 systems was tested alone
-    assert calls["is_singular"] == 1 + 9
-    assert scan_outcome(got) == scan_outcome(looped_inclusion_scan(model, SMALL_GRID))
-    assert got.failures == ("mu=3+1i: SVD did not converge",)
-    assert got.verdict != "pass"
+    # a NaN singular value reads as singular, in one test of the stack; the
+    # other systems keep their verdicts, and the worst pair is not at mu
+    assert got.failures == ("mu=3+1i: decomposition system is singular for this mu",)
+    assert "mu=3+1i" not in clean.witness
+    assert (got.max_residual, got.witness) == (clean.max_residual, clean.witness)
+    assert clean.verdict == "fail" and got.verdict == "fail"
 
 
 def test_inclusion_scan_maps_each_upper_and_conjugate_vector_once(monkeypatch):
@@ -829,13 +835,18 @@ def test_mobius_maps_each_lambda_through_the_native_triplet_once(monkeypatch, sp
 
     maps = count_boundary_maps(monkeypatch)
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(matops, "solve_2x2", counted("solve_2x2", matops.solve_2x2))
     report = cli.run_scenario_obj({"name": "mobius", "model": spec, "checks": ["mobius"]})
     assert report["checks"][0]["verdict"] == "pass"
     # the rows of the 66 lambdas in one batch and one solve for all of them
-    # (one per lambda made 70 solves), plus 10 functions in 7 batches and 4
-    # solves for the defect triplet and the change of basis; 148 functional
-    # calls before the maps took batches
-    assert (maps["maps"], maps["batches"], maps["mapped"], calls["solve"]) == (0, 8, 76, 5)
+    # (one per lambda made 70 solves), plus 6 functions in 3 batches for the
+    # defect triplet and the change of basis, whose defect-triplet images
+    # take one solve and K another; 148 functional calls before the maps took
+    # batches, and 8 batches of 76 rows and 5 LAPACK solves while the change
+    # of basis mapped its vectors through the defect triplet one map and
+    # vector at a time and took K by an inverse
+    assert (maps["maps"], maps["batches"], maps["mapped"]) == (0, 4, 72)
+    assert (calls["solve"], calls["solve_2x2"]) == (0, 3)
 
 
 def test_a_certificate_maps_each_defect_point_once(monkeypatch):
@@ -866,10 +877,12 @@ def test_mobius_reads_the_images_constancy_mapped(monkeypatch):
         "name": "mix", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
         "checks": ["constancy", "mobius"]})
     assert [c["verdict"] for c in report["checks"]] == ["fail", "pass"]
-    # the 66 upper rows in one batch and 10 functions for the defect triplet
-    # and the change of basis (148 functional calls before); mobius mapping
-    # the upper vectors again made 280
-    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 8, 76)
+    # the 66 upper rows in one batch and 6 functions in 3 batches for the
+    # defect triplet and the change of basis (148 functional calls before);
+    # mobius mapping the upper vectors again made 280, and the change of
+    # basis mapping its vectors through the defect triplet one per map and
+    # vector made 8 batches of 76 rows
+    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 4, 72)
 
 
 def test_degenerate_triplet_is_an_error_not_a_pass():
