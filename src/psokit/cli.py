@@ -234,16 +234,18 @@ def _run_green(model, grid, params):
 
 def _run_mobius(model, grid, params):
     mu = parse_complex(params.get("mu", "i"))
-    t2 = triplets.defect_triplet(model, mu)
-    k = triplets.change_of_basis(model.triplet, t2, model, mu=mu)
-    residuals = [k.krein_defect()]
-    # every lambda's native images, mapped into the defect triplet by one solve
-    natives, errors = psocheck.native_images(model, grid.lambdas_upper)
-    domain_errors = model.defects.domain_errors_at(grid.lambdas_upper)
-    gps, gms = t2.from_native(natives)
+    # S(mu) and every lambda's native images: one family batch, one domain check
+    points = [mu, mu.conjugate(), *grid.lambdas_upper]
+    natives, errors = psocheck.native_images(model, points)
+    t2 = triplets.defect_triplet(model, mu)  # tests S(mu), the first two columns
+    domain_errors = model.defects.domain_errors_at(points)
+    for error in filter(None, domain_errors[:2]):
+        raise error
+    gps, gms = t2.from_native(natives)  # every column by one solve, and K by another
+    k = triplets._krein_map(natives[:, :2], np.array([gps[:2], gms[:2]]))
     # the first failing lambda raises its own error before any theta_1 is mapped
     th1, th2 = [], []
-    for j, lam in enumerate(grid.lambdas_upper):
+    for j, lam in enumerate(grid.lambdas_upper, 2):
         if errors[j]:
             raise errors[j]
         th1.append(triplets.char_value(lam, *natives[:, j].tolist()))
@@ -251,7 +253,7 @@ def _run_mobius(model, grid, params):
             raise domain_errors[j]
         th2.append(triplets.char_value(lam, gps[j], gms[j]))
     mapped = matops.interspherical(k, np.reshape(th1, (-1, 1, 1)))
-    residuals += [abs(b - a) for a, b in zip(mapped[:, 0, 0].tolist(), th2)]
+    residuals = [k.krein_defect(), *(abs(b - a) for a, b in zip(mapped[:, 0, 0].tolist(), th2))]
     # the Krein defect comes first, so a worst index i > 0 names lambda i - 1
     i = int(np.argmax(residuals))
     witness = f"lambda={format_complex(grid.lambdas_upper[i - 1])}" if i else None

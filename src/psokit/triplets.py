@@ -411,7 +411,7 @@ def char_function(triplet: BoundaryTriplet, defects: DefectFamily, lam: complex)
 
 def char_value(lam: complex, gp: complex, gm: complex) -> complex:
     """gamma_minus / gamma_plus, the boundary values of the defect vector at
-    lam; a vanishing gamma_plus or a ratio that is not finite is an error."""
+    lam; a ratio that is not finite, or a gamma_plus that vanishes or is not finite, is an error."""
     if abs(gp) <= BOUNDARY_SINGULAR_TOL * (1 + abs(gm)):
         raise ValueError(
             f"gamma_plus vanishes on the defect vector at {lam}; "
@@ -420,6 +420,8 @@ def char_value(lam: complex, gp: complex, gm: complex) -> complex:
     theta = gm / gp
     if not cmath.isfinite(theta):
         raise ValueError("theta is not finite")
+    if not cmath.isfinite(gp):
+        raise ValueError("boundary images are not finite")
     return theta
 
 
@@ -489,10 +491,10 @@ def defect_triplet(model, mu: complex) -> BoundaryTriplet:
     if mu.imag <= 0:
         raise ValueError("mu must lie in the upper half plane")
     scale = math.sqrt(2 * mu.imag)
-    n_up = model.defects.norm(mu)
-    n_dn = model.defects.norm(mu.conjugate())
-    witness = (model.defects(mu), model.defects(mu.conjugate()))
-    system = model.triplet.images(*witness)  # S(mu) of decompose, fixed here
+    pair = [mu, mu.conjugate()]
+    n_up, n_dn = map(unwrap, model.defects.norms_at(pair))
+    witness = tuple(map(unwrap, model.defects.vectors_at(pair)))
+    system = np.array([*map(unwrap, model.defects.images_at(pair))]).T  # S(mu), fixed here
     require_regular_system(system)
 
     def from_native(native):
@@ -551,22 +553,17 @@ def change_of_basis(t1: BoundaryTriplet, t2: BoundaryTriplet, model,
     """Krein-unitary K with K (gamma_plus^1, gamma_minus^1) = (gamma_plus^2,
     gamma_minus^2) on the maximal domain.
 
-    K is computed from the boundary images of the defect vectors at mu and
-    conj(mu), whose images span C^2 for any valid triplet; the pointwise
-    relation theta_2 = Phi_K(theta_1) then holds on the whole upper half
-    plane.  A defect triplet maps both vectors' native images by one
-    ``from_native`` solve, of which it reads every entry; its coordinate
-    maps would take a solve per map and vector, and read half of each.
+    K is computed from the images of the defect vectors at mu and conj(mu),
+    which span C^2 for any valid triplet; the pointwise relation theta_2 =
+    Phi_K(theta_1) then holds on the whole upper half plane.
     """
     h = (model.defects(complex(mu)), model.defects(complex(mu).conjugate()))
-    m1 = t1.images(*h)
-    if t2.from_native is None:
-        m2 = t2.images(*h)
-    else:
-        for f in h:
-            require_maximal_domain(f)
-        m2 = np.array(t2.from_native(model.triplet.images(*h)))
+    m1, m2 = t1.images(*h), t2.images(*h)
     if matops.is_singular_2x2(matops.require_finite(m1), DECOMPOSE_SINGULAR_TOL):
         raise ValueError("defect images under the first triplet are rank deficient")
-    k = matops.solve_2x2(m1.T, m2.T).T  # K m1 = m2, solved by transposing
-    return matops.KreinBlockOperator.from_matrix(k)
+    return _krein_map(m1, m2)
+
+
+def _krein_map(m1: np.ndarray, m2: np.ndarray) -> matops.KreinBlockOperator:
+    """K with K m1 = m2, m1 regular, by one solve of the transposed system."""
+    return matops.KreinBlockOperator.from_matrix(matops.solve_2x2(m1.T, m2.T).T)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from families import degenerate_model
 
 from psokit import cli, expfun, matops, models, psocheck, triplets
-from psokit.triplets import BoundaryTriplet
 from psokit.scalars import format_complex, parse_complex
 from psokit.tolerances import (CAYLEY_IDENTITY_TOL, GRAM_TOL, GREEN_TOL, MOBIUS_TOL,
                                SINGULARITY_TOL)
@@ -172,16 +172,16 @@ FAULT_TARGETS = {
 }
 
 
-def with_nan(value, pick):
-    """``value`` with its entry ``pick`` (modulo its size) NaN: an array or
-    a scalar, or a list of (gamma_plus, gamma_minus) pairs; a bool becomes
-    a float, so its other entries keep their truth."""
+def with_entry(value, pick, bad):
+    """``value`` with its entry ``pick`` (modulo its size) the float ``bad``:
+    an array or a scalar, or a list of (gamma_plus, gamma_minus) pairs; a
+    bool becomes a float, so its other entries keep their truth."""
     if isinstance(value, list):
         flat = [x for pair in value for x in pair]
-        flat[pick % len(flat)] = complex("nan")
+        flat[pick % len(flat)] = complex(bad)
         return list(zip(flat[::2], flat[1::2]))
     out = np.array(value, dtype=complex if np.iscomplexobj(value) else float)
-    out.flat[pick % out.size] = np.nan
+    out.flat[pick % out.size] = bad
     return out if out.ndim else out.item()
 
 
@@ -199,9 +199,9 @@ def run_with_fault(spec, check, fault, at=None, pick=0):
     of a term that ``_defect``'s pack holds (calls whose pack holds no term
     are not counted).  ``<target>-raise`` makes a function of
     ``FAULT_TARGETS`` raise from call ``at`` on, since a batch that raises
-    once is taken again point by point, and ``<target>-nan`` makes entry
-    ``pick`` of what it returns NaN (calls that return nothing are not
-    counted).
+    once is taken again point by point, and ``<target>-nan`` and
+    ``<target>-inf`` make entry ``pick`` of what it returns that value
+    (calls that return nothing are not counted).
     """
     cls = models.MomentumModel if spec["kind"] == "momentum" else models.NonlocalModel
     calls = 0
@@ -225,7 +225,7 @@ def run_with_fault(spec, check, fault, at=None, pick=0):
                             raise RuntimeError("injected fault")
                         return original(*args, **kwargs)
                     value = original(*args, **kwargs)
-                    return with_nan(value, pick) if due(np.size(value) > 0) else value
+                    return with_entry(value, pick, float(how)) if due(np.size(value) > 0) else value
                 return patched
 
             for owner, name in bindings:
@@ -264,7 +264,7 @@ BUILD_FAULTS = ("antiderivative-nan", "antiderivative-inf", "raise", "nan", "inf
 def faults_of(check):
     """The build faults and the faults of every target that ``check`` calls."""
     return BUILD_FAULTS + tuple(f"{target}-{how}" for target, (_, checks) in FAULT_TARGETS.items()
-                                if check in checks for how in ("raise", "nan"))
+                                if check in checks for how in ("raise", "nan", "inf"))
 
 
 @pytest.mark.parametrize("model, check, fault", [
@@ -433,9 +433,10 @@ def test_mobius_builds_the_defect_triplet_without_decompose(monkeypatch):
         "name": "mobius", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
         "checks": ["mobius"]})
     assert report["checks"][0]["verdict"] == "pass"
-    # one S(mu) test in defect_triplet, one in change_of_basis, both in
-    # closed form; each took an SVD through is_singular before
-    assert (calls["decompose"], calls["is_singular"], calls["is_singular_2x2"]) == (0, 0, 2)
+    # one S(mu) test, in defect_triplet, in closed form; (0, 0, 2) while
+    # change_of_basis tested the same S(mu) again, and (0, 2, 0) while each
+    # test took an SVD through is_singular
+    assert (calls["decompose"], calls["is_singular"], calls["is_singular_2x2"]) == (0, 0, 1)
 
 
 def counted_calls(calls, name, fn):
@@ -480,9 +481,10 @@ def test_a_mobius_op_turns_each_defect_vector_into_a_function_once(monkeypatch):
     monkeypatch.setattr(expfun.PackedFunctions, "functions", counted)
     model = cli.build_model({"kind": "nonlocal", "case": "I", "alpha": "1"})
     assert cli._run_mobius(model, psocheck.Grid.default(), {}).verdict == "pass"
-    # the vectors at mu and conj(mu), once each, read by both defect_triplet
-    # and change_of_basis (4 rows when each read built its own function),
-    # and the two one-row norm batches, which pair by the scalar inner
+    # the vectors at mu and conj(mu), once each, read by defect_triplet, and
+    # its one two-row norm batch, which pairs by the scalar inner; both read
+    # by defect_triplet and change_of_basis made 4 rows with two one-row norm
+    # batches, and 6 when each read built its own function
     assert list(model.defects._vectors) == [1j, -1j]
     assert sum(rows) == 4
 
@@ -624,10 +626,7 @@ def test_mobius_takes_as_many_svds_on_the_default_grid_as_on_two_points(monkeypa
 
 
 def test_mobius_with_a_singular_defect_system_is_an_error(tmp_path, capsys, monkeypatch):
-    model = models.MomentumModel()
-    trip = model.triplet
-    object.__setattr__(model, "triplet",
-                       BoundaryTriplet(trip.gamma_plus, trip.gamma_plus, trip.witness))
+    model = degenerate_model()
     monkeypatch.setattr(cli, "build_model", lambda spec: model)
     path = write_scenario(tmp_path, {
         "name": "degenerate", "model": {"kind": "momentum"}, "checks": ["mobius"]})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from families import pointwise_family
+from families import degenerate_model, pointwise_family, variant
 
 from psokit import cli, expfun, matops, models, psocheck, triplets
 from psokit.expfun import inner
@@ -240,22 +240,6 @@ def test_scan_reports_per_point_failures_and_continues():
 # -- failing closed and the batched inclusion scan ----------------------------------
 
 
-def variant(base, name, defect=None, triplet=None):
-    """``base`` with its defect vectors or its triplet swapped out; its
-    family maps the vectors through its own triplet."""
-
-    class Variant:
-        adjoint_apply = staticmethod(base.adjoint_apply)
-
-        @staticmethod
-        def describe():
-            return name
-
-    Variant.triplet = triplet or base.triplet
-    Variant.defects = pointwise_family(defect or base.defects, Variant.triplet)
-    return Variant()
-
-
 def flaky_model():
     mom = MomentumModel()
 
@@ -292,12 +276,6 @@ def raising_model():
         raise ValueError("broken defect family")
 
     return variant(MomentumModel(), "raising", defect=broken)
-
-
-def degenerate_model():
-    trip = MomentumModel().triplet
-    same = BoundaryTriplet(trip.gamma_plus, trip.gamma_plus, trip.witness)
-    return variant(MomentumModel(), "degenerate", triplet=same)
 
 
 def gamma_raising_model():
@@ -838,15 +816,16 @@ def test_mobius_maps_each_lambda_through_the_native_triplet_once(monkeypatch, sp
     monkeypatch.setattr(matops, "solve_2x2", counted("solve_2x2", matops.solve_2x2))
     report = cli.run_scenario_obj({"name": "mobius", "model": spec, "checks": ["mobius"]})
     assert report["checks"][0]["verdict"] == "pass"
-    # the rows of the 66 lambdas in one batch and one solve for all of them
-    # (one per lambda made 70 solves), plus 6 functions in 3 batches for the
-    # defect triplet and the change of basis, whose defect-triplet images
-    # take one solve and K another; 148 functional calls before the maps took
-    # batches, and 8 batches of 76 rows and 5 LAPACK solves while the change
-    # of basis mapped its vectors through the defect triplet one map and
-    # vector at a time and took K by an inverse
-    assert (maps["maps"], maps["batches"], maps["mapped"]) == (0, 4, 72)
-    assert (calls["solve"], calls["solve_2x2"]) == (0, 3)
+    # the rows of mu, conj(mu) and the 66 lambdas in one batch (67 rows, as
+    # mu = i is a grid point); one solve maps them all into the defect
+    # triplet and a second gives K.  Before: 4 batches of 72 rows and 3
+    # solves while the change of basis mapped and solved mu's vectors
+    # itself; 70 solves with one per lambda; 148 functional calls before the
+    # maps took batches; 8 batches of 76 rows and 5 LAPACK solves while the
+    # change of basis mapped its vectors through the defect triplet one map
+    # and vector at a time and took K by an inverse
+    assert (maps["maps"], maps["batches"], maps["mapped"]) == (0, 1, 67)
+    assert (calls["solve"], calls["solve_2x2"]) == (0, 2)
 
 
 def test_a_certificate_maps_each_defect_point_once(monkeypatch):
@@ -877,12 +856,14 @@ def test_mobius_reads_the_images_constancy_mapped(monkeypatch):
         "name": "mix", "model": {"kind": "nonlocal", "case": "I", "alpha": "1"},
         "checks": ["constancy", "mobius"]})
     assert [c["verdict"] for c in report["checks"]] == ["fail", "pass"]
-    # the 66 upper rows in one batch and 6 functions in 3 batches for the
-    # defect triplet and the change of basis (148 functional calls before);
-    # mobius mapping the upper vectors again made 280, and the change of
-    # basis mapping its vectors through the defect triplet one per map and
-    # vector made 8 batches of 76 rows
-    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 4, 72)
+    # constancy's batch of the 66 upper rows, among them mu = i, and
+    # mobius's of conj(mu), the one row it does not find in the table.
+    # Before: 4 batches of 72 rows with 6 functions in 3 batches for the
+    # defect triplet and the change of basis; 148 functional calls before
+    # the maps took batches; 280 with mobius mapping the upper vectors
+    # again; 8 batches of 76 rows with the change of basis mapping its
+    # vectors through the defect triplet one per map and vector
+    assert (calls["maps"], calls["batches"], calls["mapped"]) == (0, 2, 67)
 
 
 def test_degenerate_triplet_is_an_error_not_a_pass():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from families import pointwise_family
+from families import degenerate_model, pointwise_family
 
 from psokit import expfun, matops, triplets
 from psokit.expfun import (
@@ -443,10 +443,7 @@ def test_a_point_whose_build_raised_is_built_again_and_raises_again():
 
 
 def test_defect_triplet_rejects_a_singular_system_at_construction():
-    model = MomentumModel()
-    trip = model.triplet
-    object.__setattr__(model, "triplet",
-                       BoundaryTriplet(trip.gamma_plus, trip.gamma_plus, trip.witness))
+    model = degenerate_model()
     with pytest.raises(ValueError, match="decomposition system is singular for this mu"):
         defect_triplet(model, 1j)
 
@@ -456,6 +453,17 @@ def test_a_vanishing_gamma_plus_is_measured_against_gamma_minus():
     with pytest.raises(ValueError, match="gamma_plus vanishes"):
         char_value(1j, 1e-9, 1e6)
     assert char_value(1j, 1e-9, 1e-6) == 1e-6 / 1e-9
+
+
+def test_an_infinite_gamma_plus_is_an_error_not_a_zero_theta():
+    # a finite gamma_minus over an infinite gamma_plus divides to a finite 0,
+    # which once passed a constancy check whose theta is 0 everywhere
+    assert 1.0 / complex("inf") == 0
+    with pytest.raises(ValueError, match="^boundary images are not finite$"):
+        char_value(1j, complex("inf"), 1.0)
+    # a NaN gamma_plus keeps its text
+    with pytest.raises(ValueError, match="^theta is not finite$"):
+        char_value(1j, complex("nan"), 1.0)
 
 
 @pytest.mark.parametrize("case", ["I", "II"])

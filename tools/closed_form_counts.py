@@ -21,9 +21,9 @@ passed to them, a stack counting each of its matrices; the passes of the
 resolvent's array build, ``expfun.half_plane_resolvent``; the merges
 of a build's terms, calls of ``expfun.canonical_terms``; the exact
 moduli the scans take, the elements of the ``np.hypot`` calls made in
-``psocheck``; the LAPACK solves and inverses, calls of ``np.linalg.solve``
-and ``np.linalg.inv`` under the ``np`` that ``psocheck`` and ``triplets``
-bind; the batches mapped through the boundary maps, calls of
+``psocheck``; the calls of the closed-form 2 x 2 kernels that solve and
+test every S(mu), ``matops.solve_2x2``, ``second_unknown_2x2`` and
+``is_singular_2x2``; the batches mapped through the boundary maps, calls of
 ``triplets.boundary_images``, and the functions or rows they map; the
 pack slices, calls of ``expfun.select`` under every name it is imported
 as; and the table lookups of the defect families, calls of
@@ -59,38 +59,19 @@ INNER_NAMES = (expfun, triplets, models, psocheck)
 SELECT_NAMES = (expfun, triplets)
 #: the matops functions that take an SVD of each matrix they are given
 SVD_FUNCTIONS = ("is_singular", "min_singular_value", "opnorm")
-
-
-class _CountedLinalg:
-    """``np.linalg`` with ``solve`` and ``inv`` counting their calls into
-    ``counts["solves"]``."""
-
-    def __init__(self, counts):
-        self.counts = counts
-
-    def solve(self, *args, **kwargs):
-        self.counts["solves"] += 1
-        return np.linalg.solve(*args, **kwargs)
-
-    def inv(self, *args, **kwargs):
-        self.counts["solves"] += 1
-        return np.linalg.inv(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(np.linalg, name)
+#: the closed-form 2 x 2 kernels that solve and test every S(mu)
+KERNELS_2X2 = ("solve_2x2", "second_unknown_2x2", "is_singular_2x2")
 
 
 class _CountedNumpy:
     """numpy as a module sees it through this object, with ``np.hypot``
-    counting the elements it takes into ``counts["exact moduli"]``, if
-    ``moduli``, and ``np.linalg`` counting its solves."""
+    counting the elements it takes into ``counts["exact moduli"]``."""
 
-    def __init__(self, counts, moduli=True):
-        self.counts, self.moduli = counts, moduli
-        self.linalg = _CountedLinalg(counts)
+    def __init__(self, counts):
+        self.counts = counts
 
     def hypot(self, *args, **kwargs):
-        self.counts["exact moduli"] += self.moduli * np.broadcast(*args[:2]).size
+        self.counts["exact moduli"] += np.broadcast(*args[:2]).size
         return np.hypot(*args, **kwargs)
 
     def __getattr__(self, name):
@@ -171,7 +152,7 @@ def main() -> None:
         *((module, "canonical_terms", counted("merges", merge))
           for module in (expfun, models) if hasattr(module, "canonical_terms")),
         (psocheck, "np", _CountedNumpy(counts)),
-        (triplets, "np", _CountedNumpy(counts, moduli=False)),
+        *((matops, name, counted(name, getattr(matops, name))) for name in KERNELS_2X2),
         (triplets, "boundary_images", counted_images),
         *((module, "select", counted("selects", select)) for module in SELECT_NAMES
           if getattr(module, "select", None) is select),
@@ -182,7 +163,8 @@ def main() -> None:
         columns = {"vectors": (12, 1), "packs": (10, 1), "packed rows": (17, 1),
                    "kind tables": (17, 1), "validations": (16, 1), "inits": (10, 1),
                    "inner": (10, 1), "svd calls": (14, 1), "svd matrices": (17, 1),
-                   "solves": (12, 1),
+                   "solve_2x2": (15, 1), "second_unknown_2x2": (24, 1),
+                   "is_singular_2x2": (21, 1),
                    "passes": (12, 1), "merges": (12, 2), "exact moduli": (19, 1),
                    "image batches": (19, 1), "mapped rows": (17, 1), "selects": (13, 1),
                    "fills": (11, 1)}
