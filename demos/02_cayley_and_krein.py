@@ -52,7 +52,7 @@ for _ in range(50):
     z *= 0.9 / max(opnorm(z), 1e-9)
     phi = np.atleast_2d(interspherical(k1, z))
     worst_norm = max(worst_norm, opnorm(phi))
-    lhs = np.atleast_2d(interspherical(k2.compose(k1), z))
+    lhs = np.atleast_2d(interspherical(KreinBlockOperator.from_matrix(k2.matrix @ k1.matrix), z))
     rhs = np.atleast_2d(interspherical(k2, phi))
     worst_comp = max(worst_comp, opnorm(lhs - rhs))
 print(f"  max ||Phi_K(Z)||            = {worst_norm:.12f}  (never above 1)")

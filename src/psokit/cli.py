@@ -225,10 +225,9 @@ def _green_pairs():
 
 def _run_green(model, grid, params):
     pairs, packed = _green_pairs()
-    fs, gs = [f for (f, _), _ in pairs], [g for _, (g, _) in pairs]
     residuals = triplets.green_defects(
-        model.triplet, fs, [model.adjoint_from(f, df) for (f, df), _ in pairs],
-        gs, [model.adjoint_from(g, dg) for _, (g, dg) in pairs], packed)
+        model.triplet, packed, [model.adjoint_from(f, df) for (f, df), _ in pairs],
+        [model.adjoint_from(g, dg) for _, (g, dg) in pairs])
     return _threshold_result("green", residuals, GREEN_TOL, "20 seeded random pairs")
 
 

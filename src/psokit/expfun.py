@@ -547,14 +547,16 @@ def coefficient_distance(f: PiecewiseExpFunction, g: PiecewiseExpFunction) -> fl
 #: 310 x 310 Gram peaks at about 1 MB of temporaries beside its result
 GRAM_BLOCK = 24
 
-#: ``paired`` evaluates fewer rows than this by the scalar ``inner``.  For
-#: the norms of I(1) defect vectors (2-vCPU x86-64 host, BLAS 1 thread,
-#: closed forms memoised, timeit minima of two runs) the faster path depends
-#: on the input: on a fresh pack slice, whose rows the scalar path first
-#: reads back as functions, the scalar loop is ahead at 32 rows (0.15
-#: against 0.18 ms) and the kernel from 64 (0.23 against 0.28 ms); on a
-#: list of functions the scalar loop is ahead through 256 rows (0.40
-#: against 0.62 ms).
+#: ``paired`` evaluates fewer rows than this by the scalar ``inner`` on
+#: the functions of its input, which a pack keeps, and more by the kernel.
+#: Both give the same bits; the value only selects the cost.  On a 2-vCPU
+#: x86-64 host (BLAS 1 thread, closed forms memoised, timeit minima) the
+#: scalar loop is ahead well past 32 rows: the norms of 32 nonlocal defect
+#: vectors take 0.05-0.09 ms by it against 0.2-0.4 ms by the kernel, the
+#: two meeting near 128 rows, and the Green check's 40 functions against
+#: the potential take 0.11-0.19 ms by it against 0.34-0.54 ms by the
+#: kernel.  Raising the value moves the work counts that tests pin, so it
+#: is a change of its own.
 PAIRED_SCALAR_ROWS = 32
 
 
@@ -575,6 +577,10 @@ class PackedFunctions:
     bit for bit, so -0.0 and 0.0 are different kinds.  The table is built
     when a kernel first asks for it, so a pack read only row by row, or
     only at the origin, never builds one.
+
+    A pack keeps its functions: :func:`pack` records the functions it
+    packed, and any other pack reads all its rows back on the first call
+    of ``functions()`` for all of them.
     """
 
     parts: np.ndarray
@@ -607,9 +613,19 @@ class PackedFunctions:
                       for cr, ci, lo, hi, er, ei, power in zip(*row) if cr != 0 or ci != 0)
                 for row in zip(*parts[:6].tolist(), parts[6].astype(np.int64).tolist())]
 
+    @functools.cached_property
+    def _functions(self) -> list["PiecewiseExpFunction"]:
+        return [PiecewiseExpFunction.from_row(row) for row in self.rows()]
+
     def functions(self, at=None) -> list["PiecewiseExpFunction"]:
-        """The functions at the row indices ``at``, each wrapping its row."""
-        return [PiecewiseExpFunction.from_row(row) for row in self.rows(at)]
+        """The functions at the row indices ``at`` (all of them by default),
+        each wrapping its row; rows asked for by index are read back alone
+        until the pack keeps its functions."""
+        if at is None:
+            return list(self._functions)
+        if "_functions" not in vars(self):
+            return [PiecewiseExpFunction.from_row(row) for row in self.rows(at)]
+        return [self._functions[i] for i in np.asarray(at, dtype=np.intp).tolist()]
 
 
 def _bits(x) -> np.ndarray:
@@ -648,7 +664,9 @@ def pack_terms(coeff_re, coeff_im, lo, hi, exp_re, exp_im, power) -> PackedFunct
 
 
 def pack(fs) -> PackedFunctions:
-    """Pack functions for :func:`gram` and :func:`paired`."""
+    """Pack functions for :func:`gram` and :func:`paired`; the pack keeps
+    them as its ``functions()``."""
+    fs = list(fs)
     rows = [f.row for f in fs]
     n = len(rows)
     width = max(map(len, rows), default=0)
@@ -657,7 +675,9 @@ def pack(fs) -> PackedFunctions:
     coeff, lo, hi, exponent, power = (
         np.array(column, dtype=dtype).reshape(n, width) for column, dtype in
         zip(list(zip(*slots)) or [()] * 5, (complex, float, float, complex, float)))
-    return pack_terms(coeff.real, coeff.imag, lo, hi, exponent.real, exponent.imag, power)
+    packed = pack_terms(coeff.real, coeff.imag, lo, hi, exponent.real, exponent.imag, power)
+    vars(packed)["_functions"] = fs
+    return packed
 
 
 def select(f: PackedFunctions, rows, scales=None) -> PackedFunctions:
@@ -812,8 +832,8 @@ def paired(fs, gs) -> np.ndarray:
     fs and gs are equally long sequences of functions, or their
     :func:`pack` forms or pack slices; a gs of one function pairs it with
     every f.  Every value equals the scalar ``inner`` bit for bit.  Fewer
-    than PAIRED_SCALAR_ROWS rows are evaluated by ``inner`` itself, a packed
-    row read back as its function.  Otherwise ``_poly_exp_integral`` runs
+    than PAIRED_SCALAR_ROWS rows are evaluated by ``inner`` itself, on the
+    functions a pack keeps.  Otherwise ``_poly_exp_integral`` runs
     once per call for each distinct overlapping pair of a term kind of f
     and a term kind of g that meet within one row, so rows that share no
     kinds build no cross table.  Then, for each pair of term slots (p

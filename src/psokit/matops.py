@@ -347,10 +347,6 @@ class KreinBlockOperator:
         """max(||K*JK - J||, ||KJK* - J||), as the constructor measured it."""
         return self._defect
 
-    def compose(self, other: "KreinBlockOperator") -> "KreinBlockOperator":
-        """Block product self @ other (apply other first)."""
-        return KreinBlockOperator.from_matrix(self.matrix @ other.matrix)
-
 
 def _fundamental_symmetry(m: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
@@ -448,10 +444,6 @@ class SubspaceBasis:
 class WanderingReport:
     first_violation: int | None
     defect_per_n: tuple[float, ...]
-
-    @property
-    def is_wandering(self) -> bool:
-        return self.first_violation is None
 
 
 def wandering_check(u, basis: SubspaceBasis, n_max: int) -> WanderingReport:

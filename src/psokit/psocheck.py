@@ -119,12 +119,6 @@ class Certificate:
             return VERDICT_FAIL
         return VERDICT_INCONCLUSIVE
 
-    def entry(self, check_id: str) -> CheckResult:
-        for c in self.checks:
-            if c.check_id == check_id:
-                return c
-        raise KeyError(check_id)
-
 
 def _verdict(max_residual: float, pass_tol: float, evaluated: int,
              failed: int) -> str:

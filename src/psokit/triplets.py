@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import matops
-from .expfun import (PAIRED_SCALAR_ROWS, PackedFunctions, PiecewiseExpFunction, SplitComplex,
-                     inner, join, norms, origin_limits, pack, paired, select)
+from .expfun import (PackedFunctions, PiecewiseExpFunction, SplitComplex, inner, join, norms,
+                     origin_limits, pack, paired, select)
 from .tolerances import (BOUNDARY_SINGULAR_TOL, DECOMPOSE_SINGULAR_TOL, DOMAIN_JUMP_TOL,
                          GREEN_TOL, SURJECTIVITY_TOL)
 
@@ -104,57 +104,51 @@ class BoundaryTriplet:
             raise ValueError("boundary maps fail the surjectivity witness")
 
     @functools.cached_property
-    def _pairings(self) -> tuple[list, list[tuple[PiecewiseExpFunction, PackedFunctions]]]:
+    def _pairings(self) -> tuple[list, list[PackedFunctions]]:
         """For maps that are both boundary functionals: each map with the
-        columns of its pairing functions among the distinct ones, and each
-        distinct pairing function h with its pack, made once per triplet,
-        so h's kind table is sorted once for every batch the triplet maps."""
+        columns of its pairing functions among the distinct ones, and the
+        pack of each distinct pairing function h, made once per triplet, so
+        h's kind table is sorted once for every batch the triplet maps."""
         maps = (self.gamma_plus, self.gamma_minus)
         hs = list({id(h): h for m in maps for _, h in m.pairings}.values())
         column = {id(h): j for j, h in enumerate(hs)}
-        pairings = [(h, pack([h])) for h in hs]
-        for _, packed in pairings:
+        packs = [pack([h]) for h in hs]
+        for packed in packs:
             packed.parts.flags.writeable = False  # shared by every batch
-        return [(m, [column[id(h)] for _, h in m.pairings]) for m in maps], pairings
+        return [(m, [column[id(h)] for _, h in m.pairings]) for m in maps], packs
 
 
 def boundary_images(triplet: BoundaryTriplet, fs) -> list[tuple[complex, complex]]:
     """(gamma_plus(f), gamma_minus(f)) of each function f in fs, as Python
-    complex values, bit for bit; fs is a list of functions, or their
-    :func:`~psokit.expfun.pack` form or a pack slice.
+    complex values, bit for bit; fs is a list of functions, which is packed
+    once, or their :func:`~psokit.expfun.pack` form or a pack slice.
 
     When both maps are boundary functionals they are evaluated together:
-    each f's one-sided limits at the origin are taken once, and each
-    distinct pairing function h is paired with every f by one ``paired``
-    call, against the pack of h the triplet keeps, so a pairing both maps
-    share is taken once.  Other maps are called on each f, gamma_plus
-    first.
+    the one-sided limits at the origin of every f are taken at once, and
+    each distinct pairing function h is paired with every f by one
+    ``paired`` call, against the pack of h the triplet keeps, so a pairing
+    both maps share is taken once.  Other maps are called on each f,
+    gamma_plus first.
     """
+    fs = fs if isinstance(fs, PackedFunctions) else pack(fs)
     maps = (triplet.gamma_plus, triplet.gamma_minus)
     if not all(isinstance(m, BoundaryFunctional) for m in maps):
-        fs = fs.functions() if isinstance(fs, PackedFunctions) else fs
-        return [(complex(triplet.gamma_plus(f)), complex(triplet.gamma_minus(f))) for f in fs]
-    plan, pairings = triplet._pairings
-    # paired reads h as a function below PAIRED_SCALAR_ROWS rows of fs and
-    # as a pack from there on; each is given the form it reads
-    scalar = len(fs) < PAIRED_SCALAR_ROWS
-    ips = [paired(fs, [h] if scalar else packed) for h, packed in pairings]
-    if isinstance(fs, PackedFunctions):
-        # every function at once; what overflows is inf or NaN, as in
-        # Python's complex arithmetic, without a warning
-        with np.errstate(all="ignore"):
-            minus, plus = origin_limits(fs)
-            ips = [SplitComplex(ip.real, ip.imag) for ip in ips]
-            images = []
-            for m, columns in plan:
-                value = m.combine(minus, plus, [ips[j] for j in columns])
-                image = np.empty(len(fs), dtype=complex)
-                image.real, image.imag = value.real, value.imag
-                images.append(image.tolist())  # Python complex values, bit for bit
-        return list(zip(*images))
-    ips = list(zip(*(ip.tolist() for ip in ips))) or [()] * len(fs)
-    return [tuple([m.combine(f.limit(0.0, "-"), f.limit(0.0, "+"), [ip[j] for j in columns])
-                   for m, columns in plan]) for f, ip in zip(fs, ips)]
+        return [(complex(triplet.gamma_plus(f)), complex(triplet.gamma_minus(f)))
+                for f in fs.functions()]
+    plan, packs = triplet._pairings
+    ips = [paired(fs, h) for h in packs]
+    # every function at once; what overflows is inf or NaN, as in Python's
+    # complex arithmetic, without a warning
+    with np.errstate(all="ignore"):
+        minus, plus = origin_limits(fs)
+        ips = [SplitComplex(ip.real, ip.imag) for ip in ips]
+        images = []
+        for m, columns in plan:
+            value = m.combine(minus, plus, [ips[j] for j in columns])
+            image = np.empty(len(fs), dtype=complex)
+            image.real, image.imag = value.real, value.imag
+            images.append(image.tolist())  # Python complex values, bit for bit
+    return list(zip(*images))
 
 
 def each_point(fn: Callable, points) -> list:
@@ -224,7 +218,7 @@ class DefectFamily:
     is built again, and fails again, whenever it is asked for.
 
     The ``*_at(points)`` methods return per point a value or the exception
-    that stands for it; the call, ``norm`` and ``images`` raise it.  Each
+    that stands for it; the call and ``images`` raise it.  Each
     takes a fixed number of C-speed passes over its points (``map``,
     ``zip``, ``itertools``); only a point that is computed or failed takes
     a step in Python.
@@ -320,21 +314,11 @@ class DefectFamily:
         return self._fill(self._images, points, self._on_rows(
             functools.partial(boundary_images, self._triplet)))
 
-    @staticmethod
-    def _one(table: dict, batch: Callable[[list], list], z: complex):
-        """The entry of one point: from the table if it is there, else from
-        a batch of one, raised if it is an exception."""
-        z = complex(z)
-        return table[z] if z in table else unwrap(batch([z])[0])
-
     def __call__(self, z: complex) -> PiecewiseExpFunction:
         return unwrap(self.vectors_at([z])[0])
 
-    def norm(self, z: complex) -> float:
-        return self._one(self._norms, self.norms_at, z)
-
     def images(self, z: complex) -> tuple[complex, complex]:
-        return self._one(self._images, self.images_at, z)
+        return unwrap(self.images_at([z])[0])
 
 
 def require_maximal_domain(f: PiecewiseExpFunction,
@@ -372,25 +356,23 @@ def green_residual(triplet: BoundaryTriplet, model, f: PiecewiseExpFunction,
     """Defect of the Green identity for a pair of maximal-domain functions."""
     require_maximal_domain(f)
     require_maximal_domain(g)
-    tf = model.adjoint_apply(f)
-    tg = model.adjoint_apply(g)
-    return green_defects(triplet, [f], [tf], [g], [tg])[0]
+    return green_defects(triplet, pack([f, g]), [model.adjoint_apply(f)],
+                         [model.adjoint_apply(g)])[0]
 
 
-def green_defects(triplet: BoundaryTriplet, fs, tfs, gs, tgs,
-                  packed: PackedFunctions | None = None) -> list[float]:
-    """Defect of the Green identity on each pair (fs[k], gs[k]), given
-    tfs[k] = T fs[k] and tgs[k] = T gs[k]; the caller has checked that all
-    lie in the maximal domain.
+def green_defects(triplet: BoundaryTriplet, packed: PackedFunctions, tfs, tgs) -> list[float]:
+    """Defect of the Green identity on each pair (fs[k], gs[k]), given the
+    :func:`~psokit.expfun.pack` of ``[*fs, *gs]``, which a caller checking
+    many models on the same functions keeps, tfs[k] = T fs[k] and tgs[k] =
+    T gs[k]; the caller has checked that all lie in the maximal domain.
 
     The inner products (T f, g) and (f, T g) take one ``paired`` call each,
-    and all the boundary values one ``boundary_images`` call, on
-    ``packed`` if given: the :func:`~psokit.expfun.pack` of ``[*fs, *gs]``,
-    which a caller checking many models on the same functions keeps.
-    ``boundary_images`` maps a pack bit for bit as it maps the list.
+    and all the boundary values one ``boundary_images`` call on the pack.
     """
+    both = packed.functions()
+    fs, gs = both[:len(tfs)], both[len(tfs):]
     lhs = [a - b for a, b in zip(paired(tfs, gs).tolist(), paired(fs, tgs).tolist())]
-    images = boundary_images(triplet, [*fs, *gs] if packed is None else packed)
+    images = boundary_images(triplet, packed)
     out = []
     for k, value in enumerate(lhs):
         (gpf, gmf), (gpg, gmg) = images[k], images[len(lhs) + k]
@@ -411,7 +393,10 @@ def char_function(triplet: BoundaryTriplet, defects: DefectFamily, lam: complex)
 
 def char_value(lam: complex, gp: complex, gm: complex) -> complex:
     """gamma_minus / gamma_plus, the boundary values of the defect vector at
-    lam; a ratio that is not finite, or a gamma_plus that vanishes or is not finite, is an error."""
+    lam; an infinite image, a gamma_plus that vanishes or a ratio that is
+    not finite is an error."""
+    if cmath.isinf(gp) or cmath.isinf(gm):
+        raise ValueError("boundary images are not finite")
     if abs(gp) <= BOUNDARY_SINGULAR_TOL * (1 + abs(gm)):
         raise ValueError(
             f"gamma_plus vanishes on the defect vector at {lam}; "
@@ -420,8 +405,6 @@ def char_value(lam: complex, gp: complex, gm: complex) -> complex:
     theta = gm / gp
     if not cmath.isfinite(theta):
         raise ValueError("theta is not finite")
-    if not cmath.isfinite(gp):
-        raise ValueError("boundary images are not finite")
     return theta
 
 

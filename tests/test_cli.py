@@ -159,12 +159,13 @@ FAULT_CHECKS = ["orthogonality", "constancy", "inclusion", "pso", "mobius"]
 # the functions a fault is injected into, by fault prefix: every module
 # attribute that binds one, and the checks that call it; ``is_singular`` and
 # ``solve`` are the closed-form 2 x 2 kernels that test and solve every S(mu),
-# and ``solve`` counts the calls of both its functions
+# and ``solve`` counts the calls of both its functions; ``green`` builds no
+# defect vector, so it takes only these faults
 FAULT_TARGETS = {
-    "paired": ([(expfun, "paired"), (triplets, "paired")], FAULT_CHECKS),
+    "paired": ([(expfun, "paired"), (triplets, "paired")], [*FAULT_CHECKS, "green"]),
     "gram": ([(psocheck, "gram")], ["orthogonality", "pso"]),
     "boundary_images": ([(triplets, "boundary_images")],
-                        ["constancy", "inclusion", "pso", "mobius"]),
+                        ["constancy", "inclusion", "pso", "mobius", "green"]),
     "is_singular": ([(matops, "is_singular_2x2")], ["inclusion", "pso", "mobius"]),
     "solve": ([(matops, "solve_2x2"), (matops, "second_unknown_2x2")],
               ["inclusion", "pso", "mobius"]),
@@ -262,13 +263,15 @@ BUILD_FAULTS = ("antiderivative-nan", "antiderivative-inf", "raise", "nan", "inf
 
 
 def faults_of(check):
-    """The build faults and the faults of every target that ``check`` calls."""
-    return BUILD_FAULTS + tuple(f"{target}-{how}" for target, (_, checks) in FAULT_TARGETS.items()
-                                if check in checks for how in ("raise", "nan", "inf"))
+    """The build faults of a check that builds defect vectors, and the faults
+    of every target that ``check`` calls."""
+    build = BUILD_FAULTS if check in FAULT_CHECKS else ()
+    return build + tuple(f"{target}-{how}" for target, (_, checks) in FAULT_TARGETS.items()
+                         if check in checks for how in ("raise", "nan", "inf"))
 
 
 @pytest.mark.parametrize("model, check, fault", [
-    (model, check, fault) for model in FAULT_MODELS for check in FAULT_CHECKS
+    (model, check, fault) for model in FAULT_MODELS for check in [*FAULT_CHECKS, "green"]
     for fault in faults_of(check)
     # momentum's constancy check takes no closed form and pairs nothing
     if not (model == "momentum" and check == "constancy"

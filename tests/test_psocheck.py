@@ -207,8 +207,9 @@ def test_certificate_flags_criterion_disagreement():
             return "broken"
 
     cert = pso_certificate(Broken(), SMALL_GRID)
-    assert cert.entry("constancy").verdict == "pass"
-    assert cert.entry("orthogonality").verdict == "fail"
+    entries = {c.check_id: c for c in cert.checks}
+    assert entries["constancy"].verdict == "pass"
+    assert entries["orthogonality"].verdict == "fail"
     assert cert.overall == "inconclusive"
     assert all("disagreement" in (c.notes or "") for c in cert.checks)
 
@@ -329,7 +330,7 @@ def pairwise_inclusion(model, grid):
         try:
             f = model.defects(lam)
             triplets.require_maximal_domain(f)
-            norm = model.defects.norm(lam)
+            norm = triplets.unwrap(model.defects.norms_at([lam])[0])
             if not np.isfinite(model.triplet.images(f)).all():
                 raise ValueError("boundary images are not finite")
             lam_norms[lam] = norm
@@ -338,7 +339,7 @@ def pairwise_inclusion(model, grid):
     for mu in lams:
         try:
             model.triplet.images(model.defects(mu))
-            n_conj = model.defects.norm(mu.conjugate())
+            n_conj = triplets.unwrap(model.defects.norms_at([mu.conjugate()])[0])
             system = model.triplet.images(model.defects(mu), model.defects(mu.conjugate()))
             triplets.require_regular_system(matops.require_finite(system))
             conj_norms[mu] = n_conj
@@ -395,12 +396,13 @@ def pairwise_orthogonality(model, grid):
     worst, witness, failures, evaluated, uppers = 0.0, None, [], 0, []
     for lam in grid.lambdas_upper:
         try:
-            uppers.append((lam, (1.0 / model.defects.norm(lam)) * model.defects(lam)))
+            uppers.append((lam, (1.0 / triplets.unwrap(model.defects.norms_at([lam])[0]))
+                           * model.defects(lam)))
         except Exception as exc:
             failures.append(f"lambda={format_complex(lam)}: {exc}")
     for nu in grid.lambdas_lower:
         try:
-            g = (1.0 / model.defects.norm(nu)) * model.defects(nu)
+            g = (1.0 / triplets.unwrap(model.defects.norms_at([nu])[0])) * model.defects(nu)
         except Exception as exc:
             failures.append(f"nu={format_complex(nu)}: {exc}")
             continue
@@ -526,7 +528,7 @@ def test_dense_orthogonality_scan_takes_no_scalar_inner_product(monkeypatch):
 def test_orthogonality_scan_evaluates_a_closed_form_per_kind_pair(monkeypatch, model, grid,
                                                                    verdict, expected):
     for z in (*grid.lambdas_upper, *grid.lambdas_lower):
-        model.defects.norm(z)  # cached, so the scan's norms take no closed form
+        model.defects.norms_at([z])  # cached, so the scan's norms take no closed form
     closed_forms = Counter()
     original = expfun._poly_exp_integral
 
@@ -875,8 +877,9 @@ def test_degenerate_triplet_is_an_error_not_a_pass():
         f"mu={format_complex(mu)}: decomposition system is singular for this mu"
         for mu in SMALL_GRID.lambdas_upper)
     cert = pso_certificate(model, SMALL_GRID)
-    assert cert.entry("orthogonality").verdict == "pass"
-    assert cert.entry("constancy").verdict == "pass"
+    entries = {c.check_id: c for c in cert.checks}
+    assert entries["orthogonality"].verdict == "pass"
+    assert entries["constancy"].verdict == "pass"
     assert cert.overall == "error"
 
 
@@ -912,12 +915,13 @@ def test_no_scan_raises_at_a_defect_vector_of_norm_zero():
     model = NonlocalModel("II", 2j)
     grid = Grid.from_axes([0.0, 1e-9], [1.0, 0.5])  # 1e-9+1i has norm 0
     cert = pso_certificate(model, grid)
+    entries = {c.check_id: c for c in cert.checks}
     for check in ("orthogonality", "inclusion"):
-        entry = cert.entry(check)
+        entry = entries[check]
         assert entry.verdict == "inconclusive"
         assert any(f.startswith("lambda=1e-09+1i") and f.endswith("norm is zero")
                    for f in entry.failures)
-    assert cert.entry("constancy").verdict == "pass"
+    assert entries["constancy"].verdict == "pass"
 
 
 def test_partial_failures_cap_a_pass_at_inconclusive():

@@ -4,6 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from families import degenerate_model, pointwise_family
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psokit import expfun, matops, triplets
 from psokit.expfun import (
@@ -331,9 +333,9 @@ def test_defect_triplet_maps_are_the_scaled_decompose_coefficients(make, mu):
         f = random_maximal_domain_function(rng)
         a, b, _ = decompose(model, f, mu)
         # repr compares bit for bit
-        assert repr(t2.gamma_plus(f)) == repr(scale * model.defects.norm(mu) * a)
+        assert repr(t2.gamma_plus(f)) == repr(scale * model.defects.norms_at([mu])[0] * a)
         assert repr(t2.gamma_minus(f)) == repr(
-            scale * model.defects.norm(mu.conjugate()) * b)
+            scale * model.defects.norms_at([mu.conjugate()])[0] * b)
 
 
 @pytest.mark.parametrize("make", DEFECT_TRIPLET_MODELS.values(), ids=DEFECT_TRIPLET_MODELS)
@@ -373,8 +375,8 @@ def test_a_defect_vector_norm_that_overflows_is_an_error():
     model = NonlocalModel("II", 1.2e154)
     # normalizing by an infinite norm would give the zero vector
     with pytest.raises(ValueError, match="defect vector norm is not finite"):
-        model.defects.norm(-1 + 0.2j)
-    assert math.isfinite(model.defects.norm(-1 - 0.2j))
+        triplets.unwrap(model.defects.norms_at([-1 + 0.2j])[0])
+    assert math.isfinite(model.defects.norms_at([-1 - 0.2j])[0])
 
 
 def test_a_defect_vector_norm_of_zero_is_an_error():
@@ -382,7 +384,7 @@ def test_a_defect_vector_norm_of_zero_is_an_error():
     # near resonance the closed form cancels to 0j; dividing by it would raise
     # ZeroDivisionError wherever the vector is normalized
     with pytest.raises(ValueError, match="defect vector norm is zero"):
-        model.defects.norm(1e-9 + 1j)
+        triplets.unwrap(model.defects.norms_at([1e-9 + 1j])[0])
 
 
 # -- the defect family's per-point contract ------------------------------------
@@ -422,7 +424,7 @@ def test_a_real_point_is_an_error_and_is_never_built():
         assert isinstance(entry, ValueError)
         assert str(entry) == "defect vectors exist only for non-real z"
     assert f == family(1j)
-    for ask in (family, family.norm, family.images):
+    for ask in (family, lambda z: triplets.unwrap(family.norms_at([z])[0]), family.images):
         with pytest.raises(ValueError, match="defect vectors exist only for non-real z"):
             ask(-3.0)
     assert calls == [1j]
@@ -435,7 +437,7 @@ def test_a_point_whose_build_raised_is_built_again_and_raises_again():
     assert isinstance(failed, RuntimeError)
     assert str(failed) == "synthetic construction failure at 2j"
     assert list(family._cache) == [1j]
-    for ask in (family, family.norm, family.images):
+    for ask in (family, lambda z: triplets.unwrap(family.norms_at([z])[0]), family.images):
         with pytest.raises(RuntimeError, match="synthetic construction failure at 2j"):
             ask(2j)
     assert calls == [1j, 2j, 2j, 2j, 2j]
@@ -466,6 +468,13 @@ def test_an_infinite_gamma_plus_is_an_error_not_a_zero_theta():
         char_value(1j, complex("nan"), 1.0)
 
 
+@pytest.mark.parametrize("gp, gm", [(1.0, complex("inf")), (complex("inf"), complex("inf"))])
+def test_an_infinite_gamma_minus_is_not_named_a_vanishing_gamma_plus(gp, gm):
+    # beside an infinite gamma_minus any gamma_plus reads as vanishing
+    with pytest.raises(ValueError, match="^boundary images are not finite$"):
+        char_value(1j, gp, gm)
+
+
 @pytest.mark.parametrize("case", ["I", "II"])
 def test_a_triplet_packs_each_pairing_function_once(monkeypatch, case):
     model = NonlocalModel(case, 1)
@@ -490,7 +499,10 @@ def test_a_triplet_packs_each_pairing_function_once(monkeypatch, case):
     assert repr(first) == repr(again) == repr(want)
 
 
-def test_images_lists_gamma_plus_then_gamma_minus():
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(43)),
+       sorted_first=st.booleans())
+def test_images_lists_gamma_plus_then_gamma_minus(seed, order, sorted_first):
     model = NonlocalModel("II", 1)
     fs = (model.defects(1j), model.defects(2 - 1j), left_exp())
     trip = model.triplet
@@ -498,6 +510,22 @@ def test_images_lists_gamma_plus_then_gamma_minus():
     assert images.shape == (2, 3)
     assert images.tolist() == [[trip.gamma_plus(f) for f in fs],
                                [trip.gamma_minus(f) for f in fs]]
+    # boundary_images of a list, its pack and a slice of a larger pack, on
+    # both sides of PAIRED_SCALAR_ROWS, against the scalar maps, its one
+    # independent reference
+    rng = np.random.default_rng(seed)
+    pool = [random_maximal_domain_function(rng) for _ in range(43)]
+    whole = expfun.pack([pool[k] for k in order])
+    if sorted_first:
+        whole.kinds  # a slice then cuts the parent's kind table
+    for name in ("momentum", "I(1)", "I(4i)", "II(2i)"):
+        trip = DEFECT_TRIPLET_MODELS[name]().triplet
+        want = [(trip.gamma_plus(f), trip.gamma_minus(f)) for f in pool[:40]]
+        for n in (1, 31, 32, 40):
+            forms = (pool[:n], expfun.pack(pool[:n]),
+                     expfun.select(whole, [order.index(k) for k in range(n)]))
+            for form in forms:
+                assert repr(triplets.boundary_images(trip, form)) == repr(want[:n]), (name, n)
 
 
 def test_images_maps_each_function_by_both_maps_before_the_next():

@@ -26,8 +26,9 @@ test every S(mu), ``matops.solve_2x2``, ``second_unknown_2x2`` and
 ``is_singular_2x2``; the batches mapped through the boundary maps, calls of
 ``triplets.boundary_images``, and the functions or rows they map; the
 pack slices, calls of ``expfun.select`` under every name it is imported
-as; and the table lookups of the defect families, calls of
-``triplets.DefectFamily._fill``.  The counts
+as; the table lookups of the defect families, calls of
+``triplets.DefectFamily._fill``; and the packed rows read back as
+functions, the rows ``PackedFunctions.rows`` returns.  The counts
 depend on no timing and no hardware.  The modules under ``bench/`` are
 imported, never modified.
 
@@ -96,6 +97,7 @@ def main() -> None:
     build_rows = triplets.DefectFamily._build_rows
     pack_terms, kind_table = expfun.pack_terms, expfun._kind_table
     images, select, fill = triplets.boundary_images, expfun.select, triplets.DefectFamily._fill
+    rows = expfun.PackedFunctions.rows
 
     def counted_memo(k, u, a, b):
         counts["calls"] += 1
@@ -127,6 +129,11 @@ def main() -> None:
         counts["mapped rows"] += len(fs)
         return images(triplet, fs)
 
+    def counted_rows(packed, at=None):
+        read = rows(packed, at)
+        counts["rows read"] += len(read)
+        return read
+
     def counted_svd(fn):
         def wrapper(a, *args, **kwargs):
             counts["svd calls"] += 1
@@ -157,6 +164,7 @@ def main() -> None:
         *((module, "select", counted("selects", select)) for module in SELECT_NAMES
           if getattr(module, "select", None) is select),
         (triplets.DefectFamily, "_fill", staticmethod(counted("fills", fill))),
+        (expfun.PackedFunctions, "rows", counted_rows),
     ])
     try:
         # name: (width, decimals)
@@ -167,7 +175,7 @@ def main() -> None:
                    "is_singular_2x2": (21, 1),
                    "passes": (12, 1), "merges": (12, 2), "exact moduli": (19, 1),
                    "image batches": (19, 1), "mapped rows": (17, 1), "selects": (13, 1),
-                   "fills": (11, 1)}
+                   "fills": (11, 1), "rows read": (15, 1)}
         print(f"{'workload':<14}{'pass':<8}{'calls':>9}{'distinct':>10}{'raw':>8}"
               + "".join(f"{name + '/op':>{w}}" for name, (w, _) in columns.items()))
         for workload in workloads.WORKLOADS:
